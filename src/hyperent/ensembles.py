@@ -5,7 +5,13 @@ inclusion probability p per edge (default 1/2).  Exhaustive enumeration
 visits every subset of the universe once; Monte Carlo draws subsets
 from the documented counter-based stream so runs are reproducible for
 a fixed (seed, worker count) and trivially parallel: worker w owns a
-contiguous slice of the sample range and the child stream w.
+contiguous slice of the sample range and the child stream w
+(:func:`split_run`).
+
+Both modes turn a batch of edge choices into purity numerators through
+one encoding, :class:`_CutFactors`, which feeds the single kernel
+:func:`purity.purity_numerators`; 2-edge families can use the GF(2)
+rank of the cut block instead.
 
 Exhaustive moments are exact: purity numerators are integers
 accumulated over the common denominator 2^(2N), subset weights are
@@ -24,6 +30,7 @@ import numpy as np
 
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges, scatter_table
+from .purity import _pack_rows, purity_numerators
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
 DEFAULT_ENUMERATION_CAP_BITS = 26
@@ -223,105 +230,112 @@ def _exact_sum(arr: np.ndarray) -> int:
     return int(arr.astype(object).sum()) if arr.size else 0
 
 
-class _StateVectorKernel:
-    """Vectorized exact purity numerators for batches of universe subsets.
+class _CutFactors:
+    """Universe edges factored across the cut, for batched exact purities.
 
-    Precomputes, per basis state, the word of universe edges firing on
-    it; a subset's sign bit at x is then popcount(mask & fire[x]) mod 2.
-    Limited to universes of <= 62 edges, which the enumeration cap
-    already guarantees.
+    Works on the cheaper orientation (fewer A qubits).  An edge with A
+    part m_A and B part m_B flips sign bit (a, b) iff m_A is inside a and
+    m_B inside b, so a subset's packed sign row a is the XOR, over the
+    A parts inside a, of the B-part column indicators of the chosen
+    edges with that A part.  Edges inside one side are local unitaries
+    that leave the purity unchanged and are left out.
     """
 
-    def __init__(self, universe: list[Edge], n: int, part: Bipartition):
-        if len(universe) > 62:
-            raise ValueError("state-vector subset kernel limited to 62 universe edges")
+    def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
-        self.n = n
-        d = 1 << n
-        x = np.arange(d, dtype=np.int64)
-        fire = np.zeros(d, dtype=np.uint64)
-        for j, e in enumerate(universe):
-            m = 0
-            for v in e:
-                m |= 1 << v
-            fire |= ((x & m) == m).astype(np.uint64) << np.uint64(j)
-        row_scatter = scatter_table(self.part.a_mask, n)
-        col_scatter = scatter_table(self.part.b_mask, n)
-        order = (row_scatter[:, np.newaxis] | col_scatter[np.newaxis, :]).ravel()
-        self.fire_ab = fire[order]
-        self.d_a = self.part.d_a
-        self.d_b = self.part.d_b
-        self.pad_bytes = (((self.d_b + 63) >> 6) << 3)
+        self.n_edges = len(universe)
+        n = part.n_qubits
+        masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
+        m_a = masks & self.part.a_mask
+        m_b = masks & self.part.b_mask
+        cross = np.flatnonzero((m_a != 0) & (m_b != 0))
+        # cross edges sorted by A part, so each group is one reduceat slice
+        self.edges = cross[np.argsort(m_a[cross], kind="stable")]
+        group_a, self.starts = np.unique(m_a[self.edges], return_index=True)
+        self.group_rows = np.searchsorted(scatter_table(self.part.a_mask, n), group_a)
+        b_scatter = scatter_table(self.part.b_mask, n)
+        edge_b = m_b[self.edges, np.newaxis]
+        self.cols = _pack_rows(((b_scatter & edge_b) == edge_b).astype(np.uint8))
+        self.words = (self.part.d_b + 63) >> 6
 
     def batch_size(self) -> int:
-        per_sample = max(self.d_a * self.d_b, self.d_a * self.d_a * (self.pad_bytes >> 3))
-        return max(1, (1 << 21) // per_sample)
+        d_a = self.part.d_a
+        return max(1, (1 << 21) // (d_a * max(d_a * self.words, self.n_edges)))
 
-    def numerators(self, masks: np.ndarray) -> np.ndarray:
-        """Exact 2^(2N) * purity for each subset mask, as int64."""
-        bits = (np.bitwise_count(masks[:, np.newaxis] & self.fire_ab[np.newaxis, :]) & 1).astype(
-            np.uint8
+    def numerators(self, bits: np.ndarray) -> np.ndarray:
+        """Exact 2^(2N) * purity for each row of (batch, universe) 0/1 edge choices."""
+        step = self.batch_size()
+        return np.concatenate(
+            [self._batch(bits[lo : lo + step]) for lo in range(0, bits.shape[0], step)]
         )
-        b = bits.reshape(-1, self.d_a, self.d_b)
-        packed8 = np.zeros((b.shape[0], self.d_a, self.pad_bytes), dtype=np.uint8)
-        packed8[:, :, : (self.d_b + 7) >> 3] = np.packbits(b, axis=2, bitorder="little")
-        rows = packed8.reshape(b.shape[0], self.d_a, -1).view(np.uint64)
-        xor = rows[:, :, np.newaxis, :] ^ rows[:, np.newaxis, :, :]
-        h = np.bitwise_count(xor).sum(axis=3, dtype=np.int64)
-        diff = self.d_b - 2 * h
-        return np.sum(diff * diff, axis=(1, 2), dtype=np.int64)
+
+    def _batch(self, bits: np.ndarray) -> np.ndarray:
+        batch = bits.shape[0]
+        rows = np.zeros((batch, self.part.d_a, self.words), dtype=np.uint64)
+        if self.edges.size:
+            chosen = bits[:, self.edges, np.newaxis].astype(np.uint64) * self.cols
+            rows[:, self.group_rows] = np.bitwise_xor.reduceat(chosen, self.starts, axis=1)
+        # GF(2) zeta transform over the A bits: row a = XOR of the groups inside a
+        for j in range(self.part.n_a):
+            pairs = rows.reshape(batch, -1, 2, 1 << j, self.words)
+            pairs[:, :, 1] ^= pairs[:, :, 0]
+        return purity_numerators(rows, self.part.d_b)
 
 
-def _exhaustive_groups(spec: EnsembleSpec, part: Bipartition, method: Method, cap_bits: int):
-    """Per edge-count groups of exact integer statistics over all subsets.
+def _exhaustive_stats(
+    spec: EnsembleSpec, part: Bipartition, method: Method, cap_bits: int
+) -> EntropyStats:
+    """Exact purity and entropy moments over every subset of the universe.
 
-    Returns (u, groups) where groups maps edge count c to a dict with
-    the subset count and the integer sums needed by the moment and
-    entropy reducers.
+    Subsets with c edges share the weight p^c (1-p)^(u-c), so integer
+    sums are kept per edge count and weighted once at the end.  Rank
+    entropies are integers, so their moments are exact rationals too.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
     if u > cap_bits:
         raise EnumerationCapError(f"universe of {u} edges exceeds the 2^{cap_bits}-subset cap")
     n = spec.n_qubits
-    groups: dict[int, dict] = {
-        c: {"count": 0, "num": 0, "num_sq": 0, "rank": {}, "s2": 0.0, "s2_sq": 0.0}
-        for c in range(u + 1)
-    }
-    total = 1 << u
+    sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
     if method is Method.RANK:
         layout = _cross_edge_layout(universe, part)
         chunk = max(1, (1 << 22) // max(1, part.n_a * ((part.n_b + 63) >> 6) * 8))
     else:
-        kernel = _StateVectorKernel(universe, n, part)
-        chunk = kernel.batch_size()
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        counts = np.bitwise_count(masks).astype(np.int64)
+        factors = _CutFactors(universe, part)
+        chunk = factors.batch_size()
+    for lo in range(0, 1 << u, chunk):
+        masks = np.arange(lo, min(1 << u, lo + chunk), dtype=np.uint64)
+        counts = np.bitwise_count(masks)
+        bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
         if method is Method.RANK:
-            bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
             words = _masks_to_cut_words(bits, layout, part.n_a, part.n_b)
-            ranks = gf2.batch_rank(words, part.n_b)
-            for c in np.unique(counts):
-                sel = counts == c
-                g = groups[int(c)]
-                g["count"] += int(sel.sum())
-                vals, cnts = np.unique(ranks[sel], return_counts=True)
-                for r, k in zip(vals.tolist(), cnts.tolist()):
-                    g["rank"][r] = g["rank"].get(r, 0) + k
+            s2 = gf2.batch_rank(words, part.n_b)
+            nums = np.left_shift(1, 2 * n - s2)
         else:
-            nums = kernel.numerators(masks)
+            nums = factors.numerators(bits)
             s2 = 2 * n - np.log2(nums)
-            for c in np.unique(counts):
-                sel = counts == c
-                g = groups[int(c)]
-                g["count"] += int(sel.sum())
-                g["num"] += _exact_sum(nums[sel])
-                g["num_sq"] += _exact_sum(nums[sel].astype(object) ** 2)
-                g["s2"] += float(np.sum(s2[sel]))
-                g["s2_sq"] += float(np.sum(s2[sel] ** 2))
-    return u, groups
+        for c in np.unique(counts):
+            sel = counts == c
+            acc = sums[int(c)]
+            acc[0] += _exact_sum(nums[sel])
+            acc[1] += _exact_sum(nums[sel].astype(object) ** 2)
+            acc[2] += np.sum(s2[sel]).item()
+            acc[3] += np.sum(s2[sel] ** 2).item()
+    p_mean = p_second = s_mean = s_second = 0
+    for c, (num, num_sq, s, s_sq) in enumerate(sums):
+        w = subset_weight(spec, c, u - c)
+        p_mean += w * Fraction(num, 1 << (2 * n))
+        p_second += w * Fraction(num_sq, 1 << (4 * n))
+        w_s = w if method is Method.RANK else float(w)
+        s_mean += w_s * s
+        s_second += w_s * s_sq
+    p_var = p_second - p_mean * p_mean
+    if p_var < 0:
+        raise ArithmeticError(f"negative exact purity variance {p_var}")
+    purity = MomentEstimate(p_mean, p_second, p_var, 0.0, 0.0, 1 << u, True)
+    s_var = s_second - s_mean * s_mean
+    entropy = MomentEstimate(s_mean, s_second, s_var, 0.0, 0.0, 1 << u, True)
+    return EntropyStats(entropy, purity)
 
 
 def exact_moments(
@@ -331,30 +345,7 @@ def exact_moments(
     cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
 ) -> MomentEstimate:
     """Exact purity mean and variance by full enumeration of the ensemble."""
-    meth = _resolve_method(spec, method)
-    u, groups = _exhaustive_groups(spec, part, meth, cap_bits)
-    n = spec.n_qubits
-    mean = Fraction(0)
-    second = Fraction(0)
-    for c, g in groups.items():
-        if g["count"] == 0:
-            continue
-        w = subset_weight(spec, c, u - c)
-        if meth is Method.RANK:
-            for r, k in g["rank"].items():
-                mean += w * k * Fraction(1, 1 << r)
-                second += w * k * Fraction(1, 1 << (2 * r))
-        else:
-            mean += w * Fraction(g["num"], 1 << (2 * n))
-            second += w * Fraction(g["num_sq"], 1 << (4 * n))
-    variance = second - mean * mean
-    assert variance >= 0
-    return MomentEstimate(mean, second, variance, 0.0, 0.0, 1 << u, True)
-
-
-def _population_estimate(mean, second) -> tuple:
-    variance = second - mean * mean
-    return mean, second, variance
+    return _exhaustive_stats(spec, part, _resolve_method(spec, method), cap_bits).purity
 
 
 def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
@@ -366,14 +357,30 @@ def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
     return MomentEstimate(mean, second, variance, std_error_mean, std_error_variance, n, False)
 
 
-def _worker_chunks(samples: int, workers: int) -> list[int]:
+def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
+    """fn((*args, count, worker seed)) for each worker's share, in worker order.
+
+    Worker w takes the w-th contiguous share of the samples and draws
+    from child_seed(seed, w); shares run in a process pool when there is
+    more than one.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     base, extra = divmod(samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    tasks = [
+        (*args, base + (w < extra), child_seed(seed, w))
+        for w in range(workers)
+        if base + (w < extra)
+    ]
+    if len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _stream_worker(args) -> tuple[int, float, float, float, float]:
     """Per-worker sampling: returns (n, sum P, sum P^2, sum S2, sum S2^2)."""
-    spec, part, count, wseed, method = args
+    spec, part, method, count, wseed = args
     universe = edge_universe(spec, part)
     u = len(universe)
     n = spec.n_qubits
@@ -382,23 +389,9 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     if method is Method.RANK:
         layout = _cross_edge_layout(universe, part)
     else:
-        oriented = part if part.n_a <= part.n_b else part.complement()
-        d_a, d_b = oriented.d_a, oriented.d_b
-        a_scatter = scatter_table(oriented.a_mask, n)
-        b_scatter = scatter_table(oriented.b_mask, n)
-        u_stack = np.zeros((u, d_a), dtype=np.float32)
-        v_stack = np.zeros((u, d_b), dtype=np.float32)
-        for j, e in enumerate(universe):
-            ma = mb = 0
-            for v in e:
-                ma |= (1 << v) & oriented.a_mask
-                mb |= (1 << v) & oriented.b_mask
-            u_stack[j] = (a_scatter & ma) == ma
-            v_stack[j] = (b_scatter & mb) == mb
-        pad = ((d_b + 63) >> 6) << 3
+        factors = _CutFactors(universe, part)
     sums = [0, 0.0, 0.0, 0.0, 0.0]
-    done = 0
-    while done < count:
+    for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
         draws = stream_block(wseed, done * u, take * u).reshape(take, u)
         bits = np.ones((take, u), dtype=bool) if always else draws < np.uint64(thr)
@@ -408,20 +401,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
             p = np.ldexp(1.0, -ranks)
             s2 = ranks.astype(np.float64)
         else:
-            nums = np.empty(take, dtype=np.int64)
-            weights = bits.astype(np.float32)
-            for i in range(take):
-                counts = (u_stack * weights[i][:, np.newaxis]).T @ v_stack
-                parity = counts.astype(np.int64) & 1
-                packed8 = np.zeros((d_a, pad), dtype=np.uint8)
-                packed8[:, : (d_b + 7) >> 3] = np.packbits(
-                    parity.astype(np.uint8), axis=1, bitorder="little"
-                )
-                rows = packed8.view(np.uint64)
-                xor = rows[:, np.newaxis, :] ^ rows[np.newaxis, :, :]
-                h = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
-                diff = d_b - 2 * h
-                nums[i] = np.sum(diff * diff, dtype=np.int64)
+            nums = factors.numerators(bits)
             p = nums.astype(np.float64) * math.ldexp(1.0, -2 * n)
             s2 = 2 * n - np.log2(nums)
         sums[0] += take
@@ -429,25 +409,12 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
         sums[2] += float(np.sum(p * p))
         sums[3] += float(np.sum(s2))
         sums[4] += float(np.sum(s2 * s2))
-        done += take
     return tuple(sums)
 
 
 def _run_sampling(spec, part, samples, seed, method, workers):
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    args = [
-        (spec, part, count, child_seed(seed, w), method)
-        for w, count in enumerate(_worker_chunks(samples, workers))
-        if count
-    ]
-    if len(args) <= 1 or workers == 1:
-        results = [_stream_worker(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_stream_worker, args))
     merged = [0, 0.0, 0.0, 0.0, 0.0]
-    for r in results:
+    for r in split_run(_stream_worker, samples, seed, workers, spec, part, method):
         for i in range(5):
             merged[i] += r[i]
     return merged
@@ -485,34 +452,7 @@ def entropy_stats(
     """
     meth = _resolve_method(spec, method)
     if samples is None:
-        u, groups = _exhaustive_groups(spec, part, meth, cap_bits)
-        n = spec.n_qubits
-        p_mean = Fraction(0)
-        p_second = Fraction(0)
-        s_mean = Fraction(0) if meth is Method.RANK else 0.0
-        s_second = Fraction(0) if meth is Method.RANK else 0.0
-        for c, g in groups.items():
-            if g["count"] == 0:
-                continue
-            w = subset_weight(spec, c, u - c)
-            if meth is Method.RANK:
-                for r, k in g["rank"].items():
-                    p_mean += w * k * Fraction(1, 1 << r)
-                    p_second += w * k * Fraction(1, 1 << (2 * r))
-                    s_mean += w * k * r
-                    s_second += w * k * r * r
-            else:
-                p_mean += w * Fraction(g["num"], 1 << (2 * n))
-                p_second += w * Fraction(g["num_sq"], 1 << (4 * n))
-                s_mean += float(w) * g["s2"]
-                s_second += float(w) * g["s2_sq"]
-        size = 1 << u
-        purity = MomentEstimate(
-            p_mean, p_second, p_second - p_mean * p_mean, 0.0, 0.0, size, True
-        )
-        s_var = s_second - s_mean * s_mean
-        entropy = MomentEstimate(s_mean, s_second, s_var, 0.0, 0.0, size, True)
-        return EntropyStats(entropy, purity)
+        return _exhaustive_stats(spec, part, meth, cap_bits)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n, p_sum, p2_sum, s_sum, s2_sum = _run_sampling(spec, part, samples, seed, meth, workers)

@@ -6,6 +6,11 @@ products, normalized once at the end, so results are exact dyadic
 rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
 GF(2) rank of the cut block of the adjacency matrix.
 
+The direct route has one kernel, :func:`purity_numerators`: it takes a
+batch of packed (d_A, d_B) sign matrices and returns each one's integer
+numerator over 2**(2N).  Single states and every ensemble path (exact
+enumeration and Monte Carlo) call it.
+
 Subsystem extraction is bit-scatter/gather by a_mask: row index a holds
 the A-qubit bits in ascending mask order, column index b the rest, so
 independent implementations agree on intermediate dumps.  Floating
@@ -100,21 +105,22 @@ _PAIR_BLOCK_WORDS = 1 << 22
 _GATHER_BLOCK_ENTRIES = 1 << 22
 
 
-def _purity_numerator_packed(row_words: np.ndarray, n_cols: int) -> int:
-    """Sum over row pairs of (n_cols - 2 * popcount(r ^ r'))**2.
+def purity_numerators(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """Per batch entry, the sum over row pairs of (n_cols - 2 * popcount(r ^ r'))**2.
 
-    Equals 2**(2N) * purity when the rows are the sign matrix of a
-    pure phase state; exact in int64 for N <= 31.
+    ``rows`` is a (batch, d_r, words) array of packed sign rows.  Each
+    result equals 2**(2N) * purity when the rows are the sign matrix of
+    a pure phase state; exact in int64 for N <= 31.  Row pairs are
+    blocked so one XOR temporary holds at most _PAIR_BLOCK_WORDS words.
     """
-    n_rows, n_w = row_words.shape
-    block = max(1, _PAIR_BLOCK_WORDS // max(1, n_rows * n_w))
-    total = 0
+    batch, n_rows, n_w = rows.shape
+    block = max(1, _PAIR_BLOCK_WORDS // max(1, batch * n_rows * n_w))
+    total = np.zeros(batch, dtype=np.int64)
     for lo in range(0, n_rows, block):
-        chunk = row_words[lo : lo + block]
-        xor = chunk[:, np.newaxis, :] ^ row_words[np.newaxis, :, :]
-        h = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+        xor = rows[:, lo : lo + block, np.newaxis, :] ^ rows[:, np.newaxis, :, :]
+        h = np.bitwise_count(xor).sum(axis=3, dtype=np.int64)
         diff = n_cols - 2 * h
-        total += int(np.sum(diff * diff, dtype=np.int64))
+        total += np.sum(diff * diff, axis=(1, 2), dtype=np.int64)
     return total
 
 
@@ -144,7 +150,7 @@ def reduced_purity(table: SignTable, part: Bipartition) -> DyadicRational:
         raise ValueError("sign table and bipartition disagree on qubit count")
     oriented = part if part.n_a <= part.n_b else part.complement()
     bits = sign_matrix_bits(table, oriented)
-    numerator = _purity_numerator_packed(_pack_rows(bits), oriented.d_b)
+    numerator = int(purity_numerators(_pack_rows(bits)[np.newaxis], oriented.d_b)[0])
     return DyadicRational.of(numerator, 2 * part.n_qubits)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import formulas
@@ -20,11 +19,12 @@ from .ensembles import (
     MomentEstimate,
     exact_moments,
     mc_moments,
+    split_run,
 )
 from .gf2 import RankHistogram, empirical_rank_distribution
 from .hypergraph import Bipartition, Hypergraph, build_sign_table
 from .purity import reduced_purity, renyi2
-from .rng import CounterRng, child_seed
+from .rng import CounterRng
 
 MOMENTS_COLUMNS = [
     "n",
@@ -137,21 +137,8 @@ def rank_distribution(n: int, samples: int, seed: int, workers: int = 1) -> Rank
     The merge is associative and the worker order fixed, so the result
     depends only on (seed, worker count).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base, extra = divmod(samples, workers)
-    tasks = [
-        (n, base + (1 if w < extra else 0), child_seed(seed, w))
-        for w in range(workers)
-        if base + (1 if w < extra else 0)
-    ]
-    if len(tasks) <= 1 or workers == 1:
-        parts = [_rank_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_rank_worker, tasks))
     hist = RankHistogram(n)
-    for part in parts:
+    for part in split_run(_rank_worker, samples, seed, workers, n):
         hist = hist.merge(part)
     return hist
 

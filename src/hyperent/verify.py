@@ -59,6 +59,9 @@ class CriterionResult:
     budget_seconds: float = math.inf
     notes: str = ""
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # checks may yield numpy bools, which json rejects
+
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,

@@ -205,6 +205,17 @@ def test_verify_quick_subset(capsys, monkeypatch):
     assert "PASS" in err
 
 
+def test_verify_json_with_numpy_verdict(capsys, monkeypatch):
+    # criterion 10 computes its verdict from numpy scalars; the JSON
+    # document must still serialize
+    monkeypatch.setattr(verify, "QUICK_IDS", {"10"})
+    code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert [(c["criterion"], c["passed"]) for c in doc["criteria"]] == [("10", True)]
+
+
 def test_verify_fault_injection_names_criterion(capsys, monkeypatch):
     # corrupt the rank routine: every exhaustive rank criterion must fail
     # and the report must say which one

@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperent.ensembles import (
     EnsembleSpec,
@@ -16,6 +19,7 @@ from hyperent.ensembles import (
     entropy_stats,
     exact_moments,
     mc_moments,
+    _CutFactors,
     sample_hypergraph,
 )
 from hyperent.formulas import cz_avg_purity
@@ -23,7 +27,7 @@ from hyperent.hypergraph import Bipartition, build_sign_table
 from hyperent.purity import graph_entropy_rank, reduced_purity
 from hyperent.rng import CounterRng
 
-from reference import ref_ensemble_moments
+from reference import ref_ensemble_moments, ref_purity
 
 
 def test_edge_universe_counts():
@@ -317,7 +321,7 @@ def test_statevector_kernel_chunking(monkeypatch):
     spec = EnsembleSpec(4, Family.CCZ, scope=Scope.ALL_EDGES)
     part = Bipartition.from_first(4, 2)
     base = exact_moments(spec, part)
-    monkeypatch.setattr(ens._StateVectorKernel, "batch_size", lambda self: 3)
+    monkeypatch.setattr(ens._CutFactors, "batch_size", lambda self: 3)
     chunked = exact_moments(spec, part)
     assert (base.mean, base.variance) == (chunked.mean, chunked.variance)
 
@@ -339,17 +343,14 @@ def test_mc_workers_deterministic_across_processes():
 
 
 def test_subset_kernel_matches_per_graph_purity():
-    # the fast kernel's numerator for mask i must equal the packed
+    # the cut-factored numerator for mask i must equal the packed
     # purity of the i-th enumerated hypergraph
-    import numpy as np
-
-    from hyperent.ensembles import _StateVectorKernel
-
     spec = EnsembleSpec(4, Family.CCZ, scope=Scope.ALL_EDGES)
     part = Bipartition(4, 0b0101)
     universe = edge_universe(spec, part)
-    kernel = _StateVectorKernel(universe, 4, part)
-    nums = kernel.numerators(np.arange(1 << len(universe), dtype=np.uint64))
+    masks = np.arange(1 << len(universe))
+    bits = (masks[:, np.newaxis] >> np.arange(len(universe))) & 1
+    nums = _CutFactors(universe, part).numerators(bits)
     for mask, (h, _) in enumerate(enumerate_ensemble(spec, part)):
         p = reduced_purity(build_sign_table(h), part)
         assert Fraction(int(nums[mask]), 1 << 8) == p.as_fraction()
@@ -380,3 +381,40 @@ def test_mc_methods_agree_noncontiguous_unbalanced_mask():
     a = mc_moments(spec, part, 300, seed=14, method=Method.RANK)
     b = mc_moments(spec, part, 300, seed=14, method=Method.STATE_VECTOR)
     assert a.mean == b.mean and a.variance == b.variance
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_cut_factors_match_dense_oracle(data):
+    # random universes, cuts (scattered, either side larger) and subsets
+    n = data.draw(st.integers(2, 7), label="n")
+    k = data.draw(st.integers(1, min(4, n)), label="k")
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    a_mask = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    part = Bipartition(n, a_mask)
+    universe = edge_universe(EnsembleSpec(n, Family.K_UNIFORM, k=k, scope=scope), part)
+    u = len(universe)
+    subsets = data.draw(st.lists(st.integers(0, (1 << u) - 1), min_size=1, max_size=4))
+    bits = np.array([[mask >> j & 1 for j in range(u)] for mask in subsets], dtype=np.uint8)
+    bits = bits.reshape(len(subsets), u)
+    nums = _CutFactors(universe, part).numerators(bits)
+    for mask, num in zip(subsets, nums):
+        edges = [e for j, e in enumerate(universe) if mask >> j & 1]
+        assert Fraction(int(num), 1 << (2 * n)) == ref_purity(n, edges, a_mask)
+
+
+@pytest.mark.parametrize(
+    "workers, mean, variance",
+    [
+        (1, 0.12697916666666667, 5.853387158584007e-05),
+        (2, 0.12682291666666667, 5.882373754528741e-05),
+        (3, 0.1273046875, 6.29014235276424e-05),
+    ],
+)
+def test_mc_statevector_bytes_pinned(workers, mean, variance):
+    # the float summation grouping of Monte Carlo sums is part of the
+    # byte-stable contract; these values must not drift
+    est = mc_moments(
+        EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4), 300, seed=5, workers=workers
+    )
+    assert (est.mean, est.variance) == (mean, variance)
