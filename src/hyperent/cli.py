@@ -191,8 +191,10 @@ def _cmd_rankdist(args) -> int:
 def _cmd_verify(args) -> int:
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
+        over = ", over budget" if result.over_budget else ""
         print(
-            f"{status} {result.criterion:>2} {result.name} ({result.seconds:.2f}s): {result.observed}",
+            f"{status} {result.criterion:>2} {result.name} ({result.seconds:.2f}s{over}): "
+            f"{result.observed}",
             file=sys.stderr,
         )
 

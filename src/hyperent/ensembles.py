@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges, scatter_table
-from .purity import _pack_rows, purity_numerators
+from .hypergraph import Bipartition, Edge, Hypergraph, _n_words, all_k_edges, toggle_supersets
+from .purity import _cross_parts, _zeta_rows, purity_numerators
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
 DEFAULT_ENUMERATION_CAP_BITS = 26
@@ -244,19 +244,16 @@ class _CutFactors:
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
         self.n_edges = len(universe)
-        n = part.n_qubits
         masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
-        m_a = masks & self.part.a_mask
-        m_b = masks & self.part.b_mask
-        cross = np.flatnonzero((m_a != 0) & (m_b != 0))
+        cross, a_parts, b_parts = _cross_parts(masks, self.part)
         # cross edges sorted by A part, so each group is one reduceat slice
-        self.edges = cross[np.argsort(m_a[cross], kind="stable")]
-        group_a, self.starts = np.unique(m_a[self.edges], return_index=True)
-        self.group_rows = np.searchsorted(scatter_table(self.part.a_mask, n), group_a)
-        b_scatter = scatter_table(self.part.b_mask, n)
-        edge_b = m_b[self.edges, np.newaxis]
-        self.cols = _pack_rows(((b_scatter & edge_b) == edge_b).astype(np.uint8))
-        self.words = (self.part.d_b + 63) >> 6
+        order = np.argsort(a_parts, kind="stable")
+        self.edges = cross[order]
+        self.group_rows, self.starts = np.unique(a_parts[order], return_index=True)
+        self.words = _n_words(self.part.n_b)
+        self.cols = np.zeros((self.edges.size, self.words), dtype=np.uint64)
+        for col, m_b in zip(self.cols, b_parts[order].tolist()):
+            toggle_supersets(col, m_b, self.part.n_b)
 
     def batch_size(self) -> int:
         d_a = self.part.d_a
@@ -275,10 +272,7 @@ class _CutFactors:
         if self.edges.size:
             chosen = bits[:, self.edges, np.newaxis].astype(np.uint64) * self.cols
             rows[:, self.group_rows] = np.bitwise_xor.reduceat(chosen, self.starts, axis=1)
-        # GF(2) zeta transform over the A bits: row a = XOR of the groups inside a
-        for j in range(self.part.n_a):
-            pairs = rows.reshape(batch, -1, 2, 1 << j, self.words)
-            pairs[:, :, 1] ^= pairs[:, :, 0]
+        _zeta_rows(rows, self.part.n_a)
         return purity_numerators(rows, self.part.d_b)
 
 

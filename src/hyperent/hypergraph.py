@@ -227,15 +227,35 @@ def _n_words(n: int) -> int:
     return max(1, (1 << n) >> 6)
 
 
+# Entry i has bit j set iff bit i of j is set: 0xAAAA..., 0xCCCC..., ..., 0xFFFFFFFF00000000.
+_LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> i & 1) for i in range(6))
+
+
 def _low_bit_pattern(low_mask: int, n: int) -> np.uint64:
     """64-bit word whose bit j is set iff j & low_mask == low_mask (j < 2^n)."""
-    width = min(64, 1 << n)
-    js = np.arange(width, dtype=np.uint64)
-    hits = (js & np.uint64(low_mask)) == np.uint64(low_mask)
-    word = np.uint64(0)
-    for j in np.flatnonzero(hits):
-        word |= np.uint64(1) << np.uint64(j)
-    return word
+    word = (1 << min(64, 1 << n)) - 1
+    for i, bit_word in enumerate(_LOW_BIT_WORDS):
+        if low_mask >> i & 1:
+            word &= bit_word
+    return np.uint64(word)
+
+
+def toggle_supersets(words: np.ndarray, mask: int, n: int) -> None:
+    """XOR the packed indicator of {x < 2^n : x contains mask} into words, in place.
+
+    ``words`` is one contiguous packed 2^n-bit table (bit x at word
+    x >> 6, position x & 63).  The mask splits into a within-word pattern
+    and a word-index part, which selects a strided view: one XOR per
+    touched word, with no index arrays.
+    """
+    high_bits = max(0, n - 6)
+    if mask >> n or words.shape != (_n_words(n),) or not words.flags.c_contiguous:
+        raise ValueError("mask must be below 2^n and words a contiguous 2^n-bit table")
+    # C order is big-endian: axis k of the (2,) * high_bits reshape is word-index bit high_bits-1-k
+    select = tuple(
+        1 if mask >> (5 + high_bits - k) & 1 else slice(None) for k in range(high_bits)
+    )
+    words.reshape((2,) * high_bits)[select] ^= _low_bit_pattern(mask & 63, n)
 
 
 def sign_at(h: Hypergraph, x: int) -> int:
@@ -249,27 +269,27 @@ def sign_at(h: Hypergraph, x: int) -> int:
     return -1 if fired else 1
 
 
-def build_sign_table(h: Hypergraph, cap: int | None = None) -> SignTable:
-    """Materialize the packed sign table of the state generated by h.
-
-    Each edge toggles exactly the 2**(n-k) indices whose support
-    contains it; toggling is word-parallel, splitting the edge mask into
-    its within-word and word-index parts.
-    """
-    n = h.n_qubits
+def check_qubit_cap(n: int, cap: int | None = None) -> None:
+    """Raise ValueError when n exceeds the cap (default: :func:`max_qubits`)."""
     limit = max_qubits() if cap is None else cap
     if n > limit:
         raise ValueError(f"n={n} exceeds the sign-table cap ({limit})")
+
+
+def build_sign_table(h: Hypergraph, cap: int | None = None) -> SignTable:
+    """Materialize the packed 2^n-bit sign table of the state generated by h.
+
+    Each edge toggles the indices whose support contains it
+    (:func:`toggle_supersets`).  Single-state purities do not go through
+    the table: :func:`purity.state_purity` builds the rows of the cut
+    from the edges directly.  The table is the export format and the
+    input of :func:`purity.reduced_purity`.
+    """
+    n = h.n_qubits
+    check_qubit_cap(n, cap)
     words = np.zeros(_n_words(n), dtype=np.uint64)
-    if not h.edges:
-        return SignTable(n, words)
-    word_idx = np.arange(words.shape[0], dtype=np.uint64)
     for m in h.edge_masks:
-        low = m & 63
-        high = m >> 6
-        pattern = _low_bit_pattern(low, n)
-        sel = (word_idx & np.uint64(high)) == np.uint64(high)
-        words[sel] ^= pattern
+        toggle_supersets(words, m, n)
     return SignTable(n, words)
 
 

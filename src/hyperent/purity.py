@@ -6,10 +6,19 @@ products, normalized once at the end, so results are exact dyadic
 rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
 GF(2) rank of the cut block of the adjacency matrix.
 
-The direct route has one kernel, :func:`purity_numerators`: it takes a
-batch of packed (d_A, d_B) sign matrices and returns each one's integer
-numerator over 2**(2N).  Single states and every ensemble path (exact
-enumeration and Monte Carlo) call it.
+The direct route has two numerators over 2**(2N), both on packed
+(d_A, d_B) sign rows:
+
+- :func:`purity_numerators`, a batched XOR-popcount with no BLAS call.
+  The ensembles use it: their matrices are small and many, and they run
+  in forked workers, where BLAS threads oversubscribe the cores.
+- :func:`gram_numerator`, sum((M M^T)**2) with M = 1 - 2 * bits, by a
+  tiled float32 BLAS matmul that stays exact.  Single states
+  (:func:`state_purity`, :func:`reduced_purity`) use it: one large
+  matrix per call, where the matmul is several times faster.
+
+:func:`state_purity` builds the rows straight from the edges, factored
+across the cut, with no 2**N sign table.
 
 Subsystem extraction is bit-scatter/gather by a_mask: row index a holds
 the A-qubit bits in ascending mask order, column index b the rest, so
@@ -27,7 +36,15 @@ import numpy as np
 
 from . import gf2
 from .gf2 import Gf2Matrix
-from .hypergraph import Bipartition, Hypergraph, SignTable, scatter_table
+from .hypergraph import (
+    Bipartition,
+    Hypergraph,
+    SignTable,
+    _n_words,
+    check_qubit_cap,
+    scatter_table,
+    toggle_supersets,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +120,8 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 
 _PAIR_BLOCK_WORDS = 1 << 22
 _GATHER_BLOCK_ENTRIES = 1 << 22
+_GRAM_TILE_ENTRIES = 1 << 22
+_GRAM_EXACT_COLS = 1 << 24  # float32 holds every integer of magnitude <= 2^24
 
 
 def purity_numerators(rows: np.ndarray, n_cols: int) -> np.ndarray:
@@ -124,6 +143,107 @@ def purity_numerators(rows: np.ndarray, n_cols: int) -> np.ndarray:
     return total
 
 
+def _signs(rows: np.ndarray, col: int, n_cols: int) -> np.ndarray:
+    """Columns [col, col + n_cols) of packed rows as a +-1 float32 matrix; col % 64 == 0."""
+    packed = np.ascontiguousarray(rows[:, col >> 6 : (col + n_cols + 63) >> 6]).view(np.uint8)
+    m = np.unpackbits(packed, axis=1, count=n_cols, bitorder="little").astype(np.float32)
+    m *= -2
+    m += 1
+    return m
+
+
+def gram_numerator(rows: np.ndarray, n_cols: int) -> int:
+    """sum((M M^T)**2) for M = 1 - 2 * bits of the (d_r, words) packed rows.
+
+    Equals ``purity_numerators(rows[np.newaxis], n_cols)[0]``.  Row tiles
+    are symmetric (pairs j >= i, off-diagonal ones counted twice) and at
+    most _GRAM_TILE_ENTRIES float32 entries hold a tile.  Column tiles
+    are at most 2^24 wide, so every float32 partial sum is an integer of
+    magnitude <= 2^24 and exact in any BLAS summation order; each tile
+    of M M^T is accumulated over the column tiles and squared in int64.
+    """
+    n_rows = rows.shape[0]
+    height = min(n_rows, 1 << (_GRAM_TILE_ENTRIES.bit_length() - 1) // 2)
+    width = min(_GRAM_EXACT_COLS, max(64, _GRAM_TILE_ENTRIES // height >> 6 << 6))
+    total = 0
+    for i in range(0, n_rows, height):
+        for j in range(i, n_rows, height):
+            gram = 0
+            for col in range(0, n_cols, width):
+                cols = min(width, n_cols - col)
+                left = _signs(rows[i : i + height], col, cols)
+                right = left if j == i else _signs(rows[j : j + height], col, cols)
+                gram = gram + (left @ right.T).astype(np.int64)
+            total += (1 if j == i else 2) * int(np.einsum("ij,ij->", gram, gram))
+    return total
+
+
+def _zeta_rows(rows: np.ndarray, n_a: int) -> None:
+    """In place over the A bits: row a becomes the XOR of the rows at subsets of a.
+
+    ``rows`` is C-contiguous with shape (..., 2**n_a, words).
+    """
+    lead, words = rows.shape[:-2], rows.shape[-1]
+    for j in range(n_a):
+        pairs = rows.reshape(*lead, -1, 2, 1 << j, words)
+        pairs[..., 1, :, :] ^= pairs[..., 0, :, :]
+
+
+def _side_index(masks, side: int):
+    """Subsystem index of masks on one side: their bits at side's set positions, packed low.
+
+    The inverse of :func:`scatter_table`; works on ints and int64 arrays.
+    """
+    out = masks & 0
+    for i, pos in enumerate(p for p in range(side.bit_length()) if side >> p & 1):
+        out |= (masks >> pos & 1) << i
+    return out
+
+
+def _cross_parts(masks: np.ndarray, part: Bipartition):
+    """(positions, A parts, B parts) of the int64 edge masks that cross the cut.
+
+    Parts are subsystem indices.  Edges inside one side only flip the
+    signs of whole rows or columns of the sign matrix, which leaves
+    every row overlap's magnitude, and so the purity, unchanged; they
+    are dropped.
+    """
+    a_parts = _side_index(masks, part.a_mask)
+    b_parts = _side_index(masks, part.b_mask)
+    cross = np.flatnonzero((a_parts != 0) & (b_parts != 0))
+    return cross, a_parts[cross], b_parts[cross]
+
+
+def cut_rows(h: Hypergraph, part: Bipartition) -> np.ndarray:
+    """Packed (d_A, words) sign rows of h's state across part, up to row and column signs.
+
+    An edge with A part m_A and B part m_B flips sign bit (a, b) iff m_A
+    is inside a and m_B inside b: it toggles the B superset indicator of
+    m_B into row m_A, and a GF(2) zeta transform over the A bits then
+    spreads row m_A to every row containing it.  No 2**N table is built.
+    """
+    if h.n_qubits != part.n_qubits:
+        raise ValueError("graph and bipartition disagree on qubit count")
+    check_qubit_cap(h.n_qubits)
+    rows = np.zeros((part.d_a, _n_words(part.n_b)), dtype=np.uint64)
+    _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), part)
+    for m_a, m_b in zip(a_parts.tolist(), b_parts.tolist()):
+        toggle_supersets(rows[m_a], m_b, part.n_b)
+    _zeta_rows(rows, part.n_a)
+    return rows
+
+
+def state_purity(h: Hypergraph, part: Bipartition) -> DyadicRational:
+    """Exact purity of h's state on subsystem A, from the cut factors.
+
+    Works on the cheaper orientation (fewer rows); purity is symmetric
+    under swapping A with its complement.
+    """
+    oriented = part if part.n_a <= part.n_b else part.complement()
+    numerator = gram_numerator(cut_rows(h, oriented), oriented.d_b)
+    return DyadicRational.of(numerator, 2 * part.n_qubits)
+
+
 def sign_matrix_bits(table: SignTable, part: Bipartition) -> np.ndarray:
     """Sign bits arranged as a (d_A, d_B) 0/1 matrix in scatter order."""
     if table.n_qubits != part.n_qubits:
@@ -140,17 +260,16 @@ def sign_matrix_bits(table: SignTable, part: Bipartition) -> np.ndarray:
 
 
 def reduced_purity(table: SignTable, part: Bipartition) -> DyadicRational:
-    """Exact purity of the reduced state on subsystem A.
+    """Exact purity of the reduced state on subsystem A, from a sign table.
 
-    Works on the packed sign matrix; the cheaper orientation (fewer
-    rows) is chosen automatically since purity is symmetric under
-    swapping A with its complement.
+    Gathers the packed sign matrix of the cheaper orientation (fewer
+    rows) and squares it with :func:`gram_numerator`.
     """
     if table.n_qubits != part.n_qubits:
         raise ValueError("sign table and bipartition disagree on qubit count")
     oriented = part if part.n_a <= part.n_b else part.complement()
     bits = sign_matrix_bits(table, oriented)
-    numerator = int(purity_numerators(_pack_rows(bits)[np.newaxis], oriented.d_b)[0])
+    numerator = gram_numerator(_pack_rows(bits), oriented.d_b)
     return DyadicRational.of(numerator, 2 * part.n_qubits)
 
 

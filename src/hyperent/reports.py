@@ -22,8 +22,8 @@ from .ensembles import (
     split_run,
 )
 from .gf2 import RankHistogram, empirical_rank_distribution
-from .hypergraph import Bipartition, Hypergraph, build_sign_table
-from .purity import reduced_purity, renyi2
+from .hypergraph import Bipartition, Hypergraph
+from .purity import renyi2, state_purity
 from .rng import CounterRng
 
 MOMENTS_COLUMNS = [
@@ -154,8 +154,7 @@ def rankdist_rows(n: int, samples: int, seed: int, workers: int = 1) -> list[dic
 
 
 def state_record(h: Hypergraph, part: Bipartition) -> dict:
-    table = build_sign_table(h)
-    p = reduced_purity(table, part)
+    p = state_purity(h, part)
     return {
         "n_qubits": h.n_qubits,
         "a_mask": part.a_mask,

@@ -62,6 +62,11 @@ class CriterionResult:
     def __post_init__(self):
         self.passed = bool(self.passed)  # checks may yield numpy bools, which json rejects
 
+    @property
+    def over_budget(self) -> bool:
+        """Whether the run took longer than its budget; reported, never a failure."""
+        return self.seconds > self.budget_seconds
+
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,
@@ -71,7 +76,9 @@ class CriterionResult:
             "observed": self.observed,
             "tolerance": self.tolerance,
             "seconds": round(self.seconds, 3),
-            "budget_seconds": self.budget_seconds,
+            # a crashed criterion keeps the infinite default, which JSON cannot hold
+            "budget_seconds": self.budget_seconds if math.isfinite(self.budget_seconds) else None,
+            "over_budget": self.over_budget,
             "notes": self.notes,
         }
 

@@ -69,6 +69,15 @@ def test_state_domain_error_exit_3(tmp_path, capsys):
     assert "domain error" in err
 
 
+def test_state_above_cap_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "10")
+    f = tmp_path / "big.graph"
+    f.write_text("n 12\n0 6\n1 7 8\n")
+    code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
+    assert code == 3
+    assert "exceeds the sign-table cap (10)" in err
+
+
 def test_state_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "state", "--graph-file", "/nonexistent.graph")
     assert code == 2
@@ -255,6 +264,32 @@ def test_verify_survives_crashing_criterion(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["criteria"][0]["passed"] is False
     assert "synthetic failure" in doc["criteria"][0]["observed"]
+
+
+def test_verify_budget_fields_strict_json(capsys, monkeypatch):
+    # a crashed criterion keeps the infinite default budget, which must
+    # not reach the JSON document; going over budget never fails a run
+    def boom(workers):
+        raise RuntimeError("synthetic failure")
+
+    def slow(workers):
+        return verify.CriterionResult(
+            "2", "slow", True, "-", "-", "-", seconds=2.0, budget_seconds=1.0
+        )
+
+    def strict(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [("1", boom), ("2", slow)])
+    monkeypatch.setattr(verify, "QUICK_IDS", {"1", "2"})
+    code, out, err = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
+    assert code == 1
+    crashed, over = json.loads(out, parse_constant=strict)["criteria"]
+    assert crashed["passed"] is False and crashed["budget_seconds"] is None
+    assert crashed["over_budget"] is False
+    assert over["passed"] is True and over["over_budget"] is True
+    assert over["budget_seconds"] == 1.0
+    assert "PASS  2 slow (2.00s, over budget)" in err
 
 
 def test_moments_sampled_z_within_band(capsys):

@@ -9,6 +9,7 @@ from hyperent.hypergraph import (
     Bipartition,
     GraphFormatError,
     Hypergraph,
+    _low_bit_pattern,
     all_k_edges,
     build_sign_table,
     canonicalize_edges,
@@ -130,6 +131,14 @@ def test_cap_enforced(monkeypatch):
         build_sign_table(Hypergraph.from_gates(12, []))
     monkeypatch.setenv("HYPERENT_MAX_QUBITS", "12")
     build_sign_table(Hypergraph.from_gates(12, []))
+
+
+def test_low_bit_pattern_brute_force():
+    for n in range(8):
+        width = min(64, 1 << n)
+        for low in range(64):
+            want = sum(1 << j for j in range(width) if j & low == low)
+            assert int(_low_bit_pattern(low, n)) == want, (low, n)
 
 
 def test_hypergraph_validation():

@@ -3,17 +3,25 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
 from hyperent.purity import (
     DyadicRational,
+    _pack_rows,
+    gram_numerator,
     graph_cut_matrix,
     graph_entropy_rank,
+    purity_numerators,
     reduced_purity,
     renyi2,
 )
 from hyperent.gf2 import rank
+from hyperent.reports import state_record
 
 from reference import ref_purity
 
@@ -182,9 +190,8 @@ def test_rank_purity_equivalence_larger_random_cuts():
 def test_blocked_paths_match_oracle(monkeypatch):
     # shrink the block constants so multi-block code paths run even at
     # small n, then compare against the dense oracle
-    import hyperent.purity as purity_mod
-
     monkeypatch.setattr(purity_mod, "_PAIR_BLOCK_WORDS", 4)
+    monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 16)
     rnd = random.Random(55)
     for _ in range(10):
         n = rnd.randint(4, 9)
@@ -195,7 +202,6 @@ def test_blocked_paths_match_oracle(monkeypatch):
 
 
 def test_sign_matrix_blocking(monkeypatch):
-    import hyperent.purity as purity_mod
     from hyperent.purity import sign_matrix_bits
 
     h = Hypergraph.from_gates(6, [(0, 3), (1, 4), (2, 5), (0, 1, 2)])
@@ -205,3 +211,46 @@ def test_sign_matrix_blocking(monkeypatch):
 
     monkeypatch.setattr(purity_mod, "_GATHER_BLOCK_ENTRIES", 16)  # 2 rows per block
     assert (sign_matrix_bits(table, part) == base).all()
+
+
+@st.composite
+def cut_graphs(draw):
+    """(n, edges, a_mask): arities 1..5, any proper mask, sometimes local edges only."""
+    n = draw(st.integers(2, 10), label="n")
+    a_mask = draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(5, n), unique=True)
+    edges = {tuple(sorted(e)) for e in draw(st.lists(edge, max_size=3 * n), label="edges")}
+    if draw(st.booleans(), label="local only"):
+        b_mask = ((1 << n) - 1) ^ a_mask
+        edges = {e for e in edges if all(a_mask >> v & 1 for v in e) or all(b_mask >> v & 1 for v in e)}
+    return n, edges, a_mask
+
+
+@settings(deadline=None, max_examples=60)
+@given(cut_graphs())
+@example((6, set(), 0b010110))
+@example((7, {(0, 2), (1, 3, 5), (4,), (6,)}, 0b0000101))
+@example((9, {(0, 1, 2, 3, 4), (2, 5), (6, 7, 8), (1, 8)}, 0b101101101))
+def test_state_record_matches_dense_oracle(case):
+    # the cut-factor route against the dense reduced density matrix
+    n, edges, a_mask = case
+    record = state_record(Hypergraph(n, frozenset(edges)), Bipartition(n, a_mask))
+    got = Fraction(record["purity_numerator"], 1 << record["purity_exponent"])
+    assert got == ref_purity(n, edges, a_mask)
+
+
+@pytest.mark.parametrize("small_tiles", [False, True])
+@pytest.mark.parametrize("shape", [(8, 40), (5, 1), (24, 200), (16, 1 << 14), (256, 256)])
+def test_gram_numerator_matches_xor_popcount(monkeypatch, shape, small_tiles):
+    # small tiles force several row tiles (off-diagonal pairs counted
+    # twice) and several column tiles (accumulated before squaring)
+    if small_tiles:
+        monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 256)
+        monkeypatch.setattr(purity_mod, "_PAIR_BLOCK_WORDS", 64)
+    n_rows, n_cols = shape
+    bits = np.random.default_rng(n_rows * n_cols).integers(0, 2, shape, dtype=np.uint8)
+    rows = _pack_rows(bits)
+    signs = 1 - 2 * bits.astype(np.int64)
+    dense = int(np.sum((signs @ signs.T) ** 2))
+    assert gram_numerator(rows, n_cols) == dense
+    assert int(purity_numerators(rows[np.newaxis], n_cols)[0]) == dense
