@@ -174,6 +174,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_rankdist(args) -> int:
+    if args.n < 1:
+        print("error: --n must be >= 1", file=sys.stderr)
+        return 2
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 Rows are packed 64 columns per machine word so elimination works by
 word-level XOR.  ``batch_rank`` eliminates a whole stack of matrices at
-once with vectorized conditional swaps, which is what makes rank
-workloads of 10^5-10^6 random matrices cheap.
+once, row by row, with the lowest set bit of each row as its pivot and
+no row swaps, which is what makes rank workloads of 10^5-10^6 random
+matrices cheap.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class Gf2Matrix:
         return cls(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
 
     @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        words = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        for i in range(n):
-            words[i, i >> 6] = np.uint64(1) << np.uint64(i & 63)
-        return cls(n, n, words)
-
-    @classmethod
     def from_dense(cls, dense) -> "Gf2Matrix":
         arr = np.asarray(dense, dtype=np.uint8) & 1
         rows, cols = arr.shape
@@ -57,27 +51,12 @@ class Gf2Matrix:
         packed = np.packbits(padded, axis=1, bitorder="little")
         return cls(rows, cols, packed.view(np.uint64).reshape(rows, _n_words(cols)).copy())
 
-    @classmethod
-    def from_row_ints(cls, row_ints, cols: int) -> "Gf2Matrix":
-        """Rows given as Python ints, bit j = column j."""
-        rows = len(row_ints)
-        words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        for i, r in enumerate(row_ints):
-            if r >> cols:
-                raise ValueError(f"row {i} has bits beyond {cols} columns")
-            for w in range(_n_words(cols)):
-                words[i, w] = (r >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-        return cls(rows, cols, words)
-
     def get(self, i: int, j: int) -> int:
         return int(self.row_words[i, j >> 6] >> np.uint64(j & 63) & np.uint64(1))
 
     def to_dense(self) -> np.ndarray:
         bits = np.unpackbits(self.row_words.view(np.uint8), axis=1, bitorder="little")
         return bits[:, : self.cols]
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix.from_dense(self.to_dense().T)
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -89,39 +68,30 @@ def rank(m: Gf2Matrix) -> int:
 def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     """Ranks of a stack of packed matrices, shape (batch, rows, words).
 
-    One pass over the columns; per column the pivot search, conditional
-    swap and XOR elimination run across the whole batch at once.  Input
-    is not modified.
+    Bits past ``cols`` must be zero.  Rows are taken in order; the
+    lowest set bit of row i is its pivot, and row i is XORed into every
+    later row that has that bit, across the whole batch at once.  No
+    later row then keeps an earlier pivot bit, so the nonzero rows that
+    remain are independent and their count is the rank.  No rows are
+    swapped.  Input is not modified.
     """
     if words.ndim != 3:
         raise ValueError("expected (batch, rows, words) uint64")
-    work = words.astype(np.uint64, copy=True)
-    batch, n_rows, _ = work.shape
+    batch, n_rows, _ = words.shape
     if batch == 0 or n_rows == 0 or cols == 0:
         return np.zeros(batch, dtype=np.int64)
-    ranks = np.zeros(batch, dtype=np.int64)
-    row_ids = np.arange(n_rows)
+    # (rows, words, batch): each row's words are contiguous over the batch
+    work = np.array(words.transpose(1, 2, 0), dtype=np.uint64, order="C")
     batch_ids = np.arange(batch)
-    for col in range(cols):
-        w, b = divmod(col, 64)
-        bit = np.uint64(1) << np.uint64(b)
-        has = (work[:, :, w] & bit) != 0
-        avail = has & (row_ids[np.newaxis, :] >= ranks[:, np.newaxis])
-        piv = np.argmax(avail, axis=1)
-        found = avail[batch_ids, piv]
-        cur = np.minimum(ranks, n_rows - 1)
-        piv = np.where(found, piv, cur)
-        piv_rows = work[batch_ids, piv, :].copy()
-        cur_rows = work[batch_ids, cur, :].copy()
-        work[batch_ids, piv, :] = cur_rows
-        work[batch_ids, cur, :] = piv_rows
-        elim = ((work[:, :, w] & bit) != 0) & (row_ids[np.newaxis, :] > cur[:, np.newaxis])
-        elim &= found[:, np.newaxis]
-        work ^= np.where(elim[:, :, np.newaxis], piv_rows[:, np.newaxis, :], np.uint64(0))
-        ranks += found
-        if ranks.min() == n_rows:
-            break
-    return ranks
+    for i in range(n_rows - 1):
+        row = work[i]
+        w = np.argmax(row != 0, axis=0)
+        p = row[w, batch_ids]
+        low = p & (~p + np.uint64(1))
+        later = work[i + 1 :]
+        has = (later[:, w, batch_ids] & low) != 0
+        later ^= row * has[:, np.newaxis, :]
+    return np.count_nonzero(work.any(axis=1), axis=0).astype(np.int64)
 
 
 def random_matrix(rows: int, cols: int, rng: CounterRng) -> Gf2Matrix:
@@ -200,6 +170,8 @@ _BATCH_TARGET_WORDS = 1 << 21
 
 def empirical_rank_distribution(n: int, samples: int, rng: CounterRng) -> RankHistogram:
     """Sample iid uniform n x n matrices and histogram the rank defect."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hist = RankHistogram(n)

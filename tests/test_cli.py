@@ -174,6 +174,9 @@ def test_rankdist_guards(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "rankdist", "--n", "2000", "--samples", "10")
     assert code == 2
+    for n in ["0", "-3"]:
+        code, _, err = run_cli(capsys, "rankdist", "--n", n, "--samples", "10")
+        assert code == 2 and "--n must be >= 1" in err
 
 
 def test_rankdist_csv(capsys):

@@ -418,3 +418,21 @@ def test_mc_statevector_bytes_pinned(workers, mean, variance):
         EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4), 300, seed=5, workers=workers
     )
     assert (est.mean, est.variance) == (mean, variance)
+
+
+@pytest.mark.parametrize(
+    "n, workers, mean, variance",
+    [
+        (16, 1, 0.007783203125, 1.4861003347132557e-05),
+        (16, 2, 0.00776953125, 1.564623559338262e-05),
+        (16, 3, 0.00773828125, 1.581050229704696e-05),
+        (32, 1, 3.061676025390625e-05, 2.1371913802674453e-10),
+        (32, 2, 3.094482421875e-05, 2.267078616250569e-10),
+        (32, 3, 3.07464599609375e-05, 2.1868492996114177e-10),
+    ],
+)
+def test_mc_rank_bytes_pinned(n, workers, mean, variance):
+    # ranks are exact, so the rank route's Monte Carlo output must not drift
+    part = Bipartition.from_first(n, n // 2)
+    est = mc_moments(EnsembleSpec(n, Family.CZ), part, 2000, seed=11, workers=workers)
+    assert (est.mean, est.variance) == (mean, variance)

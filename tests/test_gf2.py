@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperent.formulas import rank_defect_probability
 from hyperent.gf2 import (
@@ -22,7 +24,8 @@ from reference import ref_gf2_rank
 
 def test_rank_trivial_cases():
     assert rank(Gf2Matrix.zeros(3, 3)) == 0
-    assert rank(Gf2Matrix.identity(4)) == 4
+    for n in [4, 65, 130]:
+        assert rank(Gf2Matrix.from_dense(np.eye(n, dtype=np.uint8))) == n
     # third row is the sum of the first two
     m = Gf2Matrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
     assert rank(m) == 2
@@ -68,7 +71,7 @@ def test_rank_equals_transpose_rank():
     rng = CounterRng(6)
     for size in [5, 17, 33, 64]:
         m = random_matrix(size, size, rng)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(Gf2Matrix.from_dense(m.to_dense().T))
 
 
 def test_random_matrix_reproducible():
@@ -141,14 +144,22 @@ def test_empirical_distribution_matches_closed_form():
 def test_empirical_distribution_validates_samples():
     with pytest.raises(ValueError):
         empirical_rank_distribution(4, 0, CounterRng(0))
+    for n in [0, -3]:
+        with pytest.raises(ValueError):
+            empirical_rank_distribution(n, 10, CounterRng(0))
 
 
-def test_from_row_ints():
-    m = Gf2Matrix.from_row_ints([0b0011, 0b0110, 0b0101], 4)
-    assert m.to_dense().tolist() == [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]]
+def test_from_dense_packing():
+    dense = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]]
+    m = Gf2Matrix.from_dense(dense)
+    assert m.row_words[:, 0].tolist() == [0b0011, 0b0110, 0b0101]
+    assert m.to_dense().tolist() == dense
     assert rank(m) == 2
+    # column 69 is bit 5 of the second word
+    wide = Gf2Matrix.from_dense(np.eye(70, dtype=np.uint8)[69:])
+    assert wide.row_words.tolist() == [[0, 1 << 5]]
     with pytest.raises(ValueError):
-        Gf2Matrix.from_row_ints([0b10000], 4)
+        Gf2Matrix(1, 4, np.array([[0b10000]], dtype=np.uint64))
 
 
 def test_empirical_distribution_multiword():
@@ -157,3 +168,31 @@ def test_empirical_distribution_multiword():
     assert hist.samples == 60
     assert all(0 <= s <= 80 for s in hist.counts)
     assert max(hist.counts) <= 4  # large defects are astronomically unlikely
+
+
+@st.composite
+def _gf2_stacks(draw):
+    """Stacks of rows x cols products A.B mod 2; a small inner dimension gives rank defects."""
+    rows = draw(st.integers(0, 70), label="rows")
+    cols = draw(st.integers(1, 130), label="cols")
+    batch = draw(st.integers(1, 6), label="batch")
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    mats = []
+    for _ in range(batch):
+        inner = draw(st.integers(0, min(rows, cols) + 1), label="inner")
+        a = rnd.integers(0, 2, size=(rows, inner))
+        b = rnd.integers(0, 2, size=(inner, cols))
+        mats.append(((a @ b) & 1).astype(np.uint8))
+    return cols, mats
+
+
+@settings(deadline=None)
+@given(_gf2_stacks())
+def test_batch_rank_matches_dense_oracle(case):
+    # multi-word rows, rows != cols, zero and dependent rows, rank defects
+    cols, mats = case
+    stack = np.stack([Gf2Matrix.from_dense(d).row_words for d in mats])
+    before = stack.copy()
+    got = batch_rank(stack, cols)
+    assert got.tolist() == [ref_gf2_rank(d) for d in mats]
+    assert np.array_equal(stack, before)

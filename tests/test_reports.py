@@ -61,6 +61,13 @@ def test_rank_distribution_worker_split_deterministic():
     assert c.samples == 1000  # different split may give different counts
 
 
+def test_rank_distribution_counts_pinned():
+    # ranks are exact, so these counts must not drift
+    hist = reports.rank_distribution(16, 30000, seed=13, workers=3)
+    assert hist.counts == {0: 8724, 1: 17186, 2: 3907, 3: 180, 4: 3}
+    assert hist.samples == 30000
+
+
 def test_rankdist_rows_have_bands():
     rows = reports.rankdist_rows(4, 500, seed=1)
     assert sum(r["count"] for r in rows) == 500
