@@ -11,6 +11,7 @@ output is useful if interrupted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -141,32 +142,34 @@ def _cmd_moments(args) -> int:
         print("error: give exactly one of --samples or --exhaustive", file=sys.stderr)
         return 2
     family = _FAMILIES[args.family]
-    rows = []
-    stream, close = _out_stream(args.out)
-    try:
-        if args.format == "csv":
-            stream.write(",".join(MOMENTS_COLUMNS) + "\n")
-            stream.flush()
+
+    def sweep():
         for n in sorted(args.n):
             n_a = args.na if args.na is not None else n // 2
             spec = EnsembleSpec(
                 n, family, k=args.k, edge_probability=args.p, scope=_SCOPES[args.scope]
             )
-            part = Bipartition.from_first(n, n_a)
-            row = compute_moments_row(
+            yield compute_moments_row(
                 spec,
-                part,
+                Bipartition.from_first(n, n_a),
                 None if args.exhaustive else args.samples,
                 args.seed,
                 _METHODS[args.method],
                 args.workers,
             )
-            rows.append(row)
-            if args.format == "csv":
-                stream.write(",".join(fmt(row[c]) for c in MOMENTS_COLUMNS) + "\n")
-                stream.flush()
-        if args.format == "json":
-            stream.write(to_json_doc("moments", rows))
+
+    # nothing is opened or written before the first row is ready, so a
+    # sweep that fails at once leaves no output behind
+    if args.format == "json":
+        _write(args.out, to_json_doc("moments", list(sweep())))
+        return 0
+    lines = (",".join(fmt(row[c]) for c in MOMENTS_COLUMNS) + "\n" for row in sweep())
+    first = ",".join(MOMENTS_COLUMNS) + "\n" + next(lines, "")
+    stream, close = _out_stream(args.out)
+    try:
+        for line in itertools.chain([first], lines):
+            stream.write(line)
+            stream.flush()
     finally:
         if close:
             stream.close()
@@ -202,9 +205,7 @@ def _cmd_verify(args) -> int:
         )
 
     report = verify.run_suite(args.suite, args.workers, progress=progress)
-    if args.format == "json":
-        _write(args.out, report.to_json())
-    elif args.out:
+    if args.format == "json" or args.out:
         _write(args.out, report.to_json())
     summary = "all criteria passed" if report.passed else "CRITERIA FAILED"
     print(f"{args.suite} suite: {summary} ({len(report.results)} run)", file=sys.stderr)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, _n_words, all_k_edges, toggle_supersets
-from .purity import _cross_parts, _zeta_rows, purity_numerators
+from .purity import _cross_parts, _zeta_rows, cut_block_cells, purity_numerators
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
 DEFAULT_ENUMERATION_CAP_BITS = 26
@@ -107,14 +107,6 @@ class MomentEstimate:
     std_error_variance: float
     samples: int
     exact: bool
-
-    @property
-    def mean_float(self) -> float:
-        return float(self.mean)
-
-    @property
-    def variance_float(self) -> float:
-        return float(self.variance)
 
 
 @dataclass(frozen=True)
@@ -202,28 +194,23 @@ def _resolve_method(spec: EnsembleSpec, method: Method | None) -> Method:
     return method
 
 
-def _cross_edge_layout(universe: list[Edge], part: Bipartition):
-    """(edge index, matrix row, matrix col) for each cut-crossing 2-edge."""
-    row_of = {v: i for i, v in enumerate(part.a_indices)}
-    col_of = {v: j for j, v in enumerate(part.b_indices)}
-    layout = []
-    for idx, (u, v) in enumerate(universe):
-        if u in row_of and v in col_of:
-            layout.append((idx, row_of[u], col_of[v]))
-        elif v in row_of and u in col_of:
-            layout.append((idx, row_of[v], col_of[u]))
-    return layout
+def _cut_order(universe: list[Edge], part: Bipartition) -> np.ndarray:
+    """Universe position of the edge at each cell of the (n_A, n_B) cut block, row-major.
+
+    A 2-edge universe holds each cut-crossing pair exactly once, so
+    every cell has exactly one edge.
+    """
+    positions, cells = cut_block_cells(universe, part)
+    order = np.empty_like(positions)
+    order[cells] = positions
+    return order
 
 
-def _masks_to_cut_words(
-    bits: np.ndarray, layout, n_rows: int, n_cols: int
-) -> np.ndarray:
-    """Scatter per-edge bits (batch, universe) into packed cut matrices."""
-    batch = bits.shape[0]
-    words = np.zeros((batch, n_rows, (n_cols + 63) >> 6), dtype=np.uint64)
-    for idx, r, c in layout:
-        words[:, r, c >> 6] |= bits[:, idx].astype(np.uint64) << np.uint64(c & 63)
-    return words
+def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
+    """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices."""
+    # np.take keeps the gathered blocks C-ordered, which the flat packer wants
+    blocks = np.take(bits, order, axis=1).reshape(-1, part.n_a, part.n_b)
+    return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
 def _exact_sum(arr: np.ndarray) -> int:
@@ -292,8 +279,8 @@ def _exhaustive_stats(
     n = spec.n_qubits
     sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
     if method is Method.RANK:
-        layout = _cross_edge_layout(universe, part)
-        chunk = max(1, (1 << 22) // max(1, part.n_a * ((part.n_b + 63) >> 6) * 8))
+        order = _cut_order(universe, part)
+        chunk = max(1, (1 << 21) // u)  # at most 2^21 edge choices per batch
     else:
         factors = _CutFactors(universe, part)
         chunk = factors.batch_size()
@@ -302,8 +289,7 @@ def _exhaustive_stats(
         counts = np.bitwise_count(masks)
         bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
         if method is Method.RANK:
-            words = _masks_to_cut_words(bits, layout, part.n_a, part.n_b)
-            s2 = gf2.batch_rank(words, part.n_b)
+            s2 = _cut_ranks(bits, order, part)
             nums = np.left_shift(1, 2 * n - s2)
         else:
             nums = factors.numerators(bits)
@@ -381,7 +367,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     thr = threshold_u64(spec.edge_probability)
     always = thr >= 1 << 64
     if method is Method.RANK:
-        layout = _cross_edge_layout(universe, part)
+        order = _cut_order(universe, part)
     else:
         factors = _CutFactors(universe, part)
     sums = [0, 0.0, 0.0, 0.0, 0.0]
@@ -390,8 +376,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
         draws = stream_block(wseed, done * u, take * u).reshape(take, u)
         bits = np.ones((take, u), dtype=bool) if always else draws < np.uint64(thr)
         if method is Method.RANK:
-            words = _masks_to_cut_words(bits.astype(np.uint8), layout, part.n_a, part.n_b)
-            ranks = gf2.batch_rank(words, part.n_b)
+            ranks = _cut_ranks(bits, order, part)
             p = np.ldexp(1.0, -ranks)
             s2 = ranks.astype(np.float64)
         else:

@@ -209,7 +209,7 @@ def ccz_purity_variance_leading(n_a: int, n_b: int) -> tuple[float, float]:
     return estimate, bound
 
 
-def rank_defect_probability(s: int, terms: int | None = None) -> float:
+def rank_defect_probability(s: int) -> float:
     """Limiting probability that a uniform square GF(2) matrix has rank defect s.
 
     2^(-s^2) * prod_{i >= s+1} (1 - 2^-i) * prod_{1 <= i <= s} (1 - 2^-i)^-1,
@@ -218,14 +218,10 @@ def rank_defect_probability(s: int, terms: int | None = None) -> float:
     if s < 0:
         raise ValueError("defect must be >= 0")
     prod = 1.0
-    if terms is not None:
-        for i in range(s + 1, s + 1 + terms):
-            prod *= 1.0 - 2.0**-i
-    else:
-        i = s + 1
-        while 2.0**-i >= 1e-15:
-            prod *= 1.0 - 2.0**-i
-            i += 1
+    i = s + 1
+    while 2.0**-i >= 1e-15:
+        prod *= 1.0 - 2.0**-i
+        i += 1
     for i in range(1, s + 1):
         prod /= 1.0 - 2.0**-i
     return 2.0 ** (-s * s) * prod

@@ -1,7 +1,10 @@
 """Bit-packed GF(2) matrices: rank, random sampling, rank-defect statistics.
 
 Rows are packed 64 columns per machine word so elimination works by
-word-level XOR.  ``batch_rank`` eliminates a whole stack of matrices at
+word-level XOR: column j sits at word j >> 6, bit j & 63, and padding
+bits are zero.  :func:`pack_rows` is the one packer of that format:
+``Gf2Matrix.from_dense``, ``purity.reduced_purity`` and the ensembles'
+cut blocks all go through it.  ``batch_rank`` eliminates a whole stack of matrices at
 once, row by row, with the lowest set bit of each row as its pivot and
 no row swaps, which is what makes rank workloads of 10^5-10^6 random
 matrices cheap.
@@ -10,7 +13,6 @@ matrices cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +21,22 @@ from .rng import CounterRng
 
 def _n_words(cols: int) -> int:
     return (cols + 63) >> 6
+
+
+def pack_rows(bits) -> np.ndarray:
+    """Pack 0/1 entries along the last axis into uint64 words, padding bits zero.
+
+    Shape (..., cols) becomes (..., ceil(cols / 64)); entry j lands at
+    word j >> 6, bit j & 63, and any leading batch shape is kept.
+    """
+    bits = np.asarray(bits)
+    lead, cols = bits.shape[:-1], bits.shape[-1]
+    if cols & 7:  # whole bytes per row, so one flat packbits keeps rows apart
+        bits = np.pad(bits, [(0, 0)] * len(lead) + [(0, -cols & 7)])
+    packed = np.packbits(bits, bitorder="little").reshape(*lead, (cols + 7) >> 3)
+    out = np.zeros((*lead, _n_words(cols) << 3), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -46,10 +64,7 @@ class Gf2Matrix:
     def from_dense(cls, dense) -> "Gf2Matrix":
         arr = np.asarray(dense, dtype=np.uint8) & 1
         rows, cols = arr.shape
-        padded = np.zeros((rows, _n_words(cols) * 64), dtype=np.uint8)
-        padded[:, :cols] = arr
-        packed = np.packbits(padded, axis=1, bitorder="little")
-        return cls(rows, cols, packed.view(np.uint64).reshape(rows, _n_words(cols)).copy())
+        return cls(rows, cols, pack_rows(arr))
 
     def get(self, i: int, j: int) -> int:
         return int(self.row_words[i, j >> 6] >> np.uint64(j & 63) & np.uint64(1))
@@ -94,29 +109,27 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     return np.count_nonzero(work.any(axis=1), axis=0).astype(np.int64)
 
 
+def _random_words(count: int, rows: int, cols: int, rng: CounterRng) -> np.ndarray:
+    """(count, rows, words) packed stack of uniform rows x cols matrices.
+
+    Consumes count * rows * ceil(cols/64) draws, matrix by matrix and
+    row-major; within each word the low bit is column 64w, and bits past
+    the last column are dropped.
+    """
+    n_w = _n_words(cols)
+    words = rng.take(count * rows * n_w).reshape(count, rows, n_w)
+    tail = cols & 63
+    if tail:
+        words[..., -1] &= np.uint64((1 << tail) - 1)
+    return words
+
+
 def random_matrix(rows: int, cols: int, rng: CounterRng) -> Gf2Matrix:
     """Uniform random matrix: iid fair bits in every entry.
 
-    Consumes rows * ceil(cols/64) draws, row-major; within each word the
-    low bit is column 64w, and bits past the last column are dropped.
+    Consumes rows * ceil(cols/64) draws, laid out as in :func:`_random_words`.
     """
-    n_w = _n_words(cols)
-    words = rng.take(rows * n_w).reshape(rows, n_w)
-    tail = cols & 63
-    if tail:
-        words[:, -1] &= np.uint64((1 << tail) - 1)
-    return Gf2Matrix(rows, cols, words)
-
-
-def _random_square_words(n: int, count: int, rng: CounterRng) -> np.ndarray:
-    """(count, n, words) packed stack of uniform n x n matrices; same draw layout
-    as count consecutive random_matrix(n, n, rng) calls."""
-    n_w = _n_words(n)
-    words = rng.take(count * n * n_w).reshape(count, n, n_w)
-    tail = n & 63
-    if tail:
-        words[:, :, -1] &= np.uint64((1 << tail) - 1)
-    return words
+    return Gf2Matrix(rows, cols, _random_words(1, rows, cols, rng)[0])
 
 
 @dataclass
@@ -144,9 +157,6 @@ class RankHistogram:
 
     def frequency(self, defect: int) -> float:
         return self.counts.get(defect, 0) / self.samples
-
-    def frequency_exact(self, defect: int) -> Fraction:
-        return Fraction(self.counts.get(defect, 0), self.samples)
 
     def to_csv_rows(self) -> list[dict]:
         """Rows with columns s, count, frequency, closed_form_Qs."""
@@ -179,7 +189,7 @@ def empirical_rank_distribution(n: int, samples: int, rng: CounterRng) -> RankHi
     done = 0
     while done < samples:
         take = min(chunk, samples - done)
-        words = _random_square_words(n, take, rng)
+        words = _random_words(take, n, n, rng)
         defects = n - batch_rank(words, n)
         values, counts = np.unique(defects, return_counts=True)
         for s, c in zip(values.tolist(), counts.tolist()):

@@ -4,7 +4,8 @@ Two routes are provided and must agree: the direct route squares the
 reduced density matrix using only integer arithmetic (sums of +-1
 products, normalized once at the end, so results are exact dyadic
 rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
-GF(2) rank of the cut block of the adjacency matrix.
+GF(2) rank of the cut block of the adjacency matrix, laid out by
+:func:`cut_block_cells` for single graphs and ensembles alike.
 
 The direct route has two numerators over 2**(2N), both on packed
 (d_A, d_B) sign rows:
@@ -103,19 +104,6 @@ def renyi2(p) -> float:
     if frac <= 0 or frac > 1:
         raise ValueError(f"purity must be in (0, 1], got {p}")
     return math.log2(frac.denominator) - math.log2(frac.numerator)
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into uint64 words along the columns.
-
-    Padding bits are zero, so XOR popcounts between packed rows see only
-    real columns.
-    """
-    rows, cols = bits.shape
-    n_bytes = ((cols + 63) >> 6) << 3
-    packed8 = np.zeros((rows, n_bytes), dtype=np.uint8)
-    packed8[:, : (cols + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return packed8.view(np.uint64)
 
 
 _PAIR_BLOCK_WORDS = 1 << 22
@@ -269,8 +257,27 @@ def reduced_purity(table: SignTable, part: Bipartition) -> DyadicRational:
         raise ValueError("sign table and bipartition disagree on qubit count")
     oriented = part if part.n_a <= part.n_b else part.complement()
     bits = sign_matrix_bits(table, oriented)
-    numerator = gram_numerator(_pack_rows(bits), oriented.d_b)
+    numerator = gram_numerator(gf2.pack_rows(bits), oriented.d_b)
     return DyadicRational.of(numerator, 2 * part.n_qubits)
+
+
+def cut_block_cells(edges, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, cells) of the 2-edges in the collection ``edges`` that cross the cut.
+
+    edges[positions[i]] sits at cell cells[i] = row * n_B + col of the
+    (n_A, n_B) cut block, whose rows are the A vertices and whose
+    columns are the complement vertices, each in ascending order.
+    """
+    in_a = np.array([part.a_mask >> v & 1 for v in range(part.n_qubits)], dtype=bool)
+    side_index = np.empty(part.n_qubits, dtype=np.intp)
+    side_index[in_a] = np.arange(part.n_a)
+    side_index[~in_a] = np.arange(part.n_b)
+    ends = np.array(list(edges), dtype=np.intp).reshape(len(edges), 2)
+    first_in_a = in_a[ends[:, 0]]
+    positions = np.flatnonzero(first_in_a != in_a[ends[:, 1]])
+    a_end = np.where(first_in_a, ends[:, 0], ends[:, 1])[positions]
+    b_end = np.where(first_in_a, ends[:, 1], ends[:, 0])[positions]
+    return positions, side_index[a_end] * part.n_b + side_index[b_end]
 
 
 def graph_cut_matrix(h: Hypergraph, part: Bipartition) -> Gf2Matrix:
@@ -283,15 +290,9 @@ def graph_cut_matrix(h: Hypergraph, part: Bipartition) -> Gf2Matrix:
         raise ValueError("graph and bipartition disagree on qubit count")
     if not h.is_k_uniform(2):
         raise ValueError("cut matrix requires a 2-uniform hypergraph")
-    row_of = {v: i for i, v in enumerate(part.a_indices)}
-    col_of = {v: j for j, v in enumerate(part.b_indices)}
-    dense = np.zeros((part.n_a, part.n_b), dtype=np.uint8)
-    for u, v in h.edges:
-        if u in row_of and v in col_of:
-            dense[row_of[u], col_of[v]] = 1
-        elif v in row_of and u in col_of:
-            dense[row_of[v], col_of[u]] = 1
-    return Gf2Matrix.from_dense(dense)
+    dense = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
+    dense[cut_block_cells(h.edges, part)[1]] = 1
+    return Gf2Matrix.from_dense(dense.reshape(part.n_a, part.n_b))
 
 
 def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:

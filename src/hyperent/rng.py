@@ -83,9 +83,6 @@ class CounterRng:
         self.seed = seed & _MASK64
         self.cursor = cursor
 
-    def child(self, worker: int) -> "CounterRng":
-        return CounterRng(child_seed(self.seed, worker))
-
     def next_u64(self) -> int:
         value = stream_at(self.seed, self.cursor)
         self.cursor += 1

@@ -117,15 +117,16 @@ def criterion_02_cz_exact_variance(workers: int = 1) -> CriterionResult:
     part = Bipartition.from_first(8, 4)
     est = exact_moments(spec, part, method=Method.RANK)
     expected = Fraction(225, 65536)
-    assert expected == formulas.cz_purity_variance(4, 4)
+    closed_form = formulas.cz_purity_variance(4, 4)
     return CriterionResult(
         "2",
         "exact-cz-variance",
-        est.variance == expected,
+        est.variance == expected == closed_form,
         f"variance = {expected}",
         f"variance = {est.variance}",
         "exact rational equality",
         budget_seconds=10.0,
+        notes="" if expected == closed_form else f"closed form gives {closed_form}",
     )
 
 
@@ -135,13 +136,15 @@ def criterion_03_ccz_exact_mean(workers: int = 1) -> CriterionResult:
     part = Bipartition.from_first(6, 3)
     est = exact_moments(spec, part, method=Method.STATE_VECTOR)
     expected = Fraction(1104, 4096)
-    assert expected == formulas.ccz_avg_purity(3, 3)
+    closed_form = formulas.ccz_avg_purity(3, 3)
     residual = abs(est.mean - expected) / expected
     notes = "" if est.mean == expected else f"nonzero residual {float(residual):.3e} vs closed form"
+    if expected != closed_form:
+        notes = f"closed form gives {closed_form}"
     return CriterionResult(
         "3",
         "exact-ccz-mean",
-        residual <= Fraction(1, 10**9),
+        residual <= Fraction(1, 10**9) and expected == closed_form,
         f"mean = {expected} (exhaustive 2^18 cross 3-edge graphs, N=6, N_A=3)",
         f"mean = {est.mean}, exact equality: {est.mean == expected}",
         "relative 1e-9 (exact equality expected)",

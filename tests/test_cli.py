@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hyperent import cli, gf2, verify
 
@@ -169,6 +171,37 @@ def test_moments_domain_error_exit_3(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "0", "--samples", "10"],
+        ["--n", "8", "--samples", "1"],
+        ["--n", "0", "--samples", "10", "--format", "json"],
+    ],
+)
+def test_moments_failing_sweep_writes_nothing(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, "moments", "--family", "cz", *argv)
+    assert code == 3 and out == "" and "domain error" in err
+    target = tmp_path / "m.out"
+    code, out, _ = run_cli(capsys, "moments", "--family", "cz", *argv, "--out", str(target))
+    assert code == 3 and out == ""
+    assert not target.exists()
+
+
+def test_moments_empty_and_partial_sweeps(tmp_path, capsys):
+    header = "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,"
+    code, out, _ = run_cli(capsys, "moments", "--family", "cz", "--n", "", "--samples", "10")
+    assert code == 0 and out.startswith(header) and out.count("\n") == 1
+    target = tmp_path / "m.json"
+    argv = ["moments", "--family", "cz", "--n", "", "--samples", "10", "--format", "json"]
+    code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and json.loads(target.read_text()) == {"kind": "moments", "rows": []}
+    # rows still stream: the N=6 row is out before N=40 fails the subset cap
+    code, out, _ = run_cli(capsys, "moments", "--family", "cz", "--n", "6,40", "--exhaustive")
+    assert code == 3
+    assert [line.split(",")[0] for line in out.splitlines()] == ["n", "6"]
+
+
 def test_rankdist_guards(capsys):
     code, _, _ = run_cli(capsys, "rankdist", "--n", "8", "--samples", "0")
     assert code == 2
@@ -226,6 +259,21 @@ def test_verify_json_with_numpy_verdict(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert [(c["criterion"], c["passed"]) for c in doc["criteria"]] == [("10", True)]
+
+
+@pytest.mark.parametrize(
+    "criterion, closed_form",
+    [
+        (verify.criterion_02_cz_exact_variance, "cz_purity_variance"),
+        (verify.criterion_03_ccz_exact_mean, "ccz_avg_purity"),
+    ],
+)
+def test_criterion_checks_pinned_value_against_closed_form(monkeypatch, criterion, closed_form):
+    # the pinned rational must equal its closed form as part of the verdict
+    monkeypatch.setattr(verify.formulas, closed_form, lambda n_a, n_b: Fraction(1, 3))
+    result = criterion()
+    assert result.passed is False
+    assert result.notes == "closed form gives 1/3"
 
 
 def test_verify_fault_injection_names_criterion(capsys, monkeypatch):

@@ -20,14 +20,16 @@ from hyperent.ensembles import (
     exact_moments,
     mc_moments,
     _CutFactors,
+    _cut_order,
+    _cut_ranks,
     sample_hypergraph,
 )
 from hyperent.formulas import cz_avg_purity
-from hyperent.hypergraph import Bipartition, build_sign_table
-from hyperent.purity import graph_entropy_rank, reduced_purity
+from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
+from hyperent.purity import graph_cut_matrix, graph_entropy_rank, reduced_purity
 from hyperent.rng import CounterRng
 
-from reference import ref_ensemble_moments, ref_purity
+from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity
 
 
 def test_edge_universe_counts():
@@ -435,4 +437,65 @@ def test_mc_rank_bytes_pinned(n, workers, mean, variance):
     # ranks are exact, so the rank route's Monte Carlo output must not drift
     part = Bipartition.from_first(n, n // 2)
     est = mc_moments(EnsembleSpec(n, Family.CZ), part, 2000, seed=11, workers=workers)
+    assert (est.mean, est.variance) == (mean, variance)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rank_route_at_scattered_cuts(data):
+    # scattered cuts with N_A >= N_B, both scopes, sparse to dense subsets:
+    # the cut block against its definition, the batched ranks against the
+    # dense elimination
+    n = data.draw(st.integers(3, 20), label="n")
+    a_mask = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    if 2 * a_mask.bit_count() < n:
+        a_mask ^= (1 << n) - 1
+    part = Bipartition(n, a_mask)
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    universe = edge_universe(EnsembleSpec(n, Family.CZ, scope=scope), part)
+    rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = data.draw(st.sampled_from([0.05, 0.5, 0.95]), label="density")
+    bits = rnd.random((data.draw(st.integers(1, 5), label="batch"), len(universe))) < density
+    want = []
+    for row in bits:
+        edges = {e for e, keep in zip(universe, row) if keep}
+        dense = [
+            [int((min(a, b), max(a, b)) in edges) for b in part.b_indices] for a in part.a_indices
+        ]
+        got = graph_cut_matrix(Hypergraph(n, frozenset(edges)), part).to_dense()
+        assert got.tolist() == dense
+        want.append(ref_gf2_rank(dense))
+    order = _cut_order(universe, part)
+    assert _cut_ranks(bits, order, part).tolist() == want
+    assert _cut_ranks(bits.astype(np.uint8), order, part).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "p, workers, mean, variance",
+    [
+        (Fraction(1, 2), 1, 8.470329472543003e-22, 0.0),
+        (Fraction(1, 64), 1, 5.345624868683766e-13, 3.6060247681703556e-24),
+        (Fraction(1, 64), 2, 4.566088248244189e-13, 2.936508970717267e-24),
+    ],
+)
+def test_mc_rank_bytes_pinned_two_word_rows(p, workers, mean, variance):
+    # N=150, N_A=70: 80 columns, so every cut row spans two words; at
+    # p = 1/64 the cut blocks are sparse and rank defects are common
+    spec = EnsembleSpec(150, Family.CZ, edge_probability=p)
+    est = mc_moments(spec, Bipartition.from_first(150, 70), 300, seed=2, workers=workers)
+    assert (est.mean, est.variance) == (mean, variance)
+
+
+@pytest.mark.parametrize(
+    "scope, workers, mean, variance",
+    [
+        (Scope.CROSS_ONLY, 1, 0.066375, 0.00023506272924308052),
+        (Scope.CROSS_ONLY, 3, 0.0661875, 0.0002247585132544185),
+        (Scope.ALL_EDGES, 1, 0.06547916666666667, 0.00017738160984216936),
+        (Scope.ALL_EDGES, 3, 0.06564583333333333, 0.00018678057616427688),
+    ],
+)
+def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
+    part = Bipartition(12, 0b101101110101)  # n_a = 8, n_b = 4
+    est = mc_moments(EnsembleSpec(12, Family.CZ, scope=scope), part, 3000, seed=21, workers=workers)
     assert (est.mean, est.variance) == (mean, variance)

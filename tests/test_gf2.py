@@ -14,6 +14,7 @@ from hyperent.gf2 import (
     RankHistogram,
     batch_rank,
     empirical_rank_distribution,
+    pack_rows,
     random_matrix,
     rank,
 )
@@ -160,6 +161,21 @@ def test_from_dense_packing():
     assert wide.row_words.tolist() == [[0, 1 << 5]]
     with pytest.raises(ValueError):
         Gf2Matrix(1, 4, np.array([[0b10000]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
+def test_pack_rows_matches_dense_unpack(width):
+    # entry j at word j >> 6, bit j & 63, zero padding, leading batch axes kept
+    bits = np.random.default_rng(width).integers(0, 2, (3, 2, 5, width), dtype=np.uint8)
+    words = pack_rows(bits)
+    n_w = (width + 63) // 64
+    assert words.dtype == np.uint64 and words.shape == (3, 2, 5, n_w)
+    j = np.arange(64 * n_w)
+    unpacked = words[..., j >> 6] >> (j & 63).astype(np.uint64) & np.uint64(1)
+    assert np.array_equal(unpacked[..., :width], bits)
+    assert not unpacked[..., width:].any()
+    assert np.array_equal(pack_rows(bits.astype(bool)), words)
+    assert np.array_equal(pack_rows(bits[1, 0]), words[1, 0])
 
 
 def test_empirical_distribution_multiword():

@@ -12,7 +12,6 @@ import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
 from hyperent.purity import (
     DyadicRational,
-    _pack_rows,
     gram_numerator,
     graph_cut_matrix,
     graph_entropy_rank,
@@ -20,7 +19,7 @@ from hyperent.purity import (
     reduced_purity,
     renyi2,
 )
-from hyperent.gf2 import rank
+from hyperent.gf2 import pack_rows, rank
 from hyperent.reports import state_record
 
 from reference import ref_purity
@@ -249,7 +248,7 @@ def test_gram_numerator_matches_xor_popcount(monkeypatch, shape, small_tiles):
         monkeypatch.setattr(purity_mod, "_PAIR_BLOCK_WORDS", 64)
     n_rows, n_cols = shape
     bits = np.random.default_rng(n_rows * n_cols).integers(0, 2, shape, dtype=np.uint8)
-    rows = _pack_rows(bits)
+    rows = pack_rows(bits)
     signs = 1 - 2 * bits.astype(np.int64)
     dense = int(np.sum((signs @ signs.T) ** 2))
     assert gram_numerator(rows, n_cols) == dense
