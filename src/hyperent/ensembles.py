@@ -9,9 +9,9 @@ contiguous slice of the sample range and the child stream w
 (:func:`split_run`).
 
 Both modes turn a batch of edge choices into purity numerators through
-one encoding, :class:`_CutFactors`, which feeds the single kernel
-:func:`purity.purity_numerators`; 2-edge families can use the GF(2)
-rank of the cut block instead.
+one encoding, :class:`_CutFactors`, which feeds the batched Gram
+numerator :func:`purity.gram_numerator` on one BLAS thread; 2-edge
+families can use the GF(2) rank of the cut block instead.
 
 Exhaustive moments are exact: purity numerators are integers
 accumulated over the common denominator 2^(2N), subset weights are
@@ -30,11 +30,12 @@ import numpy as np
 
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, _n_words, all_k_edges, toggle_supersets
-from .purity import _cross_parts, _zeta_rows, cut_block_cells, purity_numerators
+from .purity import _cross_parts, _one_blas_thread, _zeta_rows, cut_block_cells, gram_numerator
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
 DEFAULT_ENUMERATION_CAP_BITS = 26
 _MC_CHUNK = 4096
+_SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
 
 
 class Family(enum.Enum):
@@ -231,27 +232,34 @@ class _CutFactors:
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
         self.n_edges = len(universe)
+        self.words = _n_words(self.part.n_b)
+        # uint64 words of one sample's rows, or of its chosen edge columns
+        self.sample_words = self.words * max(self.part.d_a, self.n_edges)
+        if 8 * self.sample_words > _SAMPLE_BYTES:
+            raise ValueError(
+                f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
+                f"{8 * self.sample_words} bytes, over the {_SAMPLE_BYTES}-byte budget"
+            )
         masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
         cross, a_parts, b_parts = _cross_parts(masks, self.part)
         # cross edges sorted by A part, so each group is one reduceat slice
         order = np.argsort(a_parts, kind="stable")
         self.edges = cross[order]
         self.group_rows, self.starts = np.unique(a_parts[order], return_index=True)
-        self.words = _n_words(self.part.n_b)
         self.cols = np.zeros((self.edges.size, self.words), dtype=np.uint64)
         for col, m_b in zip(self.cols, b_parts[order].tolist()):
             toggle_supersets(col, m_b, self.part.n_b)
 
     def batch_size(self) -> int:
-        d_a = self.part.d_a
-        return max(1, (1 << 21) // (d_a * max(d_a * self.words, self.n_edges)))
+        return max(1, (1 << 18) // self.sample_words)
 
     def numerators(self, bits: np.ndarray) -> np.ndarray:
         """Exact 2^(2N) * purity for each row of (batch, universe) 0/1 edge choices."""
         step = self.batch_size()
-        return np.concatenate(
-            [self._batch(bits[lo : lo + step]) for lo in range(0, bits.shape[0], step)]
-        )
+        with _one_blas_thread():
+            return np.concatenate(
+                [self._batch(bits[lo : lo + step]) for lo in range(0, bits.shape[0], step)]
+            )
 
     def _batch(self, bits: np.ndarray) -> np.ndarray:
         batch = bits.shape[0]
@@ -260,7 +268,7 @@ class _CutFactors:
             chosen = bits[:, self.edges, np.newaxis].astype(np.uint64) * self.cols
             rows[:, self.group_rows] = np.bitwise_xor.reduceat(chosen, self.starts, axis=1)
         _zeta_rows(rows, self.part.n_a)
-        return purity_numerators(rows, self.part.d_b)
+        return gram_numerator(rows, self.part.d_b)
 
 
 def _exhaustive_stats(

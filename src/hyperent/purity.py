@@ -7,16 +7,13 @@ rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
 GF(2) rank of the cut block of the adjacency matrix, laid out by
 :func:`cut_block_cells` for single graphs and ensembles alike.
 
-The direct route has two numerators over 2**(2N), both on packed
-(d_A, d_B) sign rows:
-
-- :func:`purity_numerators`, a batched XOR-popcount with no BLAS call.
-  The ensembles use it: their matrices are small and many, and they run
-  in forked workers, where BLAS threads oversubscribe the cores.
-- :func:`gram_numerator`, sum((M M^T)**2) with M = 1 - 2 * bits, by a
-  tiled float32 BLAS matmul that stays exact.  Single states
-  (:func:`state_purity`, :func:`reduced_purity`) use it: one large
-  matrix per call, where the matmul is several times faster.
+The direct route has one numerator over 2**(2N), :func:`gram_numerator`:
+sum((M M^T)**2) with M = 1 - 2 * bits of a batch of packed (d_A, d_B)
+sign rows, by a tiled float32 BLAS matmul that stays exact.  Single
+states (:func:`state_purity`, :func:`reduced_purity`) pass a batch of
+one and keep every BLAS thread.  The ensembles pass many small matrices
+at once, inside :func:`_one_blas_thread`: they run in forked workers,
+where BLAS threads would oversubscribe the cores.
 
 :func:`state_purity` builds the rows straight from the edges, factored
 across the cut, with no 2**N sign table.
@@ -29,6 +26,9 @@ point only enters at the entropy (log) step.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,64 +106,91 @@ def renyi2(p) -> float:
     return math.log2(frac.denominator) - math.log2(frac.numerator)
 
 
-_PAIR_BLOCK_WORDS = 1 << 22
 _GATHER_BLOCK_ENTRIES = 1 << 22
-_GRAM_TILE_ENTRIES = 1 << 22
+_GRAM_TILE_ENTRIES = 1 << 22  # float32 entries of one row and column tile of M
+_GRAM_BATCH_ENTRIES = 1 << 18  # entries of M in one batched matmul, which stay in cache
 _GRAM_EXACT_COLS = 1 << 24  # float32 holds every integer of magnitude <= 2^24
 
 
-def purity_numerators(rows: np.ndarray, n_cols: int) -> np.ndarray:
-    """Per batch entry, the sum over row pairs of (n_cols - 2 * popcount(r ^ r'))**2.
-
-    ``rows`` is a (batch, d_r, words) array of packed sign rows.  Each
-    result equals 2**(2N) * purity when the rows are the sign matrix of
-    a pure phase state; exact in int64 for N <= 31.  Row pairs are
-    blocked so one XOR temporary holds at most _PAIR_BLOCK_WORDS words.
-    """
-    batch, n_rows, n_w = rows.shape
-    block = max(1, _PAIR_BLOCK_WORDS // max(1, batch * n_rows * n_w))
-    total = np.zeros(batch, dtype=np.int64)
-    for lo in range(0, n_rows, block):
-        xor = rows[:, lo : lo + block, np.newaxis, :] ^ rows[:, np.newaxis, :, :]
-        h = np.bitwise_count(xor).sum(axis=3, dtype=np.int64)
-        diff = n_cols - 2 * h
-        total += np.sum(diff * diff, axis=(1, 2), dtype=np.int64)
-    return total
-
-
 def _signs(rows: np.ndarray, col: int, n_cols: int) -> np.ndarray:
-    """Columns [col, col + n_cols) of packed rows as a +-1 float32 matrix; col % 64 == 0."""
-    packed = np.ascontiguousarray(rows[:, col >> 6 : (col + n_cols + 63) >> 6]).view(np.uint8)
-    m = np.unpackbits(packed, axis=1, count=n_cols, bitorder="little").astype(np.float32)
+    """Columns [col, col + n_cols) of (..., d_r, words) packed rows as +-1 float32; col % 64 == 0."""
+    packed = np.ascontiguousarray(rows[..., col >> 6 : (col + n_cols + 63) >> 6]).view(np.uint8)
+    m = np.unpackbits(packed, axis=-1, count=n_cols, bitorder="little").astype(np.float32)
     m *= -2
     m += 1
     return m
 
 
-def gram_numerator(rows: np.ndarray, n_cols: int) -> int:
-    """sum((M M^T)**2) for M = 1 - 2 * bits of the (d_r, words) packed rows.
+def gram_numerator(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """Per batch entry, sum((M M^T)**2) for M = 1 - 2 * bits of its packed rows.
 
-    Equals ``purity_numerators(rows[np.newaxis], n_cols)[0]``.  Row tiles
-    are symmetric (pairs j >= i, off-diagonal ones counted twice) and at
-    most _GRAM_TILE_ENTRIES float32 entries hold a tile.  Column tiles
-    are at most 2^24 wide, so every float32 partial sum is an integer of
+    ``rows`` is a (batch, d_r, words) array of packed sign rows; each
+    result equals 2**(2N) * purity when the rows are the sign matrix of
+    a pure phase state.  Row tiles are symmetric (pairs j >= i,
+    off-diagonal ones counted twice) and hold at most _GRAM_TILE_ENTRIES
+    float32 entries of M; one matmul takes as many batch entries as fit
+    in _GRAM_BATCH_ENTRIES, and at least one.  Column tiles are at
+    most 2^24 wide, so every float32 partial sum is an integer of
     magnitude <= 2^24 and exact in any BLAS summation order; each tile
     of M M^T is accumulated over the column tiles and squared in int64.
     """
-    n_rows = rows.shape[0]
+    batch, n_rows, _ = rows.shape
+    if n_rows * n_cols > 1 << 31:
+        raise ValueError(f"a {n_rows} x {n_cols} purity numerator can overflow int64")
     height = min(n_rows, 1 << (_GRAM_TILE_ENTRIES.bit_length() - 1) // 2)
-    width = min(_GRAM_EXACT_COLS, max(64, _GRAM_TILE_ENTRIES // height >> 6 << 6))
-    total = 0
-    for i in range(0, n_rows, height):
-        for j in range(i, n_rows, height):
-            gram = 0
-            for col in range(0, n_cols, width):
-                cols = min(width, n_cols - col)
-                left = _signs(rows[i : i + height], col, cols)
-                right = left if j == i else _signs(rows[j : j + height], col, cols)
-                gram = gram + (left @ right.T).astype(np.int64)
-            total += (1 if j == i else 2) * int(np.einsum("ij,ij->", gram, gram))
+    width = min(n_cols, _GRAM_EXACT_COLS, max(64, _GRAM_TILE_ENTRIES // height >> 6 << 6))
+    step = max(1, _GRAM_BATCH_ENTRIES // (height * width))
+    total = np.zeros(batch, dtype=np.int64)
+    for lo in range(0, batch, step):
+        block = rows[lo : lo + step]
+        for i in range(0, n_rows, height):
+            for j in range(i, n_rows, height):
+                gram = None
+                for col in range(0, n_cols, width):
+                    cols = min(width, n_cols - col)
+                    left = _signs(block[:, i : i + height], col, cols)
+                    right = left if j == i else _signs(block[:, j : j + height], col, cols)
+                    tile = np.matmul(left, right.transpose(0, 2, 1)).astype(np.int64)
+                    gram = tile if gram is None else gram + tile
+                total[lo : lo + step] += (1 if j == i else 2) * np.einsum("bij,bij->b", gram, gram)
     return total
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if it has none.
+
+    numpy's core extension links the library, so a handle to the
+    extension also finds the library's symbols.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the old count on exit.
+
+    Does nothing when the thread calls are not found.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 def _zeta_rows(rows: np.ndarray, n_a: int) -> None:
@@ -228,8 +255,8 @@ def state_purity(h: Hypergraph, part: Bipartition) -> DyadicRational:
     under swapping A with its complement.
     """
     oriented = part if part.n_a <= part.n_b else part.complement()
-    numerator = gram_numerator(cut_rows(h, oriented), oriented.d_b)
-    return DyadicRational.of(numerator, 2 * part.n_qubits)
+    numerator = gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0]
+    return DyadicRational.of(int(numerator), 2 * part.n_qubits)
 
 
 def sign_matrix_bits(table: SignTable, part: Bipartition) -> np.ndarray:
@@ -257,8 +284,8 @@ def reduced_purity(table: SignTable, part: Bipartition) -> DyadicRational:
         raise ValueError("sign table and bipartition disagree on qubit count")
     oriented = part if part.n_a <= part.n_b else part.complement()
     bits = sign_matrix_bits(table, oriented)
-    numerator = gram_numerator(gf2.pack_rows(bits), oriented.d_b)
-    return DyadicRational.of(numerator, 2 * part.n_qubits)
+    numerator = gram_numerator(gf2.pack_rows(bits)[np.newaxis], oriented.d_b)[0]
+    return DyadicRational.of(int(numerator), 2 * part.n_qubits)
 
 
 def cut_block_cells(edges, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:

@@ -56,8 +56,11 @@ def fmt(value) -> str:
 
 
 def jsonable(value):
+    """JSON cell: Fractions as "numerator/denominator", non-finite floats as null."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # strict JSON has no Infinity or NaN
     return value
 
 

@@ -32,6 +32,7 @@ from .purity import graph_entropy_rank, reduced_purity
 from .reports import (
     MOMENTS_COLUMNS,
     RANKDIST_COLUMNS,
+    jsonable,
     moments_row,
     rank_distribution,
     rankdist_rows,
@@ -76,8 +77,8 @@ class CriterionResult:
             "observed": self.observed,
             "tolerance": self.tolerance,
             "seconds": round(self.seconds, 3),
-            # a crashed criterion keeps the infinite default, which JSON cannot hold
-            "budget_seconds": self.budget_seconds if math.isfinite(self.budget_seconds) else None,
+            # a crashed criterion keeps the infinite default, written as null
+            "budget_seconds": jsonable(self.budget_seconds),
             "over_budget": self.over_budget,
             "notes": self.notes,
         }

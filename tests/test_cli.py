@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperent import cli, gf2, verify
+from hyperent import cli, ensembles, gf2, verify
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
@@ -169,6 +169,32 @@ def test_moments_domain_error_exit_3(capsys):
     )
     assert code == 3
     assert "domain error" in err
+
+
+def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
+    # one N=40 sample needs 128 GiB of rows; the check must come before
+    # anything is built, so the edge factoring must never be reached
+    def unreachable(*args):
+        raise AssertionError("cut factors built past the memory budget")
+
+    monkeypatch.setattr(ensembles, "_cross_parts", unreachable)
+    code, out, err = run_cli(capsys, "moments", "--family", "ccz", "--n", "40", "--samples", "2")
+    assert code == 3 and out == ""
+    assert "domain error" in err and "byte budget" in err
+
+
+def test_moments_json_strict_when_z_is_infinite(capsys):
+    # every block has full rank, so the std error is 0 and z is infinite
+    def strict(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    argv = ["moments", "--family", "cz", "--n", "150", "--na", "70", "--samples", "200", "--seed", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out, parse_constant=strict)["rows"]
+    assert row["std_err_mean"] == 0.0 and row["z_score"] is None
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[1].endswith(",inf")
 
 
 @pytest.mark.parametrize(

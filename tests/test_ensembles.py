@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperent.ensembles as ensembles_mod
+import hyperent.purity as purity_mod
 from hyperent.ensembles import (
     EnsembleSpec,
     EnumerationCapError,
@@ -26,7 +28,7 @@ from hyperent.ensembles import (
 )
 from hyperent.formulas import cz_avg_purity
 from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
-from hyperent.purity import graph_cut_matrix, graph_entropy_rank, reduced_purity
+from hyperent.purity import graph_cut_matrix, graph_entropy_rank, reduced_purity, state_purity
 from hyperent.rng import CounterRng
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity
@@ -499,3 +501,68 @@ def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
     part = Bipartition(12, 0b101101110101)  # n_a = 8, n_b = 4
     est = mc_moments(EnsembleSpec(12, Family.CZ, scope=scope), part, 3000, seed=21, workers=workers)
     assert (est.mean, est.variance) == (mean, variance)
+
+
+def test_cut_factors_memory_budget(monkeypatch):
+    # N=10, N_A=5: 100 cross edges of one word each are one sample's largest table
+    universe = edge_universe(EnsembleSpec(10, Family.CCZ), Bipartition.from_first(10, 5))
+    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 800)
+    assert _CutFactors(universe, Bipartition.from_first(10, 5)).batch_size() == (1 << 18) // 100
+    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 799)
+    with pytest.raises(ValueError, match="byte budget"):
+        _CutFactors(universe, Bipartition.from_first(10, 5))
+
+
+class _FakeBlas:
+    """Stand-in thread calls that record the count the numerator runs with."""
+
+    def __init__(self, monkeypatch, threads, calls=True):
+        self.threads = threads
+        self.seen = []
+        found = (lambda: self.threads, self.set_threads) if calls else None
+        monkeypatch.setattr(purity_mod, "_blas_thread_calls", lambda: found)
+
+    def set_threads(self, n):
+        self.threads = n
+
+    def numerator(self, rows, n_cols):
+        self.seen.append(self.threads)
+        return np.zeros(rows.shape[0], dtype=np.int64)
+
+
+def _small_factors():
+    part = Bipartition.from_first(6, 3)
+    universe = edge_universe(EnsembleSpec(6, Family.CCZ), part)
+    return _CutFactors(universe, part), np.ones((3, len(universe)), dtype=np.uint8)
+
+
+def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
+    blas = _FakeBlas(monkeypatch, threads=3)
+    monkeypatch.setattr(ensembles_mod, "gram_numerator", blas.numerator)
+    factors, bits = _small_factors()
+    assert factors.numerators(bits).tolist() == [0, 0, 0]
+    assert blas.seen == [1] and blas.threads == 3
+
+    def boom(rows, n_cols):
+        blas.seen.append(blas.threads)
+        raise RuntimeError("numerator failed")
+
+    monkeypatch.setattr(ensembles_mod, "gram_numerator", boom)
+    with pytest.raises(RuntimeError):
+        factors.numerators(bits)
+    assert blas.seen == [1, 1] and blas.threads == 3
+
+
+def test_single_states_keep_every_blas_thread(monkeypatch):
+    blas = _FakeBlas(monkeypatch, threads=3)
+    monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
+    state_purity(Hypergraph.from_gates(4, [(0, 2)]), Bipartition.from_first(4, 2))
+    assert blas.seen == [3] and blas.threads == 3
+
+
+def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
+    blas = _FakeBlas(monkeypatch, threads=3, calls=False)
+    monkeypatch.setattr(ensembles_mod, "gram_numerator", blas.numerator)
+    factors, bits = _small_factors()
+    assert factors.numerators(bits).tolist() == [0, 0, 0]
+    assert blas.seen == [3]

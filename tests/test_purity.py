@@ -15,7 +15,6 @@ from hyperent.purity import (
     gram_numerator,
     graph_cut_matrix,
     graph_entropy_rank,
-    purity_numerators,
     reduced_purity,
     renyi2,
 )
@@ -189,7 +188,6 @@ def test_rank_purity_equivalence_larger_random_cuts():
 def test_blocked_paths_match_oracle(monkeypatch):
     # shrink the block constants so multi-block code paths run even at
     # small n, then compare against the dense oracle
-    monkeypatch.setattr(purity_mod, "_PAIR_BLOCK_WORDS", 4)
     monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 16)
     rnd = random.Random(55)
     for _ in range(10):
@@ -239,17 +237,31 @@ def test_state_record_matches_dense_oracle(case):
 
 
 @pytest.mark.parametrize("small_tiles", [False, True])
-@pytest.mark.parametrize("shape", [(8, 40), (5, 1), (24, 200), (16, 1 << 14), (256, 256)])
+@pytest.mark.parametrize(
+    "shape", [(20, 2, 16), (7, 5, 1), (40, 64, 128), (2, 16, 1 << 14), (1, 256, 256)]
+)
 def test_gram_numerator_matches_xor_popcount(monkeypatch, shape, small_tiles):
-    # small tiles force several row tiles (off-diagonal pairs counted
-    # twice) and several column tiles (accumulated before squaring)
+    # the dense oracle: entry (r, r') of S S^T is n_cols - 2 * popcount(r ^ r').
+    # Small tiles force several batch tiles, several row tiles (off-diagonal
+    # pairs counted twice) and several column tiles (accumulated before
+    # squaring); (40, 64, 128) has two batch tiles at the default size too
     if small_tiles:
         monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 256)
-        monkeypatch.setattr(purity_mod, "_PAIR_BLOCK_WORDS", 64)
-    n_rows, n_cols = shape
-    bits = np.random.default_rng(n_rows * n_cols).integers(0, 2, shape, dtype=np.uint8)
-    rows = pack_rows(bits)
+        monkeypatch.setattr(purity_mod, "_GRAM_BATCH_ENTRIES", 256)
+    n_cols = shape[2]
+    bits = np.random.default_rng(shape[0] * shape[1] * n_cols).integers(0, 2, shape, dtype=np.uint8)
     signs = 1 - 2 * bits.astype(np.int64)
-    dense = int(np.sum((signs @ signs.T) ** 2))
-    assert gram_numerator(rows, n_cols) == dense
-    assert int(purity_numerators(rows[np.newaxis], n_cols)[0]) == dense
+    dense = np.sum(np.matmul(signs, signs.transpose(0, 2, 1)) ** 2, axis=(1, 2))
+    got = gram_numerator(pack_rows(bits), n_cols)
+    assert got.dtype == np.int64 and got.tolist() == dense.tolist()
+
+
+def test_gram_numerator_rejects_int64_overflow(monkeypatch):
+    # 2^32 sign entries could give a numerator of 2^64; no rows are read
+    def unreachable(*args):
+        raise AssertionError("rows unpacked past the int64 check")
+
+    monkeypatch.setattr(purity_mod, "_signs", unreachable)
+    rows = np.empty((1, 1 << 16, 0), dtype=np.uint64)
+    with pytest.raises(ValueError, match="overflow"):
+        gram_numerator(rows, 1 << 16)

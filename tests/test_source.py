@@ -6,6 +6,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperent"
 
 
+def _sources():
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_assert_statements():
     # assert is stripped under python -O, so it cannot carry a runtime check
     paths = sorted(PACKAGE.glob("*.py"))
@@ -17,3 +21,19 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_pool_and_one_blas_pin():
+    # the thread pin in purity covers the forked workers of the one pool
+    # in ensembles; another pool or another ctypes user would escape it
+    sources = _sources()
+    imports_ctypes = sorted(
+        name
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Import) and any(a.name == "ctypes" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "ctypes"
+    )
+    assert imports_ctypes == ["purity.py"]
+    pools = sorted(name for name, text in sources.items() if "ProcessPoolExecutor(" in text)
+    assert pools == ["ensembles.py"]
