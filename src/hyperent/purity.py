@@ -110,6 +110,7 @@ _GATHER_BLOCK_ENTRIES = 1 << 22
 _GRAM_TILE_ENTRIES = 1 << 22  # float32 entries of one row and column tile of M
 _GRAM_BATCH_ENTRIES = 1 << 18  # entries of M in one batched matmul, which stay in cache
 _GRAM_EXACT_COLS = 1 << 24  # float32 holds every integer of magnitude <= 2^24
+_INT64_ENTRIES = 1 << 31  # a numerator is at most entries**2, so this many fit int64
 
 
 def _signs(rows: np.ndarray, col: int, n_cols: int) -> np.ndarray:
@@ -133,14 +134,18 @@ def gram_numerator(rows: np.ndarray, n_cols: int) -> np.ndarray:
     most 2^24 wide, so every float32 partial sum is an integer of
     magnitude <= 2^24 and exact in any BLAS summation order; each tile
     of M M^T is accumulated over the column tiles and squared in int64.
+    A single M of more than _INT64_ENTRIES entries, whose numerator can
+    pass int64, is squared and summed in Python ints instead (an object
+    result); batches of that size are refused.
     """
     batch, n_rows, _ = rows.shape
-    if n_rows * n_cols > 1 << 31:
-        raise ValueError(f"a {n_rows} x {n_cols} purity numerator can overflow int64")
+    wide = n_rows * n_cols > _INT64_ENTRIES
+    if wide and batch > 1:
+        raise ValueError(f"{batch} purity numerators of {n_rows} x {n_cols} can overflow int64")
     height = min(n_rows, 1 << (_GRAM_TILE_ENTRIES.bit_length() - 1) // 2)
     width = min(n_cols, _GRAM_EXACT_COLS, max(64, _GRAM_TILE_ENTRIES // height >> 6 << 6))
     step = max(1, _GRAM_BATCH_ENTRIES // (height * width))
-    total = np.zeros(batch, dtype=np.int64)
+    total = np.zeros(batch, dtype=object if wide else np.int64)
     for lo in range(0, batch, step):
         block = rows[lo : lo + step]
         for i in range(0, n_rows, height):
@@ -152,6 +157,8 @@ def gram_numerator(rows: np.ndarray, n_cols: int) -> np.ndarray:
                     right = left if j == i else _signs(block[:, j : j + height], col, cols)
                     tile = np.matmul(left, right.transpose(0, 2, 1)).astype(np.int64)
                     gram = tile if gram is None else gram + tile
+                if wide:
+                    gram = gram.astype(object)
                 total[lo : lo + step] += (1 if j == i else 2) * np.einsum("bij,bij->b", gram, gram)
     return total
 

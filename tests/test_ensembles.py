@@ -560,6 +560,20 @@ def test_single_states_keep_every_blas_thread(monkeypatch):
     assert blas.seen == [3] and blas.threads == 3
 
 
+def test_blas_pin_finds_bundled_openblas():
+    # the real thread calls, unfaked, on numpy builds that bundle OpenBLAS
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip("numpy has no bundled OpenBLAS")
+    calls = purity_mod._blas_thread_calls()
+    assert calls is not None
+    get_threads, _ = calls
+    old = get_threads()
+    with purity_mod._one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == old
+
+
 def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3, calls=False)
     monkeypatch.setattr(ensembles_mod, "gram_numerator", blas.numerator)

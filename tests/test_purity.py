@@ -238,16 +238,20 @@ def test_state_record_matches_dense_oracle(case):
 
 @pytest.mark.parametrize("small_tiles", [False, True])
 @pytest.mark.parametrize(
-    "shape", [(20, 2, 16), (7, 5, 1), (40, 64, 128), (2, 16, 1 << 14), (1, 256, 256)]
+    "shape",
+    [(20, 2, 16), (7, 5, 1), (40, 64, 128), (2, 16, 1 << 14), (1, 256, 256), (3, 24, 200)],
 )
 def test_gram_numerator_matches_xor_popcount(monkeypatch, shape, small_tiles):
     # the dense oracle: entry (r, r') of S S^T is n_cols - 2 * popcount(r ^ r').
-    # Small tiles force several batch tiles, several row tiles (off-diagonal
-    # pairs counted twice) and several column tiles (accumulated before
-    # squaring); (40, 64, 128) has two batch tiles at the default size too
+    # Small tiles are 16 rows by 64 columns, two batch entries per matmul:
+    # several batch tiles, several row tiles (off-diagonal pairs counted
+    # twice) and several column tiles (accumulated before squaring), each
+    # sliced from a batch of two; (3, 24, 200) makes the last batch, row
+    # and column tile short.  (40, 64, 128) has two batch tiles at the
+    # default size too
     if small_tiles:
         monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 256)
-        monkeypatch.setattr(purity_mod, "_GRAM_BATCH_ENTRIES", 256)
+        monkeypatch.setattr(purity_mod, "_GRAM_BATCH_ENTRIES", 2048)
     n_cols = shape[2]
     bits = np.random.default_rng(shape[0] * shape[1] * n_cols).integers(0, 2, shape, dtype=np.uint8)
     signs = 1 - 2 * bits.astype(np.int64)
@@ -262,6 +266,28 @@ def test_gram_numerator_rejects_int64_overflow(monkeypatch):
         raise AssertionError("rows unpacked past the int64 check")
 
     monkeypatch.setattr(purity_mod, "_signs", unreachable)
-    rows = np.empty((1, 1 << 16, 0), dtype=np.uint64)
+    rows = np.empty((2, 1 << 16, 0), dtype=np.uint64)
     with pytest.raises(ValueError, match="overflow"):
         gram_numerator(rows, 1 << 16)
+
+
+def test_gram_numerator_single_state_past_int64(monkeypatch):
+    # one M past the int64 bound is summed in Python ints, not refused
+    monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 256)
+    monkeypatch.setattr(purity_mod, "_INT64_ENTRIES", 24 * 200 - 1)
+    bits = np.random.default_rng(5).integers(0, 2, (1, 24, 200), dtype=np.uint8)
+    signs = 1 - 2 * bits[0].astype(np.int64)
+    got = gram_numerator(pack_rows(bits), 200)
+    assert got.dtype == object and type(got[0]) is int
+    assert got[0] == np.sum((signs @ signs.T) ** 2)
+    with pytest.raises(ValueError, match="overflow"):
+        gram_numerator(pack_rows(np.concatenate([bits, bits])), 200)
+
+    # entries of 2^20 in place of the signs: M M^T is 2^40 * 200 everywhere,
+    # whose squares pass int64
+    def big(rows, col, n_cols):
+        return np.full((*rows.shape[:-1], n_cols), 2.0**20, dtype=np.float32)
+
+    monkeypatch.setattr(purity_mod, "_signs", big)
+    got = gram_numerator(pack_rows(bits), 200)
+    assert got[0] == 24**2 * (200 << 40) ** 2
