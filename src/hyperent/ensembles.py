@@ -8,20 +8,27 @@ a fixed (seed, worker count) and trivially parallel: worker w owns a
 contiguous slice of the sample range and the child stream w
 (:func:`split_run`).
 
-Both modes turn a batch of edge choices into purity numerators through
-one encoding, :class:`_CutFactors`, which feeds the batched Gram
-numerator :func:`purity.gram_numerator` on one BLAS thread; 2-edge
-families can use the GF(2) rank of the cut block instead.
+The two modes reach the purity numerators by two routes.  Exhaustive
+moments count: :func:`_subset_numerators` returns every subset's
+numerator at once from per-side histograms of which edge parts each
+basis state contains, by Walsh-Hadamard and subset transforms over the
+2^u subsets, with no state, sign row or Gram matrix built.  Monte Carlo
+turns each batch of sampled edge choices into sign rows through
+:class:`_CutFactors`, which feeds the batched Gram numerator
+:func:`purity.gram_numerator` on one BLAS thread.  2-edge families can
+use the GF(2) rank of the cut block in either mode instead.
 
-Exhaustive moments are exact: purity numerators are integers
-accumulated over the common denominator 2^(2N), subset weights are
-exact rationals, and floats appear only in entropy (log) values.
+Exhaustive moments are exact: purity numerators are integers, subsets
+are tallied by (edge count, numerator), weights are exact rationals,
+and floats appear only in entropy (log) values.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +37,23 @@ import numpy as np
 
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, _n_words, all_k_edges, toggle_supersets
-from .purity import _cross_parts, _one_blas_thread, _zeta_rows, cut_block_cells, gram_numerator
+from .purity import (
+    _cross_parts,
+    _one_blas_thread,
+    _side_index,
+    _zeta_rows,
+    cut_block_cells,
+    gram_numerator,
+)
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
 DEFAULT_ENUMERATION_CAP_BITS = 26
 _MC_CHUNK = 4096
+_MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
 _SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
+_HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
+_TALLY_CHUNK = 1 << 16  # subsets per rank batch and per np.unique call of the exhaustive tally
+_TRANSFORM_BYTES = 1 << 30  # budget for the two 2^u int64 arrays of the subset transform
 
 
 class Family(enum.Enum):
@@ -214,10 +232,6 @@ def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.nda
     return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
-def _exact_sum(arr: np.ndarray) -> int:
-    return int(arr.astype(object).sum()) if arr.size else 0
-
-
 class _CutFactors:
     """Universe edges factored across the cut, for batched exact purities.
 
@@ -271,44 +285,126 @@ class _CutFactors:
         return gram_numerator(rows, self.part.d_b)
 
 
+def _butterflies(arr: np.ndarray):
+    """(lo, hi) views of arr for each of its log2(len) bits: entries without and with the bit.
+
+    Bits 1 and 2 come as one strided 1-d pair per offset, which numpy
+    runs several times faster than a view with an inner axis of 2 or 4.
+    """
+    for j in range(arr.size.bit_length() - 1):
+        pairs = arr.reshape(-1, 2, 1 << j)
+        if 0 < j < 3:
+            yield from ((pairs[:, 0, i], pairs[:, 1, i]) for i in range(1 << j))
+        else:
+            yield pairs[:, 0], pairs[:, 1]
+
+
+def _pair_supersets(parts: list[int], n_side: int) -> np.ndarray:
+    """#{(x, x') : iota(x) XOR iota(x') contains S} for every S, where iota(x)_j = [parts_j in x].
+
+    Histograms iota over the 2^n_side basis states in blocks, squares
+    its Walsh-Hadamard transform (the pair histogram's transform, of
+    magnitude <= d^2), and turns that into superset counts by a halving
+    subset transform, hi <- (lo - hi) / 2, whose every intermediate is
+    an integer of magnitude <= d^2, so the shift is exact.
+    """
+    counts = np.zeros(1 << len(parts), dtype=np.int64)
+    for lo in range(0, 1 << n_side, _HIST_CHUNK):
+        x = np.arange(lo, min(1 << n_side, lo + _HIST_CHUNK), dtype=np.int64)
+        iota = np.zeros_like(x)
+        for j, m in enumerate(parts):
+            iota[(x & m) == m] |= 1 << j
+        vals, hits = np.unique(iota, return_counts=True)
+        counts[vals] += hits
+    for lo, hi in _butterflies(counts):
+        lo += hi
+        hi *= -2
+        hi += lo
+    counts *= counts
+    for lo, hi in _butterflies(counts):
+        np.subtract(lo, hi, out=hi)
+        hi >>= 1
+    return counts
+
+
+def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
+    """Exact 2^(2N) * purity of every subset of the universe, int64, indexed by subset mask.
+
+    With signs (-1)^(sum_j w_j [m_A,j in a][m_B,j in b]), the numerator
+    of subset w is sum over (a, a', b, b') of (-1)^(w . (alpha & beta)),
+    alpha_j = [m_A,j in a] XOR [m_A,j in a'] and beta likewise on B.
+    Expanding (-1)^(w_j alpha_j beta_j) = 1 - 2 w_j alpha_j beta_j gives
+    num(w) = sum over T inside w of (-2)^|T| H_A(T) H_B(T), with H the
+    superset counts of :func:`_pair_supersets`, so one subset transform
+    (lo, lo - 2 hi) of H_A * H_B yields every numerator.  Every
+    intermediate has magnitude <= 2^(2N), exact in int64 for N <= 31.
+    Edges inside one side give alpha_j = 0 or beta_j = 0 and drop out.
+    O(u 2^u + u (d_A + d_B)) time, two 2^u int64 arrays of memory.
+    """
+    n, u = part.n_qubits, len(universe)
+    if n >= 32:
+        raise ValueError(f"exact purity numerators at N={n} can pass int64 (N <= 31)")
+    if 2 * 8 << u > _TRANSFORM_BYTES:
+        raise ValueError(
+            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
+            f"over the {_TRANSFORM_BYTES}-byte budget"
+        )
+    masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
+    nums = _pair_supersets(_side_index(masks, part.a_mask).tolist(), part.n_a)
+    nums *= _pair_supersets(_side_index(masks, part.b_mask).tolist(), part.n_b)
+    for lo, hi in _butterflies(nums):
+        hi *= -2
+        hi += lo
+    return nums
+
+
+def _tally(tally: Counter, lo: int, nums: np.ndarray) -> None:
+    """Count the distinct (edge count, numerator) keys of subsets lo, lo + 1, ... into tally."""
+    counts = np.bitwise_count(np.arange(lo, lo + nums.size, dtype=np.uint64))
+    vals, inv = np.unique(nums, return_inverse=True)
+    grid = np.bincount(inv * 64 + counts, minlength=64 * vals.size).reshape(vals.size, 64)
+    for i, c in zip(*np.nonzero(grid)):
+        tally[int(c), int(vals[i])] += int(grid[i, c])
+
+
 def _exhaustive_stats(
     spec: EnsembleSpec, part: Bipartition, method: Method, cap_bits: int
 ) -> EntropyStats:
     """Exact purity and entropy moments over every subset of the universe.
 
-    Subsets with c edges share the weight p^c (1-p)^(u-c), so integer
-    sums are kept per edge count and weighted once at the end.  Rank
-    entropies are integers, so their moments are exact rationals too.
+    Subsets with c edges share the weight p^c (1-p)^(u-c), so the
+    subsets are tallied by (edge count, numerator) and each distinct key
+    is weighted once.  Rank entropies are integers, so their moments are
+    exact rationals too.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
     if u > cap_bits:
         raise EnumerationCapError(f"universe of {u} edges exceeds the 2^{cap_bits}-subset cap")
     n = spec.n_qubits
-    sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
+    tally = Counter()
     if method is Method.RANK:
         order = _cut_order(universe, part)
-        chunk = max(1, (1 << 21) // u)  # at most 2^21 edge choices per batch
+        for lo in range(0, 1 << u, _TALLY_CHUNK):
+            masks = np.arange(lo, min(1 << u, lo + _TALLY_CHUNK), dtype=np.uint64)
+            bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
+            _tally(tally, lo, np.left_shift(1, 2 * n - _cut_ranks(bits, order, part)))
     else:
-        factors = _CutFactors(universe, part)
-        chunk = factors.batch_size()
-    for lo in range(0, 1 << u, chunk):
-        masks = np.arange(lo, min(1 << u, lo + chunk), dtype=np.uint64)
-        counts = np.bitwise_count(masks)
-        bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
+        nums = _subset_numerators(universe, part)
+        for lo in range(0, nums.size, _TALLY_CHUNK):
+            _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK])
+    keys = sorted(tally)
+    entropies = 2 * n - np.log2(np.array([num for _, num in keys], dtype=np.int64))
+    sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
+    for (c, num), s2 in zip(keys, entropies.tolist()):
+        mult = tally[c, num]
         if method is Method.RANK:
-            s2 = _cut_ranks(bits, order, part)
-            nums = np.left_shift(1, 2 * n - s2)
-        else:
-            nums = factors.numerators(bits)
-            s2 = 2 * n - np.log2(nums)
-        for c in np.unique(counts):
-            sel = counts == c
-            acc = sums[int(c)]
-            acc[0] += _exact_sum(nums[sel])
-            acc[1] += _exact_sum(nums[sel].astype(object) ** 2)
-            acc[2] += np.sum(s2[sel]).item()
-            acc[3] += np.sum(s2[sel] ** 2).item()
+            s2 = int(s2)
+        acc = sums[c]
+        acc[0] += mult * num
+        acc[1] += mult * num * num
+        acc[2] += mult * s2
+        acc[3] += mult * s2 * s2
     p_mean = p_second = s_mean = s_second = 0
     for c, (num, num_sq, s, s_sq) in enumerate(sums):
         w = subset_weight(spec, c, u - c)
@@ -375,22 +471,26 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     thr = threshold_u64(spec.edge_probability)
     always = thr >= 1 << 64
     if method is Method.RANK:
-        order = _cut_order(universe, part)
+        values = functools.partial(_cut_ranks, order=_cut_order(universe, part), part=part)
     else:
-        factors = _CutFactors(universe, part)
+        values = _CutFactors(universe, part).numerators
+    rows = max(1, _MC_PIECE_DRAWS // max(1, u))
     sums = [0, 0.0, 0.0, 0.0, 0.0]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
-        draws = stream_block(wseed, done * u, take * u).reshape(take, u)
-        bits = np.ones((take, u), dtype=bool) if always else draws < np.uint64(thr)
+        pieces = []  # ranks or numerators, drawn rows at a time to bound memory
+        for r in range(done, done + take, rows):
+            k = min(rows, done + take - r)
+            draws = stream_block(wseed, r * u, k * u).reshape(k, u)
+            bits = np.ones((k, u), dtype=bool) if always else draws < np.uint64(thr)
+            pieces.append(values(bits))
+        vals = np.concatenate(pieces)
         if method is Method.RANK:
-            ranks = _cut_ranks(bits, order, part)
-            p = np.ldexp(1.0, -ranks)
-            s2 = ranks.astype(np.float64)
+            p = np.ldexp(1.0, -vals)
+            s2 = vals.astype(np.float64)
         else:
-            nums = factors.numerators(bits)
-            p = nums.astype(np.float64) * math.ldexp(1.0, -2 * n)
-            s2 = 2 * n - np.log2(nums)
+            p = vals.astype(np.float64) * math.ldexp(1.0, -2 * n)
+            s2 = 2 * n - np.log2(vals)
         sums[0] += take
         sums[1] += float(np.sum(p))
         sums[2] += float(np.sum(p * p))

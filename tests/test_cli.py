@@ -183,6 +183,18 @@ def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
     assert "domain error" in err and "byte budget" in err
 
 
+def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
+    # at N=32 a numerator can reach 2^64; refused before the edges are factored
+    def unreachable(*args):
+        raise AssertionError("edges factored past the int64 guard")
+
+    monkeypatch.setattr(ensembles, "_side_index", unreachable)
+    argv = ["moments", "--family", "k-uniform", "--k", "32", "--n", "32", "--exhaustive"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "domain error" in err and "int64" in err
+
+
 def test_moments_json_strict_when_z_is_infinite(capsys):
     # every block has full rank, so the std error is 0 and z is infinite
     def strict(token):

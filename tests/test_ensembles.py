@@ -1,11 +1,12 @@
 """Ensemble universes, sampling, enumeration, and moment estimators."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperent.ensembles as ensembles_mod
@@ -24,6 +25,7 @@ from hyperent.ensembles import (
     _CutFactors,
     _cut_order,
     _cut_ranks,
+    _subset_numerators,
     sample_hypergraph,
 )
 from hyperent.formulas import cz_avg_purity
@@ -318,16 +320,43 @@ def test_mc_orientation_flip_matches_manual():
     assert math.isclose(est.mean, sum(values) / 40, rel_tol=0, abs_tol=1e-15)
 
 
-def test_statevector_kernel_chunking(monkeypatch):
-    # tiny batches through the subset kernel must not change the result
-    import hyperent.ensembles as ens
-
-    spec = EnsembleSpec(4, Family.CCZ, scope=Scope.ALL_EDGES)
+def _chunked_stats(monkeypatch, family, method):
+    """Exhaustive stats at p = 3/10, with default and with tiny blocks and chunks."""
+    spec = EnsembleSpec(4, family, edge_probability=Fraction(3, 10), scope=Scope.ALL_EDGES)
     part = Bipartition.from_first(4, 2)
-    base = exact_moments(spec, part)
-    monkeypatch.setattr(ens._CutFactors, "batch_size", lambda self: 3)
-    chunked = exact_moments(spec, part)
-    assert (base.mean, base.variance) == (chunked.mean, chunked.variance)
+    base = entropy_stats(spec, part, method=method)
+    tallies = []
+    tally = ensembles_mod._tally
+    monkeypatch.setattr(ensembles_mod, "_tally", lambda *a: tallies.append(a[1]) or tally(*a))
+    monkeypatch.setattr(ensembles_mod, "_HIST_CHUNK", 3)  # d = 4: blocks of 3 and 1 states
+    monkeypatch.setattr(ensembles_mod, "_TALLY_CHUNK", 5)
+    assert tallies == []
+    chunked = entropy_stats(spec, part, method=method)
+    assert tallies == list(range(0, 1 << len(edge_universe(spec, part)), 5))
+    return base, chunked
+
+
+def test_statevector_kernel_chunking(monkeypatch):
+    # tiny histogram blocks and tally chunks must not change any result;
+    # p != 1/2, so every subset's edge count matters
+    base, chunked = _chunked_stats(monkeypatch, Family.CCZ, Method.STATE_VECTOR)
+    assert chunked == base
+
+
+def test_rank_tally_chunking(monkeypatch):
+    base, chunked = _chunked_stats(monkeypatch, Family.CZ, Method.RANK)
+    assert chunked == base
+
+
+def test_exhaustive_statevector_needs_no_gram(monkeypatch):
+    # the exhaustive route counts; only Monte Carlo squares Gram matrices
+    def unreachable(*args):
+        raise AssertionError("Gram numerator called by the exhaustive route")
+
+    monkeypatch.setattr(purity_mod, "gram_numerator", unreachable)
+    monkeypatch.setattr(ensembles_mod, "gram_numerator", unreachable)
+    est = exact_moments(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
+    assert (est.mean, est.variance) == (Fraction(1104, 4096), Fraction(349, 262144))
 
 
 def test_single_vertex_edges_do_not_entangle():
@@ -580,3 +609,116 @@ def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     factors, bits = _small_factors()
     assert factors.numerators(bits).tolist() == [0, 0, 0]
     assert blas.seen == [3]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_subset_numerators_match_cut_factors_and_oracle(data):
+    # any universe of up to 10 edges in any order, scattered cuts with
+    # either side larger, local edges included, and the empty universe
+    n = data.draw(st.integers(2, 7), label="n")
+    k = data.draw(st.integers(1, min(4, n)), label="k")
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    a_mask = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    part = Bipartition(n, a_mask)
+    full = edge_universe(EnsembleSpec(n, Family.K_UNIFORM, k=k, scope=scope), part)
+    picks = data.draw(
+        st.lists(st.integers(0, len(full) - 1), unique=True, max_size=min(10, len(full)))
+        if full else st.just([]),
+        label="picks",
+    )
+    universe = [full[i] for i in picks]
+    u = len(universe)
+    nums = _subset_numerators(universe, part)
+    assert nums.dtype == np.int64 and nums.shape == (1 << u,)
+    masks = np.arange(1 << u)
+    bits = ((masks[:, np.newaxis] >> np.arange(u)) & 1).astype(np.uint8).reshape(1 << u, u)
+    assert nums.tolist() == _CutFactors(universe, part).numerators(bits).tolist()
+    # one side's superset counts, #{(a, a') : alpha(a, a') contains S}, by brute force
+    a_parts = [sum(1 << i for i, v in enumerate(part.a_indices) if v in e) for e in universe]
+    alphas = [
+        sum(((a & m == m) ^ (b & m == m)) << j for j, m in enumerate(a_parts))
+        for a in range(part.d_a)
+        for b in range(part.d_a)
+    ]
+    supersets = [sum(alpha & s == s for alpha in alphas) for s in range(1 << u)]
+    assert ensembles_mod._pair_supersets(a_parts, part.n_a).tolist() == supersets
+    for mask in data.draw(st.lists(st.integers(0, (1 << u) - 1), min_size=1, max_size=3)):
+        edges = [e for j, e in enumerate(universe) if mask >> j & 1]
+        assert Fraction(int(nums[mask]), 1 << (2 * n)) == ref_purity(n, edges, a_mask)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_exact_moments_match_reference_at_every_p(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    k = data.draw(st.integers(1, min(4, n)), label="k")
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    part = Bipartition(n, data.draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+    universe = edge_universe(EnsembleSpec(n, Family.K_UNIFORM, k=k, scope=scope), part)
+    assume(len(universe) <= 6)
+    for p in (Fraction(0), Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
+        spec = EnsembleSpec(n, Family.K_UNIFORM, k=k, edge_probability=p, scope=scope)
+        est = exact_moments(spec, part, method=Method.STATE_VECTOR)
+        assert (est.mean, est.variance) == ref_ensemble_moments(n, universe, part.a_mask, p)
+
+
+def test_subset_numerators_guards_come_first(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("edges factored past a guard")
+
+    monkeypatch.setattr(ensembles_mod, "_side_index", unreachable)
+    with pytest.raises(ValueError, match="int64"):
+        _subset_numerators([tuple(range(32))], Bipartition.from_first(32, 1))
+    # 27 cross edges need 2 * 8 * 2^27 bytes, over the 2^30 budget
+    spec = EnsembleSpec(12, Family.CZ)
+    with pytest.raises(ValueError, match="byte budget"):
+        exact_moments(spec, Bipartition.from_first(12, 3), Method.STATE_VECTOR, cap_bits=27)
+    monkeypatch.undo()
+    part = Bipartition.from_first(4, 2)
+    universe = edge_universe(EnsembleSpec(4, Family.CZ), part)  # 4 edges: 256 bytes
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 256)
+    assert _subset_numerators(universe, part).size == 16
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 255)
+    with pytest.raises(ValueError, match="byte budget"):
+        _subset_numerators(universe, part)
+
+
+def test_exhaustive_memory_does_not_grow_with_the_larger_side():
+    # one 24-edge across 1 | 23 qubits: the B histogram runs in blocks
+    spec = EnsembleSpec(24, Family.K_UNIFORM, k=24)
+    d_b = 1 << 23
+    tracemalloc.start()
+    try:
+        est = exact_moments(spec, Bipartition.from_first(24, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d_b // 16
+    # the edge flips one sign of row 1: overlaps d_B and d_B - 2
+    one = Fraction(d_b**2 + (d_b - 2) ** 2, 2 * d_b**2)
+    assert (est.mean, est.variance) == ((1 + one) / 2, ((1 - one) / 2) ** 2)
+
+
+def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
+    # a chunk drawn in pieces of rows gives the same floats, in less memory
+    spec, part = EnsembleSpec(40, Family.CZ), Bipartition.from_first(40, 20)
+    u = len(edge_universe(spec, part))
+    tracemalloc.start()
+    try:
+        whole = entropy_stats(spec, part, samples=300, seed=6)
+        _, whole_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * u + 3)
+        pieces = entropy_stats(spec, part, samples=300, seed=6)
+        _, piece_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pieces == whole
+    assert whole_peak > 8 * 300 * u and piece_peak < 8 * 300 * u // 4
+    # the state-vector route over two chunks, the last one short
+    spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 3)
+    monkeypatch.undo()
+    whole = entropy_stats(spec, part, samples=5000, seed=2)
+    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 1000)
+    assert entropy_stats(spec, part, samples=5000, seed=2) == whole
