@@ -3,9 +3,7 @@
 from .hypergraph import (
     Bipartition,
     Hypergraph,
-    SignTable,
     all_k_edges,
-    build_sign_table,
     canonicalize_edges,
     format_graph_file,
     parse_graph_file,
@@ -16,8 +14,8 @@ from .purity import (
     DyadicRational,
     graph_cut_matrix,
     graph_entropy_rank,
-    reduced_purity,
     renyi2,
+    state_purity,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -49,9 +47,7 @@ __all__ = [
     "MomentEstimate",
     "RankHistogram",
     "Scope",
-    "SignTable",
     "all_k_edges",
-    "build_sign_table",
     "canonicalize_edges",
     "edge_universe",
     "empirical_rank_distribution",
@@ -66,10 +62,10 @@ __all__ = [
     "parse_graph_file",
     "random_matrix",
     "rank",
-    "reduced_purity",
     "renyi2",
     "sample_hypergraph",
     "sign_at",
+    "state_purity",
 ]
 
 __version__ = "0.1.0"

@@ -195,6 +195,10 @@ def _cmd_rankdist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
         over = ", over budget" if result.over_budget else ""

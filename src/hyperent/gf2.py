@@ -3,8 +3,8 @@
 Rows are packed 64 columns per machine word so elimination works by
 word-level XOR: column j sits at word j >> 6, bit j & 63, and padding
 bits are zero.  :func:`pack_rows` is the one packer of that format:
-``Gf2Matrix.from_dense``, ``purity.reduced_purity`` and the ensembles'
-cut blocks all go through it.  ``batch_rank`` eliminates a whole stack of matrices at
+``Gf2Matrix.from_dense`` and the ensembles' cut blocks both go through
+it.  ``batch_rank`` eliminates a whole stack of matrices at
 once, row by row, with the lowest set bit of each row as its pivot and
 no row swaps, which is what makes rank workloads of 10^5-10^6 random
 matrices cheap.

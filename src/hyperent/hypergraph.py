@@ -1,4 +1,4 @@
-"""Hypergraphs, bipartitions, and bit-packed sign tables of phase states.
+"""Hypergraphs, bipartitions, and the sign function of phase states.
 
 A hypergraph on n qubits generates the phase state whose amplitude on
 basis index x is (+-1) * 2**(-n/2): one diagonal gate per edge flips the
@@ -8,7 +8,9 @@ sign function is therefore
     s(x) = (-1) ** (number of edges e with e subset of support(x)),
 
 counted mod 2.  Qubit i corresponds to bit i of the basis index
-(little-endian throughout).
+(little-endian throughout).  :func:`toggle_supersets` XORs one edge's
+superset indicator into a packed table of sign bits; the purity module
+builds the rows of a cut with it, never the whole 2**n table.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ MAX_QUBITS_ENV = "HYPERENT_MAX_QUBITS"
 
 
 def max_qubits() -> int:
-    """Sign-table size cap; overridable via the HYPERENT_MAX_QUBITS env var."""
+    """Single-state qubit cap; overridable via the HYPERENT_MAX_QUBITS env var."""
     raw = os.environ.get(MAX_QUBITS_ENV)
     if raw is None:
         return DEFAULT_MAX_QUBITS
@@ -168,61 +170,6 @@ class Bipartition:
         return Bipartition(self.n_qubits, self.b_mask)
 
 
-def scatter_table(mask: int, n: int) -> np.ndarray:
-    """Deposit table: entry i spreads the bits of i over the set bits of mask.
-
-    Length 2**popcount(mask); used to map subsystem indices back to full
-    basis indices, so that table[a] | other_table[b] enumerates the
-    basis in (a, b) order.
-    """
-    positions = [p for p in range(n) if mask >> p & 1]
-    out = np.zeros(1 << len(positions), dtype=np.int64)
-    src = np.arange(1 << len(positions), dtype=np.int64)
-    for j, p in enumerate(positions):
-        out |= ((src >> j) & 1) << p
-    return out
-
-
-@dataclass(frozen=True)
-class SignTable:
-    """Packed sign bits of a phase state: bit x is 0 for +1, 1 for -1.
-
-    Bit x lives at words[x >> 6], position x & 63.  The all-zeros basis
-    state never fires a monomial, so bit 0 is always 0.
-    """
-
-    n_qubits: int
-    words: np.ndarray
-
-    def __post_init__(self):
-        expected = _n_words(self.n_qubits)
-        if self.words.dtype != np.uint64 or self.words.shape != (expected,):
-            raise ValueError("words must be a uint64 array of length ceil(2^n / 64)")
-
-    def bit(self, x: int) -> int:
-        if not 0 <= x < (1 << self.n_qubits):
-            raise ValueError(f"basis index {x} out of range")
-        return int(self.words[x >> 6] >> np.uint64(x & 63) & np.uint64(1))
-
-    def sign(self, x: int) -> int:
-        return -1 if self.bit(x) else 1
-
-    def bits_at(self, indices: np.ndarray) -> np.ndarray:
-        """Gather sign bits (0/1, uint8) at an int64 index array."""
-        return (
-            (self.words[indices >> 6] >> (indices & 63).astype(np.uint64)) & np.uint64(1)
-        ).astype(np.uint8)
-
-    def to_bits(self) -> np.ndarray:
-        """Unpacked 0/1 table of length 2**n."""
-        idx = np.arange(1 << self.n_qubits, dtype=np.int64)
-        return self.bits_at(idx)
-
-    def popcount(self) -> int:
-        """Number of -1 amplitudes."""
-        return int(np.bitwise_count(self.words).sum(dtype=np.int64))
-
-
 def _n_words(n: int) -> int:
     return max(1, (1 << n) >> 6)
 
@@ -269,28 +216,11 @@ def sign_at(h: Hypergraph, x: int) -> int:
     return -1 if fired else 1
 
 
-def check_qubit_cap(n: int, cap: int | None = None) -> None:
-    """Raise ValueError when n exceeds the cap (default: :func:`max_qubits`)."""
-    limit = max_qubits() if cap is None else cap
+def check_qubit_cap(n: int) -> None:
+    """Raise ValueError when n exceeds the single-state qubit cap (:func:`max_qubits`)."""
+    limit = max_qubits()
     if n > limit:
-        raise ValueError(f"n={n} exceeds the sign-table cap ({limit})")
-
-
-def build_sign_table(h: Hypergraph, cap: int | None = None) -> SignTable:
-    """Materialize the packed 2^n-bit sign table of the state generated by h.
-
-    Each edge toggles the indices whose support contains it
-    (:func:`toggle_supersets`).  Single-state purities do not go through
-    the table: :func:`purity.state_purity` builds the rows of the cut
-    from the edges directly.  The table is the export format and the
-    input of :func:`purity.reduced_purity`.
-    """
-    n = h.n_qubits
-    check_qubit_cap(n, cap)
-    words = np.zeros(_n_words(n), dtype=np.uint64)
-    for m in h.edge_masks:
-        toggle_supersets(words, m, n)
-    return SignTable(n, words)
+        raise ValueError(f"n={n} exceeds the single-state qubit cap ({limit})")
 
 
 def parse_graph_file(text: str) -> Hypergraph:

@@ -10,18 +10,19 @@ GF(2) rank of the cut block of the adjacency matrix, laid out by
 The direct route has one numerator over 2**(2N), :func:`gram_numerator`:
 sum((M M^T)**2) with M = 1 - 2 * bits of a batch of packed (d_A, d_B)
 sign rows, by a tiled float32 BLAS matmul that stays exact.  Single
-states (:func:`state_purity`, :func:`reduced_purity`) pass a batch of
-one and keep every BLAS thread.  The ensembles pass many small matrices
-at once, inside :func:`_one_blas_thread`: they run in forked workers,
-where BLAS threads would oversubscribe the cores.
+states (:func:`state_purity`) pass a batch of one and keep every BLAS
+thread.  The ensembles pass many small matrices at once, inside
+:func:`_one_blas_thread`: they run in forked workers, where BLAS threads
+would oversubscribe the cores.
 
-:func:`state_purity` builds the rows straight from the edges, factored
-across the cut, with no 2**N sign table.
+:func:`state_purity` is the one single-state route: it builds the rows
+straight from the edges, factored across the cut, with no 2**N sign
+table.
 
-Subsystem extraction is bit-scatter/gather by a_mask: row index a holds
-the A-qubit bits in ascending mask order, column index b the rest, so
-independent implementations agree on intermediate dumps.  Floating
-point only enters at the entropy (log) step.
+Subsystem indices pack a side's bits low (:func:`_side_index`): row
+index a holds the A-qubit bits in ascending mask order, column index b
+the rest, so independent implementations agree on intermediate dumps.
+Floating point only enters at the entropy (log) step.
 """
 
 from __future__ import annotations
@@ -37,15 +38,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import Gf2Matrix
-from .hypergraph import (
-    Bipartition,
-    Hypergraph,
-    SignTable,
-    _n_words,
-    check_qubit_cap,
-    scatter_table,
-    toggle_supersets,
-)
+from .hypergraph import Bipartition, Hypergraph, _n_words, check_qubit_cap, toggle_supersets
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,6 @@ def renyi2(p) -> float:
     return math.log2(frac.denominator) - math.log2(frac.numerator)
 
 
-_GATHER_BLOCK_ENTRIES = 1 << 22
 _GRAM_TILE_ENTRIES = 1 << 22  # float32 entries of one row and column tile of M
 _GRAM_BATCH_ENTRIES = 1 << 18  # entries of M in one batched matmul, which stay in cache
 _GRAM_EXACT_COLS = 1 << 24  # float32 holds every integer of magnitude <= 2^24
@@ -214,7 +206,7 @@ def _zeta_rows(rows: np.ndarray, n_a: int) -> None:
 def _side_index(masks, side: int):
     """Subsystem index of masks on one side: their bits at side's set positions, packed low.
 
-    The inverse of :func:`scatter_table`; works on ints and int64 arrays.
+    Works on ints and int64 arrays.
     """
     out = masks & 0
     for i, pos in enumerate(p for p in range(side.bit_length()) if side >> p & 1):
@@ -263,35 +255,6 @@ def state_purity(h: Hypergraph, part: Bipartition) -> DyadicRational:
     """
     oriented = part if part.n_a <= part.n_b else part.complement()
     numerator = gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0]
-    return DyadicRational.of(int(numerator), 2 * part.n_qubits)
-
-
-def sign_matrix_bits(table: SignTable, part: Bipartition) -> np.ndarray:
-    """Sign bits arranged as a (d_A, d_B) 0/1 matrix in scatter order."""
-    if table.n_qubits != part.n_qubits:
-        raise ValueError("sign table and bipartition disagree on qubit count")
-    row_scatter = scatter_table(part.a_mask, part.n_qubits)
-    col_scatter = scatter_table(part.b_mask, part.n_qubits)
-    out = np.empty((part.d_a, part.d_b), dtype=np.uint8)
-    block = max(1, _GATHER_BLOCK_ENTRIES // part.d_b)
-    for lo in range(0, part.d_a, block):
-        rows = row_scatter[lo : lo + block]
-        idx = rows[:, np.newaxis] | col_scatter[np.newaxis, :]
-        out[lo : lo + rows.shape[0]] = table.bits_at(idx)
-    return out
-
-
-def reduced_purity(table: SignTable, part: Bipartition) -> DyadicRational:
-    """Exact purity of the reduced state on subsystem A, from a sign table.
-
-    Gathers the packed sign matrix of the cheaper orientation (fewer
-    rows) and squares it with :func:`gram_numerator`.
-    """
-    if table.n_qubits != part.n_qubits:
-        raise ValueError("sign table and bipartition disagree on qubit count")
-    oriented = part if part.n_a <= part.n_b else part.complement()
-    bits = sign_matrix_bits(table, oriented)
-    numerator = gram_numerator(gf2.pack_rows(bits)[np.newaxis], oriented.d_b)[0]
     return DyadicRational.of(int(numerator), 2 * part.n_qubits)
 
 

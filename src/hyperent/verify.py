@@ -27,8 +27,8 @@ from .ensembles import (
     mc_moments,
     sample_hypergraph,
 )
-from .hypergraph import Bipartition, build_sign_table
-from .purity import graph_entropy_rank, reduced_purity
+from .hypergraph import Bipartition
+from .purity import graph_entropy_rank, state_purity
 from .reports import (
     MOMENTS_COLUMNS,
     RANKDIST_COLUMNS,
@@ -215,7 +215,7 @@ def criterion_06_rank_purity_equivalence(workers: int = 1) -> CriterionResult:
         part = Bipartition(int(n), int(a_mask))
         h = sample_hypergraph(spec, part, rng)
         r = graph_entropy_rank(h, part)
-        p = reduced_purity(build_sign_table(h), part)
+        p = state_purity(h, part)
         if p.as_fraction() != Fraction(1, 1 << r):
             mismatches += 1
     return CriterionResult(

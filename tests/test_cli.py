@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperent import cli, ensembles, gf2, verify
+from hyperent.purity import DyadicRational
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
@@ -77,7 +78,7 @@ def test_state_above_cap_exit_3(tmp_path, capsys, monkeypatch):
     f.write_text("n 12\n0 6\n1 7 8\n")
     code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 3
-    assert "exceeds the sign-table cap (10)" in err
+    assert "exceeds the single-state qubit cap (10)" in err
 
 
 def test_state_missing_file_exit_2(capsys):
@@ -286,6 +287,29 @@ def test_verify_quick_subset(capsys, monkeypatch):
     assert doc["passed"] is True
     assert [c["criterion"] for c in doc["criteria"]] == ["1", "2", "4"]
     assert "PASS" in err
+
+
+@pytest.mark.parametrize("suite", ["quick", "full"])
+def test_verify_workers_below_one_exit_2(capsys, monkeypatch, suite):
+    # refused up front, as rankdist --n 0 is: no criterion runs or reports
+    monkeypatch.setattr(verify, "QUICK_IDS", {"1", "2", "4"})
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--workers", "0", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--workers" in err
+    assert "PASS" not in err and "FAIL" not in err
+
+
+def test_verify_criterion_6_checks_state_purity(capsys, monkeypatch):
+    # criterion 6 must check the single-state route the CLI runs
+    monkeypatch.setattr(verify, "state_purity", lambda h, part: DyadicRational(3, 2))
+    monkeypatch.setattr(verify, "QUICK_IDS", {"1", "6"})
+    code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
+    assert code == 1
+    by_id = {c["criterion"]: c for c in json.loads(out)["criteria"]}
+    assert by_id["6"]["passed"] is False
+    assert by_id["6"]["observed"] == "500 mismatches out of 500"
+    assert by_id["1"]["passed"] is True
 
 
 def test_verify_json_with_numpy_verdict(capsys, monkeypatch):

@@ -29,8 +29,8 @@ from hyperent.ensembles import (
     sample_hypergraph,
 )
 from hyperent.formulas import cz_avg_purity
-from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
-from hyperent.purity import graph_cut_matrix, graph_entropy_rank, reduced_purity, state_purity
+from hyperent.hypergraph import Bipartition, Hypergraph
+from hyperent.purity import graph_cut_matrix, graph_entropy_rank, state_purity
 from hyperent.rng import CounterRng
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity
@@ -230,7 +230,7 @@ def test_mc_sample_path_matches_manual_sampling():
     values = []
     for _ in range(50):
         h = sample_hypergraph(spec, part, rng)
-        values.append(float(reduced_purity(build_sign_table(h), part)))
+        values.append(float(ref_purity(8, h.edges, part.a_mask)))
     mean = sum(values) / 50
     assert math.isclose(est.mean, mean, rel_tol=0, abs_tol=1e-15)
 
@@ -262,8 +262,7 @@ def test_rank_and_statevector_agree_per_sampled_graph():
     for _ in range(60):
         h = sample_hypergraph(spec, part, rng)
         r = graph_entropy_rank(h, part)
-        p = reduced_purity(build_sign_table(h), part)
-        assert p.as_fraction() == Fraction(1, 1 << r)
+        assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
 
 
 def test_entropy_stats_exhaustive_cz2():
@@ -314,7 +313,7 @@ def test_mc_orientation_flip_matches_manual():
     est = mc_moments(spec, part, 40, seed=19)
     rng = CounterRng(child_seed(19, 0))
     values = [
-        float(reduced_purity(build_sign_table(sample_hypergraph(spec, part, rng)), part))
+        float(ref_purity(7, sample_hypergraph(spec, part, rng).edges, part.a_mask))
         for _ in range(40)
     ]
     assert math.isclose(est.mean, sum(values) / 40, rel_tol=0, abs_tol=1e-15)
@@ -376,8 +375,8 @@ def test_mc_workers_deterministic_across_processes():
 
 
 def test_subset_kernel_matches_per_graph_purity():
-    # the cut-factored numerator for mask i must equal the packed
-    # purity of the i-th enumerated hypergraph
+    # the cut-factored numerator for mask i must equal the dense
+    # oracle's purity of the i-th enumerated hypergraph
     spec = EnsembleSpec(4, Family.CCZ, scope=Scope.ALL_EDGES)
     part = Bipartition(4, 0b0101)
     universe = edge_universe(spec, part)
@@ -385,8 +384,7 @@ def test_subset_kernel_matches_per_graph_purity():
     bits = (masks[:, np.newaxis] >> np.arange(len(universe))) & 1
     nums = _CutFactors(universe, part).numerators(bits)
     for mask, (h, _) in enumerate(enumerate_ensemble(spec, part)):
-        p = reduced_purity(build_sign_table(h), part)
-        assert Fraction(int(nums[mask]), 1 << 8) == p.as_fraction()
+        assert Fraction(int(nums[mask]), 1 << 8) == ref_purity(4, h.edges, part.a_mask)
 
 
 def test_sampling_quarter_probability():

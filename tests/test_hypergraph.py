@@ -1,4 +1,4 @@
-"""Edge canonicalization, sign evaluation, and packed table construction."""
+"""Edge canonicalization, sign evaluation, and packed superset toggles."""
 
 import random
 
@@ -10,16 +10,27 @@ from hyperent.hypergraph import (
     GraphFormatError,
     Hypergraph,
     _low_bit_pattern,
+    _n_words,
     all_k_edges,
-    build_sign_table,
     canonicalize_edges,
+    check_qubit_cap,
     format_graph_file,
     max_qubits,
     parse_graph_file,
     sign_at,
+    toggle_supersets,
 )
 
 from reference import ref_signs
+
+
+def sign_bits(h):
+    """0/1 sign bits of h's state over all 2^n basis states, one superset toggle per edge."""
+    n = h.n_qubits
+    words = np.zeros(_n_words(n), dtype=np.uint64)
+    for m in h.edge_masks:
+        toggle_supersets(words, m, n)
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n]
 
 
 def test_canonicalize_cancels_pairs():
@@ -66,14 +77,13 @@ def test_sign_at_examples():
         sign_at(h, 4)
 
 
-def test_build_sign_table_examples():
-    empty = build_sign_table(Hypergraph.from_gates(3, []))
-    assert empty.to_bits().tolist() == [0] * 8
-    bell = build_sign_table(Hypergraph.from_gates(2, [(0, 1)]))
-    assert bell.to_bits().tolist() == [0, 0, 0, 1]
-    triple = build_sign_table(Hypergraph.from_gates(3, [(0, 1, 2)]))
-    bits = triple.to_bits()
+def test_toggle_supersets_examples():
+    assert sign_bits(Hypergraph.from_gates(3, [])).tolist() == [0] * 8
+    assert sign_bits(Hypergraph.from_gates(2, [(0, 1)])).tolist() == [0, 0, 0, 1]
+    bits = sign_bits(Hypergraph.from_gates(3, [(0, 1, 2)]))
     assert bits.sum() == 1 and bits[0b111] == 1
+    with pytest.raises(ValueError):
+        toggle_supersets(np.zeros(1, dtype=np.uint64), 0b1000, 3)
 
 
 def test_zero_index_never_fires():
@@ -81,8 +91,7 @@ def test_zero_index_never_fires():
     for _ in range(20):
         n = rnd.randint(1, 9)
         edges = [tuple(sorted(rnd.sample(range(n), rnd.randint(1, n)))) for _ in range(5)]
-        t = build_sign_table(Hypergraph.from_gates(n, edges))
-        assert t.bit(0) == 0
+        assert sign_bits(Hypergraph.from_gates(n, edges))[0] == 0
 
 
 def test_table_matches_pointwise_signs():
@@ -94,10 +103,10 @@ def test_table_matches_pointwise_signs():
             k = rnd.randint(1, k_max)
             edges.add(tuple(sorted(rnd.sample(range(n), k))))
         h = Hypergraph(n, frozenset(edges))
-        t = build_sign_table(h)
         ref = ref_signs(n, h.edges)
+        assert (1 - 2 * sign_bits(h).astype(np.int64)).tolist() == ref.tolist()
         for x in rnd.sample(range(1 << n), min(200, 1 << n)):
-            assert t.sign(x) == sign_at(h, x) == ref[x]
+            assert sign_at(h, x) == ref[x]
 
 
 def test_construction_is_order_independent():
@@ -105,32 +114,32 @@ def test_construction_is_order_independent():
     n = 8
     edges = [tuple(sorted(rnd.sample(range(n), rnd.choice([2, 3])))) for _ in range(10)]
     edges = list(canonicalize_edges(edges, n))
-    base = build_sign_table(Hypergraph(n, frozenset(edges))).words
+    base = sign_bits(Hypergraph(n, frozenset(edges)))
     for _ in range(5):
         rnd.shuffle(edges)
         # single-edge tables composed by XOR, in shuffled order
         acc = np.zeros_like(base)
         for e in edges:
-            acc ^= build_sign_table(Hypergraph(n, frozenset({e}))).words
+            acc ^= sign_bits(Hypergraph(n, frozenset({e})))
         assert np.array_equal(acc, base)
 
 
 def test_single_edge_popcount():
     for n, k in [(4, 2), (6, 3), (8, 1), (10, 5)]:
         e = tuple(range(k))
-        t = build_sign_table(Hypergraph(n, frozenset({e})))
-        assert t.popcount() == 1 << (n - k)
+        assert sign_bits(Hypergraph(n, frozenset({e}))).sum() == 1 << (n - k)
 
 
 def test_cap_enforced(monkeypatch):
-    with pytest.raises(ValueError):
-        build_sign_table(Hypergraph.from_gates(12, []), cap=10)
     monkeypatch.setenv("HYPERENT_MAX_QUBITS", "10")
     assert max_qubits() == 10
-    with pytest.raises(ValueError):
-        build_sign_table(Hypergraph.from_gates(12, []))
+    with pytest.raises(ValueError, match="single-state qubit cap"):
+        check_qubit_cap(12)
     monkeypatch.setenv("HYPERENT_MAX_QUBITS", "12")
-    build_sign_table(Hypergraph.from_gates(12, []))
+    check_qubit_cap(12)
+    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "0")
+    with pytest.raises(ValueError):
+        max_qubits()
 
 
 def test_low_bit_pattern_brute_force():

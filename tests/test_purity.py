@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperent.purity as purity_mod
-from hyperent.hypergraph import Bipartition, Hypergraph, build_sign_table
+from hyperent.hypergraph import Bipartition, Hypergraph
 from hyperent.purity import (
     DyadicRational,
     gram_numerator,
     graph_cut_matrix,
     graph_entropy_rank,
-    reduced_purity,
     renyi2,
+    state_purity,
 )
 from hyperent.gf2 import pack_rows, rank
 from hyperent.reports import state_record
@@ -26,7 +26,7 @@ from reference import ref_purity
 
 def purity_of(n, edges, a_mask):
     h = Hypergraph.from_gates(n, edges)
-    return reduced_purity(build_sign_table(h), Bipartition(n, a_mask))
+    return state_purity(h, Bipartition(n, a_mask))
 
 
 def test_product_state_purity_one():
@@ -99,9 +99,9 @@ def test_range_and_exponent_bounds():
 
 
 def test_dimension_mismatch():
-    t = build_sign_table(Hypergraph.from_gates(3, [(0, 1)]))
+    h = Hypergraph.from_gates(3, [(0, 1)])
     with pytest.raises(ValueError):
-        reduced_purity(t, Bipartition(4, 0b0011))
+        state_purity(h, Bipartition(4, 0b0011))
 
 
 def test_renyi2_values():
@@ -165,11 +165,10 @@ def test_rank_purity_equivalence_all_cuts():
     for n in range(2, 7):
         edges = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(2 * n)}
         h = Hypergraph(n, frozenset(edges))
-        t = build_sign_table(h)
         for a_mask in range(1, (1 << n) - 1):
             part = Bipartition(n, a_mask)
             r = graph_entropy_rank(h, part)
-            assert reduced_purity(t, part).as_fraction() == Fraction(1, 1 << r)
+            assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
 
 
 def test_rank_purity_equivalence_larger_random_cuts():
@@ -178,11 +177,10 @@ def test_rank_purity_equivalence_larger_random_cuts():
         n = rnd.randint(7, 10)
         edges = {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(3 * n)}
         h = Hypergraph(n, frozenset(edges))
-        t = build_sign_table(h)
         a_mask = rnd.randint(1, (1 << n) - 2)
         part = Bipartition(n, a_mask)
         r = graph_entropy_rank(h, part)
-        assert reduced_purity(t, part).as_fraction() == Fraction(1, 1 << r)
+        assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
 
 
 def test_blocked_paths_match_oracle(monkeypatch):
@@ -196,18 +194,6 @@ def test_blocked_paths_match_oracle(monkeypatch):
         a_mask = rnd.randint(1, (1 << n) - 2)
         got = purity_of(n, edges, a_mask).as_fraction()
         assert got == ref_purity(n, edges, a_mask)
-
-
-def test_sign_matrix_blocking(monkeypatch):
-    from hyperent.purity import sign_matrix_bits
-
-    h = Hypergraph.from_gates(6, [(0, 3), (1, 4), (2, 5), (0, 1, 2)])
-    part = Bipartition.from_first(6, 3)
-    table = build_sign_table(h)
-    base = sign_matrix_bits(table, part).copy()
-
-    monkeypatch.setattr(purity_mod, "_GATHER_BLOCK_ENTRIES", 16)  # 2 rows per block
-    assert (sign_matrix_bits(table, part) == base).all()
 
 
 @st.composite
