@@ -195,10 +195,6 @@ def _cmd_rankdist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
         over = ", over budget" if result.over_budget else ""
@@ -246,6 +242,10 @@ def _cmd_formula(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # refused before any command computes or writes anything
+    if getattr(args, "workers", 1) < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
     handlers = {
         "state": _cmd_state,
         "moments": _cmd_moments,

@@ -7,7 +7,11 @@ bits are zero.  :func:`pack_rows` is the one packer of that format:
 it.  ``batch_rank`` eliminates a whole stack of matrices at
 once, row by row, with the lowest set bit of each row as its pivot and
 no row swaps, which is what makes rank workloads of 10^5-10^6 random
-matrices cheap.
+matrices cheap.  Each step masks the pivot bit out of every word with
+whole-array operations, with no per-matrix index gather, so a stack of
+one-word rows costs little more than its XORs.  The rank law draws and
+ranks its matrices in batches of at most ``_RANK_BATCH`` (4096), so each
+batch stays cache-sized.
 """
 
 from __future__ import annotations
@@ -89,6 +93,13 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     later row then keeps an earlier pivot bit, so the nonzero rows that
     remain are independent and their count is the rank.  No rows are
     swapped.  Input is not modified.
+
+    The pivot needs no gather: ``row & (~row + 1)`` keeps the lowest set
+    bit of every word of row i, and every word after the row's first
+    nonzero word is zeroed, so ``low`` holds the pivot bit alone (or
+    nothing, for a zero row) and a later row has the pivot exactly when
+    some word of ``later & low`` is nonzero.  Matrices whose pivots lie
+    in different words share the step.
     """
     if words.ndim != 3:
         raise ValueError("expected (batch, rows, words) uint64")
@@ -97,14 +108,12 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
         return np.zeros(batch, dtype=np.int64)
     # (rows, words, batch): each row's words are contiguous over the batch
     work = np.array(words.transpose(1, 2, 0), dtype=np.uint64, order="C")
-    batch_ids = np.arange(batch)
     for i in range(n_rows - 1):
         row = work[i]
-        w = np.argmax(row != 0, axis=0)
-        p = row[w, batch_ids]
-        low = p & (~p + np.uint64(1))
+        low = row & (~row + np.uint64(1))
+        low[1:] *= ~np.logical_or.accumulate(row[:-1] != 0, axis=0)
         later = work[i + 1 :]
-        has = (later[:, w, batch_ids] & low) != 0
+        has = ((later & low) != 0).any(axis=1)
         later ^= row * has[:, np.newaxis, :]
     return np.count_nonzero(work.any(axis=1), axis=0).astype(np.int64)
 
@@ -176,16 +185,22 @@ class RankHistogram:
 
 
 _BATCH_TARGET_WORDS = 1 << 21
+_RANK_BATCH = 4096  # matrices per batch_rank call: 16 x 16 stacks of 512 KiB
 
 
 def empirical_rank_distribution(n: int, samples: int, rng: CounterRng) -> RankHistogram:
-    """Sample iid uniform n x n matrices and histogram the rank defect."""
+    """Sample iid uniform n x n matrices and histogram the rank defect.
+
+    Matrices are drawn and ranked in batches of at most ``_RANK_BATCH``
+    matrices and ``_BATCH_TARGET_WORDS`` words; draws are consumed in
+    order, so the histogram does not depend on the batch size.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hist = RankHistogram(n)
-    chunk = max(1, _BATCH_TARGET_WORDS // (n * _n_words(n)))
+    chunk = max(1, min(_RANK_BATCH, _BATCH_TARGET_WORDS // (n * _n_words(n))))
     done = 0
     while done < samples:
         take = min(chunk, samples - done)

@@ -51,17 +51,23 @@ def child_seed(seed: int, worker: int) -> int:
     return stream_at(seed, worker)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
-
-
 def stream_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws [start, start+count) of the stream, as a uint64 array."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    states = np.uint64(seed & _MASK64) + idx * np.uint64(GAMMA)
-    return _mix64_array(states)
+    """Draws [start, start+count) of the stream, as a uint64 array.
+
+    The finalizer runs in place on the one output array, with one
+    scratch array for the shifts; uint64 arithmetic wraps mod 2**64.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed & _MASK64)
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def threshold_u64(p: Fraction) -> int:

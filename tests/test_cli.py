@@ -300,6 +300,29 @@ def test_verify_workers_below_one_exit_2(capsys, monkeypatch, suite):
     assert "PASS" not in err and "FAIL" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--family", "cz", "--n", "8", "--samples", "50", "--workers", "0"],
+        ["moments", "--family", "cz", "--n", "6", "--exhaustive", "--workers", "-1"],
+        ["rankdist", "--n", "8", "--samples", "50", "--workers", "0"],
+        ["rankdist", "--n", "8", "--samples", "50", "--workers", "-2", "--format", "json"],
+    ],
+)
+def test_sampling_workers_below_one_exit_2(capsys, monkeypatch, tmp_path, argv):
+    # a usage error, as for verify: refused before anything is computed or written
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before --workers was checked")
+
+    monkeypatch.setattr(cli, "compute_moments_row", boom)
+    monkeypatch.setattr(cli, "rankdist_rows", boom)
+    out_file = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err == "error: --workers must be >= 1\n"
+
+
 def test_verify_criterion_6_checks_state_purity(capsys, monkeypatch):
     # criterion 6 must check the single-state route the CLI runs
     monkeypatch.setattr(verify, "state_purity", lambda h, part: DyadicRational(3, 2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperent.gf2 as gf2_mod
 from hyperent.formulas import rank_defect_probability
 from hyperent.gf2 import (
     Gf2Matrix,
@@ -212,3 +213,81 @@ def test_batch_rank_matches_dense_oracle(case):
     got = batch_rank(stack, cols)
     assert got.tolist() == [ref_gf2_rank(d) for d in mats]
     assert np.array_equal(stack, before)
+
+
+@st.composite
+def _mixed_word_stacks(draw):
+    """Multi-word stacks with zero words in rows, so pivots sit in different words.
+
+    Matrix 0 keeps every row's first word and matrix 1 zeroes all but
+    the last word of every row, so at every elimination step the batch
+    holds pivots in word 0 and in the last word.  The other matrices
+    zero a drawn set of words per row (leading ones, or ones between
+    nonzero words), and some of their rows are sums of earlier rows.
+    """
+    cols = draw(st.integers(65, 256), label="cols")
+    n_w = (cols + 63) // 64
+    rows = draw(st.integers(1, 12), label="rows")
+    batch = draw(st.integers(2, 7), label="batch")
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    mats = []
+    for m in range(batch):
+        dense = rnd.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        for i in range(rows):
+            if m == 0:
+                dense[i, 0] = 1
+            elif m == 1:
+                dense[i, : 64 * (n_w - 1)] = 0
+                dense[i, 64 * (n_w - 1)] = 1
+            else:
+                zero = draw(st.lists(st.booleans(), min_size=n_w, max_size=n_w), label="zero")
+                for w in np.flatnonzero(zero):
+                    dense[i, 64 * w : 64 * (w + 1)] = 0
+                if i >= 2 and draw(st.booleans(), label="dependent"):
+                    dense[i] = dense[i - 1] ^ dense[i - 2]
+        mats.append(dense)
+    return cols, mats
+
+
+@settings(deadline=None)
+@given(_mixed_word_stacks())
+def test_batch_rank_mixed_pivot_words(case):
+    cols, mats = case
+    first_word = [int(np.flatnonzero(d[0])[0]) >> 6 for d in mats[:2]]
+    assert first_word[0] != first_word[1]  # the batch pivots in two words at step 0
+    stack = np.stack([Gf2Matrix.from_dense(d).row_words for d in mats])
+    assert batch_rank(stack, cols).tolist() == [ref_gf2_rank(d) for d in mats]
+
+
+def _batch_sizes(monkeypatch) -> list:
+    """Record the batch size of every batch_rank call the rank law makes."""
+    sizes = []
+    real = gf2_mod.batch_rank
+    monkeypatch.setattr(gf2_mod, "batch_rank", lambda w, c: sizes.append(w.shape[0]) or real(w, c))
+    return sizes
+
+
+@pytest.mark.parametrize("n, samples", [(5, 60), (16, 45), (70, 9)])
+def test_rank_distribution_independent_of_batch_cap(monkeypatch, n, samples):
+    # draws are consumed in order, so the cap moves neither the counts nor the cursor
+    sizes = _batch_sizes(monkeypatch)
+    results = {}
+    for cap in [1, 7, gf2_mod._RANK_BATCH]:
+        monkeypatch.setattr(gf2_mod, "_RANK_BATCH", cap)
+        sizes.clear()
+        rng = CounterRng(31, cursor=5)
+        hist = empirical_rank_distribution(n, samples, rng)
+        assert sizes == [min(cap, samples - d) for d in range(0, samples, cap)]
+        results[cap] = (hist.counts, hist.samples, rng.cursor)
+    assert results[1] == results[7] == results[gf2_mod._RANK_BATCH]
+    assert results[1][2] == 5 + samples * n * ((n + 63) // 64)
+
+
+def test_rank_batches_capped_by_matrices_and_words(monkeypatch):
+    sizes = _batch_sizes(monkeypatch)
+    empirical_rank_distribution(16, 5000, CounterRng(3))
+    assert sizes == [4096, 904]
+    sizes.clear()
+    monkeypatch.setattr(gf2_mod, "_BATCH_TARGET_WORDS", 3 * 16)  # three 16 x 16 matrices
+    empirical_rank_distribution(16, 7, CounterRng(3))
+    assert sizes == [3, 3, 1]

@@ -60,3 +60,12 @@ def test_bernoulli_rejects_bad_probability():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_block_wraps_past_2_32_and_at_top_seed():
+    # the in-place finalizer must keep every uint64 wraparound of the pointwise formula
+    top = (1 << 64) - 1
+    for seed, start in [(top, (1 << 32) + 3), (top, (1 << 40) - 7), (0, 1 << 33)]:
+        block = stream_block(seed, start, 50)
+        assert block.dtype == np.uint64 and block.shape == (50,)
+        assert block.tolist() == [stream_at(seed, start + i) for i in range(50)]
