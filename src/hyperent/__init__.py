@@ -21,7 +21,6 @@ from .ensembles import (
     EnsembleSpec,
     EntropyStats,
     Family,
-    Method,
     MomentEstimate,
     Scope,
     edge_universe,
@@ -43,7 +42,6 @@ __all__ = [
     "Family",
     "Gf2Matrix",
     "Hypergraph",
-    "Method",
     "MomentEstimate",
     "RankHistogram",
     "Scope",

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import formulas, verify
-from .ensembles import EnsembleSpec, Family, Method, Scope
+from .ensembles import EnsembleSpec, Family, Scope
 from .hypergraph import Bipartition, GraphFormatError, parse_graph_file
 from .reports import (
     MOMENTS_COLUMNS,
@@ -38,7 +38,6 @@ _FAMILIES = {
     "k-uniform": Family.K_UNIFORM,
 }
 _SCOPES = {"cross": Scope.CROSS_ONLY, "all": Scope.ALL_EDGES}
-_METHODS = {"auto": None, "rank": Method.RANK, "statevector": Method.STATE_VECTOR}
 
 
 def _int_list(text: str) -> list[int]:
@@ -67,8 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="purity and entropy of one graph-file state")
     p_state.add_argument("--graph-file", required=True)
-    p_state.add_argument("--na", type=int, help="subsystem A = the NA lowest qubit indices")
-    p_state.add_argument("--a-mask", type=lambda s: int(s, 0), help="explicit A bit mask")
+    p_cut = p_state.add_mutually_exclusive_group()
+    p_cut.add_argument("--na", type=int, help="subsystem A = the NA lowest qubit indices")
+    p_cut.add_argument("--a-mask", type=lambda s: int(s, 0), help="explicit A bit mask")
     p_state.add_argument("--format", choices=["text", "json"], default="text")
     p_state.add_argument("--out")
 
@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--samples", type=int)
     p_mom.add_argument("--exhaustive", action="store_true")
     p_mom.add_argument("--seed", type=int, default=0)
-    p_mom.add_argument("--method", choices=sorted(_METHODS), default="auto")
     p_mom.add_argument("--workers", type=int, default=1)
     p_mom.add_argument("--format", choices=["csv", "json"], default="csv")
     p_mom.add_argument("--out")
@@ -154,7 +153,6 @@ def _cmd_moments(args) -> int:
                 Bipartition.from_first(n, n_a),
                 None if args.exhaustive else args.samples,
                 args.seed,
-                _METHODS[args.method],
                 args.workers,
             )
 

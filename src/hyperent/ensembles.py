@@ -8,19 +8,20 @@ a fixed (seed, worker count) and trivially parallel: worker w owns a
 contiguous slice of the sample range and the child stream w
 (:func:`split_run`).
 
-The two modes reach the purity numerators by two routes.  Exhaustive
-moments count: :func:`_subset_numerators` returns every subset's
-numerator at once from per-side histograms of which edge parts each
-basis state contains, by Walsh-Hadamard and subset transforms over the
-2^u subsets, with no state, sign row or Gram matrix built.  Monte Carlo
-turns each batch of sampled edge choices into sign rows through
-:class:`_CutFactors`, which feeds the batched Gram numerator
-:func:`purity.gram_numerator` on one BLAS thread.  2-edge families can
-use the GF(2) rank of the cut block in either mode instead.
+Each mode has one route to the purity numerators.  Exhaustive moments
+count: :func:`_subset_numerators` returns every subset's numerator at
+once from per-side histograms of which edge parts each basis state
+contains, by Walsh-Hadamard and subset transforms over the 2^u subsets,
+with no state, sign row or Gram matrix built.  Monte Carlo ranks the cut block over GF(2) for 2-edge families
+(purity = 2^-rank), and otherwise turns each batch of sampled edge
+choices into sign rows through :class:`_CutFactors`, which feeds the
+batched Gram numerator :func:`purity.gram_numerator` on one BLAS
+thread.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
-and floats appear only in entropy (log) values.
+and floats appear only in entropy (log) values; 2-edge numerators are
+powers of two, so those entropies stay integers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Edge, Hypergraph, _n_words, all_k_edges, toggle_supersets
+from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges, toggle_supersets
 from .purity import (
     _cross_parts,
     _one_blas_thread,
@@ -52,7 +53,7 @@ _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
 _SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
-_TALLY_CHUNK = 1 << 16  # subsets per rank batch and per np.unique call of the exhaustive tally
+_TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
 _TRANSFORM_BYTES = 1 << 30  # budget for the two 2^u int64 arrays of the subset transform
 
 
@@ -66,11 +67,6 @@ class Family(enum.Enum):
 class Scope(enum.Enum):
     ALL_EDGES = "all"
     CROSS_ONLY = "cross"
-
-
-class Method(enum.Enum):
-    RANK = "rank"
-    STATE_VECTOR = "statevector"
 
 
 class EnumerationCapError(ValueError):
@@ -205,14 +201,6 @@ def enumerate_ensemble(
         yield Hypergraph(spec.n_qubits, edges), subset_weight(spec, c, u - c)
 
 
-def _resolve_method(spec: EnsembleSpec, method: Method | None) -> Method:
-    if method is None:
-        return Method.RANK if spec.edge_arity == 2 else Method.STATE_VECTOR
-    if method is Method.RANK and spec.edge_arity != 2:
-        raise ValueError("the rank method applies only to 2-edge families")
-    return method
-
-
 def _cut_order(universe: list[Edge], part: Bipartition) -> np.ndarray:
     """Universe position of the edge at each cell of the (n_A, n_B) cut block, row-major.
 
@@ -246,7 +234,7 @@ class _CutFactors:
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
         self.n_edges = len(universe)
-        self.words = _n_words(self.part.n_b)
+        self.words = gf2._n_words(self.part.d_b)
         # uint64 words of one sample's rows, or of its chosen edge columns
         self.sample_words = self.words * max(self.part.d_a, self.n_edges)
         if 8 * self.sample_words > _SAMPLE_BYTES:
@@ -367,15 +355,13 @@ def _tally(tally: Counter, lo: int, nums: np.ndarray) -> None:
         tally[int(c), int(vals[i])] += int(grid[i, c])
 
 
-def _exhaustive_stats(
-    spec: EnsembleSpec, part: Bipartition, method: Method, cap_bits: int
-) -> EntropyStats:
+def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition, cap_bits: int) -> EntropyStats:
     """Exact purity and entropy moments over every subset of the universe.
 
     Subsets with c edges share the weight p^c (1-p)^(u-c), so the
     subsets are tallied by (edge count, numerator) and each distinct key
-    is weighted once.  Rank entropies are integers, so their moments are
-    exact rationals too.
+    is weighted once.  A 2-edge numerator is 2^(2N - rank), so those
+    entropies are integers and their moments exact rationals too.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
@@ -383,23 +369,18 @@ def _exhaustive_stats(
         raise EnumerationCapError(f"universe of {u} edges exceeds the 2^{cap_bits}-subset cap")
     n = spec.n_qubits
     tally = Counter()
-    if method is Method.RANK:
-        order = _cut_order(universe, part)
-        for lo in range(0, 1 << u, _TALLY_CHUNK):
-            masks = np.arange(lo, min(1 << u, lo + _TALLY_CHUNK), dtype=np.uint64)
-            bits = ((masks[:, np.newaxis] >> np.arange(u, dtype=np.uint64)) & 1).astype(np.uint8)
-            _tally(tally, lo, np.left_shift(1, 2 * n - _cut_ranks(bits, order, part)))
-    else:
-        nums = _subset_numerators(universe, part)
-        for lo in range(0, nums.size, _TALLY_CHUNK):
-            _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK])
+    nums = _subset_numerators(universe, part)
+    for lo in range(0, nums.size, _TALLY_CHUNK):
+        _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK])
     keys = sorted(tally)
-    entropies = 2 * n - np.log2(np.array([num for _, num in keys], dtype=np.int64))
+    graph = spec.edge_arity == 2
+    if graph:
+        entropies = [2 * n - (num.bit_length() - 1) for _, num in keys]
+    else:
+        entropies = (2 * n - np.log2(np.array([num for _, num in keys], dtype=np.int64))).tolist()
     sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
-    for (c, num), s2 in zip(keys, entropies.tolist()):
+    for (c, num), s2 in zip(keys, entropies):
         mult = tally[c, num]
-        if method is Method.RANK:
-            s2 = int(s2)
         acc = sums[c]
         acc[0] += mult * num
         acc[1] += mult * num * num
@@ -410,7 +391,7 @@ def _exhaustive_stats(
         w = subset_weight(spec, c, u - c)
         p_mean += w * Fraction(num, 1 << (2 * n))
         p_second += w * Fraction(num_sq, 1 << (4 * n))
-        w_s = w if method is Method.RANK else float(w)
+        w_s = w if graph else float(w)
         s_mean += w_s * s
         s_second += w_s * s_sq
     p_var = p_second - p_mean * p_mean
@@ -425,11 +406,10 @@ def _exhaustive_stats(
 def exact_moments(
     spec: EnsembleSpec,
     part: Bipartition,
-    method: Method | None = None,
     cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
 ) -> MomentEstimate:
     """Exact purity mean and variance by full enumeration of the ensemble."""
-    return _exhaustive_stats(spec, part, _resolve_method(spec, method), cap_bits).purity
+    return _exhaustive_stats(spec, part, cap_bits).purity
 
 
 def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
@@ -464,13 +444,14 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
 
 def _stream_worker(args) -> tuple[int, float, float, float, float]:
     """Per-worker sampling: returns (n, sum P, sum P^2, sum S2, sum S2^2)."""
-    spec, part, method, count, wseed = args
+    spec, part, count, wseed = args
     universe = edge_universe(spec, part)
     u = len(universe)
     n = spec.n_qubits
     thr = threshold_u64(spec.edge_probability)
     always = thr >= 1 << 64
-    if method is Method.RANK:
+    graph = spec.edge_arity == 2
+    if graph:
         values = functools.partial(_cut_ranks, order=_cut_order(universe, part), part=part)
     else:
         values = _CutFactors(universe, part).numerators
@@ -485,7 +466,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
             bits = np.ones((k, u), dtype=bool) if always else draws < np.uint64(thr)
             pieces.append(values(bits))
         vals = np.concatenate(pieces)
-        if method is Method.RANK:
+        if graph:
             p = np.ldexp(1.0, -vals)
             s2 = vals.astype(np.float64)
         else:
@@ -499,9 +480,9 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     return tuple(sums)
 
 
-def _run_sampling(spec, part, samples, seed, method, workers):
+def _run_sampling(spec, part, samples, seed, workers):
     merged = [0, 0.0, 0.0, 0.0, 0.0]
-    for r in split_run(_stream_worker, samples, seed, workers, spec, part, method):
+    for r in split_run(_stream_worker, samples, seed, workers, spec, part):
         for i in range(5):
             merged[i] += r[i]
     return merged
@@ -512,14 +493,12 @@ def mc_moments(
     part: Bipartition,
     samples: int,
     seed: int,
-    method: Method | None = None,
     workers: int = 1,
 ) -> MomentEstimate:
     """Monte Carlo purity moments; deterministic for fixed (seed, workers)."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    meth = _resolve_method(spec, method)
-    n, p_sum, p2_sum, _, _ = _run_sampling(spec, part, samples, seed, meth, workers)
+    n, p_sum, p2_sum, _, _ = _run_sampling(spec, part, samples, seed, workers)
     return _mc_estimate(n, p_sum, p2_sum)
 
 
@@ -528,19 +507,17 @@ def entropy_stats(
     part: Bipartition,
     samples: int | None = None,
     seed: int = 0,
-    method: Method | None = None,
     workers: int = 1,
     cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
 ) -> EntropyStats:
     """Entropy statistics (per-state -log2 P) beside the purity statistics.
 
-    ``samples=None`` enumerates exhaustively; rank-method entropies are
+    ``samples=None`` enumerates exhaustively; 2-edge entropies are
     integers, so their exhaustive mean and variance are exact rationals.
     """
-    meth = _resolve_method(spec, method)
     if samples is None:
-        return _exhaustive_stats(spec, part, meth, cap_bits)
+        return _exhaustive_stats(spec, part, cap_bits)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    n, p_sum, p2_sum, s_sum, s2_sum = _run_sampling(spec, part, samples, seed, meth, workers)
+    n, p_sum, p2_sum, s_sum, s2_sum = _run_sampling(spec, part, samples, seed, workers)
     return EntropyStats(_mc_estimate(n, s_sum, s2_sum), _mc_estimate(n, p_sum, p2_sum))

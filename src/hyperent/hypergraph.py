@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
+
 Edge = tuple[int, ...]
 
 DEFAULT_MAX_QUBITS = 26
@@ -78,7 +80,7 @@ class Hypergraph:
 
     ``edges`` must already be canonical (use :func:`canonicalize_edges`
     or :meth:`from_gates` for raw input).  Edge bitmasks are cached for
-    the monomial inner loop.
+    the sign and cut-row routines.
     """
 
     n_qubits: int
@@ -170,10 +172,6 @@ class Bipartition:
         return Bipartition(self.n_qubits, self.b_mask)
 
 
-def _n_words(n: int) -> int:
-    return max(1, (1 << n) >> 6)
-
-
 # Entry i has bit j set iff bit i of j is set: 0xAAAA..., 0xCCCC..., ..., 0xFFFFFFFF00000000.
 _LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> i & 1) for i in range(6))
 
@@ -196,7 +194,7 @@ def toggle_supersets(words: np.ndarray, mask: int, n: int) -> None:
     touched word, with no index arrays.
     """
     high_bits = max(0, n - 6)
-    if mask >> n or words.shape != (_n_words(n),) or not words.flags.c_contiguous:
+    if mask >> n or words.shape != (gf2._n_words(1 << n),) or not words.flags.c_contiguous:
         raise ValueError("mask must be below 2^n and words a contiguous 2^n-bit table")
     # C order is big-endian: axis k of the (2,) * high_bits reshape is word-index bit high_bits-1-k
     select = tuple(

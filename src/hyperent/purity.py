@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import Gf2Matrix
-from .hypergraph import Bipartition, Hypergraph, _n_words, check_qubit_cap, toggle_supersets
+from .hypergraph import Bipartition, Hypergraph, check_qubit_cap, toggle_supersets
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def cut_rows(h: Hypergraph, part: Bipartition) -> np.ndarray:
     if h.n_qubits != part.n_qubits:
         raise ValueError("graph and bipartition disagree on qubit count")
     check_qubit_cap(h.n_qubits)
-    rows = np.zeros((part.d_a, _n_words(part.n_b)), dtype=np.uint64)
+    rows = np.zeros((part.d_a, gf2._n_words(part.d_b)), dtype=np.uint64)
     _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), part)
     for m_a, m_b in zip(a_parts.tolist(), b_parts.tolist()):
         toggle_supersets(rows[m_a], m_b, part.n_b)

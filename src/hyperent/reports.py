@@ -15,7 +15,6 @@ from . import formulas
 from .ensembles import (
     EnsembleSpec,
     Family,
-    Method,
     MomentEstimate,
     exact_moments,
     mc_moments,
@@ -119,13 +118,12 @@ def compute_moments_row(
     part: Bipartition,
     samples: int | None,
     seed: int,
-    method: Method | None,
     workers: int,
 ) -> dict:
     if samples is None:
-        estimate = exact_moments(spec, part, method=method)
+        estimate = exact_moments(spec, part)
     else:
-        estimate = mc_moments(spec, part, samples, seed, method=method, workers=workers)
+        estimate = mc_moments(spec, part, samples, seed, workers=workers)
     return moments_row(spec, part, estimate)
 
 

@@ -20,7 +20,6 @@ from . import formulas
 from .ensembles import (
     EnsembleSpec,
     Family,
-    Method,
     Scope,
     entropy_stats,
     exact_moments,
@@ -99,7 +98,7 @@ def _timed(fn):
 def criterion_01_cz_exact_mean(workers: int = 1) -> CriterionResult:
     spec = EnsembleSpec(8, Family.CZ, scope=Scope.CROSS_ONLY)
     part = Bipartition.from_first(8, 4)
-    est = exact_moments(spec, part, method=Method.RANK)
+    est = exact_moments(spec, part)
     expected = formulas.cz_avg_purity(4, 4)
     return CriterionResult(
         "1",
@@ -116,7 +115,7 @@ def criterion_01_cz_exact_mean(workers: int = 1) -> CriterionResult:
 def criterion_02_cz_exact_variance(workers: int = 1) -> CriterionResult:
     spec = EnsembleSpec(8, Family.CZ, scope=Scope.CROSS_ONLY)
     part = Bipartition.from_first(8, 4)
-    est = exact_moments(spec, part, method=Method.RANK)
+    est = exact_moments(spec, part)
     expected = Fraction(225, 65536)
     closed_form = formulas.cz_purity_variance(4, 4)
     return CriterionResult(
@@ -135,7 +134,7 @@ def criterion_02_cz_exact_variance(workers: int = 1) -> CriterionResult:
 def criterion_03_ccz_exact_mean(workers: int = 1) -> CriterionResult:
     spec = EnsembleSpec(6, Family.CCZ, scope=Scope.CROSS_ONLY)
     part = Bipartition.from_first(6, 3)
-    est = exact_moments(spec, part, method=Method.STATE_VECTOR)
+    est = exact_moments(spec, part)
     expected = Fraction(1104, 4096)
     closed_form = formulas.ccz_avg_purity(3, 3)
     residual = abs(est.mean - expected) / expected
@@ -163,7 +162,7 @@ def criterion_04_half_ccz_exact(workers: int = 1) -> CriterionResult:
         n = n_a + n_b
         spec = EnsembleSpec(n, Family.CCZ_HALF)
         part = Bipartition.from_first(n, n_a)
-        est = exact_moments(spec, part, method=Method.STATE_VECTOR)
+        est = exact_moments(spec, part)
         want_mean = formulas.ccz_half_avg_purity(n_a, n_b)
         want_var = formulas.ccz_half_purity_variance(n_a, n_b, formulas.CountSource.EXACT)
         observed.append(f"({n_a},{n_b}): mean {est.mean}, var {est.variance}")
@@ -233,11 +232,11 @@ def criterion_06_rank_purity_equivalence(workers: int = 1) -> CriterionResult:
 def criterion_07_mc_consistency(workers: int = 1) -> CriterionResult:
     spec_cz = EnsembleSpec(16, Family.CZ, scope=Scope.CROSS_ONLY)
     part_cz = Bipartition.from_first(16, 8)
-    est_cz = mc_moments(spec_cz, part_cz, 100_000, SEED_MC_CZ, Method.RANK, workers)
+    est_cz = mc_moments(spec_cz, part_cz, 100_000, SEED_MC_CZ, workers)
     z_cz = (est_cz.mean - float(formulas.cz_avg_purity(8, 8))) / est_cz.std_error_mean
     spec_ccz = EnsembleSpec(14, Family.CCZ, scope=Scope.CROSS_ONLY)
     part_ccz = Bipartition.from_first(14, 7)
-    est_ccz = mc_moments(spec_ccz, part_ccz, 10_000, SEED_MC_CCZ, None, workers)
+    est_ccz = mc_moments(spec_ccz, part_ccz, 10_000, SEED_MC_CCZ, workers)
     z_ccz = (est_ccz.mean - float(formulas.ccz_avg_purity(7, 7))) / est_ccz.std_error_mean
     return CriterionResult(
         "7",
@@ -254,7 +253,7 @@ def criterion_07_mc_consistency(workers: int = 1) -> CriterionResult:
 def criterion_08_ccz_variance_order(workers: int = 1) -> CriterionResult:
     spec = EnsembleSpec(6, Family.CCZ, scope=Scope.CROSS_ONLY)
     part = Bipartition.from_first(6, 3)
-    est = exact_moments(spec, part, method=Method.STATE_VECTOR)
+    est = exact_moments(spec, part)
     leading, _ = formulas.ccz_purity_variance_leading(3, 3)
     ratio = float(est.variance) / leading
     return CriterionResult(
@@ -292,11 +291,11 @@ def criterion_09_rank_distribution(workers: int = 1) -> CriterionResult:
 def criterion_10_entropy_variance_separation(workers: int = 1) -> CriterionResult:
     spec_cz = EnsembleSpec(32, Family.CZ, scope=Scope.CROSS_ONLY)
     part_cz = Bipartition.from_first(32, 16)
-    cz = entropy_stats(spec_cz, part_cz, 100_000, SEED_ENTROPY_CZ, Method.RANK, workers)
+    cz = entropy_stats(spec_cz, part_cz, 100_000, SEED_ENTROPY_CZ, workers)
     var_cz = cz.entropy.variance
     spec_ccz = EnsembleSpec(12, Family.CCZ, scope=Scope.CROSS_ONLY)
     part_ccz = Bipartition.from_first(12, 6)
-    ccz = entropy_stats(spec_ccz, part_ccz, 2000, SEED_ENTROPY_CCZ, None, workers)
+    ccz = entropy_stats(spec_ccz, part_ccz, 2000, SEED_ENTROPY_CCZ, workers)
     var_ccz = ccz.entropy.variance
     bound_ccz = formulas.entropy_variance_bound(12, "ccz").value
     lower = formulas.avg_entropy_lower_bound(6, 6)
@@ -316,7 +315,7 @@ def criterion_10_entropy_variance_separation(workers: int = 1) -> CriterionResul
 def _mc_report_bytes() -> bytes:
     spec = EnsembleSpec(16, Family.CZ, scope=Scope.CROSS_ONLY)
     part = Bipartition.from_first(16, 8)
-    est = mc_moments(spec, part, 100_000, SEED_MC_CZ, Method.RANK, workers=1)
+    est = mc_moments(spec, part, 100_000, SEED_MC_CZ, workers=1)
     moments_csv = to_csv(MOMENTS_COLUMNS, [moments_row(spec, part, est)])
     rank_csv = to_csv(RANKDIST_COLUMNS, rankdist_rows(16, 100_000, SEED_RANKDIST, workers=1))
     return (moments_csv + rank_csv).encode()

@@ -11,7 +11,6 @@ PUBLIC = {
     "Family",
     "Gf2Matrix",
     "Hypergraph",
-    "Method",
     "MomentEstimate",
     "RankHistogram",
     "Scope",

@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hyperent.purity import DyadicRational
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,32 @@ def test_state_above_cap_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 3
     assert "exceeds the single-state qubit cap (10)" in err
+
+
+def test_state_na_and_a_mask_exclusive_exit_2(tmp_path, capsys):
+    # one flag must not silently win over the other
+    f = tmp_path / "path.graph"
+    f.write_text("n 4\n0 1\n2 3\n0 2\n")
+    assert run_cli(capsys, "state", "--graph-file", str(f), "--na", "1")[:2] == (
+        0,
+        "purity = 1/2^1 = 0.5\nrenyi2 = 1.0\n",
+    )
+    assert run_cli(capsys, "state", "--graph-file", str(f), "--a-mask", "0x5")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["state", "--graph-file", str(f), "--na", "1", "--a-mask", "0x5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every example in the README's CLI block must name flags the parser knows
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    examples = [argv[1:] for argv in examples if argv[:1] == ["hyperent"]]
+    assert len(examples) >= 5
+    parser = cli._build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_state_missing_file_exit_2(capsys):
@@ -362,22 +391,22 @@ def test_criterion_checks_pinned_value_against_closed_form(monkeypatch, criterio
 
 
 def test_verify_fault_injection_names_criterion(capsys, monkeypatch):
-    # corrupt the rank routine: every exhaustive rank criterion must fail
-    # and the report must say which one
+    # corrupt the rank routine: the rank/purity criterion must fail and
+    # the report must say which one
     real = gf2.batch_rank
 
     def corrupted(words, cols):
         return np.minimum(real(words, cols) + 1, min(words.shape[1], cols))
 
     monkeypatch.setattr(gf2, "batch_rank", corrupted)
-    monkeypatch.setattr(verify, "QUICK_IDS", {"1", "4"})
+    monkeypatch.setattr(verify, "QUICK_IDS", {"4", "6"})
     code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
     assert code == 1
     doc = json.loads(out)
     by_id = {c["criterion"]: c for c in doc["criteria"]}
-    assert by_id["1"]["passed"] is False
-    assert by_id["1"]["name"] == "exact-cz-mean"
-    assert by_id["4"]["passed"] is True  # state-vector route unaffected
+    assert by_id["6"]["passed"] is False
+    assert by_id["6"]["name"] == "rank-purity-equivalence"
+    assert by_id["4"]["passed"] is True  # the counting route ranks nothing
 
 
 def test_out_files_match_stdout(tmp_path, capsys):
@@ -394,7 +423,7 @@ def test_verify_survives_crashing_criterion(capsys, monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(gf2, "batch_rank", boom)
-    monkeypatch.setattr(verify, "QUICK_IDS", {"1"})
+    monkeypatch.setattr(verify, "QUICK_IDS", {"6"})
     code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
     assert code == 1
     doc = json.loads(out)

@@ -15,7 +15,6 @@ from hyperent.ensembles import (
     EnsembleSpec,
     EnumerationCapError,
     Family,
-    Method,
     Scope,
     edge_universe,
     enumerate_ensemble,
@@ -141,13 +140,12 @@ def test_exact_moments_pinned_values():
 
 
 def test_exact_moments_methods_agree():
-    for n, n_a in [(4, 2), (5, 2), (6, 3)]:
-        spec = EnsembleSpec(n, Family.CZ)
-        part = Bipartition.from_first(n, n_a)
-        by_rank = exact_moments(spec, part, method=Method.RANK)
-        by_state = exact_moments(spec, part, method=Method.STATE_VECTOR)
-        assert by_rank.mean == by_state.mean
-        assert by_rank.variance == by_state.variance
+    # the counting route against entropy moments measured by enumerating
+    # the GF(2) rank of every cut block; 2-edge entropies are integers
+    stats = entropy_stats(EnsembleSpec(8, Family.CZ), Bipartition.from_first(8, 4))
+    assert isinstance(stats.entropy.mean, Fraction)
+    assert stats.entropy.mean == Fraction(208965, 65536)
+    assert stats.entropy.variance == Fraction(1709772135, 4294967296)
 
 
 def test_exact_moments_against_reference_fold():
@@ -200,22 +198,35 @@ def test_all_edges_equals_cross_only():
 def test_mc_determinism():
     spec = EnsembleSpec(10, Family.CZ)
     part = Bipartition.from_first(10, 5)
-    a = mc_moments(spec, part, 10, seed=9, method=Method.RANK)
-    b = mc_moments(spec, part, 10, seed=9, method=Method.RANK)
+    a = mc_moments(spec, part, 10, seed=9)
+    b = mc_moments(spec, part, 10, seed=9)
     assert a == b
-    c = mc_moments(spec, part, 10, seed=10, method=Method.RANK)
+    c = mc_moments(spec, part, 10, seed=10)
     assert a != c
 
 
-def test_mc_methods_agree_exactly_per_seed():
-    # same seed means the same sampled graphs, so the dyadic purities
-    # match bit for bit between the rank and state-vector routes
+def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
+    """Record the edge choices a 2-edge Monte Carlo run ranks, then square them instead."""
+    drawn = []
+
+    def recording(bits, order, part):
+        drawn.append(bits)
+        return _cut_ranks(bits, order, part)
+
+    monkeypatch.setattr(ensembles_mod, "_cut_ranks", recording)
+    mc_moments(spec, part, samples, seed)
+    bits = np.concatenate(drawn)
+    universe = edge_universe(spec, part)
+    assert bits.shape == (samples, len(universe))
+    ranks = _cut_ranks(bits, _cut_order(universe, part), part)
+    nums = _CutFactors(universe, part).numerators(bits)
+    assert nums.tolist() == [1 << (2 * spec.n_qubits - r) for r in ranks.tolist()]
+
+
+def test_mc_methods_agree_exactly_per_seed(monkeypatch):
+    # the Gram numerator of every graph the rank kernel sampled is 2^(2N - rank)
     spec = EnsembleSpec(12, Family.CZ)
-    part = Bipartition.from_first(12, 6)
-    a = mc_moments(spec, part, 400, seed=77, method=Method.RANK)
-    b = mc_moments(spec, part, 400, seed=77, method=Method.STATE_VECTOR)
-    assert a.mean == b.mean
-    assert a.variance == b.variance
+    _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, Bipartition.from_first(12, 6), 400, 77)
 
 
 def test_mc_sample_path_matches_manual_sampling():
@@ -225,7 +236,7 @@ def test_mc_sample_path_matches_manual_sampling():
 
     spec = EnsembleSpec(8, Family.CZ)
     part = Bipartition.from_first(8, 4)
-    est = mc_moments(spec, part, 50, seed=31, method=Method.STATE_VECTOR)
+    est = mc_moments(spec, part, 50, seed=31)
     rng = CounterRng(child_seed(31, 0))
     values = []
     for _ in range(50):
@@ -238,8 +249,8 @@ def test_mc_sample_path_matches_manual_sampling():
 def test_mc_error_shrinks_with_samples():
     spec = EnsembleSpec(12, Family.CZ)
     part = Bipartition.from_first(12, 6)
-    small = mc_moments(spec, part, 3000, seed=21, method=Method.RANK)
-    large = mc_moments(spec, part, 9000, seed=21, method=Method.RANK)
+    small = mc_moments(spec, part, 3000, seed=21)
+    large = mc_moments(spec, part, 9000, seed=21)
     ratio = small.std_error_mean / large.std_error_mean
     assert 1.55 <= ratio <= 1.95  # ~ sqrt(3)
 
@@ -249,8 +260,6 @@ def test_mc_validation():
     part = Bipartition.from_first(6, 3)
     with pytest.raises(ValueError):
         mc_moments(spec, part, 1, seed=0)
-    with pytest.raises(ValueError):
-        mc_moments(spec, part, 100, seed=0, method=Method.RANK)
     with pytest.raises(ValueError):
         mc_moments(spec, part, 100, seed=0, workers=0)
 
@@ -276,19 +285,18 @@ def test_entropy_stats_exhaustive_cz2():
 
 
 def test_entropy_stats_exhaustive_statevector_matches_rank():
-    spec = EnsembleSpec(4, Family.CZ)
-    part = Bipartition.from_first(4, 2)
-    by_rank = entropy_stats(spec, part, method=Method.RANK)
-    by_state = entropy_stats(spec, part, method=Method.STATE_VECTOR)
-    assert by_rank.purity.mean == by_state.purity.mean
-    assert math.isclose(float(by_rank.entropy.mean), by_state.entropy.mean, abs_tol=1e-12)
-    assert math.isclose(float(by_rank.entropy.variance), by_state.entropy.variance, abs_tol=1e-12)
+    # measured by enumerating cut-block ranks; p = 3/10 weighs every edge count
+    spec = EnsembleSpec(7, Family.CZ, edge_probability=Fraction(3, 10))
+    stats = entropy_stats(spec, Bipartition.from_first(7, 2))
+    assert isinstance(stats.entropy.mean, Fraction)
+    assert stats.entropy.mean == Fraction(16264718481, 10000000000)
+    assert stats.entropy.variance == Fraction(29049992143817052639, 10**20)
 
 
 def test_entropy_stats_mc_reports_both_views():
     spec = EnsembleSpec(10, Family.CZ)
     part = Bipartition.from_first(10, 5)
-    stats = entropy_stats(spec, part, samples=2000, seed=6, method=Method.RANK)
+    stats = entropy_stats(spec, part, samples=2000, seed=6)
     assert not stats.entropy.exact
     assert stats.entropy.samples == 2000
     # Jensen: mean of -log2 P is at least -log2 of the mean purity
@@ -319,32 +327,29 @@ def test_mc_orientation_flip_matches_manual():
     assert math.isclose(est.mean, sum(values) / 40, rel_tol=0, abs_tol=1e-15)
 
 
-def _chunked_stats(monkeypatch, family, method):
+def _chunked_stats(monkeypatch, family):
     """Exhaustive stats at p = 3/10, with default and with tiny blocks and chunks."""
     spec = EnsembleSpec(4, family, edge_probability=Fraction(3, 10), scope=Scope.ALL_EDGES)
     part = Bipartition.from_first(4, 2)
-    base = entropy_stats(spec, part, method=method)
+    base = entropy_stats(spec, part)
     tallies = []
     tally = ensembles_mod._tally
     monkeypatch.setattr(ensembles_mod, "_tally", lambda *a: tallies.append(a[1]) or tally(*a))
     monkeypatch.setattr(ensembles_mod, "_HIST_CHUNK", 3)  # d = 4: blocks of 3 and 1 states
     monkeypatch.setattr(ensembles_mod, "_TALLY_CHUNK", 5)
     assert tallies == []
-    chunked = entropy_stats(spec, part, method=method)
+    chunked = entropy_stats(spec, part)
     assert tallies == list(range(0, 1 << len(edge_universe(spec, part)), 5))
+    monkeypatch.undo()
     return base, chunked
 
 
-def test_statevector_kernel_chunking(monkeypatch):
+def test_exhaustive_tally_chunking(monkeypatch):
     # tiny histogram blocks and tally chunks must not change any result;
     # p != 1/2, so every subset's edge count matters
-    base, chunked = _chunked_stats(monkeypatch, Family.CCZ, Method.STATE_VECTOR)
-    assert chunked == base
-
-
-def test_rank_tally_chunking(monkeypatch):
-    base, chunked = _chunked_stats(monkeypatch, Family.CZ, Method.RANK)
-    assert chunked == base
+    for family in (Family.CCZ, Family.CZ):
+        base, chunked = _chunked_stats(monkeypatch, family)
+        assert chunked == base
 
 
 def test_exhaustive_statevector_needs_no_gram(monkeypatch):
@@ -369,8 +374,8 @@ def test_single_vertex_edges_do_not_entangle():
 def test_mc_workers_deterministic_across_processes():
     spec = EnsembleSpec(12, Family.CZ)
     part = Bipartition.from_first(12, 6)
-    a = mc_moments(spec, part, 5000, seed=3, method=Method.RANK, workers=2)
-    b = mc_moments(spec, part, 5000, seed=3, method=Method.RANK, workers=2)
+    a = mc_moments(spec, part, 5000, seed=3, workers=2)
+    b = mc_moments(spec, part, 5000, seed=3, workers=2)
     assert a == b
 
 
@@ -404,14 +409,11 @@ def test_entropy_stats_exhaustive_half_family():
     assert float(stats.entropy.mean) >= stats.minus_log2_mean_purity  # Jensen
 
 
-def test_mc_methods_agree_noncontiguous_unbalanced_mask():
+def test_mc_methods_agree_noncontiguous_unbalanced_mask(monkeypatch):
     # scattered A mask with n_a > n_b: rank rows/cols follow the mask
-    # order and the purity must still match the state-vector route
-    spec = EnsembleSpec(9, Family.CZ)
+    # order and the purity must still match the Gram numerator
     part = Bipartition(9, 0b110101101)  # n_a = 6, n_b = 3
-    a = mc_moments(spec, part, 300, seed=14, method=Method.RANK)
-    b = mc_moments(spec, part, 300, seed=14, method=Method.STATE_VECTOR)
-    assert a.mean == b.mean and a.variance == b.variance
+    _assert_kernels_agree_on_drawn_bits(monkeypatch, EnsembleSpec(9, Family.CZ), part, 300, 14)
 
 
 @settings(deadline=None)
@@ -657,7 +659,7 @@ def test_exact_moments_match_reference_at_every_p(data):
     assume(len(universe) <= 6)
     for p in (Fraction(0), Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
         spec = EnsembleSpec(n, Family.K_UNIFORM, k=k, edge_probability=p, scope=scope)
-        est = exact_moments(spec, part, method=Method.STATE_VECTOR)
+        est = exact_moments(spec, part)
         assert (est.mean, est.variance) == ref_ensemble_moments(n, universe, part.a_mask, p)
 
 
@@ -671,7 +673,7 @@ def test_subset_numerators_guards_come_first(monkeypatch):
     # 27 cross edges need 2 * 8 * 2^27 bytes, over the 2^30 budget
     spec = EnsembleSpec(12, Family.CZ)
     with pytest.raises(ValueError, match="byte budget"):
-        exact_moments(spec, Bipartition.from_first(12, 3), Method.STATE_VECTOR, cap_bits=27)
+        exact_moments(spec, Bipartition.from_first(12, 3), cap_bits=27)
     monkeypatch.undo()
     part = Bipartition.from_first(4, 2)
     universe = edge_universe(EnsembleSpec(4, Family.CZ), part)  # 4 edges: 256 bytes

@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from hyperent.gf2 import _n_words
 from hyperent.hypergraph import (
     Bipartition,
     GraphFormatError,
     Hypergraph,
     _low_bit_pattern,
-    _n_words,
     all_k_edges,
     canonicalize_edges,
     check_qubit_cap,
@@ -27,7 +27,7 @@ from reference import ref_signs
 def sign_bits(h):
     """0/1 sign bits of h's state over all 2^n basis states, one superset toggle per edge."""
     n = h.n_qubits
-    words = np.zeros(_n_words(n), dtype=np.uint64)
+    words = np.zeros(_n_words(1 << n), dtype=np.uint64)
     for m in h.edge_masks:
         toggle_supersets(words, m, n)
     return np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n]

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from hyperent import reports
-from hyperent.ensembles import EnsembleSpec, Family, Method, MomentEstimate
+from hyperent.ensembles import EnsembleSpec, Family, MomentEstimate
 from hyperent.hypergraph import Bipartition
 
 
@@ -44,7 +44,7 @@ def test_fmt_rendering():
 def test_moments_row_schema():
     spec = EnsembleSpec(4, Family.CZ)
     part = Bipartition.from_first(4, 2)
-    row = reports.compute_moments_row(spec, part, None, 0, Method.RANK, 1)
+    row = reports.compute_moments_row(spec, part, None, 0, 1)
     assert list(row) == reports.MOMENTS_COLUMNS
     assert row["mean"] == Fraction(7, 16)
     assert row["z_score"] == 0.0
