@@ -7,12 +7,10 @@ from .hypergraph import (
     canonicalize_edges,
     format_graph_file,
     parse_graph_file,
-    sign_at,
 )
-from .gf2 import Gf2Matrix, RankHistogram, empirical_rank_distribution, random_matrix, rank
+from .gf2 import RankHistogram, empirical_rank_distribution
 from .purity import (
     DyadicRational,
-    graph_cut_matrix,
     graph_entropy_rank,
     renyi2,
     state_purity,
@@ -24,7 +22,6 @@ from .ensembles import (
     MomentEstimate,
     Scope,
     edge_universe,
-    enumerate_ensemble,
     entropy_stats,
     exact_moments,
     mc_moments,
@@ -40,7 +37,6 @@ __all__ = [
     "EnsembleSpec",
     "EntropyStats",
     "Family",
-    "Gf2Matrix",
     "Hypergraph",
     "MomentEstimate",
     "RankHistogram",
@@ -49,20 +45,15 @@ __all__ = [
     "canonicalize_edges",
     "edge_universe",
     "empirical_rank_distribution",
-    "enumerate_ensemble",
     "entropy_stats",
     "exact_moments",
     "format_graph_file",
     "formulas",
-    "graph_cut_matrix",
     "graph_entropy_rank",
     "mc_moments",
     "parse_graph_file",
-    "random_matrix",
-    "rank",
     "renyi2",
     "sample_hypergraph",
-    "sign_at",
     "state_purity",
 ]
 

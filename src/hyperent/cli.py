@@ -44,10 +44,17 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+class _OutError(Exception):
+    """The --out file cannot be opened for writing (exit code 2)."""
+
+
 def _out_stream(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as exc:
+        raise _OutError(f"cannot write {path}: {exc}") from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -255,6 +262,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _OutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -181,26 +181,6 @@ def subset_weight(spec: EnsembleSpec, present: int, absent: int) -> Fraction:
     return p**present * (1 - p) ** absent
 
 
-def enumerate_ensemble(
-    spec: EnsembleSpec,
-    part: Bipartition | None = None,
-    cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
-):
-    """Yield every (hypergraph, weight) of the ensemble exactly once.
-
-    Weights sum to exactly 1.  Subset i of the universe maps edge j to
-    bit j of i, so the visiting order is reproducible.
-    """
-    universe = edge_universe(spec, part)
-    u = len(universe)
-    if u > cap_bits:
-        raise EnumerationCapError(f"universe of {u} edges exceeds the 2^{cap_bits}-subset cap")
-    for mask in range(1 << u):
-        edges = frozenset(universe[j] for j in range(u) if mask >> j & 1)
-        c = mask.bit_count()
-        yield Hypergraph(spec.n_qubits, edges), subset_weight(spec, c, u - c)
-
-
 def _cut_order(universe: list[Edge], part: Bipartition) -> np.ndarray:
     """Universe position of the edge at each cell of the (n_A, n_B) cut block, row-major.
 

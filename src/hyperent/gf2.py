@@ -1,10 +1,12 @@
-"""Bit-packed GF(2) matrices: rank, random sampling, rank-defect statistics.
+"""Packed stacks of GF(2) matrices: batched rank and the rank-defect law.
 
-Rows are packed 64 columns per machine word so elimination works by
-word-level XOR: column j sits at word j >> 6, bit j & 63, and padding
-bits are zero.  :func:`pack_rows` is the one packer of that format:
-``Gf2Matrix.from_dense`` and the ensembles' cut blocks both go through
-it.  ``batch_rank`` eliminates a whole stack of matrices at
+Every matrix here lives in a (batch, rows, words) stack of uint64
+words, 64 columns per word, so elimination works by word-level XOR:
+column j sits at word j >> 6, bit j & 63, and padding bits are zero.
+:func:`pack_rows` is the one packer of that format, for single graphs'
+and ensembles' cut blocks alike, and :func:`_random_words` draws
+uniform stacks in it straight from the counter stream.
+``batch_rank`` eliminates a whole stack of matrices at
 once, row by row, with the lowest set bit of each row as its pivot and
 no row swaps, which is what makes rank workloads of 10^5-10^6 random
 matrices cheap.  Each step masks the pivot bit out of every word with
@@ -41,47 +43,6 @@ def pack_rows(bits) -> np.ndarray:
     out = np.zeros((*lead, _n_words(cols) << 3), dtype=np.uint8)
     out[..., : packed.shape[-1]] = packed
     return out.view(np.uint64)
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Binary matrix; bit j of row i sits at row_words[i, j>>6], position j&63."""
-
-    rows: int
-    cols: int
-    row_words: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.rows, _n_words(self.cols))
-        if self.row_words.dtype != np.uint64 or self.row_words.shape != shape:
-            raise ValueError(f"row_words must be uint64 of shape {shape}")
-        tail = self.cols & 63
-        if tail and self.rows:
-            if np.any(self.row_words[:, -1] >> np.uint64(tail)):
-                raise ValueError("bits beyond cols must be zero")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
-
-    @classmethod
-    def from_dense(cls, dense) -> "Gf2Matrix":
-        arr = np.asarray(dense, dtype=np.uint8) & 1
-        rows, cols = arr.shape
-        return cls(rows, cols, pack_rows(arr))
-
-    def get(self, i: int, j: int) -> int:
-        return int(self.row_words[i, j >> 6] >> np.uint64(j & 63) & np.uint64(1))
-
-    def to_dense(self) -> np.ndarray:
-        bits = np.unpackbits(self.row_words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.cols]
-
-
-def rank(m: Gf2Matrix) -> int:
-    """GF(2) rank by Gaussian elimination on a scratch copy."""
-    ranks = batch_rank(m.row_words[np.newaxis, :, :], m.cols)
-    return int(ranks[0])
 
 
 def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
@@ -133,14 +94,6 @@ def _random_words(count: int, rows: int, cols: int, rng: CounterRng) -> np.ndarr
     return words
 
 
-def random_matrix(rows: int, cols: int, rng: CounterRng) -> Gf2Matrix:
-    """Uniform random matrix: iid fair bits in every entry.
-
-    Consumes rows * ceil(cols/64) draws, laid out as in :func:`_random_words`.
-    """
-    return Gf2Matrix(rows, cols, _random_words(1, rows, cols, rng)[0])
-
-
 @dataclass
 class RankHistogram:
     """Histogram over rank defect s = n - rank of sampled n x n matrices."""
@@ -166,22 +119,6 @@ class RankHistogram:
 
     def frequency(self, defect: int) -> float:
         return self.counts.get(defect, 0) / self.samples
-
-    def to_csv_rows(self) -> list[dict]:
-        """Rows with columns s, count, frequency, closed_form_Qs."""
-        from .formulas import rank_defect_probability
-
-        rows = []
-        for s in sorted(self.counts):
-            rows.append(
-                {
-                    "s": s,
-                    "count": self.counts[s],
-                    "frequency": self.frequency(s),
-                    "closed_form_Qs": rank_defect_probability(s),
-                }
-            )
-        return rows
 
 
 _BATCH_TARGET_WORDS = 1 << 21

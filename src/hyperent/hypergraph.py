@@ -203,17 +203,6 @@ def toggle_supersets(words: np.ndarray, mask: int, n: int) -> None:
     words.reshape((2,) * high_bits)[select] ^= _low_bit_pattern(mask & 63, n)
 
 
-def sign_at(h: Hypergraph, x: int) -> int:
-    """Sign of basis state x: parity of edges contained in support(x)."""
-    if not 0 <= x < (1 << h.n_qubits):
-        raise ValueError(f"basis index {x} out of range for n={h.n_qubits}")
-    fired = 0
-    for m in h.edge_masks:
-        if x & m == m:
-            fired ^= 1
-    return -1 if fired else 1
-
-
 def check_qubit_cap(n: int) -> None:
     """Raise ValueError when n exceeds the single-state qubit cap (:func:`max_qubits`)."""
     limit = max_qubits()

@@ -4,8 +4,10 @@ Two routes are provided and must agree: the direct route squares the
 reduced density matrix using only integer arithmetic (sums of +-1
 products, normalized once at the end, so results are exact dyadic
 rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
-GF(2) rank of the cut block of the adjacency matrix, laid out by
-:func:`cut_block_cells` for single graphs and ensembles alike.
+GF(2) rank of the cut block of the adjacency matrix.  The rank route is
+the one packed GF(2) route: :func:`cut_block_cells` lays out the block
+for single graphs (:func:`graph_entropy_rank`) and ensembles alike, and
+``gf2.batch_rank`` ranks it as a packed stack.
 
 The direct route has one numerator over 2**(2N), :func:`gram_numerator`:
 sum((M M^T)**2) with M = 1 - 2 * bits of a batch of packed (d_A, d_B)
@@ -37,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .gf2 import Gf2Matrix
 from .hypergraph import Bipartition, Hypergraph, check_qubit_cap, toggle_supersets
 
 
@@ -277,25 +278,19 @@ def cut_block_cells(edges, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
     return positions, side_index[a_end] * part.n_b + side_index[b_end]
 
 
-def graph_cut_matrix(h: Hypergraph, part: Bipartition) -> Gf2Matrix:
-    """Cut block of a 2-uniform graph's adjacency matrix.
+def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
+    """Renyi-2 entropy of a 2-uniform graph state: GF(2) rank of the cut block.
 
-    Row order is ascending A vertex index, column order ascending
-    complement vertex index; entry 1 iff that cross edge is present.
+    Graph states have flat reduced spectra, so this integer equals
+    -log2 of the exact purity.  The block's rows are the A vertices and
+    its columns the complement vertices, laid out by
+    :func:`cut_block_cells`; entry 1 iff that cross edge is present.
     """
     if h.n_qubits != part.n_qubits:
         raise ValueError("graph and bipartition disagree on qubit count")
     if not h.is_k_uniform(2):
         raise ValueError("cut matrix requires a 2-uniform hypergraph")
-    dense = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
-    dense[cut_block_cells(h.edges, part)[1]] = 1
-    return Gf2Matrix.from_dense(dense.reshape(part.n_a, part.n_b))
-
-
-def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
-    """Renyi-2 entropy of a 2-uniform graph state: GF(2) rank of the cut block.
-
-    Graph states have flat reduced spectra, so this integer equals
-    -log2 of the exact purity.
-    """
-    return gf2.rank(graph_cut_matrix(h, part))
+    block = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
+    block[cut_block_cells(h.edges, part)[1]] = 1
+    packed = gf2.pack_rows(block.reshape(part.n_a, part.n_b))
+    return int(gf2.batch_rank(packed[np.newaxis], part.n_b)[0])

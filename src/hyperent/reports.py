@@ -145,12 +145,20 @@ def rank_distribution(n: int, samples: int, seed: int, workers: int = 1) -> Rank
 
 
 def rankdist_rows(n: int, samples: int, seed: int, workers: int = 1) -> list[dict]:
+    """One row per observed defect s, ascending, in RANKDIST_COLUMNS."""
     hist = rank_distribution(n, samples, seed, workers)
     rows = []
-    for base in hist.to_csv_rows():
-        q = base["closed_form_Qs"]
-        base["std_error"] = math.sqrt(q * (1.0 - q) / hist.samples)
-        rows.append(base)
+    for s in sorted(hist.counts):
+        q = formulas.rank_defect_probability(s)
+        rows.append(
+            {
+                "s": s,
+                "count": hist.counts[s],
+                "frequency": hist.frequency(s),
+                "closed_form_Qs": q,
+                "std_error": math.sqrt(q * (1.0 - q) / hist.samples),
+            }
+        )
     return rows
 
 

@@ -9,7 +9,6 @@ PUBLIC = {
     "EnsembleSpec",
     "EntropyStats",
     "Family",
-    "Gf2Matrix",
     "Hypergraph",
     "MomentEstimate",
     "RankHistogram",
@@ -18,20 +17,15 @@ PUBLIC = {
     "canonicalize_edges",
     "edge_universe",
     "empirical_rank_distribution",
-    "enumerate_ensemble",
     "entropy_stats",
     "exact_moments",
     "format_graph_file",
     "formulas",
-    "graph_cut_matrix",
     "graph_entropy_rank",
     "mc_moments",
     "parse_graph_file",
-    "random_matrix",
-    "rank",
     "renyi2",
     "sample_hypergraph",
-    "sign_at",
     "state_purity",
 }
 

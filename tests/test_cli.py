@@ -484,3 +484,28 @@ def test_verify_text_format_writes_json_report(tmp_path, capsys, monkeypatch):
     doc = json.loads(target.read_text())
     assert doc["passed"] is True and doc["suite"] == "quick"
     assert {"criterion", "expected", "observed", "tolerance"} <= set(doc["criteria"][0])
+
+
+@pytest.mark.parametrize("target", ["dir", "missing parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--na", "1"],
+        ["moments", "--family", "cz", "--n", "4", "--exhaustive"],
+        ["rankdist", "--n", "4", "--samples", "10"],
+        ["verify", "--suite", "quick", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, argv, target):
+    # a usage error like an unreadable --graph-file, not a traceback with
+    # the verification-failure code
+    monkeypatch.setattr(verify, "QUICK_IDS", {"2"})
+    if argv[0] == "state":
+        graph = tmp_path / "bell.graph"
+        graph.write_text(BELL)
+        argv = [*argv, "--graph-file", str(graph)]
+    out_path = tmp_path if target == "dir" else tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: cannot write {out_path}: ")

@@ -17,7 +17,6 @@ from hyperent.ensembles import (
     Family,
     Scope,
     edge_universe,
-    enumerate_ensemble,
     entropy_stats,
     exact_moments,
     mc_moments,
@@ -26,13 +25,14 @@ from hyperent.ensembles import (
     _cut_ranks,
     _subset_numerators,
     sample_hypergraph,
+    subset_weight,
 )
 from hyperent.formulas import cz_avg_purity
 from hyperent.hypergraph import Bipartition, Hypergraph
-from hyperent.purity import graph_cut_matrix, graph_entropy_rank, state_purity
+from hyperent.purity import graph_entropy_rank, state_purity
 from hyperent.rng import CounterRng
 
-from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity
+from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
 
 
 def test_edge_universe_counts():
@@ -99,29 +99,30 @@ def test_sampling_consumes_universe_draws():
 
 
 def test_enumerate_smallest_ensembles():
+    # exhaustive moments visit 2^u subsets, each weighted p^c (1-p)^(u-c)
     spec = EnsembleSpec(2, Family.CZ, scope=Scope.ALL_EDGES)
-    items = list(enumerate_ensemble(spec))
-    assert [h.edges for h, _ in items] == [frozenset(), frozenset({(0, 1)})]
-    assert [w for _, w in items] == [Fraction(1, 2), Fraction(1, 2)]
+    assert edge_universe(spec) == [(0, 1)]
+    assert exact_moments(spec, Bipartition(2, 0b01)).samples == 2
+    assert [subset_weight(spec, c, 1 - c) for c in (0, 1)] == [Fraction(1, 2), Fraction(1, 2)]
 
     spec = EnsembleSpec(3, Family.CCZ, scope=Scope.ALL_EDGES)
-    assert len(list(enumerate_ensemble(spec))) == 2
+    assert exact_moments(spec, Bipartition(3, 0b001)).samples == 2
 
     spec = EnsembleSpec(6, Family.CCZ_HALF)
-    assert len(list(enumerate_ensemble(spec, Bipartition.from_first(6, 3)))) == 512
+    assert exact_moments(spec, Bipartition.from_first(6, 3)).samples == 512
 
 
 def test_enumeration_weights_sum_to_one():
+    u = 6  # the 2-edges on 4 qubits
     for p in [Fraction(1, 2), Fraction(1, 4), Fraction(3, 10), Fraction(1)]:
         spec = EnsembleSpec(4, Family.CZ, edge_probability=p, scope=Scope.ALL_EDGES)
-        total = sum(w for _, w in enumerate_ensemble(spec))
+        assert len(edge_universe(spec)) == u
+        total = sum(math.comb(u, c) * subset_weight(spec, c, u - c) for c in range(u + 1))
         assert total == 1
 
 
 def test_enumeration_cap():
     spec = EnsembleSpec(10, Family.CZ, scope=Scope.ALL_EDGES)
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_ensemble(spec, cap_bits=20))
     with pytest.raises(EnumerationCapError):
         exact_moments(spec, Bipartition.from_first(10, 5), cap_bits=20)
 
@@ -388,8 +389,8 @@ def test_subset_kernel_matches_per_graph_purity():
     masks = np.arange(1 << len(universe))
     bits = (masks[:, np.newaxis] >> np.arange(len(universe))) & 1
     nums = _CutFactors(universe, part).numerators(bits)
-    for mask, (h, _) in enumerate(enumerate_ensemble(spec, part)):
-        assert Fraction(int(nums[mask]), 1 << 8) == ref_purity(4, h.edges, part.a_mask)
+    for mask, edges in enumerate(ref_subsets(universe)):
+        assert Fraction(int(nums[mask]), 1 << 8) == ref_purity(4, edges, part.a_mask)
 
 
 def test_sampling_quarter_probability():
@@ -493,9 +494,8 @@ def test_rank_route_at_scattered_cuts(data):
         dense = [
             [int((min(a, b), max(a, b)) in edges) for b in part.b_indices] for a in part.a_indices
         ]
-        got = graph_cut_matrix(Hypergraph(n, frozenset(edges)), part).to_dense()
-        assert got.tolist() == dense
         want.append(ref_gf2_rank(dense))
+        assert graph_entropy_rank(Hypergraph(n, frozenset(edges)), part) == want[-1]
     order = _cut_order(universe, part)
     assert _cut_ranks(bits, order, part).tolist() == want
     assert _cut_ranks(bits.astype(np.uint8), order, part).tolist() == want

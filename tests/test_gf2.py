@@ -11,39 +11,49 @@ from hypothesis import strategies as st
 import hyperent.gf2 as gf2_mod
 from hyperent.formulas import rank_defect_probability
 from hyperent.gf2 import (
-    Gf2Matrix,
     RankHistogram,
+    _random_words,
     batch_rank,
     empirical_rank_distribution,
     pack_rows,
-    random_matrix,
-    rank,
 )
 from hyperent.rng import CounterRng
 
 from reference import ref_gf2_rank
 
 
+def _rank(dense) -> int:
+    """Rank of one dense 0/1 matrix through the packed route, as a stack of one."""
+    dense = np.asarray(dense, dtype=np.uint8)
+    return int(batch_rank(pack_rows(dense)[np.newaxis], dense.shape[1])[0])
+
+
+def _dense(words: np.ndarray, cols: int) -> np.ndarray:
+    """0/1 entries of a packed (..., words) array, cut to cols columns."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :cols]
+
+
 def test_rank_trivial_cases():
-    assert rank(Gf2Matrix.zeros(3, 3)) == 0
+    assert _rank(np.zeros((3, 3))) == 0
     for n in [4, 65, 130]:
-        assert rank(Gf2Matrix.from_dense(np.eye(n, dtype=np.uint8))) == n
+        assert _rank(np.eye(n)) == n
     # third row is the sum of the first two
-    m = Gf2Matrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]])
-    assert rank(m) == 2
+    assert _rank([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]]) == 2
 
 
 def test_rank_copies_input():
-    m = random_matrix(6, 6, CounterRng(1))
-    before = m.row_words.copy()
-    rank(m)
-    assert np.array_equal(m.row_words, before)
+    # a strided view of a stack is ranked like its copy and left unchanged
+    stack = _random_words(12, 6, 70, CounterRng(1))
+    before = stack.copy()
+    view = stack[::3]
+    assert not view.flags.c_contiguous
+    assert batch_rank(view, 70).tolist() == batch_rank(view.copy(), 70).tolist()
+    assert np.array_equal(stack, before)
 
 
 def test_all_ones_rank_one():
     for n in [1, 3, 17, 65]:
-        m = Gf2Matrix.from_dense(np.ones((n, n), dtype=np.uint8))
-        assert rank(m) == 1
+        assert _rank(np.ones((n, n))) == 1
 
 
 def test_rank_matches_dense_reference():
@@ -52,66 +62,64 @@ def test_rank_matches_dense_reference():
         rows = rnd.randint(1, 12)
         cols = rnd.randint(1, 12)
         dense = [[rnd.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        assert rank(Gf2Matrix.from_dense(dense)) == ref_gf2_rank(dense)
+        assert _rank(dense) == ref_gf2_rank(dense)
 
 
 def test_rank_invariant_under_row_operations():
-    rng = CounterRng(5)
     rnd = random.Random(5)
-    for _ in range(20):
-        m = random_matrix(8, 8, rng)
-        base = rank(m)
-        dense = m.to_dense()
+    stack = _random_words(20, 8, 8, CounterRng(5))
+    for dense, base in zip(_dense(stack, 8), batch_rank(stack, 8)):
         for _ in range(10):
             i, j = rnd.sample(range(8), 2)
             dense[[i, j]] = dense[[j, i]]  # swap
             dense[i] ^= dense[j]  # add one row to another
-        assert rank(Gf2Matrix.from_dense(dense)) == base
+        assert _rank(dense) == base
 
 
 def test_rank_equals_transpose_rank():
     rng = CounterRng(6)
     for size in [5, 17, 33, 64]:
-        m = random_matrix(size, size, rng)
-        assert rank(m) == rank(Gf2Matrix.from_dense(m.to_dense().T))
+        dense = _dense(_random_words(1, size, size, rng)[0], size)
+        assert _rank(dense) == _rank(dense.T)
 
 
 def test_random_matrix_reproducible():
-    a = random_matrix(5, 70, CounterRng(123))
-    b = random_matrix(5, 70, CounterRng(123))
-    assert np.array_equal(a.row_words, b.row_words)
-    assert a.cols == 70 and a.row_words.shape == (5, 2)
+    a = _random_words(1, 5, 70, CounterRng(123))
+    b = _random_words(1, 5, 70, CounterRng(123))
+    assert np.array_equal(a, b)
+    assert a.shape == (1, 5, 2)
     # tail bits beyond column 70 must be masked off
-    assert not np.any(a.row_words[:, -1] >> np.uint64(6))
+    assert not np.any(a[..., -1] >> np.uint64(6))
+    # matrix by matrix and row-major: a stack of two is two draws in a row
+    rng = CounterRng(123)
+    pair = _random_words(2, 5, 70, rng)
+    assert rng.cursor == 20 and np.array_equal(pair[:1], a)
 
 
 def test_random_matrix_bit_frequency():
-    rng = CounterRng(77)
-    ones = sum(random_matrix(1, 1, rng).get(0, 0) for _ in range(100_000))
+    words = _random_words(100_000, 1, 1, CounterRng(77))
+    ones = int(np.count_nonzero(words))
     assert abs(ones / 100_000 - 0.5) < 0.01
 
 
 def test_random_2x2_rank0_frequency():
-    rng = CounterRng(78)
-    zero = 0
-    for _ in range(10_000):
-        m = random_matrix(2, 2, rng)
-        if rank(m) == 0:
-            zero += 1
+    zero = int(np.count_nonzero(batch_rank(_random_words(10_000, 2, 2, CounterRng(78)), 2) == 0))
     assert abs(zero / 10_000 - 1 / 16) < 0.012
 
 
 def test_batch_rank_matches_scalar():
+    # each matrix ranked alone, as a stack of one, agrees with the batch
     rng = CounterRng(9)
     for rows, cols in [(4, 4), (7, 3), (3, 7), (9, 100), (16, 16)]:
-        stack = np.stack([random_matrix(rows, cols, rng).row_words for _ in range(40)])
+        stack = _random_words(40, rows, cols, rng)
         got = batch_rank(stack, cols)
         for i in range(40):
-            assert got[i] == rank(Gf2Matrix(rows, cols, stack[i]))
+            assert got[i] == batch_rank(stack[i : i + 1], cols)[0]
+            assert got[i] == ref_gf2_rank(_dense(stack[i], cols))
 
 
 def test_batch_rank_leaves_input_alone():
-    stack = np.stack([random_matrix(5, 5, CounterRng(3)).row_words for _ in range(4)])
+    stack = _random_words(4, 5, 5, CounterRng(3))
     before = stack.copy()
     batch_rank(stack, 5)
     assert np.array_equal(stack, before)
@@ -153,15 +161,12 @@ def test_empirical_distribution_validates_samples():
 
 def test_from_dense_packing():
     dense = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]]
-    m = Gf2Matrix.from_dense(dense)
-    assert m.row_words[:, 0].tolist() == [0b0011, 0b0110, 0b0101]
-    assert m.to_dense().tolist() == dense
-    assert rank(m) == 2
+    words = pack_rows(np.array(dense, dtype=np.uint8))
+    assert words[:, 0].tolist() == [0b0011, 0b0110, 0b0101]
+    assert _dense(words, 4).tolist() == dense
+    assert batch_rank(words[np.newaxis], 4).tolist() == [2]
     # column 69 is bit 5 of the second word
-    wide = Gf2Matrix.from_dense(np.eye(70, dtype=np.uint8)[69:])
-    assert wide.row_words.tolist() == [[0, 1 << 5]]
-    with pytest.raises(ValueError):
-        Gf2Matrix(1, 4, np.array([[0b10000]], dtype=np.uint64))
+    assert pack_rows(np.eye(70, dtype=np.uint8)[69:]).tolist() == [[0, 1 << 5]]
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
@@ -208,7 +213,7 @@ def _gf2_stacks(draw):
 def test_batch_rank_matches_dense_oracle(case):
     # multi-word rows, rows != cols, zero and dependent rows, rank defects
     cols, mats = case
-    stack = np.stack([Gf2Matrix.from_dense(d).row_words for d in mats])
+    stack = np.stack([pack_rows(d) for d in mats])
     before = stack.copy()
     got = batch_rank(stack, cols)
     assert got.tolist() == [ref_gf2_rank(d) for d in mats]
@@ -255,7 +260,7 @@ def test_batch_rank_mixed_pivot_words(case):
     cols, mats = case
     first_word = [int(np.flatnonzero(d[0])[0]) >> 6 for d in mats[:2]]
     assert first_word[0] != first_word[1]  # the batch pivots in two words at step 0
-    stack = np.stack([Gf2Matrix.from_dense(d).row_words for d in mats])
+    stack = np.stack([pack_rows(d) for d in mats])
     assert batch_rank(stack, cols).tolist() == [ref_gf2_rank(d) for d in mats]
 
 

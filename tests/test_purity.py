@@ -9,19 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperent.purity as purity_mod
-from hyperent.hypergraph import Bipartition, Hypergraph
+from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
     DyadicRational,
+    cut_block_cells,
     gram_numerator,
-    graph_cut_matrix,
     graph_entropy_rank,
     renyi2,
     state_purity,
 )
-from hyperent.gf2 import pack_rows, rank
+from hyperent.gf2 import pack_rows
 from hyperent.reports import state_record
 
-from reference import ref_purity
+from reference import ref_gf2_rank, ref_purity
 
 
 def purity_of(n, edges, a_mask):
@@ -130,27 +130,33 @@ def test_dyadic_canonicalization():
     assert float(DyadicRational(5, 3)) == 0.625
 
 
+def _cut_block(h, part):
+    """Dense cut block laid out by cut_block_cells."""
+    block = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
+    block[cut_block_cells(h.edges, part)[1]] = 1
+    return block.reshape(part.n_a, part.n_b)
+
+
 def test_graph_cut_matrix_examples():
     bell = Hypergraph.from_gates(2, [(0, 1)])
-    m = graph_cut_matrix(bell, Bipartition(2, 0b01))
-    assert m.to_dense().tolist() == [[1]]
+    assert _cut_block(bell, Bipartition(2, 0b01)).tolist() == [[1]]
+    assert graph_entropy_rank(bell, Bipartition(2, 0b01)) == 1
 
     disjoint = Hypergraph.from_gates(4, [(0, 1), (2, 3)])
-    m = graph_cut_matrix(disjoint, Bipartition(4, 0b0011))
-    assert m.to_dense().tolist() == [[0, 0], [0, 0]]
+    assert _cut_block(disjoint, Bipartition(4, 0b0011)).tolist() == [[0, 0], [0, 0]]
+    assert graph_entropy_rank(disjoint, Bipartition(4, 0b0011)) == 0
 
     crossy = Hypergraph.from_gates(4, [(0, 2), (1, 3), (0, 3)])
-    m = graph_cut_matrix(crossy, Bipartition(4, 0b0011))
-    assert m.to_dense().tolist() == [[1, 1], [0, 1]]
-    assert rank(m) == 2
+    assert _cut_block(crossy, Bipartition(4, 0b0011)).tolist() == [[1, 1], [0, 1]]
+    assert graph_entropy_rank(crossy, Bipartition(4, 0b0011)) == 2
 
 
 def test_graph_cut_matrix_rejects_non_2_uniform():
     h = Hypergraph.from_gates(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        graph_cut_matrix(h, Bipartition(3, 0b001))
-    with pytest.raises(ValueError):
         graph_entropy_rank(h, Bipartition(3, 0b001))
+    with pytest.raises(ValueError):
+        graph_entropy_rank(Hypergraph.from_gates(3, [(0, 1)]), Bipartition(4, 0b001))
 
 
 def test_entropy_rank_examples():
@@ -181,6 +187,49 @@ def test_rank_purity_equivalence_larger_random_cuts():
         part = Bipartition(n, a_mask)
         r = graph_entropy_rank(h, part)
         assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
+
+
+@st.composite
+def graphs_at_cuts(draw):
+    """(n, edges, a_mask): 2-uniform graphs at scattered cuts.
+
+    Small graphs (n <= 10) take any proper mask; wide ones scatter 1-20
+    A vertices among 65-90 others, so the cut block has more than 64
+    columns.  Wide graphs are sparser, so that a block's rank often
+    hangs on a few cells past column 64.
+    """
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    wide_cut = draw(st.booleans(), label="wide")
+    if wide_cut:
+        n_a = draw(st.integers(1, 20), label="n_a")
+        n = n_a + draw(st.integers(65, 90), label="n_b")
+        a_mask = sum(1 << int(v) for v in rnd.choice(n, n_a, replace=False))
+    else:
+        n = draw(st.integers(2, 10), label="n")
+        a_mask = draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    densities = [0.005, 0.05, 0.5] if wide_cut else [0.02, 0.3, 0.9]
+    density = draw(st.sampled_from(densities), label="density")
+    pairs = all_k_edges(n, 2)
+    edges = {e for e, keep in zip(pairs, rnd.random(len(pairs)) < density) if keep}
+    return n, edges, a_mask
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs_at_cuts())
+# A = {1, 3, 5, 7, 9}: 75 columns, and edges to B vertices 78 and 79 fill columns 73 and 74
+@example((80, {(1, 79), (3, 78), (4, 5), (0, 2), (7, 79)}, 0b1010101010))
+# B = {1}: 69 rows and one column
+@example((70, {(0, 1), (1, 68), (0, 69), (2, 3)}, (1 << 70) - 1 - 0b10))
+def test_graph_entropy_rank_matches_dense_oracle(case):
+    # the packed cut-block rank against dense elimination of the block as
+    # defined (rows A, columns B, ascending), and against 2^-rank = purity
+    n, edges, a_mask = case
+    part = Bipartition(n, a_mask)
+    dense = [[int((min(a, b), max(a, b)) in edges) for b in part.b_indices] for a in part.a_indices]
+    r = graph_entropy_rank(Hypergraph(n, frozenset(edges)), part)
+    assert r == ref_gf2_rank(dense)
+    if n <= 10:
+        assert ref_purity(n, edges, a_mask) == Fraction(1, 1 << r)
 
 
 def test_blocked_paths_match_oracle(monkeypatch):

@@ -37,3 +37,21 @@ def test_one_pool_and_one_blas_pin():
     assert imports_ctypes == ["purity.py"]
     pools = sorted(name for name, text in sources.items() if "ProcessPoolExecutor(" in text)
     assert pools == ["ensembles.py"]
+
+
+def test_kernels_import_no_report_layer():
+    # the GF(2), hypergraph and stream kernels know nothing of formulas,
+    # report rows, the CLI or the verify suite, not even inside a function
+    upper = {"formulas", "reports", "cli", "verify"}
+    sources = _sources()
+    found = []
+    for name in ["gf2.py", "hypergraph.py", "rng.py"]:
+        for node in ast.walk(ast.parse(sources[name])):
+            if isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split(".")) | {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                names = {part for a in node.names for part in a.name.split(".")}
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {mod}" for mod in sorted(names & upper)]
+    assert found == []
