@@ -10,7 +10,6 @@ from .hypergraph import (
 )
 from .gf2 import RankHistogram, empirical_rank_distribution
 from .purity import (
-    DyadicRational,
     graph_entropy_rank,
     renyi2,
     state_purity,
@@ -33,7 +32,6 @@ from . import formulas
 __all__ = [
     "Bipartition",
     "CounterRng",
-    "DyadicRational",
     "EnsembleSpec",
     "EntropyStats",
     "Family",

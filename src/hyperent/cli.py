@@ -11,6 +11,7 @@ output is useful if interrupted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import formulas, verify
 from .ensembles import EnsembleSpec, Family, Scope
-from .hypergraph import Bipartition, GraphFormatError, parse_graph_file
+from .hypergraph import Bipartition, GraphFormatError, check_qubit_cap, parse_graph_file
 from .reports import (
     MOMENTS_COLUMNS,
     RANKDIST_COLUMNS,
@@ -44,24 +45,34 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from exc
+
+
 class _OutError(Exception):
     """The --out file cannot be opened for writing (exit code 2)."""
 
 
-def _out_stream(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The --out file opened for writing, or stdout when there is none or it is "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w"), True
+        stream = open(path, "w")
     except OSError as exc:
         raise _OutError(f"cannot write {path}: {exc}") from exc
+    with stream:
+        yield stream
 
 
 def _write(path: str | None, text: str) -> None:
-    stream, close = _out_stream(path)
-    stream.write(text)
-    if close:
-        stream.close()
+    with _output(path) as stream:
+        stream.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--n", type=_int_list, required=True, help="qubit counts, comma separated")
     p_mom.add_argument("--na", type=int, help="subsystem size (default n // 2)")
     p_mom.add_argument(
-        "--p", type=Fraction, default=Fraction(1, 2), help="edge probability, e.g. 1/2 or 0.3"
+        "--p", type=_fraction, default=Fraction(1, 2), help="edge probability, e.g. 1/2 or 0.3"
     )
     p_mom.add_argument("--scope", choices=sorted(_SCOPES), default="cross")
     p_mom.add_argument("--samples", type=int)
@@ -120,10 +131,11 @@ def _cmd_state(args) -> int:
     try:
         with open(args.graph_file) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.graph_file}: {exc}", file=sys.stderr)
         return 2
     h = parse_graph_file(text)
+    check_qubit_cap(h.n_qubits)  # before any bipartition mask of 2^n is built
     if args.a_mask is not None:
         part = Bipartition(h.n_qubits, args.a_mask)
     elif args.na is not None:
@@ -170,14 +182,10 @@ def _cmd_moments(args) -> int:
         return 0
     lines = (",".join(fmt(row[c]) for c in MOMENTS_COLUMNS) + "\n" for row in sweep())
     first = ",".join(MOMENTS_COLUMNS) + "\n" + next(lines, "")
-    stream, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         for line in itertools.chain([first], lines):
             stream.write(line)
             stream.flush()
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -191,11 +199,13 @@ def _cmd_rankdist(args) -> int:
     if args.n > 1024:
         print("error: --n is capped at 1024", file=sys.stderr)
         return 2
-    rows = rankdist_rows(args.n, args.samples, args.seed, args.workers)
-    if args.format == "json":
-        _write(args.out, to_json_doc("rankdist", rows))
-    else:
-        _write(args.out, to_csv(RANKDIST_COLUMNS, rows))
+    # opened first, so an unwritable path is refused before the sampling
+    with _output(args.out) as stream:
+        rows = rankdist_rows(args.n, args.samples, args.seed, args.workers)
+        if args.format == "json":
+            stream.write(to_json_doc("rankdist", rows))
+        else:
+            stream.write(to_csv(RANKDIST_COLUMNS, rows))
     return 0
 
 
@@ -209,9 +219,11 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
 
-    report = verify.run_suite(args.suite, args.workers, progress=progress)
-    if args.format == "json" or args.out:
-        _write(args.out, report.to_json())
+    # opened first, so an unwritable path is refused before the criteria run
+    with _output(args.out) as stream:
+        report = verify.run_suite(args.suite, args.workers, progress=progress)
+        if args.format == "json" or args.out:
+            stream.write(report.to_json())
     summary = "all criteria passed" if report.passed else "CRITERIA FAILED"
     print(f"{args.suite} suite: {summary} ({len(report.results)} run)", file=sys.stderr)
     return 0 if report.passed else 1

@@ -48,13 +48,12 @@ from .purity import (
 )
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
 
-DEFAULT_ENUMERATION_CAP_BITS = 26
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
 _SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
-_TRANSFORM_BYTES = 1 << 30  # budget for the two 2^u int64 arrays of the subset transform
+_TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays, so u <= 26
 
 
 class Family(enum.Enum):
@@ -67,10 +66,6 @@ class Family(enum.Enum):
 class Scope(enum.Enum):
     ALL_EDGES = "all"
     CROSS_ONLY = "cross"
-
-
-class EnumerationCapError(ValueError):
-    """Requested exhaustive enumeration exceeds the subset cap."""
 
 
 @dataclass(frozen=True)
@@ -335,7 +330,7 @@ def _tally(tally: Counter, lo: int, nums: np.ndarray) -> None:
         tally[int(c), int(vals[i])] += int(grid[i, c])
 
 
-def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition, cap_bits: int) -> EntropyStats:
+def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
     """Exact purity and entropy moments over every subset of the universe.
 
     Subsets with c edges share the weight p^c (1-p)^(u-c), so the
@@ -345,8 +340,6 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition, cap_bits: int) -> E
     """
     universe = edge_universe(spec, part)
     u = len(universe)
-    if u > cap_bits:
-        raise EnumerationCapError(f"universe of {u} edges exceeds the 2^{cap_bits}-subset cap")
     n = spec.n_qubits
     tally = Counter()
     nums = _subset_numerators(universe, part)
@@ -383,13 +376,9 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition, cap_bits: int) -> E
     return EntropyStats(entropy, purity)
 
 
-def exact_moments(
-    spec: EnsembleSpec,
-    part: Bipartition,
-    cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
-) -> MomentEstimate:
+def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
     """Exact purity mean and variance by full enumeration of the ensemble."""
-    return _exhaustive_stats(spec, part, cap_bits).purity
+    return _exhaustive_stats(spec, part).purity
 
 
 def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
@@ -488,7 +477,6 @@ def entropy_stats(
     samples: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    cap_bits: int = DEFAULT_ENUMERATION_CAP_BITS,
 ) -> EntropyStats:
     """Entropy statistics (per-state -log2 P) beside the purity statistics.
 
@@ -496,7 +484,7 @@ def entropy_stats(
     integers, so their exhaustive mean and variance are exact rationals.
     """
     if samples is None:
-        return _exhaustive_stats(spec, part, cap_bits)
+        return _exhaustive_stats(spec, part)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n, p_sum, p2_sum, s_sum, s2_sum = _run_sampling(spec, part, samples, seed, workers)

@@ -2,11 +2,12 @@
 
 Two routes are provided and must agree: the direct route squares the
 reduced density matrix using only integer arithmetic (sums of +-1
-products, normalized once at the end, so results are exact dyadic
-rationals), and for 2-uniform graphs the purity is 2**(-r) with r the
-GF(2) rank of the cut block of the adjacency matrix.  The rank route is
-the one packed GF(2) route: :func:`cut_block_cells` lays out the block
-for single graphs (:func:`graph_entropy_rank`) and ensembles alike, and
+products, normalized once at the end, so each purity is an exact
+``Fraction`` over a power of two), and for 2-uniform graphs the purity
+is 2**(-r) with r the GF(2) rank of the cut block of the adjacency
+matrix.  The rank route is the one packed GF(2) route:
+:func:`cut_block_cells` lays out the block for single graphs
+(:func:`graph_entropy_rank`) and ensembles alike, and
 ``gf2.batch_rank`` ranks it as a packed stack.
 
 The direct route has one numerator over 2**(2N), :func:`gram_numerator`:
@@ -33,7 +34,6 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,58 +42,8 @@ from . import gf2
 from .hypergraph import Bipartition, Hypergraph, check_qubit_cap, toggle_supersets
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2**exponent, canonical (odd numerator, or 0/2^0)."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        if self.numerator == 0:
-            if self.exponent != 0:
-                raise ValueError("zero must be stored as 0/2^0")
-        elif self.numerator % 2 == 0 and self.exponent > 0:
-            raise ValueError("numerator must be odd in canonical form")
-
-    @classmethod
-    def of(cls, numerator: int, exponent: int) -> "DyadicRational":
-        """Canonicalize numerator / 2**exponent."""
-        if numerator == 0:
-            return cls(0, 0)
-        while numerator % 2 == 0 and exponent > 0:
-            numerator //= 2
-            exponent -= 1
-        return cls(numerator, exponent)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
-        den = value.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{value} is not dyadic")
-        return cls.of(value.numerator, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.exponent)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/2^{self.exponent}"
-
-
 def renyi2(p) -> float:
     """Renyi-2 entropy -log2(p) of a purity p in (0, 1]."""
-    if isinstance(p, DyadicRational):
-        if p.numerator <= 0:
-            raise ValueError(f"purity must be positive, got {p}")
-        if p.as_fraction() > 1:
-            raise ValueError(f"purity must be <= 1, got {p}")
-        return p.exponent - math.log2(p.numerator)
     frac = Fraction(p)
     if frac <= 0 or frac > 1:
         raise ValueError(f"purity must be in (0, 1], got {p}")
@@ -248,15 +198,17 @@ def cut_rows(h: Hypergraph, part: Bipartition) -> np.ndarray:
     return rows
 
 
-def state_purity(h: Hypergraph, part: Bipartition) -> DyadicRational:
+def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     """Exact purity of h's state on subsystem A, from the cut factors.
 
+    The integer numerator over 2**(2N) becomes a reduced Fraction, so
+    its denominator is 2**e with an odd numerator, or 1 at purity 1.
     Works on the cheaper orientation (fewer rows); purity is symmetric
     under swapping A with its complement.
     """
     oriented = part if part.n_a <= part.n_b else part.complement()
     numerator = gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0]
-    return DyadicRational.of(int(numerator), 2 * part.n_qubits)
+    return Fraction(int(numerator), 1 << 2 * part.n_qubits)
 
 
 def cut_block_cells(edges, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:

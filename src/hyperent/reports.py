@@ -169,7 +169,7 @@ def state_record(h: Hypergraph, part: Bipartition) -> dict:
         "a_mask": part.a_mask,
         "n_edges": len(h.edges),
         "purity_numerator": p.numerator,
-        "purity_exponent": p.exponent,
+        "purity_exponent": p.denominator.bit_length() - 1,
         "purity": float(p),
         "renyi2": renyi2(p),
     }

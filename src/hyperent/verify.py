@@ -215,7 +215,7 @@ def criterion_06_rank_purity_equivalence(workers: int = 1) -> CriterionResult:
         h = sample_hypergraph(spec, part, rng)
         r = graph_entropy_rank(h, part)
         p = state_purity(h, part)
-        if p.as_fraction() != Fraction(1, 1 << r):
+        if p != Fraction(1, 1 << r):
             mismatches += 1
     return CriterionResult(
         "6",

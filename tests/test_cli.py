@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hyperent import cli, ensembles, gf2, verify
-from hyperent.purity import DyadicRational
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
@@ -82,6 +81,31 @@ def test_state_above_cap_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 3
     assert "exceeds the single-state qubit cap (10)" in err
+
+
+def test_state_header_past_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # refused from the header, before a 2^n bipartition mask is built
+    class Unreachable:
+        def __init__(self, *args):
+            raise AssertionError("bipartition built past the qubit cap")
+
+        from_first = __init__
+
+    monkeypatch.delenv("HYPERENT_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(cli, "Bipartition", Unreachable)
+    f = tmp_path / "big.graph"
+    f.write_text("n 27\n")
+    code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
+    assert code == 3 and out == ""
+    assert "exceeds the single-state qubit cap (26)" in err
+
+
+def test_state_non_utf8_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "latin1.graph"
+    f.write_bytes(b"n 2\n0 1 # \xe9\n")
+    code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {f}: ")
 
 
 def test_state_na_and_a_mask_exclusive_exit_2(tmp_path, capsys):
@@ -225,6 +249,27 @@ def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
     assert "domain error" in err and "int64" in err
 
 
+def test_moments_exhaustive_past_byte_budget_exit_3(capsys, monkeypatch):
+    # 45 edges: the two 2^45 transform arrays are refused before anything is built
+    def unreachable(*args):
+        raise AssertionError("edges factored past the byte budget")
+
+    monkeypatch.setattr(ensembles, "_side_index", unreachable)
+    argv = ["moments", "--family", "cz", "--n", "10", "--scope", "all", "--exhaustive"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "domain error" in err and "byte budget" in err
+
+
+@pytest.mark.parametrize("p", ["1/0", "0.3.1", "x"])
+def test_moments_bad_probability_exit_2(capsys, p):
+    # a usage error, not a traceback with the verification-failure code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moments", "--family", "cz", "--n", "4", "--exhaustive", "--p", p])
+    assert exc.value.code == 2
+    assert f"argument --p: invalid fraction value: {p!r}" in capsys.readouterr().err
+
+
 def test_moments_json_strict_when_z_is_infinite(capsys):
     # every block has full rank, so the std error is 0 and z is infinite
     def strict(token):
@@ -354,7 +399,7 @@ def test_sampling_workers_below_one_exit_2(capsys, monkeypatch, tmp_path, argv):
 
 def test_verify_criterion_6_checks_state_purity(capsys, monkeypatch):
     # criterion 6 must check the single-state route the CLI runs
-    monkeypatch.setattr(verify, "state_purity", lambda h, part: DyadicRational(3, 2))
+    monkeypatch.setattr(verify, "state_purity", lambda h, part: Fraction(3, 4))
     monkeypatch.setattr(verify, "QUICK_IDS", {"1", "6"})
     code, out, _ = run_cli(capsys, "verify", "--suite", "quick", "--format", "json")
     assert code == 1
@@ -499,8 +544,12 @@ def test_verify_text_format_writes_json_report(tmp_path, capsys, monkeypatch):
 )
 def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, argv, target):
     # a usage error like an unreadable --graph-file, not a traceback with
-    # the verification-failure code
-    monkeypatch.setattr(verify, "QUICK_IDS", {"2"})
+    # the verification-failure code; refused before any sampling or criterion
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr(verify, "run_suite", unreachable)
+    monkeypatch.setattr(cli, "rankdist_rows", unreachable)
     if argv[0] == "state":
         graph = tmp_path / "bell.graph"
         graph.write_text(BELL)

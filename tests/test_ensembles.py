@@ -13,7 +13,6 @@ import hyperent.ensembles as ensembles_mod
 import hyperent.purity as purity_mod
 from hyperent.ensembles import (
     EnsembleSpec,
-    EnumerationCapError,
     Family,
     Scope,
     edge_universe,
@@ -121,10 +120,18 @@ def test_enumeration_weights_sum_to_one():
         assert total == 1
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # 45 edges: refused by the transform's byte budget before any edge is factored
+    def unreachable(*args):
+        raise AssertionError("edges factored past the byte budget")
+
+    monkeypatch.setattr(ensembles_mod, "_side_index", unreachable)
     spec = EnsembleSpec(10, Family.CZ, scope=Scope.ALL_EDGES)
-    with pytest.raises(EnumerationCapError):
-        exact_moments(spec, Bipartition.from_first(10, 5), cap_bits=20)
+    part = Bipartition.from_first(10, 5)
+    with pytest.raises(ValueError, match="byte budget"):
+        exact_moments(spec, part)
+    with pytest.raises(ValueError, match="byte budget"):
+        entropy_stats(spec, part)
 
 
 def test_exact_moments_pinned_values():
@@ -272,7 +279,7 @@ def test_rank_and_statevector_agree_per_sampled_graph():
     for _ in range(60):
         h = sample_hypergraph(spec, part, rng)
         r = graph_entropy_rank(h, part)
-        assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
+        assert state_purity(h, part) == Fraction(1, 1 << r)
 
 
 def test_entropy_stats_exhaustive_cz2():
@@ -673,7 +680,7 @@ def test_subset_numerators_guards_come_first(monkeypatch):
     # 27 cross edges need 2 * 8 * 2^27 bytes, over the 2^30 budget
     spec = EnsembleSpec(12, Family.CZ)
     with pytest.raises(ValueError, match="byte budget"):
-        exact_moments(spec, Bipartition.from_first(12, 3), cap_bits=27)
+        exact_moments(spec, Bipartition.from_first(12, 3))
     monkeypatch.undo()
     part = Bipartition.from_first(4, 2)
     universe = edge_universe(EnsembleSpec(4, Family.CZ), part)  # 4 edges: 256 bytes

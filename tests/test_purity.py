@@ -1,5 +1,6 @@
 """Purity engine: exact values, oracle agreement, and rank equivalence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
-    DyadicRational,
     cut_block_cells,
     gram_numerator,
     graph_entropy_rank,
@@ -31,15 +31,15 @@ def purity_of(n, edges, a_mask):
 
 def test_product_state_purity_one():
     p = purity_of(3, [], 0b011)
-    assert p.as_fraction() == 1
+    assert p == 1
 
 
 def test_bell_state_half():
-    assert purity_of(2, [(0, 1)], 0b01).as_fraction() == Fraction(1, 2)
+    assert purity_of(2, [(0, 1)], 0b01) == Fraction(1, 2)
 
 
 def test_three_qubit_ccz_five_eighths():
-    assert purity_of(3, [(0, 1, 2)], 0b001).as_fraction() == Fraction(5, 8)
+    assert purity_of(3, [(0, 1, 2)], 0b001) == Fraction(5, 8)
 
 
 def test_matches_dense_oracle_random():
@@ -51,7 +51,7 @@ def test_matches_dense_oracle_random():
             k = rnd.randint(1, min(4, n))
             edges.add(tuple(sorted(rnd.sample(range(n), k))))
         a_mask = rnd.randint(1, (1 << n) - 2)
-        got = purity_of(n, edges, a_mask).as_fraction()
+        got = purity_of(n, edges, a_mask)
         assert got == ref_purity(n, edges, a_mask)
 
 
@@ -93,9 +93,9 @@ def test_range_and_exponent_bounds():
         a_mask = rnd.randint(1, (1 << n) - 2)
         part = Bipartition(n, a_mask)
         p = purity_of(n, edges, a_mask)
-        value = p.as_fraction()
-        assert Fraction(1, 1 << min(part.n_a, part.n_b)) <= value <= 1
-        assert p.exponent <= 2 * n
+        assert Fraction(1, 1 << min(part.n_a, part.n_b)) <= p <= 1
+        assert p.denominator & (p.denominator - 1) == 0  # a power of two
+        assert p.denominator <= 1 << 2 * n
 
 
 def test_dimension_mismatch():
@@ -105,9 +105,9 @@ def test_dimension_mismatch():
 
 
 def test_renyi2_values():
-    assert renyi2(DyadicRational.of(1, 0)) == 0.0
-    assert renyi2(DyadicRational.of(1, 1)) == 1.0
-    assert abs(renyi2(DyadicRational.of(5, 3)) - 0.6780719051126378) < 1e-12
+    assert renyi2(Fraction(1)) == 0.0
+    assert renyi2(Fraction(1, 2)) == 1.0
+    assert abs(renyi2(Fraction(5, 8)) - 0.6780719051126378) < 1e-12
     assert renyi2(Fraction(1, 4)) == 2.0
     with pytest.raises(ValueError):
         renyi2(Fraction(0))
@@ -118,16 +118,19 @@ def test_renyi2_values():
 
 
 def test_dyadic_canonicalization():
-    d = DyadicRational.of(4, 4)
-    assert (d.numerator, d.exponent) == (1, 2)
-    assert DyadicRational.of(0, 9) == DyadicRational(0, 0)
-    assert DyadicRational.from_fraction(Fraction(3, 8)) == DyadicRational(3, 3)
-    with pytest.raises(ValueError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        DyadicRational(2, 1)
-    assert str(DyadicRational(5, 3)) == "5/2^3"
-    assert float(DyadicRational(5, 3)) == 0.625
+    # numerators over 2^(2N) reduce to an odd numerator, or to 1/2^0
+    cases = [
+        (2, [(0, 1)], 0b01, (1, 1)),  # 8/2^4
+        (4, [(0, 2), (1, 3)], 0b0011, (1, 2)),  # 64/2^8
+        (3, [], 0b001, (1, 0)),  # 64/2^6
+        (3, [(0, 1, 2)], 0b001, (5, 3)),  # 40/2^6
+    ]
+    for n, edges, a_mask, (num, exp) in cases:
+        p = purity_of(n, edges, a_mask)
+        assert type(p) is Fraction and p == Fraction(num, 1 << exp)
+        record = state_record(Hypergraph.from_gates(n, edges), Bipartition(n, a_mask))
+        assert (record["purity_numerator"], record["purity_exponent"]) == (num, exp)
+        assert record["purity"] == num / (1 << exp)
 
 
 def _cut_block(h, part):
@@ -174,7 +177,7 @@ def test_rank_purity_equivalence_all_cuts():
         for a_mask in range(1, (1 << n) - 1):
             part = Bipartition(n, a_mask)
             r = graph_entropy_rank(h, part)
-            assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
+            assert state_purity(h, part) == Fraction(1, 1 << r)
 
 
 def test_rank_purity_equivalence_larger_random_cuts():
@@ -186,7 +189,7 @@ def test_rank_purity_equivalence_larger_random_cuts():
         a_mask = rnd.randint(1, (1 << n) - 2)
         part = Bipartition(n, a_mask)
         r = graph_entropy_rank(h, part)
-        assert state_purity(h, part).as_fraction() == Fraction(1, 1 << r)
+        assert state_purity(h, part) == Fraction(1, 1 << r)
 
 
 @st.composite
@@ -241,7 +244,7 @@ def test_blocked_paths_match_oracle(monkeypatch):
         n = rnd.randint(4, 9)
         edges = {tuple(sorted(rnd.sample(range(n), rnd.choice([2, 3])))) for _ in range(6)}
         a_mask = rnd.randint(1, (1 << n) - 2)
-        got = purity_of(n, edges, a_mask).as_fraction()
+        got = purity_of(n, edges, a_mask)
         assert got == ref_purity(n, edges, a_mask)
 
 
@@ -269,6 +272,25 @@ def test_state_record_matches_dense_oracle(case):
     record = state_record(Hypergraph(n, frozenset(edges)), Bipartition(n, a_mask))
     got = Fraction(record["purity_numerator"], 1 << record["purity_exponent"])
     assert got == ref_purity(n, edges, a_mask)
+
+
+@settings(deadline=None, max_examples=60)
+@given(cut_graphs())
+@example((2, {(0, 1)}, 0b01))
+@example((5, {(2,), (0, 4)}, 0b00110))
+@example((8, {(0, 1, 2), (3, 4, 5), (1, 6, 7), (0, 7)}, 0b10100101))
+def test_state_record_fields_are_canonical(case):
+    # an odd numerator over the smallest power of two (1/2^0 at purity
+    # 1); the entropy is exponent - log2(numerator) exactly
+    n, edges, a_mask = case
+    record = state_record(Hypergraph(n, frozenset(edges)), Bipartition(n, a_mask))
+    num, exp = record["purity_numerator"], record["purity_exponent"]
+    assert type(num) is int and type(exp) is int
+    assert num % 2 == 1 and (exp > 0 or num == 1)
+    assert 0 <= exp <= 2 * n
+    assert Fraction(num, 1 << exp) == ref_purity(n, edges, a_mask)
+    assert record["purity"] == num / (1 << exp)
+    assert record["renyi2"] == exp - math.log2(num)
 
 
 @pytest.mark.parametrize("small_tiles", [False, True])
