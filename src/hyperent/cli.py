@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import formulas, verify
-from .ensembles import EnsembleSpec, Family, Scope
-from .hypergraph import Bipartition, GraphFormatError, check_qubit_cap, parse_graph_file
+from .ensembles import EnsembleSpec, Family, Scope, check_universe_size
+from .hypergraph import Bipartition, GraphFormatError, parse_graph_file
+from .purity import check_qubit_cap
 from .reports import (
     MOMENTS_COLUMNS,
     RANKDIST_COLUMNS,
@@ -167,6 +168,7 @@ def _cmd_moments(args) -> int:
             spec = EnsembleSpec(
                 n, family, k=args.k, edge_probability=args.p, scope=_SCOPES[args.scope]
             )
+            check_universe_size(spec)  # before any bipartition mask of 2^n is built
             yield compute_moments_row(
                 spec,
                 Bipartition.from_first(n, n_a),

@@ -43,7 +43,8 @@ from .purity import (
     _one_blas_thread,
     _side_index,
     _zeta_rows,
-    cut_block_cells,
+    check_qubit_cap,
+    cut_cells,
     gram_numerator,
 )
 from .rng import CounterRng, child_seed, stream_block, threshold_u64
@@ -135,8 +136,19 @@ class EntropyStats:
         return -math.log2(float(self.purity.mean))
 
 
+def check_universe_size(spec: EnsembleSpec) -> None:
+    """Refuse an N or C(N, k) candidate edges past one sampling piece, before any is built."""
+    n, k = spec.n_qubits, spec.edge_arity
+    limit = _MC_PIECE_DRAWS
+    # every universe is a subset of the candidates; C(N, j) >= 2^j for
+    # j <= N/2, so a huge k is refused without computing the binomial
+    if n > limit or min(k, n - k) >= limit.bit_length() or math.comb(n, k) > limit:
+        raise ValueError(f"N={n} with {k}-edges does not fit one sampling piece of {limit} draws")
+
+
 def edge_universe(spec: EnsembleSpec, part: Bipartition | None = None) -> list[Edge]:
     """Candidate edges of the ensemble, in lexicographic order."""
+    check_universe_size(spec)
     n = spec.n_qubits
     if part is not None and part.n_qubits != n:
         raise ValueError("bipartition size does not match the ensemble")
@@ -174,18 +186,6 @@ def sample_hypergraph(spec: EnsembleSpec, part: Bipartition | None, rng: Counter
 def subset_weight(spec: EnsembleSpec, present: int, absent: int) -> Fraction:
     p = spec.edge_probability
     return p**present * (1 - p) ** absent
-
-
-def _cut_order(universe: list[Edge], part: Bipartition) -> np.ndarray:
-    """Universe position of the edge at each cell of the (n_A, n_B) cut block, row-major.
-
-    A 2-edge universe holds each cut-crossing pair exactly once, so
-    every cell has exactly one edge.
-    """
-    positions, cells = cut_block_cells(universe, part)
-    order = np.empty_like(positions)
-    order[cells] = positions
-    return order
 
 
 def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
@@ -304,9 +304,8 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     Edges inside one side give alpha_j = 0 or beta_j = 0 and drop out.
     O(u 2^u + u (d_A + d_B)) time, two 2^u int64 arrays of memory.
     """
-    n, u = part.n_qubits, len(universe)
-    if n >= 32:
-        raise ValueError(f"exact purity numerators at N={n} can pass int64 (N <= 31)")
+    check_qubit_cap(part.n_qubits)
+    u = len(universe)
     if 2 * 8 << u > _TRANSFORM_BYTES:
         raise ValueError(
             f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
@@ -421,7 +420,9 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     always = thr >= 1 << 64
     graph = spec.edge_arity == 2
     if graph:
-        values = functools.partial(_cut_ranks, order=_cut_order(universe, part), part=part)
+        position = {e: i for i, e in enumerate(universe)}
+        order = np.array([position[e] for e in cut_cells(part)])
+        values = functools.partial(_cut_ranks, order=order, part=part)
     else:
         values = _CutFactors(universe, part).numerators
     rows = max(1, _MC_PIECE_DRAWS // max(1, u))

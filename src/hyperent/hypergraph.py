@@ -16,7 +16,6 @@ builds the rows of a cut with it, never the whole 2**n table.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,20 +23,6 @@ import numpy as np
 from . import gf2
 
 Edge = tuple[int, ...]
-
-DEFAULT_MAX_QUBITS = 26
-MAX_QUBITS_ENV = "HYPERENT_MAX_QUBITS"
-
-
-def max_qubits() -> int:
-    """Single-state qubit cap; overridable via the HYPERENT_MAX_QUBITS env var."""
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{MAX_QUBITS_ENV} must be >= 1, got {raw}")
-    return cap
 
 
 def canonicalize_edges(raw_edges, n: int) -> frozenset[Edge]:
@@ -67,13 +52,6 @@ def all_k_edges(n: int, k: int) -> list[Edge]:
     return list(itertools.combinations(range(n), k))
 
 
-def _edge_mask(edge: Edge) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex count plus canonical mod-2 edge set.
@@ -97,7 +75,7 @@ class Hypergraph:
                 raise ValueError(f"edge {e!r} is not a strictly increasing tuple")
             if e[0] < 0 or e[-1] >= self.n_qubits:
                 raise ValueError(f"edge {e!r} out of range for n={self.n_qubits}")
-        masks = tuple(_edge_mask(e) for e in sorted(self.edges))
+        masks = tuple(sum(1 << v for v in e) for e in sorted(self.edges))
         object.__setattr__(self, "_masks", masks)
 
     @classmethod
@@ -201,13 +179,6 @@ def toggle_supersets(words: np.ndarray, mask: int, n: int) -> None:
         1 if mask >> (5 + high_bits - k) & 1 else slice(None) for k in range(high_bits)
     )
     words.reshape((2,) * high_bits)[select] ^= _low_bit_pattern(mask & 63, n)
-
-
-def check_qubit_cap(n: int) -> None:
-    """Raise ValueError when n exceeds the single-state qubit cap (:func:`max_qubits`)."""
-    limit = max_qubits()
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the single-state qubit cap ({limit})")
 
 
 def parse_graph_file(text: str) -> Hypergraph:

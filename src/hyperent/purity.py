@@ -5,8 +5,8 @@ reduced density matrix using only integer arithmetic (sums of +-1
 products, normalized once at the end, so each purity is an exact
 ``Fraction`` over a power of two), and for 2-uniform graphs the purity
 is 2**(-r) with r the GF(2) rank of the cut block of the adjacency
-matrix.  The rank route is the one packed GF(2) route:
-:func:`cut_block_cells` lays out the block for single graphs
+matrix.  The rank route is the one packed GF(2) route: :func:`cut_cells`
+names the edge at each cell of the block for single graphs
 (:func:`graph_entropy_rank`) and ensembles alike, and
 ``gf2.batch_rank`` ranks it as a packed stack.
 
@@ -20,7 +20,8 @@ would oversubscribe the cores.
 
 :func:`state_purity` is the one single-state route: it builds the rows
 straight from the edges, factored across the cut, with no 2**N sign
-table.
+table.  Numerators are at most 2**(2N), exact in int64 up to the one
+qubit limit :data:`MAX_QUBITS` = 31, which every exact route checks.
 
 Subsystem indices pack a side's bits low (:func:`_side_index`): row
 index a holds the A-qubit bits in ascending mask order, column index b
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Hypergraph, check_qubit_cap, toggle_supersets
+from .hypergraph import Bipartition, Edge, Hypergraph, toggle_supersets
 
 
 def renyi2(p) -> float:
@@ -53,7 +54,14 @@ def renyi2(p) -> float:
 _GRAM_TILE_ENTRIES = 1 << 22  # float32 entries of one row and column tile of M
 _GRAM_BATCH_ENTRIES = 1 << 18  # entries of M in one batched matmul, which stay in cache
 _GRAM_EXACT_COLS = 1 << 24  # float32 holds every integer of magnitude <= 2^24
-_INT64_ENTRIES = 1 << 31  # a numerator is at most entries**2, so this many fit int64
+MAX_QUBITS = 31  # numerators are at most 2^(2N), which int64 holds up to here
+_INT64_ENTRIES = 1 << MAX_QUBITS  # a numerator is at most entries**2, so this many fit int64
+
+
+def check_qubit_cap(n: int) -> None:
+    """Raise ValueError when n is past MAX_QUBITS, where exact numerators can pass int64."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds the qubit cap ({MAX_QUBITS}): numerators must fit int64")
 
 
 def _signs(rows: np.ndarray, col: int, n_cols: int) -> np.ndarray:
@@ -77,18 +85,16 @@ def gram_numerator(rows: np.ndarray, n_cols: int) -> np.ndarray:
     most 2^24 wide, so every float32 partial sum is an integer of
     magnitude <= 2^24 and exact in any BLAS summation order; each tile
     of M M^T is accumulated over the column tiles and squared in int64.
-    A single M of more than _INT64_ENTRIES entries, whose numerator can
-    pass int64, is squared and summed in Python ints instead (an object
-    result); batches of that size are refused.
+    An M of more than _INT64_ENTRIES entries, whose numerator can pass
+    int64, is refused, whatever the batch size.
     """
     batch, n_rows, _ = rows.shape
-    wide = n_rows * n_cols > _INT64_ENTRIES
-    if wide and batch > 1:
+    if n_rows * n_cols > _INT64_ENTRIES:
         raise ValueError(f"{batch} purity numerators of {n_rows} x {n_cols} can overflow int64")
     height = min(n_rows, 1 << (_GRAM_TILE_ENTRIES.bit_length() - 1) // 2)
     width = min(n_cols, _GRAM_EXACT_COLS, max(64, _GRAM_TILE_ENTRIES // height >> 6 << 6))
     step = max(1, _GRAM_BATCH_ENTRIES // (height * width))
-    total = np.zeros(batch, dtype=object if wide else np.int64)
+    total = np.zeros(batch, dtype=np.int64)
     for lo in range(0, batch, step):
         block = rows[lo : lo + step]
         for i in range(0, n_rows, height):
@@ -100,8 +106,6 @@ def gram_numerator(rows: np.ndarray, n_cols: int) -> np.ndarray:
                     right = left if j == i else _signs(block[:, j : j + height], col, cols)
                     tile = np.matmul(left, right.transpose(0, 2, 1)).astype(np.int64)
                     gram = tile if gram is None else gram + tile
-                if wide:
-                    gram = gram.astype(object)
                 total[lo : lo + step] += (1 if j == i else 2) * np.einsum("bij,bij->b", gram, gram)
     return total
 
@@ -211,23 +215,14 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     return Fraction(int(numerator), 1 << 2 * part.n_qubits)
 
 
-def cut_block_cells(edges, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, cells) of the 2-edges in the collection ``edges`` that cross the cut.
+def cut_cells(part: Bipartition) -> list[Edge]:
+    """The 2-edge at each cell of the (n_A, n_B) cut block, row-major.
 
-    edges[positions[i]] sits at cell cells[i] = row * n_B + col of the
-    (n_A, n_B) cut block, whose rows are the A vertices and whose
-    columns are the complement vertices, each in ascending order.
+    Rows are the A vertices and columns the complement vertices, each in
+    ascending order; cell (a, b) holds the edge (min(a, b), max(a, b)).
     """
-    in_a = np.array([part.a_mask >> v & 1 for v in range(part.n_qubits)], dtype=bool)
-    side_index = np.empty(part.n_qubits, dtype=np.intp)
-    side_index[in_a] = np.arange(part.n_a)
-    side_index[~in_a] = np.arange(part.n_b)
-    ends = np.array(list(edges), dtype=np.intp).reshape(len(edges), 2)
-    first_in_a = in_a[ends[:, 0]]
-    positions = np.flatnonzero(first_in_a != in_a[ends[:, 1]])
-    a_end = np.where(first_in_a, ends[:, 0], ends[:, 1])[positions]
-    b_end = np.where(first_in_a, ends[:, 1], ends[:, 0])[positions]
-    return positions, side_index[a_end] * part.n_b + side_index[b_end]
+    b_side = part.b_indices  # a property, so built once here and not once per row
+    return [(min(a, b), max(a, b)) for a in part.a_indices for b in b_side]
 
 
 def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
@@ -235,14 +230,13 @@ def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
 
     Graph states have flat reduced spectra, so this integer equals
     -log2 of the exact purity.  The block's rows are the A vertices and
-    its columns the complement vertices, laid out by
-    :func:`cut_block_cells`; entry 1 iff that cross edge is present.
+    its columns the complement vertices; a cell is 1 iff h has the edge
+    :func:`cut_cells` names there.
     """
     if h.n_qubits != part.n_qubits:
         raise ValueError("graph and bipartition disagree on qubit count")
     if not h.is_k_uniform(2):
         raise ValueError("cut matrix requires a 2-uniform hypergraph")
-    block = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
-    block[cut_block_cells(h.edges, part)[1]] = 1
+    block = np.array([e in h.edges for e in cut_cells(part)], dtype=np.uint8)
     packed = gf2.pack_rows(block.reshape(part.n_a, part.n_b))
     return int(gf2.batch_rank(packed[np.newaxis], part.n_b)[0])

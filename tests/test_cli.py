@@ -74,30 +74,45 @@ def test_state_domain_error_exit_3(tmp_path, capsys):
     assert "domain error" in err
 
 
-def test_state_above_cap_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "10")
+def _forbid_bipartitions(monkeypatch):
+    class Unreachable:
+        def __init__(self, *args):
+            raise AssertionError("bipartition built past a size limit")
+
+        from_first = __init__
+
+    monkeypatch.setattr(cli, "Bipartition", Unreachable)
+
+
+def test_state_above_cap_exit_3(tmp_path, capsys):
     f = tmp_path / "big.graph"
-    f.write_text("n 12\n0 6\n1 7 8\n")
-    code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
-    assert code == 3
-    assert "exceeds the single-state qubit cap (10)" in err
+    f.write_text("n 32\n0 6\n1 7 8\n")
+    code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
+    assert code == 3 and out == ""
+    assert "exceeds the qubit cap (31)" in err and "int64" in err
 
 
 def test_state_header_past_cap_exit_3(tmp_path, capsys, monkeypatch):
     # refused from the header, before a 2^n bipartition mask is built
-    class Unreachable:
-        def __init__(self, *args):
-            raise AssertionError("bipartition built past the qubit cap")
-
-        from_first = __init__
-
-    monkeypatch.delenv("HYPERENT_MAX_QUBITS", raising=False)
-    monkeypatch.setattr(cli, "Bipartition", Unreachable)
+    _forbid_bipartitions(monkeypatch)
     f = tmp_path / "big.graph"
-    f.write_text("n 27\n")
+    f.write_text("n 32\n")
     code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 3 and out == ""
-    assert "exceeds the single-state qubit cap (26)" in err
+    assert "exceeds the qubit cap (31): numerators must fit int64" in err
+
+
+def test_state_past_old_cap_computes(tmp_path, capsys):
+    # N = 28 is inside the int64 limit: the 3-qubit CCZ state with 25 idle
+    # qubits has the 3-qubit state's purity
+    outs = []
+    for n in (3, 28):
+        f = tmp_path / f"ccz{n}.graph"
+        f.write_text(f"n {n}\n0 1 2\n")
+        code, out, _ = run_cli(capsys, "state", "--graph-file", str(f), "--na", "1")
+        assert code == 0
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[0].startswith("purity = 5/2^3 = 0.625\n")
 
 
 def test_state_non_utf8_file_exit_2(tmp_path, capsys):
@@ -259,6 +274,24 @@ def test_moments_exhaustive_past_byte_budget_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "domain error" in err and "byte budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "cz", "--n", "99999999999", "--samples", "2"],
+        ["--family", "cz", "--n", "99999999999", "--exhaustive"],
+        ["--family", "cz", "--n", "3000", "--samples", "2"],
+        ["--family", "k-uniform", "--k", "1000000", "--n", "2000000", "--samples", "2"],
+        ["--family", "k-uniform", "--k", "99999999999", "--n", "99999999999", "--samples", "2"],
+    ],
+)
+def test_moments_universe_past_sampling_piece_exit_3(capsys, monkeypatch, argv):
+    # refused from the sizes alone, before a 2^n bipartition mask or an edge list is built
+    _forbid_bipartitions(monkeypatch)
+    code, out, err = run_cli(capsys, "moments", *argv)
+    assert code == 3 and out == ""
+    assert "domain error" in err and "does not fit one sampling piece of 2097152 draws" in err
 
 
 @pytest.mark.parametrize("p", ["1/0", "0.3.1", "x"])

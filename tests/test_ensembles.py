@@ -20,15 +20,15 @@ from hyperent.ensembles import (
     exact_moments,
     mc_moments,
     _CutFactors,
-    _cut_order,
     _cut_ranks,
     _subset_numerators,
+    check_universe_size,
     sample_hypergraph,
     subset_weight,
 )
 from hyperent.formulas import cz_avg_purity
 from hyperent.hypergraph import Bipartition, Hypergraph
-from hyperent.purity import graph_entropy_rank, state_purity
+from hyperent.purity import cut_cells, graph_entropy_rank, state_purity
 from hyperent.rng import CounterRng
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
@@ -213,6 +213,11 @@ def test_mc_determinism():
     assert a != c
 
 
+def _cell_positions(universe, part):
+    """Universe position of the edge cut_cells names at each cut-block cell."""
+    return np.array([universe.index(e) for e in cut_cells(part)])
+
+
 def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
     """Record the edge choices a 2-edge Monte Carlo run ranks, then square them instead."""
     drawn = []
@@ -226,7 +231,7 @@ def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
     bits = np.concatenate(drawn)
     universe = edge_universe(spec, part)
     assert bits.shape == (samples, len(universe))
-    ranks = _cut_ranks(bits, _cut_order(universe, part), part)
+    ranks = _cut_ranks(bits, _cell_positions(universe, part), part)
     nums = _CutFactors(universe, part).numerators(bits)
     assert nums.tolist() == [1 << (2 * spec.n_qubits - r) for r in ranks.tolist()]
 
@@ -503,7 +508,7 @@ def test_rank_route_at_scattered_cuts(data):
         ]
         want.append(ref_gf2_rank(dense))
         assert graph_entropy_rank(Hypergraph(n, frozenset(edges)), part) == want[-1]
-    order = _cut_order(universe, part)
+    order = _cell_positions(universe, part)
     assert _cut_ranks(bits, order, part).tolist() == want
     assert _cut_ranks(bits.astype(np.uint8), order, part).tolist() == want
 
@@ -689,6 +694,22 @@ def test_subset_numerators_guards_come_first(monkeypatch):
     monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 255)
     with pytest.raises(ValueError, match="byte budget"):
         _subset_numerators(universe, part)
+
+
+def test_universe_size_check_boundaries():
+    # C(2048, 2) = 2096128 candidates fit the 2^21 draws of a sampling
+    # piece, C(2049, 2) do not; one N-edge fits while N does
+    check_universe_size(EnsembleSpec(2048, Family.CZ))
+    check_universe_size(EnsembleSpec(1 << 21, Family.K_UNIFORM, k=1 << 21))
+    for spec in [
+        EnsembleSpec(2049, Family.CZ),
+        EnsembleSpec((1 << 21) + 1, Family.K_UNIFORM, k=(1 << 21) + 1),
+        EnsembleSpec(10**12, Family.K_UNIFORM, k=10**12 // 2),
+    ]:
+        with pytest.raises(ValueError, match="sampling piece"):
+            check_universe_size(spec)
+        with pytest.raises(ValueError, match="sampling piece"):
+            edge_universe(spec)
 
 
 def test_exhaustive_memory_does_not_grow_with_the_larger_side():

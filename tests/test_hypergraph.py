@@ -13,12 +13,11 @@ from hyperent.hypergraph import (
     _low_bit_pattern,
     all_k_edges,
     canonicalize_edges,
-    check_qubit_cap,
     format_graph_file,
-    max_qubits,
     parse_graph_file,
     toggle_supersets,
 )
+from hyperent.purity import MAX_QUBITS, check_qubit_cap
 
 from reference import ref_signs
 
@@ -126,16 +125,10 @@ def test_single_edge_popcount():
         assert sign_bits(Hypergraph(n, frozenset({e}))).sum() == 1 << (n - k)
 
 
-def test_cap_enforced(monkeypatch):
-    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "10")
-    assert max_qubits() == 10
-    with pytest.raises(ValueError, match="single-state qubit cap"):
-        check_qubit_cap(12)
-    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "12")
-    check_qubit_cap(12)
-    monkeypatch.setenv("HYPERENT_MAX_QUBITS", "0")
-    with pytest.raises(ValueError):
-        max_qubits()
+def test_cap_enforced():
+    check_qubit_cap(MAX_QUBITS)
+    with pytest.raises(ValueError, match=r"qubit cap \(31\): numerators must fit int64"):
+        check_qubit_cap(MAX_QUBITS + 1)
 
 
 def test_low_bit_pattern_brute_force():

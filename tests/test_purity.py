@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
-    cut_block_cells,
+    cut_cells,
     gram_numerator,
     graph_entropy_rank,
     renyi2,
@@ -134,23 +134,23 @@ def test_dyadic_canonicalization():
 
 
 def _cut_block(h, part):
-    """Dense cut block laid out by cut_block_cells."""
-    block = np.zeros(part.n_a * part.n_b, dtype=np.uint8)
-    block[cut_block_cells(h.edges, part)[1]] = 1
-    return block.reshape(part.n_a, part.n_b)
+    """Dense cut block from the edge definition: rows A vertices, columns the rest."""
+    return [[int((min(a, b), max(a, b)) in h.edges) for b in part.b_indices] for a in part.a_indices]
 
 
 def test_graph_cut_matrix_examples():
+    assert cut_cells(Bipartition(4, 0b0011)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert cut_cells(Bipartition(4, 0b1010)) == [(0, 1), (1, 2), (0, 3), (2, 3)]
     bell = Hypergraph.from_gates(2, [(0, 1)])
-    assert _cut_block(bell, Bipartition(2, 0b01)).tolist() == [[1]]
+    assert _cut_block(bell, Bipartition(2, 0b01)) == [[1]]
     assert graph_entropy_rank(bell, Bipartition(2, 0b01)) == 1
 
     disjoint = Hypergraph.from_gates(4, [(0, 1), (2, 3)])
-    assert _cut_block(disjoint, Bipartition(4, 0b0011)).tolist() == [[0, 0], [0, 0]]
+    assert _cut_block(disjoint, Bipartition(4, 0b0011)) == [[0, 0], [0, 0]]
     assert graph_entropy_rank(disjoint, Bipartition(4, 0b0011)) == 0
 
     crossy = Hypergraph.from_gates(4, [(0, 2), (1, 3), (0, 3)])
-    assert _cut_block(crossy, Bipartition(4, 0b0011)).tolist() == [[1, 1], [0, 1]]
+    assert _cut_block(crossy, Bipartition(4, 0b0011)) == [[1, 1], [0, 1]]
     assert graph_entropy_rank(crossy, Bipartition(4, 0b0011)) == 2
 
 
@@ -318,33 +318,13 @@ def test_gram_numerator_matches_xor_popcount(monkeypatch, shape, small_tiles):
 
 
 def test_gram_numerator_rejects_int64_overflow(monkeypatch):
-    # 2^32 sign entries could give a numerator of 2^64; no rows are read
+    # 2^32 sign entries could give a numerator of 2^64; no rows are read,
+    # whether the batch holds one matrix or more
     def unreachable(*args):
         raise AssertionError("rows unpacked past the int64 check")
 
     monkeypatch.setattr(purity_mod, "_signs", unreachable)
-    rows = np.empty((2, 1 << 16, 0), dtype=np.uint64)
-    with pytest.raises(ValueError, match="overflow"):
-        gram_numerator(rows, 1 << 16)
-
-
-def test_gram_numerator_single_state_past_int64(monkeypatch):
-    # one M past the int64 bound is summed in Python ints, not refused
-    monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 256)
-    monkeypatch.setattr(purity_mod, "_INT64_ENTRIES", 24 * 200 - 1)
-    bits = np.random.default_rng(5).integers(0, 2, (1, 24, 200), dtype=np.uint8)
-    signs = 1 - 2 * bits[0].astype(np.int64)
-    got = gram_numerator(pack_rows(bits), 200)
-    assert got.dtype == object and type(got[0]) is int
-    assert got[0] == np.sum((signs @ signs.T) ** 2)
-    with pytest.raises(ValueError, match="overflow"):
-        gram_numerator(pack_rows(np.concatenate([bits, bits])), 200)
-
-    # entries of 2^20 in place of the signs: M M^T is 2^40 * 200 everywhere,
-    # whose squares pass int64
-    def big(rows, col, n_cols):
-        return np.full((*rows.shape[:-1], n_cols), 2.0**20, dtype=np.float32)
-
-    monkeypatch.setattr(purity_mod, "_signs", big)
-    got = gram_numerator(pack_rows(bits), 200)
-    assert got[0] == 24**2 * (200 << 40) ** 2
+    for batch in (1, 2):
+        rows = np.empty((batch, 1 << 16, 0), dtype=np.uint64)
+        with pytest.raises(ValueError, match="overflow"):
+            gram_numerator(rows, 1 << 16)

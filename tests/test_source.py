@@ -55,3 +55,24 @@ def test_kernels_import_no_report_layer():
                 continue
             found += [f"{name}:{node.lineno} {mod}" for mod in sorted(names & upper)]
     assert found == []
+
+
+def test_no_environment_knobs():
+    # behaviour is set by arguments alone: no module reads the environment
+    found = [
+        f"{name}:{node.lineno}"
+        for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names)
+        )
+    ]
+    assert found == []
