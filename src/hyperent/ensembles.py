@@ -18,6 +18,12 @@ choices into sign rows through :class:`_CutFactors`, which feeds the
 batched Gram numerator :func:`purity.gram_numerator` on one BLAS
 thread.
 
+Monte Carlo memory is bounded by the piece, not the run: each chunk of
+samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
+choices, one bool each (2 MiB), which :func:`rng.bernoulli_block` fills
+from one 2^15-draw (256 KiB) uint64 tile at a time; the rank or
+numerator route then holds only what it makes of one piece.
+
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
 and floats appear only in entropy (log) values; 2-edge numerators are
@@ -33,6 +39,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress, repeat
 
 import numpy as np
 
@@ -47,7 +54,7 @@ from .purity import (
     cut_cells,
     gram_numerator,
 )
-from .rng import CounterRng, child_seed, stream_block, threshold_u64
+from .rng import CounterRng, bernoulli_block, child_seed
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
@@ -164,13 +171,16 @@ def edge_universe(spec: EnsembleSpec, part: Bipartition | None = None) -> list[E
                 for y in range(x + 1, len(b)):
                     edges.append(tuple(sorted((i, b[x], b[y]))))
         return sorted(edges)
-    universe = all_k_edges(n, spec.edge_arity)
     if spec.scope is Scope.ALL_EDGES:
-        return universe
+        return all_k_edges(n, spec.edge_arity)
     if part is None:
         raise ValueError("cross-only scope needs a bipartition")
-    a = part.a_mask
-    return [e for e in universe if any(a >> v & 1 for v in e) and not all(a >> v & 1 for v in e)]
+    # the side of each vertex, read once; combinations of the sides run in
+    # step with those of the vertices and drop the one-side edges
+    side = f"{part.a_mask:0{n}b}"[::-1]
+    k = spec.edge_arity
+    cross = map({("0",) * k: False, ("1",) * k: False}.get, combinations(side, k), repeat(True))
+    return list(compress(combinations(range(n), k), cross))
 
 
 def sample_hypergraph(spec: EnsembleSpec, part: Bipartition | None, rng: CounterRng) -> Hypergraph:
@@ -416,8 +426,6 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     universe = edge_universe(spec, part)
     u = len(universe)
     n = spec.n_qubits
-    thr = threshold_u64(spec.edge_probability)
-    always = thr >= 1 << 64
     graph = spec.edge_arity == 2
     if graph:
         position = {e: i for i, e in enumerate(universe)}
@@ -432,8 +440,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
         pieces = []  # ranks or numerators, drawn rows at a time to bound memory
         for r in range(done, done + take, rows):
             k = min(rows, done + take - r)
-            draws = stream_block(wseed, r * u, k * u).reshape(k, u)
-            bits = np.ones((k, u), dtype=bool) if always else draws < np.uint64(thr)
+            bits = bernoulli_block(wseed, r * u, k * u, spec.edge_probability).reshape(k, u)
             pieces.append(values(bits))
         vals = np.concatenate(pieces)
         if graph:

@@ -112,6 +112,8 @@ class Bipartition:
     @classmethod
     def from_first(cls, n: int, n_a: int) -> "Bipartition":
         """A = the n_a lowest qubit indices."""
+        if not 0 < n_a < n:  # before a mask of n_a bits is built
+            raise ValueError(f"n_a={n_a} out of range [1, {n - 1}] for {n} qubits")
         return cls(n, (1 << n_a) - 1)
 
     @property

@@ -18,7 +18,10 @@ the parent stream) and never touches another worker's positions.
 Bernoulli draws with success probability ``p`` compare a raw 64-bit
 draw against ``threshold_u64(p)``; the comparison is exact whenever
 ``p * 2**64`` is an integer (which covers every dyadic ``p`` with
-exponent <= 64), and biased by less than 2**-64 otherwise.
+exponent <= 64), and biased by less than 2**-64 otherwise.  The one
+route to Bernoulli bits is :func:`bernoulli_block`: it makes the same
+stream draws a cache-sized tile at a time and thresholds each tile into
+the bool output, so no uint64 copy of a whole block is held.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
+_TILE = 1 << 15  # draws per tile of bernoulli_block: 256 KiB of uint64 at a time
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
@@ -77,6 +81,18 @@ def threshold_u64(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
+def bernoulli_block(seed: int, start: int, count: int, p: Fraction) -> np.ndarray:
+    """Bernoulli(p) bools of draws [start, start+count): draw < threshold_u64(p)."""
+    t = threshold_u64(Fraction(p))
+    if t in (0, 1 << 64):
+        return np.full(count, t > 0)
+    bits = np.empty(count, dtype=bool)
+    for lo in range(0, count, _TILE):
+        hi = min(count, lo + _TILE)
+        np.less(stream_block(seed, start + lo, hi - lo), np.uint64(t), out=bits[lo:hi])
+    return bits
+
+
 class CounterRng:
     """Sequential cursor over a SplitMix64 counter stream.
 
@@ -102,8 +118,6 @@ class CounterRng:
 
     def bernoulli(self, p: Fraction, count: int) -> np.ndarray:
         """Next ``count`` Bernoulli(p) draws as a bool array (consumes count)."""
-        draws = self.take(count)
-        t = threshold_u64(Fraction(p))
-        if t >= 1 << 64:
-            return np.ones(count, dtype=bool)
-        return draws < np.uint64(t)
+        bits = bernoulli_block(self.seed, self.cursor, count, p)
+        self.cursor += count
+        return bits

@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +117,36 @@ def test_state_past_old_cap_computes(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[1] == outs[0] and outs[0].startswith("purity = 5/2^3 = 0.625\n")
+
+
+def _limit_address_space():
+    limit = 3 << 29  # 1.5 GiB: a regression dies with MemoryError, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("n_a", ["99999999999", "-1", "0"])
+@pytest.mark.parametrize("command", ["state", "moments"])
+def test_na_out_of_range_exit_3(tmp_path, command, n_a):
+    # checked before the n_a-bit mask is built, in a capped subprocess
+    f = tmp_path / "bell.graph"
+    f.write_text(BELL)
+    if command == "state":
+        argv, n = ["state", "--graph-file", str(f)], 2
+    else:
+        argv, n = ["moments", "--family", "cz", "--n", "8", "--samples", "2"], 8
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperent.cli", *argv, "--na", n_a],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"domain error: n_a={n_a} out of range [1, {n - 1}] for {n} qubits\n"
 
 
 def test_state_non_utf8_file_exit_2(tmp_path, capsys):

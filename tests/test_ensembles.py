@@ -1,5 +1,6 @@
 """Ensemble universes, sampling, enumeration, and moment estimators."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -50,6 +51,23 @@ def test_edge_universe_sorted_and_cross():
     for e in edges:
         assert any(part.a_mask >> v & 1 for v in e)
         assert any(part.b_mask >> v & 1 for v in e)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_edge_universe_matches_per_edge_filter(data):
+    # the universe order is the stream layout: same list as filtering every k-subset
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    a = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    spec, part = EnsembleSpec(n, Family.K_UNIFORM, k=k, scope=scope), Bipartition(n, a)
+    expected = list(itertools.combinations(range(n), k))
+    if scope is Scope.CROSS_ONLY:
+        expected = [
+            e for e in expected if any(a >> v & 1 for v in e) and not all(a >> v & 1 for v in e)
+        ]
+    assert edge_universe(spec, part) == expected
 
 
 def test_half_family_universe_shape():
@@ -728,6 +746,18 @@ def test_exhaustive_memory_does_not_grow_with_the_larger_side():
     assert (est.mean, est.variance) == ((1 + one) / 2, ((1 - one) / 2) ** 2)
 
 
+def test_mc_sampling_memory_bound():
+    # 20000 samples of 256 edge choices; a 2^21-draw piece held as uint64 is 16 MiB
+    spec, part = EnsembleSpec(32, Family.CZ), Bipartition.from_first(32, 16)
+    tracemalloc.start()
+    try:
+        mc_moments(spec, part, samples=20000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
     # a chunk drawn in pieces of rows gives the same floats, in less memory
     spec, part = EnsembleSpec(40, Family.CZ), Bipartition.from_first(40, 20)
@@ -743,7 +773,8 @@ def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert pieces == whole
-    assert whole_peak > 8 * 300 * u and piece_peak < 8 * 300 * u // 4
+    # draws are thresholded a tile at a time: no piece holds 8 bytes per draw
+    assert piece_peak < whole_peak < 8 * 300 * u and piece_peak < 8 * 300 * u // 4
     # the state-vector route over two chunks, the last one short
     spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 3)
     monkeypatch.undo()

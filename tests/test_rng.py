@@ -3,8 +3,22 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperent.rng import CounterRng, child_seed, mix64, stream_at, stream_block, threshold_u64
+from hyperent.rng import (
+    _TILE as TILE,
+    CounterRng,
+    bernoulli_block,
+    child_seed,
+    mix64,
+    stream_at,
+    stream_block,
+    threshold_u64,
+)
+
+PROBABILITIES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
 
 # Reference outputs of the SplitMix64 sequence seeded with 1234567
 # (first three next() calls of the published C implementation).
@@ -69,3 +83,38 @@ def test_block_wraps_past_2_32_and_at_top_seed():
         block = stream_block(seed, start, 50)
         assert block.dtype == np.uint64 and block.shape == (50,)
         assert block.tolist() == [stream_at(seed, start + i) for i in range(50)]
+
+
+def _thresholded(seed, start, count, p):
+    # reference: the whole block drawn at once, then compared with the threshold
+    t = threshold_u64(p)
+    if t >= 1 << 64:
+        return np.ones(count, dtype=bool)
+    return stream_block(seed, start, count) < np.uint64(t)
+
+
+@pytest.mark.parametrize("p", PROBABILITIES)
+@pytest.mark.parametrize("count", [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+@settings(deadline=None, max_examples=5)
+@given(
+    seed=st.integers((1 << 64) - 1000, (1 << 64) - 1) | st.integers(0, (1 << 64) - 1),
+    start=st.integers(0, 1 << 40),
+)
+def test_bernoulli_block_equals_thresholded_stream(count, p, seed, start):
+    bits = bernoulli_block(seed, start, count, p)
+    assert bits.dtype == bool and bits.shape == (count,)
+    assert np.array_equal(bits, _thresholded(seed, start, count, p))
+
+
+def test_bernoulli_cursor_and_bits_unchanged():
+    # each call consumes exactly count draws, and gives the bits of those draws
+    top = (1 << 64) - 2
+    for p in PROBABILITIES:
+        rng = CounterRng(top, cursor=5)
+        cursor = 5
+        for count in [0, 1, TILE + 1, 7]:
+            bits = rng.bernoulli(p, count)
+            assert np.array_equal(bits, _thresholded(top, cursor, count, p))
+            cursor += count
+            assert rng.cursor == cursor
+        assert rng.next_u64() == stream_at(top, cursor)

@@ -76,3 +76,16 @@ def test_no_environment_knobs():
         )
     ]
     assert found == []
+
+
+def test_one_bernoulli_route():
+    # ensembles draws edge choices through rng.bernoulli_block alone, never
+    # a raw uint64 block compared with a threshold of its own
+    raw = {"stream_block", "threshold_u64"}
+    found = []
+    for node in ast.walk(ast.parse(_sources()["ensembles.py"])):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name in raw]
+        elif isinstance(node, ast.Attribute) and node.attr in raw:
+            found.append(f"{node.lineno} .{node.attr}")
+    assert found == []
