@@ -10,13 +10,17 @@ contiguous slice of the sample range and the child stream w
 
 Each mode has one route to the purity numerators.  Exhaustive moments
 count: :func:`_subset_numerators` returns every subset's numerator at
-once from per-side histograms of which edge parts each basis state
-contains, by Walsh-Hadamard and subset transforms over the 2^u subsets,
-with no state, sign row or Gram matrix built.  Monte Carlo ranks the cut block over GF(2) for 2-edge families
-(purity = 2^-rank), and otherwise turns each batch of sampled edge
-choices into sign rows through :class:`_CutFactors`, which feeds the
-batched Gram numerator :func:`purity.gram_numerator` on one BLAS
-thread.
+once.  Per side, a histogram of which distinct edge parts each basis
+state contains gives, by Walsh-Hadamard and subset transforms, a table
+over sets of distinct parts; the subsets' products of the two sides'
+entries are gathered into one 2^u int64 array a cache-sized block at a
+time, and one subset transform over it yields the numerators, with no
+state, sign row or Gram matrix built.  Monte Carlo ranks the cut block
+over GF(2) for 2-edge families (purity = 2^-rank), its cells looked up
+in the universe by :func:`purity.cut_cells`, and otherwise turns each
+batch of sampled edge choices into sign rows through
+:class:`_CutFactors`, which feeds the batched Gram numerator
+:func:`purity.gram_numerator` on one BLAS thread.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
@@ -39,7 +43,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .purity import (
     _zeta_rows,
     check_qubit_cap,
     cut_cells,
+    edge_codes,
     gram_numerator,
 )
 from .rng import CounterRng, bernoulli_block, child_seed
@@ -61,7 +66,8 @@ _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds samplin
 _SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
-_TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays, so u <= 26
+_BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
+_TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays' worth, so u <= 26
 
 
 class Family(enum.Enum):
@@ -258,13 +264,13 @@ class _CutFactors:
         return gram_numerator(rows, self.part.d_b)
 
 
-def _butterflies(arr: np.ndarray):
-    """(lo, hi) views of arr for each of its log2(len) bits: entries without and with the bit.
+def _butterflies(arr: np.ndarray, first: int = 0):
+    """(lo, hi) views of arr for each of its log2(len) bits from first: entries without and with it.
 
     Bits 1 and 2 come as one strided 1-d pair per offset, which numpy
     runs several times faster than a view with an inner axis of 2 or 4.
     """
-    for j in range(arr.size.bit_length() - 1):
+    for j in range(first, arr.size.bit_length() - 1):
         pairs = arr.reshape(-1, 2, 1 << j)
         if 0 < j < 3:
             yield from ((pairs[:, 0, i], pairs[:, 1, i]) for i in range(1 << j))
@@ -300,6 +306,28 @@ def _pair_supersets(parts: list[int], n_side: int) -> np.ndarray:
     return counts
 
 
+def _or_table(bits: np.ndarray) -> np.ndarray:
+    """The OR of bits[j] over the set bits j of every mask below 2^len(bits), by doubling."""
+    table = np.zeros(1 << bits.size, dtype=bits.dtype)
+    for j, bit in enumerate(bits):
+        np.bitwise_or(table[: 1 << j], bit, out=table[1 << j : 2 << j])
+    return table
+
+
+def _side_tables(parts: np.ndarray, n_side: int, low: int):
+    """(h, pi_low, pi_high) of one side: H(T) = h[pi_low[t] | pi_high[i]] at T = i 2^low + t.
+
+    Edges with equal parts have equal iota bits, so H(T) depends only on
+    the set pi(T) of distinct parts among T's edges: h is
+    :func:`_pair_supersets` over the distinct parts, and pi is split
+    into OR-tables of the low and the high edges, as narrow as the
+    distinct count allows.
+    """
+    distinct, which = np.unique(parts, return_inverse=True)
+    bits = (1 << which).astype(np.min_scalar_type((1 << distinct.size) - 1))
+    return _pair_supersets(distinct.tolist(), n_side), _or_table(bits[:low]), _or_table(bits[low:])
+
+
 def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     """Exact 2^(2N) * purity of every subset of the universe, int64, indexed by subset mask.
 
@@ -312,7 +340,14 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     (lo, lo - 2 hi) of H_A * H_B yields every numerator.  Every
     intermediate has magnitude <= 2^(2N), exact in int64 for N <= 31.
     Edges inside one side give alpha_j = 0 or beta_j = 0 and drop out.
-    O(u 2^u + u (d_A + d_B)) time, two 2^u int64 arrays of memory.
+
+    H_A * H_B is gathered from the small tables of :func:`_side_tables`
+    one block of 2^_BLOCK_EDGES subsets at a time, and the block's low
+    transform levels run while it is in cache; only the u - _BLOCK_EDGES
+    high levels stream the whole array.  O(u 2^u + D (d + 2^D)) time per
+    side of D distinct parts over d basis states; memory is one 2^u int64
+    array beside the side tables, 2^D int64 counts and 2^_BLOCK_EDGES
+    narrow OR entries per side.
     """
     check_qubit_cap(part.n_qubits)
     u = len(universe)
@@ -322,9 +357,17 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
             f"over the {_TRANSFORM_BYTES}-byte budget"
         )
     masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
-    nums = _pair_supersets(_side_index(masks, part.a_mask).tolist(), part.n_a)
-    nums *= _pair_supersets(_side_index(masks, part.b_mask).tolist(), part.n_b)
-    for lo, hi in _butterflies(nums):
+    low = min(u, _BLOCK_EDGES)
+    h_a, low_a, high_a = _side_tables(_side_index(masks, part.a_mask), part.n_a, low)
+    h_b, low_b, high_b = _side_tables(_side_index(masks, part.b_mask), part.n_b, low)
+    nums = np.empty(1 << u, dtype=np.int64)
+    for i, block in enumerate(nums.reshape(-1, 1 << low)):
+        block[:] = h_a[low_a | high_a[i]]
+        block *= h_b[low_b | high_b[i]]
+        for lo, hi in _butterflies(block):
+            hi *= -2
+            hi += lo
+    for lo, hi in _butterflies(nums, low):
         hi *= -2
         hi += lo
     return nums
@@ -428,8 +471,9 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     n = spec.n_qubits
     graph = spec.edge_arity == 2
     if graph:
-        position = {e: i for i, e in enumerate(universe)}
-        order = np.array([position[e] for e in cut_cells(part)])
+        # the universe is lexicographic, so its codes are sorted
+        edges = np.fromiter(chain.from_iterable(universe), np.int64, 2 * u).reshape(u, 2)
+        order = np.searchsorted(edge_codes(edges, n), edge_codes(cut_cells(part), n))
         values = functools.partial(_cut_ranks, order=order, part=part)
     else:
         values = _CutFactors(universe, part).numerators

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Edge, Hypergraph, toggle_supersets
+from .hypergraph import Bipartition, Hypergraph, toggle_supersets
 
 
 def renyi2(p) -> float:
@@ -215,14 +215,20 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     return Fraction(int(numerator), 1 << 2 * part.n_qubits)
 
 
-def cut_cells(part: Bipartition) -> list[Edge]:
-    """The 2-edge at each cell of the (n_A, n_B) cut block, row-major.
+def cut_cells(part: Bipartition) -> np.ndarray:
+    """The 2-edge at each cell of the (n_A, n_B) cut block, row-major, as (min, max) int64 rows.
 
     Rows are the A vertices and columns the complement vertices, each in
     ascending order; cell (a, b) holds the edge (min(a, b), max(a, b)).
     """
-    b_side = part.b_indices  # a property, so built once here and not once per row
-    return [(min(a, b), max(a, b)) for a in part.a_indices for b in b_side]
+    a = np.array(part.a_indices, dtype=np.int64)[:, np.newaxis]
+    b = np.array(part.b_indices, dtype=np.int64)
+    return np.stack([np.minimum(a, b).ravel(), np.maximum(a, b).ravel()], axis=1)
+
+
+def edge_codes(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Codes i * n + j of the rows (i, j) of an int64 array of 2-edges; they sort as the edges."""
+    return pairs[:, 0] * n + pairs[:, 1]
 
 
 def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
@@ -237,6 +243,8 @@ def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
         raise ValueError("graph and bipartition disagree on qubit count")
     if not h.is_k_uniform(2):
         raise ValueError("cut matrix requires a 2-uniform hypergraph")
-    block = np.array([e in h.edges for e in cut_cells(part)], dtype=np.uint8)
+    n = part.n_qubits
+    edges = np.array(list(h.edges), dtype=np.int64).reshape(-1, 2)
+    block = np.isin(edge_codes(cut_cells(part), n), edge_codes(edges, n))
     packed = gf2.pack_rows(block.reshape(part.n_a, part.n_b))
     return int(gf2.batch_rank(packed[np.newaxis], part.n_b)[0])

@@ -233,7 +233,7 @@ def test_mc_determinism():
 
 def _cell_positions(universe, part):
     """Universe position of the edge cut_cells names at each cut-block cell."""
-    return np.array([universe.index(e) for e in cut_cells(part)])
+    return np.array([universe.index(tuple(e)) for e in cut_cells(part).tolist()])
 
 
 def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
@@ -641,11 +641,19 @@ def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     assert blas.seen == [3]
 
 
+def _mask_bits(masks, u):
+    """(len(masks), u) 0/1 edge choices of subset masks."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return ((masks[:, np.newaxis] >> np.arange(u)) & 1).astype(np.uint8).reshape(masks.size, u)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_subset_numerators_match_cut_factors_and_oracle(data):
     # any universe of up to 10 edges in any order, scattered cuts with
-    # either side larger, local edges included, and the empty universe
+    # either side larger, local edges included, and the empty universe;
+    # blocks of 2-4 edges run the cross-block transform levels and the
+    # high OR-tables at small u
     n = data.draw(st.integers(2, 7), label="n")
     k = data.draw(st.integers(1, min(4, n)), label="k")
     scope = data.draw(st.sampled_from(list(Scope)), label="scope")
@@ -659,10 +667,12 @@ def test_subset_numerators_match_cut_factors_and_oracle(data):
     )
     universe = [full[i] for i in picks]
     u = len(universe)
-    nums = _subset_numerators(universe, part)
+    block = data.draw(st.sampled_from([2, 3, 4, ensembles_mod._BLOCK_EDGES]), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensembles_mod, "_BLOCK_EDGES", block)
+        nums = _subset_numerators(universe, part)
     assert nums.dtype == np.int64 and nums.shape == (1 << u,)
-    masks = np.arange(1 << u)
-    bits = ((masks[:, np.newaxis] >> np.arange(u)) & 1).astype(np.uint8).reshape(1 << u, u)
+    bits = _mask_bits(np.arange(1 << u), u)
     assert nums.tolist() == _CutFactors(universe, part).numerators(bits).tolist()
     # one side's superset counts, #{(a, a') : alpha(a, a') contains S}, by brute force
     a_parts = [sum(1 << i for i, v in enumerate(part.a_indices) if v in e) for e in universe]
@@ -676,6 +686,42 @@ def test_subset_numerators_match_cut_factors_and_oracle(data):
     for mask in data.draw(st.lists(st.integers(0, (1 << u) - 1), min_size=1, max_size=3)):
         edges = [e for j, e in enumerate(universe) if mask >> j & 1]
         assert Fraction(int(nums[mask]), 1 << (2 * n)) == ref_purity(n, edges, a_mask)
+
+
+def test_subset_numerators_at_full_block_width():
+    # CCZ at 3 | 3: 18 edges over 6 distinct parts per side, four blocks
+    # of 2^16 subsets; checked on sampled masks and the empty universe
+    part = Bipartition.from_first(6, 3)
+    universe = edge_universe(EnsembleSpec(6, Family.CCZ), part)
+    assert len(universe) == 18 and ensembles_mod._BLOCK_EDGES == 16
+    nums = _subset_numerators(universe, part)
+    masks = np.random.default_rng(18).integers(0, 1 << 18, size=300)
+    masks[:4] = [0, (1 << 16) - 1, 1 << 16, (1 << 18) - 1]
+    want = _CutFactors(universe, part).numerators(_mask_bits(masks, 18))
+    assert nums[masks].tolist() == want.tolist()
+    for mask in masks[:8].tolist():
+        edges = [e for j, e in enumerate(universe) if mask >> j & 1]
+        assert Fraction(int(nums[mask]), 1 << 12) == ref_purity(6, edges, part.a_mask)
+    assert _subset_numerators([], part).tolist() == [1 << 12]
+
+
+def test_subset_numerators_hold_one_array():
+    # 20 edges of 3 qubits at a scattered cut, local ones included: the
+    # numerators are one 2^20 int64 array beside small side tables
+    part = Bipartition(6, 0b010110)
+    universe = edge_universe(EnsembleSpec(6, Family.K_UNIFORM, k=3, scope=Scope.ALL_EDGES), part)
+    u = len(universe)
+    assert u == 20
+    tracemalloc.start()
+    try:
+        nums = _subset_numerators(universe, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (8 << u)
+    masks = np.random.default_rng(20).integers(0, 1 << u, size=200)
+    want = _CutFactors(universe, part).numerators(_mask_bits(masks, u))
+    assert nums[masks].tolist() == want.tolist()
 
 
 @settings(deadline=None, max_examples=30)

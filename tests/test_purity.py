@@ -139,8 +139,8 @@ def _cut_block(h, part):
 
 
 def test_graph_cut_matrix_examples():
-    assert cut_cells(Bipartition(4, 0b0011)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert cut_cells(Bipartition(4, 0b1010)) == [(0, 1), (1, 2), (0, 3), (2, 3)]
+    assert cut_cells(Bipartition(4, 0b0011)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+    assert cut_cells(Bipartition(4, 0b1010)).tolist() == [[0, 1], [1, 2], [0, 3], [2, 3]]
     bell = Hypergraph.from_gates(2, [(0, 1)])
     assert _cut_block(bell, Bipartition(2, 0b01)) == [[1]]
     assert graph_entropy_rank(bell, Bipartition(2, 0b01)) == 1
