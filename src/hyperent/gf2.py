@@ -1,4 +1,4 @@
-"""Packed stacks of GF(2) matrices: batched rank and the rank-defect law.
+"""Packed stacks of GF(2) matrices: one elimination kernel, batched rank and the rank-defect law.
 
 Every matrix here lives in a (batch, rows, words) stack of uint64
 words, 64 columns per word, so elimination works by word-level XOR:
@@ -6,14 +6,17 @@ column j sits at word j >> 6, bit j & 63, and padding bits are zero.
 :func:`pack_rows` is the one packer of that format, for single graphs'
 and ensembles' cut blocks alike, and :func:`_random_words` draws
 uniform stacks in it straight from the counter stream.
-``batch_rank`` eliminates a whole stack of matrices at
-once, row by row, with the lowest set bit of each row as its pivot and
-no row swaps, which is what makes rank workloads of 10^5-10^6 random
-matrices cheap.  Each step masks the pivot bit out of every word with
-whole-array operations, with no per-matrix index gather, so a stack of
-one-word rows costs little more than its XORs.  The rank law draws and
-ranks its matrices in batches of at most ``_RANK_BATCH`` (4096), so each
-batch stays cache-sized.
+:func:`eliminate` is the one elimination loop of the package: it
+reduces a whole stack of matrices at once, row by row, with the lowest
+set bit of each row as its pivot and no row swaps, and returns the
+reduced stack.  :func:`batch_rank` counts its nonzero rows, which is
+what makes rank workloads of 10^5-10^6 random matrices cheap; the
+purity module's Gauss-sum route reads kernels and affine systems off
+the reduced rows.  Each step masks the pivot bit out of every word
+with whole-array operations, with no per-matrix index gather, so a
+stack of one-word rows costs little more than its XORs.  The rank law
+draws and ranks its matrices in batches of at most ``_RANK_BATCH``
+(4096), so each batch stays cache-sized.
 """
 
 from __future__ import annotations
@@ -45,18 +48,20 @@ def pack_rows(bits) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
-    """Ranks of a stack of packed matrices, shape (batch, rows, words).
+def eliminate(words: np.ndarray) -> np.ndarray:
+    """Row-reduce a stack of packed matrices, shape (batch, rows, words); the reduced stack.
 
-    Bits past ``cols`` must be zero.  Rows are taken in order; the
-    lowest set bit of row i is its pivot, and row i is XORed into every
-    later row that has that bit, across the whole batch at once.  No
-    later row then keeps an earlier pivot bit, so the nonzero rows that
-    remain are independent and their count is the rank.  No rows are
-    swapped.  Input is not modified.
+    Bits past the last column must be zero.  Rows are taken in order;
+    the lowest set bit of row i is its pivot, and row i is XORed into
+    every later row that has that bit, across the whole batch at once.
+    No later row then keeps an earlier pivot bit, so the nonzero rows
+    that remain are independent, and each reduced row is its input row
+    plus a combination of earlier ones.  No rows are swapped.  Input is
+    not modified; the result is a (batch, rows, words) view of a new
+    array whose batch axis is innermost.
 
-    The pivot needs no gather: ``row & (~row + 1)`` keeps the lowest set
-    bit of every word of row i, and every word after the row's first
+    The pivot needs no gather: ``row & -row`` keeps the lowest set bit
+    of every word of row i, and every word after the row's first
     nonzero word is zeroed, so ``low`` holds the pivot bit alone (or
     nothing, for a zero row) and a later row has the pivot exactly when
     some word of ``later & low`` is nonzero.  Matrices whose pivots lie
@@ -64,19 +69,28 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     """
     if words.ndim != 3:
         raise ValueError("expected (batch, rows, words) uint64")
-    batch, n_rows, _ = words.shape
-    if batch == 0 or n_rows == 0 or cols == 0:
-        return np.zeros(batch, dtype=np.int64)
+    n_words = words.shape[2]
     # (rows, words, batch): each row's words are contiguous over the batch
     work = np.array(words.transpose(1, 2, 0), dtype=np.uint64, order="C")
-    for i in range(n_rows - 1):
-        row = work[i]
-        low = row & (~row + np.uint64(1))
-        low[1:] *= ~np.logical_or.accumulate(row[:-1] != 0, axis=0)
-        later = work[i + 1 :]
-        has = ((later & low) != 0).any(axis=1)
-        later ^= row * has[:, np.newaxis, :]
-    return np.count_nonzero(work.any(axis=1), axis=0).astype(np.int64)
+    for i in range(work.shape[0] - 1):
+        row, later = work[i], work[i + 1 :]
+        low = row & -row
+        if n_words > 1:
+            low[1:] *= ~np.logical_or.accumulate(row[:-1] != 0, axis=0)
+            has = ((later & low) != 0).any(axis=1, keepdims=True)
+        else:
+            has = (later & low) != 0
+        later ^= row * has
+    return work.transpose(2, 0, 1)
+
+
+def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
+    """Ranks of a stack of packed matrices, shape (batch, rows, words).
+
+    Bits past ``cols`` must be zero.  The rank is the count of nonzero
+    rows that :func:`eliminate` leaves.  Input is not modified.
+    """
+    return np.count_nonzero(eliminate(words).any(axis=2), axis=1).astype(np.int64)
 
 
 def _random_words(count: int, rows: int, cols: int, rng: CounterRng) -> np.ndarray:

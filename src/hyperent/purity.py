@@ -1,32 +1,39 @@
 """Exact subsystem purity and Renyi-2 entropy of phase states.
 
-Two routes are provided and must agree: the direct route squares the
-reduced density matrix using only integer arithmetic (sums of +-1
-products, normalized once at the end, so each purity is an exact
-``Fraction`` over a power of two), and for 2-uniform graphs the purity
-is 2**(-r) with r the GF(2) rank of the cut block of the adjacency
-matrix.  The rank route is the one packed GF(2) route: :func:`cut_cells`
-names the edge at each cell of the block for single graphs
+Every purity is an integer numerator over 2**(2N), normalized once at
+the end, so it is an exact ``Fraction`` over a power of two; floating
+point only enters at the entropy (log) step.  Numerators are at most
+2**(2N), exact in int64 up to the one qubit limit :data:`MAX_QUBITS` =
+31, which every exact route checks.
+
+:func:`state_purity` computes a single state from its edges factored
+across the cut, with no 2**N sign table, on the smaller side as A.  It
+takes one of two routes, chosen by the cross edges:
+
+- Every cross edge has at most three vertices (types (1,1), (1,2) and
+  (2,1) by their vertex counts on A and B): the Gauss-sum route,
+  :func:`_gauss_numerator`.  For x = a XOR a' the inner sum over b is a
+  quadratic Gauss sum over GF(2), whose square is a power of two fixed
+  by one small elimination (``gf2.eliminate``).  The cost is
+  2**min(n_A, n_B) eliminations of at most 30 rows of 62 bits.
+- A cross edge of four or more vertices makes the phase of higher
+  degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
+  matrix M = 1 - 2 * bits (:func:`cut_rows`, :func:`gram_numerator`),
+  by a tiled float32 BLAS matmul that stays exact.  Single states pass
+  a batch of one and keep every BLAS thread.  The ensembles' Monte
+  Carlo passes many small matrices at once, inside
+  :func:`_one_blas_thread`: they run in forked workers, where BLAS
+  threads would oversubscribe the cores.
+
+For 2-uniform graphs the purity is also 2**(-r), with r the GF(2) rank
+of the cut block of the adjacency matrix: :func:`cut_cells` names the
+edge at each cell of the block for single graphs
 (:func:`graph_entropy_rank`) and ensembles alike, and
 ``gf2.batch_rank`` ranks it as a packed stack.
-
-The direct route has one numerator over 2**(2N), :func:`gram_numerator`:
-sum((M M^T)**2) with M = 1 - 2 * bits of a batch of packed (d_A, d_B)
-sign rows, by a tiled float32 BLAS matmul that stays exact.  Single
-states (:func:`state_purity`) pass a batch of one and keep every BLAS
-thread.  The ensembles pass many small matrices at once, inside
-:func:`_one_blas_thread`: they run in forked workers, where BLAS threads
-would oversubscribe the cores.
-
-:func:`state_purity` is the one single-state route: it builds the rows
-straight from the edges, factored across the cut, with no 2**N sign
-table.  Numerators are at most 2**(2N), exact in int64 up to the one
-qubit limit :data:`MAX_QUBITS` = 31, which every exact route checks.
 
 Subsystem indices pack a side's bits low (:func:`_side_index`): row
 index a holds the A-qubit bits in ascending mask order, column index b
 the rest, so independent implementations agree on intermediate dumps.
-Floating point only enters at the entropy (log) step.
 """
 
 from __future__ import annotations
@@ -158,15 +165,14 @@ def _zeta_rows(rows: np.ndarray, n_a: int) -> None:
         pairs[..., 1, :, :] ^= pairs[..., 0, :, :]
 
 
-def _side_index(masks, side: int):
-    """Subsystem index of masks on one side: their bits at side's set positions, packed low.
+def _side_index(masks: np.ndarray, side: int) -> np.ndarray:
+    """Subsystem index of int64 masks on one side: their bits at side's set positions, packed low.
 
-    Works on ints and int64 arrays.
+    One broadcast shift takes every mask's bits at those positions, and
+    a dot with powers of two packs them.
     """
-    out = masks & 0
-    for i, pos in enumerate(p for p in range(side.bit_length()) if side >> p & 1):
-        out |= (masks >> pos & 1) << i
-    return out
+    pos = [p for p in range(side.bit_length()) if side >> p & 1]
+    return (masks[:, np.newaxis] >> pos & 1) @ (1 << np.arange(len(pos)))
 
 
 def _cross_parts(masks: np.ndarray, part: Bipartition):
@@ -202,17 +208,128 @@ def cut_rows(h: Hypergraph, part: Bipartition) -> np.ndarray:
     return rows
 
 
-def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
-    """Exact purity of h's state on subsystem A, from the cut factors.
+def _vertex_table(a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """(n_a, n_b + n_a + 1) uint64 table of the cross edges at each A vertex i.
 
-    The integer numerator over 2**(2N) becomes a reduced Fraction, so
-    its denominator is 2**e with an odd numerator, or 1 at purity 1.
-    Works on the cheaper orientation (fewer rows); purity is symmetric
-    under swapping A with its complement.
+    Every edge is of type (1,1), (1,2) or (2,1).  Row i holds B masks:
+    at column j < n_b, the k of the edges (i; j,k), so the first n_b
+    columns are the rows of the alternating matrix K_i; at column
+    n_b + i', the k of the edges (i,i'; k) (E2[i, i']); last, the k of
+    the edges (i; k) (E1_i).  Each entry gathers distinct bits, one per
+    edge, so the integer sums of the matrix products below are XORs.
     """
+    a = a_parts[:, np.newaxis] >> np.arange(n_a) & 1
+    b = b_parts[:, np.newaxis] >> np.arange(n_b) & 1
+    two_a = np.bitwise_count(a_parts) == 2
+    two_b = np.bitwise_count(b_parts) == 2
+    # an edge (i; j,k) puts 2^k = b_part - 2^j at K_i[j], and 2^j at K_i[k]
+    pairs_b = b * (b_parts[:, np.newaxis] - (1 << np.arange(n_b))) * two_b[:, np.newaxis]
+    k_rows = a.T @ pairs_b
+    e2 = (a * (b_parts * two_a)[:, np.newaxis]).T @ a
+    np.fill_diagonal(e2, 0)
+    e1 = a.T @ (b_parts * ~(two_a | two_b))
+    return np.concatenate([k_rows, e2, e1[:, np.newaxis]], axis=1).astype(np.uint64)
+
+
+def _x_rows(table: np.ndarray, lo: int, bits: int) -> np.ndarray:
+    """[K_x | M_x | L_x] for x in [lo, lo + 2**bits) by subset doubling; 2**bits divides lo.
+
+    Adding vertex t to an x without it XORs in row t of the table and,
+    for L_x, the M_x[t] of the x without it: the new pairs (t, i) of x.
+    """
+    n_a, width = table.shape
+    m_t = width - n_a - 1  # column of M_x[0]
+    rows = np.zeros((1 << bits, width), dtype=np.uint64)
+    for t in range(bits, n_a):
+        if lo >> t & 1:
+            rows[0, -1] ^= rows[0, m_t + t]
+            rows[0] ^= table[t]
+    for t in range(bits):
+        old, new = rows[: 1 << t], rows[1 << t : 2 << t]
+        np.bitwise_xor(old, table[t], out=new)
+        new[:, -1] ^= old[:, m_t + t]
+    return rows
+
+
+def _gauss_exponents(rows: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """Histogram of 2 n_b - r_x + n_a - rho_x over the consistent x of rows [K_x | M_x | L_x].
+
+    One elimination of the rows [K_x | M_x^T | L_x^T | I] leaves r_x
+    rows with a nonzero K part, and on each other row a kernel vector c
+    of K_x (its I part) with the row [M_x c | L_x . c] of the affine
+    system in a.  Those rows are already in echelon form over the
+    coefficients, since the pivot of a row with zero K part lies in its
+    coefficient bits, or past them.  Adding q_x(c) touches only the
+    constant bit, the last column, so n_b - r_x - rho_x is the count of
+    kernel rows with no coefficients, and x is inconsistent iff one of
+    them reads 0 = 1.
+    """
+    cols = np.arange(n_b, dtype=np.uint64)
+    k_rows = rows[:, :n_b]
+    const_bit = n_b + n_a
+    # stack row j: K_x[j], bit j of each M_x[i] at n_b + i and of L_x at const_bit, I past it
+    ml_bits = rows[:, np.newaxis, n_b:] >> cols[:, np.newaxis] & 1
+    ml_bits <<= np.arange(n_b, const_bit + 1, dtype=np.uint64)
+    stack = k_rows | np.bitwise_or.reduce(ml_bits, axis=2) | 1 << cols + (const_bit + 1)
+    reduced = gf2.eliminate(stack[:, :, np.newaxis])[:, :, 0]
+    # kernel rows with no coefficients: n_b - r_x - rho_x of them
+    free = reduced & (1 << const_bit) - 1 == 0
+    c = reduced >> const_bit + 1
+    # q_x(c) = c . w, with w the XOR of the upper-triangle rows of K_x at the bits of c
+    upper = k_rows & -(2 << cols)
+    w = np.bitwise_xor.reduce(upper[:, np.newaxis, :] * (c[:, :, np.newaxis] >> cols & 1), axis=2)
+    contradiction = free & ((reduced >> const_bit ^ np.bitwise_count(w & c)) & 1).astype(bool)
+    consistent = ~np.logical_or.reduce(contradiction, axis=1)
+    exponents = np.add.reduce(free, axis=1) + const_bit
+    return np.bincount(exponents[consistent], minlength=2 * n_b + n_a + 1)
+
+
+_GAUSS_BLOCK_BITS = 10  # at most 2^10 values of x per elimination stack: a few MB at N = 31
+
+
+def _gauss_numerator(a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int) -> int:
+    """2**(2N) * purity of a state whose cross edges are all of type (1,1), (1,2) or (2,1).
+
+    With x = a XOR a', the phase of s(a, b) s(a', b) in b is
+    q_x(b) + (L_x + sum_i a_i M_x[i]) . b, so each inner sum over b is a
+    quadratic Gauss sum whose square is 2**(2 n_b - r_x) when the linear
+    part agrees with q_x on the kernel of q_x's alternating matrix K_x
+    (rank r_x), and 0 otherwise (Dehaene and De Moor, PRA 68, 042318).
+    That agreement is an affine system in a with 0 or 2**(n_a - rho_x)
+    solutions.  The x run in blocks of at most 2**_GAUSS_BLOCK_BITS.
+    An elimination row holds 2 n_b + n_a + 1 bits, which fit one uint64
+    word when A is the smaller side and N <= MAX_QUBITS.
+    """
+    table = _vertex_table(a_parts, b_parts, n_a, n_b)
+    bits = min(n_a, _GAUSS_BLOCK_BITS)
+    blocks = range(0, 1 << n_a, 1 << bits)
+    hist = sum(_gauss_exponents(_x_rows(table, lo, bits), n_a, n_b) for lo in blocks)
+    return sum(count << e for e, count in enumerate(hist.tolist()))
+
+
+def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
+    """Exact purity of h's state on subsystem A, from its cross edges.
+
+    Purity is symmetric under swapping A with its complement, so the
+    smaller side is taken as A.  When every cross edge has at most three
+    vertices, the numerator is a sum of squared quadratic Gauss sums
+    (:func:`_gauss_numerator`): 2**min(n_A, n_B) small GF(2)
+    eliminations.  A cross edge of four or more vertices makes the phase
+    of higher degree in b, and the numerator comes from the Gram matrix
+    of the cut's sign rows (:func:`cut_rows`, :func:`gram_numerator`).
+    The integer numerator over 2**(2N) becomes a reduced Fraction, so its
+    denominator is 2**e with an odd numerator, or 1 at purity 1.
+    """
+    if h.n_qubits != part.n_qubits:
+        raise ValueError("graph and bipartition disagree on qubit count")
+    check_qubit_cap(h.n_qubits)
     oriented = part if part.n_a <= part.n_b else part.complement()
-    numerator = gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0]
-    return Fraction(int(numerator), 1 << 2 * part.n_qubits)
+    _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), oriented)
+    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= 3).all():
+        numerator = _gauss_numerator(a_parts, b_parts, oriented.n_a, oriented.n_b)
+    else:
+        numerator = int(gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0])
+    return Fraction(numerator, 1 << 2 * part.n_qubits)
 
 
 def cut_cells(part: Bipartition) -> np.ndarray:

@@ -613,9 +613,10 @@ def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
 
 
 def test_single_states_keep_every_blas_thread(monkeypatch):
+    # a cross edge of four vertices sends a single state to the Gram route
     blas = _FakeBlas(monkeypatch, threads=3)
     monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
-    state_purity(Hypergraph.from_gates(4, [(0, 2)]), Bipartition.from_first(4, 2))
+    state_purity(Hypergraph.from_gates(4, [(0, 1, 2, 3)]), Bipartition.from_first(4, 2))
     assert blas.seen == [3] and blas.threads == 3
 
 

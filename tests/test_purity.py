@@ -13,6 +13,7 @@ import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
     cut_cells,
+    cut_rows,
     gram_numerator,
     graph_entropy_rank,
     renyi2,
@@ -237,15 +238,125 @@ def test_graph_entropy_rank_matches_dense_oracle(case):
 
 def test_blocked_paths_match_oracle(monkeypatch):
     # shrink the block constants so multi-block code paths run even at
-    # small n, then compare against the dense oracle
+    # small n, then compare against the dense oracle.  Every graph has a
+    # cross edge of four vertices, which only the Gram route takes
+    def unreachable(*args):
+        raise AssertionError("a state with a 4-vertex cross edge took the Gauss-sum route")
+
     monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 16)
+    monkeypatch.setattr(purity_mod, "_gauss_numerator", unreachable)
     rnd = random.Random(55)
     for _ in range(10):
         n = rnd.randint(4, 9)
-        edges = {tuple(sorted(rnd.sample(range(n), rnd.choice([2, 3])))) for _ in range(6)}
         a_mask = rnd.randint(1, (1 << n) - 2)
+        a_side = [v for v in range(n) if a_mask >> v & 1]
+        b_side = [v for v in range(n) if not a_mask >> v & 1]
+        crossing = {rnd.choice(a_side), rnd.choice(b_side)}
+        crossing |= set(rnd.sample([v for v in range(n) if v not in crossing], 2))
+        edges = {tuple(sorted(rnd.sample(range(n), rnd.choice([2, 3])))) for _ in range(6)}
+        edges.add(tuple(sorted(crossing)))
         got = purity_of(n, edges, a_mask)
         assert got == ref_purity(n, edges, a_mask)
+
+
+@st.composite
+def low_arity_graphs(draw):
+    """(n, edges, a_mask): arities 1..3 at any proper mask, n <= 14.
+
+    Masks are scattered and as often have n_A > n_B as not; a graph may
+    be empty, 2-uniform, or keep only the edges inside one side.
+    """
+    n = draw(st.integers(2, 14), label="n")
+    a_mask = draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    arities = draw(st.sampled_from([(1, 2, 3), (2,), (3,), (2, 3)]), label="arities")
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7]), label="density")
+    universe = [e for k in arities if k <= n for e in all_k_edges(n, k)]
+    edges = {e for e, keep in zip(universe, rnd.random(len(universe)) < density) if keep}
+    if draw(st.booleans(), label="local only"):
+        edges = {e for e in edges if len({a_mask >> v & 1 for v in e}) == 1}
+    return n, edges, a_mask
+
+
+@settings(deadline=None, max_examples=80)
+@given(low_arity_graphs())
+@example((2, {(0, 1)}, 0b01))
+@example((3, {(0, 1, 2)}, 0b001))
+@example((6, set(), 0b010110))
+@example((7, {(0, 2), (1, 3, 5), (4,), (6,), (0, 1, 4)}, 0b1101011))
+@example((10, {(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 9)}, 0b0101010101))
+def test_gauss_route_matches_oracles(case):
+    # the Gauss-sum numerator in both orientations, against the dense
+    # oracle (n <= 10), the Gram route on the cut's sign rows, and on
+    # 2-uniform graphs the rank rule
+    n, edges, a_mask = case
+    h = Hypergraph(n, frozenset(edges))
+    part = Bipartition(n, a_mask)
+    masks = np.array(h.edge_masks, dtype=np.int64)
+    nums = set()
+    for side in (part, part.complement()):
+        _, a_parts, b_parts = purity_mod._cross_parts(masks, side)
+        nums.add(purity_mod._gauss_numerator(a_parts, b_parts, side.n_a, side.n_b))
+    (num,) = nums
+    assert state_purity(h, part) == Fraction(num, 1 << 2 * n)
+    assert num == gram_numerator(cut_rows(h, part)[np.newaxis], part.d_b)[0]
+    if n <= 10:
+        assert Fraction(num, 1 << 2 * n) == ref_purity(n, edges, a_mask)
+    if h.is_k_uniform(2):
+        assert num << graph_entropy_rank(h, part) == 1 << 2 * n
+
+
+def _disjoint_blocks(seed, sizes):
+    """(graph, part, purity) of random arity-1..3 graphs on disjoint blocks of the given sizes.
+
+    The blocks' qubits are scattered over the whole graph and each block
+    is cut by a random proper mask, so the purity is the product of the
+    blocks' dense purities.
+    """
+    rnd = random.Random(seed)
+    n = sum(sizes)
+    order = rnd.sample(range(n), n)
+    edges, a_mask, purity = set(), 0, Fraction(1)
+    for size in sizes:
+        verts, order = order[:size], order[size:]
+        local = {tuple(sorted(rnd.sample(range(size), rnd.randint(1, 3)))) for _ in range(3 * size)}
+        local_mask = rnd.randint(1, (1 << size) - 2)
+        purity *= ref_purity(size, local, local_mask)
+        edges |= {tuple(sorted(verts[v] for v in e)) for e in local}
+        a_mask |= sum(1 << verts[v] for v in range(size) if local_mask >> v & 1)
+    return Hypergraph(n, frozenset(edges)), Bipartition(n, a_mask), purity
+
+
+@pytest.mark.parametrize(
+    "seed, sizes", [(1, (10, 9, 9)), (2, (8, 10, 7, 5)), (3, (10, 10, 8, 3)), (4, (8, 8, 8, 7))]
+)
+def test_gauss_route_at_the_qubit_cap(seed, sizes):
+    # N = 28..31, where the Gram route is too slow to be an oracle: the
+    # purity of disjoint blocks is the product of theirs
+    h, part, purity = _disjoint_blocks(seed, sizes)
+    assert h.n_qubits == sum(sizes) <= purity_mod.MAX_QUBITS
+    assert state_purity(h, part) == purity
+
+
+def test_gauss_blocks_of_x_match_one_block(monkeypatch):
+    # 2^11 blocks of 2^4 x instead of 32 blocks of 2^10 give the same numerator
+    h, part, purity = _disjoint_blocks(2, (8, 10, 7, 5))
+    assert (part.n_a, part.n_b) == (15, 15)
+    monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BITS", 4)
+    assert state_purity(h, part) == purity
+
+
+def test_side_index_matches_bit_loop():
+    # the packed subsystem index against its definition, bit by bit
+    rng = np.random.default_rng(8)
+    for n in (2, 9, 31, 63):
+        masks = rng.integers(0, 1 << n, 200, dtype=np.int64)
+        for side in (1, (1 << n) - 1, int(rng.integers(1, 1 << n))):
+            want = np.zeros_like(masks)
+            for i, pos in enumerate(p for p in range(n) if side >> p & 1):
+                want |= (masks >> pos & 1) << i
+            got = purity_mod._side_index(masks, side)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 @st.composite

@@ -89,3 +89,62 @@ def test_one_bernoulli_route():
         elif isinstance(node, ast.Attribute) and node.attr in raw:
             found.append(f"{node.lineno} .{node.attr}")
     assert found == []
+
+
+def _elimination_loops(tree):
+    """Line numbers of loops that take a row's lowest set bit and XOR rows with it.
+
+    The lowest set bit is x & -x or x & (~x + 1).
+    """
+
+    def negated(node):
+        return (
+            isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.Invert)
+        )
+
+    def low_bit(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.BitAnd)
+            and (negated(node.left) or negated(node.right))
+        )
+
+    def xor_update(node):
+        return (
+            isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bitwise_xor"
+        )
+
+    return [
+        loop.lineno
+        for loop in ast.walk(tree)
+        if isinstance(loop, (ast.For, ast.While))
+        and any(low_bit(node) for node in ast.walk(loop))
+        and any(xor_update(node) for node in ast.walk(loop))
+    ]
+
+
+def test_one_elimination_kernel():
+    # the GF(2) pivot/XOR elimination loop lives in gf2.eliminate alone;
+    # the rank law and the Gauss-sum purity both call it
+    trees = {name: ast.parse(text) for name, text in _sources().items()}
+    found = {name: _elimination_loops(tree) for name, tree in trees.items()}
+    kernel = next(
+        node for node in ast.walk(trees["gf2.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "eliminate"
+    )
+    assert {name: lines for name, lines in found.items() if lines} == {
+        "gf2.py": _elimination_loops(kernel)
+    }
+    assert len(found["gf2.py"]) == 1
+    purity_calls = {
+        node.attr
+        for node in ast.walk(trees["purity.py"])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "gf2"
+    }
+    assert "eliminate" in purity_calls
