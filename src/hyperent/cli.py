@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -76,6 +77,7 @@ def _write(path: str | None, text: str) -> None:
         stream.write(text)
 
 
+@functools.cache  # built once per process; parsing leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperent",

@@ -19,7 +19,8 @@ state, sign row or Gram matrix built.  Monte Carlo ranks the cut block
 over GF(2) for 2-edge families (purity = 2^-rank), its cells looked up
 in the universe by :func:`purity.cut_cells`, and otherwise turns each
 batch of sampled edge choices into sign rows through
-:class:`_CutFactors`, which feeds the batched Gram numerator
+:class:`_CutFactors`, by the package's one sign-row builder
+:func:`purity._sign_rows`, and feeds them to the batched Gram numerator
 :func:`purity.gram_numerator` on one BLAS thread.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
@@ -48,12 +49,12 @@ from itertools import chain, combinations, compress, repeat
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges, toggle_supersets
+from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
 from .purity import (
     _cross_parts,
     _one_blas_thread,
     _side_index,
-    _zeta_rows,
+    _sign_rows,
     check_qubit_cap,
     cut_cells,
     edge_codes,
@@ -204,6 +205,11 @@ def subset_weight(spec: EnsembleSpec, present: int, absent: int) -> Fraction:
     return p**present * (1 - p) ** absent
 
 
+def _edge_masks(universe: list[Edge]) -> np.ndarray:
+    """int64 bit masks of the universe edges, in universe order."""
+    return np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
+
+
 def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
     """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices."""
     # np.take keeps the gathered blocks C-ordered, which the flat packer wants
@@ -214,34 +220,25 @@ def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.nda
 class _CutFactors:
     """Universe edges factored across the cut, for batched exact purities.
 
-    Works on the cheaper orientation (fewer A qubits).  An edge with A
-    part m_A and B part m_B flips sign bit (a, b) iff m_A is inside a and
-    m_B inside b, so a subset's packed sign row a is the XOR, over the
-    A parts inside a, of the B-part column indicators of the chosen
-    edges with that A part.  Edges inside one side are local unitaries
-    that leave the purity unchanged and are left out.
+    Works on the cheaper orientation (fewer A qubits).  It keeps the
+    universe positions and the A and B parts of the cross edges; each
+    batch of edge choices becomes packed sign rows through
+    :func:`purity._sign_rows` and numerators through
+    :func:`purity.gram_numerator`.  Edges inside one side are local
+    unitaries that leave the purity unchanged and are left out.
     """
 
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
-        self.n_edges = len(universe)
-        self.words = gf2._n_words(self.part.d_b)
-        # uint64 words of one sample's rows, or of its chosen edge columns
-        self.sample_words = self.words * max(self.part.d_a, self.n_edges)
+        # uint64 words of one sample's rows, or of one column per edge (a
+        # table no longer built; the term keeps the refused inputs the same)
+        self.sample_words = gf2._n_words(self.part.d_b) * max(self.part.d_a, len(universe))
         if 8 * self.sample_words > _SAMPLE_BYTES:
             raise ValueError(
                 f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
                 f"{8 * self.sample_words} bytes, over the {_SAMPLE_BYTES}-byte budget"
             )
-        masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
-        cross, a_parts, b_parts = _cross_parts(masks, self.part)
-        # cross edges sorted by A part, so each group is one reduceat slice
-        order = np.argsort(a_parts, kind="stable")
-        self.edges = cross[order]
-        self.group_rows, self.starts = np.unique(a_parts[order], return_index=True)
-        self.cols = np.zeros((self.edges.size, self.words), dtype=np.uint64)
-        for col, m_b in zip(self.cols, b_parts[order].tolist()):
-            toggle_supersets(col, m_b, self.part.n_b)
+        self.cross, self.a_parts, self.b_parts = _cross_parts(_edge_masks(universe), self.part)
 
     def batch_size(self) -> int:
         return max(1, (1 << 18) // self.sample_words)
@@ -255,12 +252,8 @@ class _CutFactors:
             )
 
     def _batch(self, bits: np.ndarray) -> np.ndarray:
-        batch = bits.shape[0]
-        rows = np.zeros((batch, self.part.d_a, self.words), dtype=np.uint64)
-        if self.edges.size:
-            chosen = bits[:, self.edges, np.newaxis].astype(np.uint64) * self.cols
-            rows[:, self.group_rows] = np.bitwise_xor.reduceat(chosen, self.starts, axis=1)
-        _zeta_rows(rows, self.part.n_a)
+        n_a, n_b = self.part.n_a, self.part.n_b
+        rows = _sign_rows(bits[:, self.cross], self.a_parts, self.b_parts, n_a, n_b)
         return gram_numerator(rows, self.part.d_b)
 
 
@@ -356,7 +349,7 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
             f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
             f"over the {_TRANSFORM_BYTES}-byte budget"
         )
-    masks = np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
+    masks = _edge_masks(universe)
     low = min(u, _BLOCK_EDGES)
     h_a, low_a, high_a = _side_tables(_side_index(masks, part.a_mask), part.n_a, low)
     h_b, low_b, high_b = _side_tables(_side_index(masks, part.b_mask), part.n_b, low)

@@ -8,19 +8,16 @@ sign function is therefore
     s(x) = (-1) ** (number of edges e with e subset of support(x)),
 
 counted mod 2.  Qubit i corresponds to bit i of the basis index
-(little-endian throughout).  :func:`toggle_supersets` XORs one edge's
-superset indicator into a packed table of sign bits; the purity module
-builds the rows of a cut with it, never the whole 2**n table.
+(little-endian throughout).  The sign bits are thus the GF(2) superset
+transform of the edge indicator; the purity module builds a cut's rows
+of them from the edge masks, never the whole 2**n table.  This module
+holds plain Python data only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from . import gf2
 
 Edge = tuple[int, ...]
 
@@ -150,37 +147,6 @@ class Bipartition:
 
     def complement(self) -> "Bipartition":
         return Bipartition(self.n_qubits, self.b_mask)
-
-
-# Entry i has bit j set iff bit i of j is set: 0xAAAA..., 0xCCCC..., ..., 0xFFFFFFFF00000000.
-_LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> i & 1) for i in range(6))
-
-
-def _low_bit_pattern(low_mask: int, n: int) -> np.uint64:
-    """64-bit word whose bit j is set iff j & low_mask == low_mask (j < 2^n)."""
-    word = (1 << min(64, 1 << n)) - 1
-    for i, bit_word in enumerate(_LOW_BIT_WORDS):
-        if low_mask >> i & 1:
-            word &= bit_word
-    return np.uint64(word)
-
-
-def toggle_supersets(words: np.ndarray, mask: int, n: int) -> None:
-    """XOR the packed indicator of {x < 2^n : x contains mask} into words, in place.
-
-    ``words`` is one contiguous packed 2^n-bit table (bit x at word
-    x >> 6, position x & 63).  The mask splits into a within-word pattern
-    and a word-index part, which selects a strided view: one XOR per
-    touched word, with no index arrays.
-    """
-    high_bits = max(0, n - 6)
-    if mask >> n or words.shape != (gf2._n_words(1 << n),) or not words.flags.c_contiguous:
-        raise ValueError("mask must be below 2^n and words a contiguous 2^n-bit table")
-    # C order is big-endian: axis k of the (2,) * high_bits reshape is word-index bit high_bits-1-k
-    select = tuple(
-        1 if mask >> (5 + high_bits - k) & 1 else slice(None) for k in range(high_bits)
-    )
-    words.reshape((2,) * high_bits)[select] ^= _low_bit_pattern(mask & 63, n)
 
 
 def parse_graph_file(text: str) -> Hypergraph:

@@ -18,12 +18,16 @@ takes one of two routes, chosen by the cross edges:
   2**min(n_A, n_B) eliminations of at most 30 rows of 62 bits.
 - A cross edge of four or more vertices makes the phase of higher
   degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
-  matrix M = 1 - 2 * bits (:func:`cut_rows`, :func:`gram_numerator`),
-  by a tiled float32 BLAS matmul that stays exact.  Single states pass
-  a batch of one and keep every BLAS thread.  The ensembles' Monte
-  Carlo passes many small matrices at once, inside
-  :func:`_one_blas_thread`: they run in forked workers, where BLAS
-  threads would oversubscribe the cores.
+  matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
+  BLAS matmul that stays exact.  Single states pass a batch of one and
+  keep every BLAS thread.  The ensembles' Monte Carlo passes many small
+  matrices at once, inside :func:`_one_blas_thread`: they run in forked
+  workers, where BLAS threads would oversubscribe the cores.
+
+:func:`_sign_rows` is the one builder of a cut's packed sign bits, for
+a single state (a batch of one, every cross edge chosen) and for Monte
+Carlo batches of edge choices alike: the sign bits are the GF(2)
+superset transform of the chosen edges laid out as (a, b).
 
 For 2-uniform graphs the purity is also 2**(-r), with r the GF(2) rank
 of the cut block of the adjacency matrix: :func:`cut_cells` names the
@@ -47,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Hypergraph, toggle_supersets
+from .hypergraph import Bipartition, Hypergraph
 
 
 def renyi2(p) -> float:
@@ -154,17 +158,6 @@ def _one_blas_thread():
         set_threads(old)
 
 
-def _zeta_rows(rows: np.ndarray, n_a: int) -> None:
-    """In place over the A bits: row a becomes the XOR of the rows at subsets of a.
-
-    ``rows`` is C-contiguous with shape (..., 2**n_a, words).
-    """
-    lead, words = rows.shape[:-2], rows.shape[-1]
-    for j in range(n_a):
-        pairs = rows.reshape(*lead, -1, 2, 1 << j, words)
-        pairs[..., 1, :, :] ^= pairs[..., 0, :, :]
-
-
 def _side_index(masks: np.ndarray, side: int) -> np.ndarray:
     """Subsystem index of int64 masks on one side: their bits at side's set positions, packed low.
 
@@ -189,22 +182,56 @@ def _cross_parts(masks: np.ndarray, part: Bipartition):
     return cross, a_parts[cross], b_parts[cross]
 
 
-def cut_rows(h: Hypergraph, part: Bipartition) -> np.ndarray:
-    """Packed (d_A, words) sign rows of h's state across part, up to row and column signs.
+# entry j has bit p set iff bit j of p is clear: 0x5555..., 0x3333..., ..., 0x00000000FFFFFFFF
+_CLEAR_BIT = tuple(sum(1 << p for p in range(64) if not p >> j & 1) for j in range(6))
+_ROW_BLOCK_BITS = 15  # words of one cache-sized block of the B levels: 256 KiB
+
+
+def _xor_levels(flat: np.ndarray, step: int, levels: int) -> None:
+    """In place, for each of levels doublings of step: every second block XORs in the one before."""
+    for j in range(levels):
+        pairs = flat.reshape(-1, 2, step << j)
+        pairs[:, 1] ^= pairs[:, 0]
+
+
+def _sign_rows(
+    choices: np.ndarray, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
+) -> np.ndarray:
+    """Packed (batch, 2**n_a, words) sign rows of each row of (batch, E) 0/1 cross-edge choices.
 
     An edge with A part m_A and B part m_B flips sign bit (a, b) iff m_A
-    is inside a and m_B inside b: it toggles the B superset indicator of
-    m_B into row m_A, and a GF(2) zeta transform over the A bits then
-    spreads row m_A to every row containing it.  No 2**N table is built.
+    is inside a and m_B inside b, so the rows are the GF(2) superset
+    (zeta) transform of the chosen edges' indicator laid out as (a, b).
+    Each chosen edge sets bit m_B & 63 of word (m_A, m_B >> 6); edges
+    are sorted by that cell and one reduceat ORs each cell's bits, which
+    are distinct, so OR is XOR.  The B levels run on the rows of the
+    distinct A parts only, within words (w ^= (w & CLEAR_j) << 2**j)
+    and then across them, each level that fits one in a cache-sized
+    block of 2**_ROW_BLOCK_BITS words at a time; those rows are scattered
+    to their places and the A levels run over the rows.  No 2**N table
+    is built.
     """
-    if h.n_qubits != part.n_qubits:
-        raise ValueError("graph and bipartition disagree on qubit count")
-    check_qubit_cap(h.n_qubits)
-    rows = np.zeros((part.d_a, gf2._n_words(part.d_b)), dtype=np.uint64)
-    _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), part)
-    for m_a, m_b in zip(a_parts.tolist(), b_parts.tolist()):
-        toggle_supersets(rows[m_a], m_b, part.n_b)
-    _zeta_rows(rows, part.n_a)
+    words = gf2._n_words(1 << n_b)
+    distinct, which = np.unique(a_parts, return_inverse=True)
+    cells = which * words + (b_parts >> 6)
+    order = np.argsort(cells, kind="stable")
+    cell_ids, starts = np.unique(cells[order], return_index=True)
+    bits = choices[:, order].astype(np.uint64) << (b_parts[order] & 63).astype(np.uint64)
+    batch = bits.shape[0]
+    compact = np.zeros((batch, distinct.size * words), dtype=np.uint64)
+    if starts.size:
+        compact[:, cell_ids] = np.bitwise_or.reduceat(bits, starts, axis=1)
+    flat = compact.reshape(-1)
+    inner = min(max(0, n_b - 6), _ROW_BLOCK_BITS)  # word levels that stay inside a block
+    for lo in range(0, flat.size, 1 << _ROW_BLOCK_BITS):
+        block = flat[lo : lo + (1 << _ROW_BLOCK_BITS)]
+        for j in range(min(6, n_b)):
+            block ^= (block & _CLEAR_BIT[j]) << (1 << j)
+        _xor_levels(block, 1, inner)
+    _xor_levels(flat, 1 << inner, n_b - 6 - inner)
+    rows = np.zeros((batch, 1 << n_a, words), dtype=np.uint64)
+    rows[:, distinct] = compact.reshape(batch, distinct.size, words)
+    _xor_levels(rows.reshape(-1), words, n_a)
     return rows
 
 
@@ -316,7 +343,7 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     (:func:`_gauss_numerator`): 2**min(n_A, n_B) small GF(2)
     eliminations.  A cross edge of four or more vertices makes the phase
     of higher degree in b, and the numerator comes from the Gram matrix
-    of the cut's sign rows (:func:`cut_rows`, :func:`gram_numerator`).
+    of the cut's sign rows (:func:`_sign_rows`, :func:`gram_numerator`).
     The integer numerator over 2**(2N) becomes a reduced Fraction, so its
     denominator is 2**e with an odd numerator, or 1 at purity 1.
     """
@@ -328,7 +355,9 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= 3).all():
         numerator = _gauss_numerator(a_parts, b_parts, oriented.n_a, oriented.n_b)
     else:
-        numerator = int(gram_numerator(cut_rows(h, oriented)[np.newaxis], oriented.d_b)[0])
+        ones = np.ones((1, a_parts.size), dtype=bool)
+        rows = _sign_rows(ones, a_parts, b_parts, oriented.n_a, oriented.n_b)
+        numerator = int(gram_numerator(rows, oriented.d_b)[0])
     return Fraction(numerator, 1 << 2 * part.n_qubits)
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
+import argparse
 import json
 import os
 import resource
@@ -181,6 +182,27 @@ def test_readme_cli_examples_parse():
     parser = cli._build_parser()
     for argv in examples:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # three calls build at most one argparse tree, and a parse leaves it
+    # as it was: the third call gets the default format back
+    f = tmp_path / "bell.graph"
+    f.write_text(BELL)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "hyperent":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["state", "--graph-file", str(f), "--na", "1"]
+    runs = [run_cli(capsys, *argv, *extra) for extra in ([], ["--format", "json"], [])]
+    assert len(built) <= 1
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0] == runs[2] and json.loads(runs[1][1])["purity_exponent"] == 1
 
 
 def test_state_missing_file_exit_2(capsys):

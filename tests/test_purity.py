@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
+    _cross_parts,
+    _side_index,
+    _sign_rows,
     cut_cells,
-    cut_rows,
     gram_numerator,
     graph_entropy_rank,
     renyi2,
@@ -22,7 +24,7 @@ from hyperent.purity import (
 from hyperent.gf2 import pack_rows
 from hyperent.reports import state_record
 
-from reference import ref_gf2_rank, ref_purity
+from reference import ref_gf2_rank, ref_purity, ref_signs
 
 
 def purity_of(n, edges, a_mask):
@@ -243,8 +245,15 @@ def test_blocked_paths_match_oracle(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a state with a 4-vertex cross edge took the Gauss-sum route")
 
+    built = []
+
+    def sign_rows(*args):
+        built.append(args[3:])
+        return _sign_rows(*args)
+
     monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 16)
     monkeypatch.setattr(purity_mod, "_gauss_numerator", unreachable)
+    monkeypatch.setattr(purity_mod, "_sign_rows", sign_rows)
     rnd = random.Random(55)
     for _ in range(10):
         n = rnd.randint(4, 9)
@@ -257,6 +266,8 @@ def test_blocked_paths_match_oracle(monkeypatch):
         edges.add(tuple(sorted(crossing)))
         got = purity_of(n, edges, a_mask)
         assert got == ref_purity(n, edges, a_mask)
+        n_a = min(a_mask.bit_count(), n - a_mask.bit_count())
+        assert built.pop() == (n_a, n - n_a) and not built
 
 
 @st.composite
@@ -295,11 +306,13 @@ def test_gauss_route_matches_oracles(case):
     masks = np.array(h.edge_masks, dtype=np.int64)
     nums = set()
     for side in (part, part.complement()):
-        _, a_parts, b_parts = purity_mod._cross_parts(masks, side)
+        _, a_parts, b_parts = _cross_parts(masks, side)
         nums.add(purity_mod._gauss_numerator(a_parts, b_parts, side.n_a, side.n_b))
     (num,) = nums
     assert state_purity(h, part) == Fraction(num, 1 << 2 * n)
-    assert num == gram_numerator(cut_rows(h, part)[np.newaxis], part.d_b)[0]
+    _, a_parts, b_parts = _cross_parts(masks, part)
+    ones = np.ones((1, a_parts.size), dtype=bool)
+    assert num == gram_numerator(_sign_rows(ones, a_parts, b_parts, part.n_a, part.n_b), part.d_b)[0]
     if n <= 10:
         assert Fraction(num, 1 << 2 * n) == ref_purity(n, edges, a_mask)
     if h.is_k_uniform(2):
@@ -357,6 +370,59 @@ def test_side_index_matches_bit_loop():
                 want |= (masks >> pos & 1) << i
             got = purity_mod._side_index(masks, side)
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@st.composite
+def sign_row_cases(draw):
+    """(n, a_mask, edges, choices, block): a scattered cut with n_B in 1..9 and cross-edge choices.
+
+    n_B <= 5 leaves one padded word per row, 6 fills one word and 7..9
+    add word-index levels; n_A runs past n_B as well as below it.  The
+    edges have 1..5 vertices, local ones among them, and may be none.
+    The choice rows include all-zero and all-one rows, as bool or uint8.
+    block is a _ROW_BLOCK_BITS of the real size or one small enough that
+    the B levels cross blocks of 1, 2 or 4 words.
+    """
+    n_b = draw(st.integers(1, 9), label="n_b")
+    n_a = draw(st.integers(1, min(6, 10 - n_b)), label="n_a")
+    n = n_a + n_b
+    a_mask = sum(1 << v for v in draw(st.permutations(range(n)), label="order")[:n_a])
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4]), label="density")
+    universe = [e for k in range(1, min(5, n) + 1) for e in all_k_edges(n, k)]
+    edges = {e for e, keep in zip(universe, rnd.random(len(universe)) < density) if keep}
+    masks = np.array(Hypergraph(n, frozenset(edges)).edge_masks, dtype=np.int64)
+    cross = _cross_parts(masks, Bipartition(n, a_mask))[0].size
+    dtype = draw(st.sampled_from([bool, np.uint8]), label="dtype")
+    picks = rnd.random((draw(st.integers(0, 3), label="random rows"), cross)) < 0.5
+    choices = np.concatenate([np.zeros((1, cross)), np.ones((1, cross)), picks]).astype(dtype)
+    block = draw(st.sampled_from([0, 1, 2, purity_mod._ROW_BLOCK_BITS]), label="block")
+    return n, a_mask, edges, choices, block
+
+
+@settings(deadline=None, max_examples=60)
+@given(sign_row_cases())
+def test_sign_rows_match_dense_signs(case):
+    # each batch row against the dense signs of its chosen cross edges,
+    # rearranged to (a, b) by the subsystem index; padding bits stay 0
+    n, a_mask, edges, choices, block = case
+    part = Bipartition(n, a_mask)
+    h = Hypergraph(n, frozenset(edges))
+    cross, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), part)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(purity_mod, "_ROW_BLOCK_BITS", block)
+        rows = _sign_rows(choices, a_parts, b_parts, part.n_a, part.n_b)
+    assert rows.dtype == np.uint64 and rows.shape == (len(choices), part.d_a, (part.d_b + 63) >> 6)
+    basis = np.arange(1 << n, dtype=np.int64)
+    a_index, b_index = _side_index(basis, part.a_mask), _side_index(basis, part.b_mask)
+    ordered = sorted(h.edges)
+    for chosen, packed in zip(choices, rows):
+        signs = ref_signs(n, [ordered[j] for j in cross[chosen.astype(bool)]])
+        want = np.zeros((part.d_a, part.d_b), dtype=np.uint8)
+        want[a_index, b_index] = signs < 0
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, part.d_b :].any()
+        assert np.array_equal(bits[:, : part.d_b], want)
 
 
 @st.composite

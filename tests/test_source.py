@@ -148,3 +148,41 @@ def test_one_elimination_kernel():
         and node.value.id == "gf2"
     }
     assert "eliminate" in purity_calls
+
+
+def test_one_sign_row_builder():
+    # a cut's sign rows come from purity._sign_rows alone, for single
+    # states and Monte Carlo batches: the per-edge superset toggle and the
+    # separate A-axis zeta pass are gone, hypergraph holds plain Python
+    # data, and ensembles scatters no rows of its own
+    sources = _sources()
+    gone = ["toggle_supersets", "_low_bit_pattern", "_LOW_BIT_WORDS", "_zeta_rows", "cut_rows"]
+    assert [(name, word) for name, text in sources.items() for word in gone if word in text] == []
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    hypergraph_imports = set()
+    for node in ast.walk(trees["hypergraph.py"]):
+        if isinstance(node, ast.Import):
+            hypergraph_imports |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            hypergraph_imports |= {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+    assert hypergraph_imports & {"numpy", "gf2"} == set()
+    builders = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_sign_rows"
+    ]
+    assert builders == ["purity.py"]
+    from_purity = {
+        a.name
+        for node in ast.walk(trees["ensembles.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "purity"
+        for a in node.names
+    }
+    calls = {
+        node.func.id
+        for node in ast.walk(trees["ensembles.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "_sign_rows" in from_purity & calls
+    assert "reduceat" not in sources["ensembles.py"]
