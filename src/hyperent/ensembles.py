@@ -6,7 +6,8 @@ visits every subset of the universe once; Monte Carlo draws subsets
 from the documented counter-based stream so runs are reproducible for
 a fixed (seed, worker count) and trivially parallel: worker w owns a
 contiguous slice of the sample range and the child stream w
-(:func:`split_run`).
+(:func:`split_run`), so it does not matter which process computes a
+share: the caller computes share 0 and one forked child each other one.
 
 Each mode has one route to the purity numerators.  Exhaustive moments
 count: :func:`_subset_numerators` returns every subset's numerator at
@@ -40,8 +41,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import multiprocessing
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, repeat
@@ -230,18 +232,20 @@ class _CutFactors:
 
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
-        # uint64 words of one sample's rows, or of one column per edge (a
-        # table no longer built; the term keeps the refused inputs the same)
-        self.sample_words = gf2._n_words(self.part.d_b) * max(self.part.d_a, len(universe))
-        if 8 * self.sample_words > _SAMPLE_BYTES:
+        words = gf2._n_words(self.part.d_b)
+        row_bytes = 8 * words * self.part.d_a  # one sample's packed sign rows
+        if row_bytes > _SAMPLE_BYTES:
             raise ValueError(
                 f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
-                f"{8 * self.sample_words} bytes, over the {_SAMPLE_BYTES}-byte budget"
+                f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
             )
+        # batches stay the size they had when a column per edge was built
+        # too: larger ones measured slower on the 3-edge families
+        self._batch_words = words * max(self.part.d_a, len(universe))
         self.cross, self.a_parts, self.b_parts = _cross_parts(_edge_masks(universe), self.part)
 
     def batch_size(self) -> int:
-        return max(1, (1 << 18) // self.sample_words)
+        return max(1, (1 << 18) // self._batch_words)
 
     def numerators(self, bits: np.ndarray) -> np.ndarray:
         """Exact 2^(2N) * purity for each row of (batch, universe) 0/1 edge choices."""
@@ -435,12 +439,27 @@ def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
     return MomentEstimate(mean, second, variance, std_error_mean, std_error_variance, n, False)
 
 
+def _run_share(fn, task, conn) -> None:
+    """A forked child's body: send (True, fn(task)) or (False, the exception) to the caller."""
+    try:
+        outcome = (True, fn(task))
+    except Exception as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
+    # exit without the interpreter's shutdown, which would flush the
+    # caller's stdio buffers copied at the fork
+    os._exit(0)
+
+
 def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
     """fn((*args, count, worker seed)) for each worker's share, in worker order.
 
     Worker w takes the w-th contiguous share of the samples and draws
-    from child_seed(seed, w); shares run in a process pool when there is
-    more than one.
+    from child_seed(seed, w).  Each share w >= 1 runs in its own forked
+    child, which pipes back its result or exception; the caller computes
+    share 0 meanwhile and reads the children in worker order.  On any
+    failure the children still running are killed; every child is joined
+    before the call returns.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -452,8 +471,37 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
     ]
     if len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for task in tasks[1:]:
+            conn, child_end = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_share, args=(fn, task, child_end), daemon=True)
+            child.start()
+            # only the child holds the sending end, so its exit reads as EOF
+            child_end.close()
+            children.append((child, conn))
+        results = [fn(tasks[0])]
+        for w, (child, conn) in enumerate(children, 1):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"worker {w} exited with code {child.exitcode} before sending its share"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
 
 
 def _stream_worker(args) -> tuple[int, float, float, float, float]:

@@ -21,8 +21,9 @@ takes one of two routes, chosen by the cross edges:
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
   BLAS matmul that stays exact.  Single states pass a batch of one and
   keep every BLAS thread.  The ensembles' Monte Carlo passes many small
-  matrices at once, inside :func:`_one_blas_thread`: they run in forked
-  workers, where BLAS threads would oversubscribe the cores.
+  matrices at once, inside :func:`_one_blas_thread`: the caller and the
+  forked children of a worker split each compute a share at once, and
+  BLAS threads would oversubscribe the cores.
 
 :func:`_sign_rows` is the one builder of a cut's packed sign bits, for
 a single state (a batch of one, every cross edge chosen) and for Monte

@@ -308,6 +308,64 @@ def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
     assert "domain error" in err and "byte budget" in err
 
 
+def test_moments_sample_rows_within_budget(capsys):
+    # N=26, N_A=2: one sample's rows are 4 x 2^18 words (8 MiB); the 576
+    # cross edges once counted toward the budget and made this exit 3
+    from hyperent.ensembles import EnsembleSpec, Family, sample_hypergraph
+    from hyperent.hypergraph import Bipartition
+    from hyperent.purity import state_purity
+    from hyperent.rng import CounterRng, child_seed
+
+    code, out, err = run_cli(capsys, "moments", "--family", "ccz", "--n", "26", "--na", "2",
+                             "--samples", "2")
+    assert (code, err) == (0, "")
+    row = dict(zip(*[line.split(",") for line in out.splitlines()]))
+    assert (row["n"], row["n_a"], row["samples"]) == ("26", "2", "2")
+    spec, part = EnsembleSpec(26, Family.CCZ), Bipartition.from_first(26, 2)
+    rng = CounterRng(child_seed(0, 0))
+    want = sum(float(state_purity(sample_hypergraph(spec, part, rng), part)) for _ in range(2))
+    assert float(row["mean"]) == want / 2
+
+
+@pytest.mark.parametrize("failing", ["every", "last"])
+def test_moments_worker_failure_same_at_any_worker_count(capsys, monkeypatch, failing):
+    # a share that raises, in the caller or in a forked child, reaches the
+    # CLI as the same domain error, with nothing on stdout
+    from hyperent.rng import child_seed
+
+    def broken(args):
+        if failing == "every" or args[-1] != child_seed(9, 0):
+            raise ValueError("injected share failure")
+        return (args[-2], 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(ensembles, "_stream_worker", broken)
+    argv = ["moments", "--family", "cz", "--n", "8", "--samples", "100", "--seed", "9"]
+    runs = {w: run_cli(capsys, *argv, "--workers", str(w)) for w in (1, 2)}
+    if failing == "every":
+        assert runs[1] == runs[2]
+    assert runs[2] == (3, "", "domain error: injected share failure\n")
+
+
+def test_moments_workers_piped_rows_printed_once(capsys):
+    # with stdout a pipe, block-buffered, no forked worker may flush the
+    # caller's pending output: each row appears once, as in process
+    argv = ["moments", "--family", "cz", "--n", "16,32,12", "--samples", "3000", "--seed", "4",
+            "--workers", "2"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperent.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    lines = done.stdout.decode().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["n", "12", "16", "32"]
+    assert done.stdout.decode() == run_cli(capsys, *argv)[1]
+
+
 def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
     # at N=32 a numerator can reach 2^64; refused before the edges are factored
     def unreachable(*args):

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,12 +28,13 @@ from hyperent.ensembles import (
     _subset_numerators,
     check_universe_size,
     sample_hypergraph,
+    split_run,
     subset_weight,
 )
 from hyperent.formulas import cz_avg_purity
 from hyperent.hypergraph import Bipartition, Hypergraph
 from hyperent.purity import cut_cells, graph_entropy_rank, state_purity
-from hyperent.rng import CounterRng
+from hyperent.rng import CounterRng, child_seed
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
 
@@ -410,6 +414,63 @@ def test_mc_workers_deterministic_across_processes():
     assert a == b
 
 
+def _whoami(task):
+    return (os.getpid(), *task)
+
+
+@pytest.mark.parametrize("samples, workers", [(10, 3), (2, 5), (1, 4), (0, 3), (7, 1), (9, 2)])
+def test_split_run_shares_in_worker_order(samples, workers):
+    # share 0 runs in the caller; every other share in a child of its own
+    got = split_run(_whoami, samples, 7, workers, "arg")
+    base, extra = divmod(samples, workers)
+    counts = [c for c in (base + (w < extra) for w in range(workers)) if c]
+    assert [t[1:] for t in got] == [("arg", c, child_seed(7, w)) for w, c in enumerate(counts)]
+    pids = [t[0] for t in got]
+    assert [pid == os.getpid() for pid in pids] == [w == 0 for w in range(len(pids))]
+    assert len(set(pids)) == len(pids)
+    assert multiprocessing.active_children() == []
+
+
+class _ShareFailed(Exception):
+    pass
+
+
+def _fail_share(failing, sleeping=(), exit_code=None):
+    """A share function that raises at the shares in failing and sleeps at those in sleeping."""
+
+    def fn(task):
+        w = next(w for w in range(8) if child_seed(3, w) == task[-1])
+        if w == exit_code:
+            os._exit(5)
+        if w in failing:
+            raise _ShareFailed(f"share {w}")
+        if w in sleeping:
+            time.sleep(60)
+        return w
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "failing, sleeping",
+    [((2,), ()), ((1, 2), ()), ((1,), (2, 3)), ((0,), (1, 2, 3)), ((3,), ())],
+)
+def test_split_run_reraises_and_kills_children(failing, sleeping):
+    # the first failing share in worker order is re-raised in the caller,
+    # and the children still sleeping are killed, not waited for
+    start = time.monotonic()
+    with pytest.raises(_ShareFailed, match=f"share {failing[0]}"):
+        split_run(_fail_share(failing, sleeping), 8, 3, 4)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_split_run_child_exit_without_result_names_share():
+    with pytest.raises(RuntimeError, match="worker 2 exited with code 5"):
+        split_run(_fail_share((), (3,), exit_code=2), 8, 3, 4)
+    assert multiprocessing.active_children() == []
+
+
 def test_subset_kernel_matches_per_graph_purity():
     # the cut-factored numerator for mask i must equal the dense
     # oracle's purity of the i-th enumerated hypergraph
@@ -563,12 +624,13 @@ def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
 
 
 def test_cut_factors_memory_budget(monkeypatch):
-    # N=10, N_A=5: 100 cross edges of one word each are one sample's largest table
+    # N=10, N_A=5: one sample's sign rows are 32 rows of one word, 256
+    # bytes; the 100 cross edges still set the batch size, not the budget
     universe = edge_universe(EnsembleSpec(10, Family.CCZ), Bipartition.from_first(10, 5))
-    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 800)
+    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 256)
     assert _CutFactors(universe, Bipartition.from_first(10, 5)).batch_size() == (1 << 18) // 100
-    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 799)
-    with pytest.raises(ValueError, match="byte budget"):
+    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 255)
+    with pytest.raises(ValueError, match="needs 256 bytes, over the 255-byte budget"):
         _CutFactors(universe, Bipartition.from_first(10, 5))
 
 

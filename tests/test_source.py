@@ -24,8 +24,9 @@ def test_no_assert_statements():
 
 
 def test_one_pool_and_one_blas_pin():
-    # the thread pin in purity covers the forked workers of the one pool
-    # in ensembles; another pool or another ctypes user would escape it
+    # the thread pin in purity covers the workers that ensembles.split_run
+    # forks, its one fork site; an executor or another fork site, or
+    # another ctypes user, would escape it
     sources = _sources()
     imports_ctypes = sorted(
         name
@@ -35,8 +36,10 @@ def test_one_pool_and_one_blas_pin():
         or isinstance(node, ast.ImportFrom) and node.module == "ctypes"
     )
     assert imports_ctypes == ["purity.py"]
-    pools = sorted(name for name, text in sources.items() if "ProcessPoolExecutor(" in text)
-    assert pools == ["ensembles.py"]
+    other_spawners = ("ProcessPoolExecutor", "concurrent.futures", "os.fork", "Popen")
+    assert [(n, w) for n, text in sources.items() for w in other_spawners if w in text] == []
+    forks = {name: text.count('get_context("fork")') for name, text in sources.items()}
+    assert {name: count for name, count in forks.items() if count} == {"ensembles.py": 1}
 
 
 def test_kernels_import_no_report_layer():
