@@ -18,11 +18,12 @@ entries are gathered into one 2^u int64 array a cache-sized block at a
 time, and one subset transform over it yields the numerators, with no
 state, sign row or Gram matrix built.  Monte Carlo ranks the cut block
 over GF(2) for 2-edge families (purity = 2^-rank), its cells looked up
-in the universe by :func:`purity.cut_cells`, and otherwise turns each
-batch of sampled edge choices into sign rows through
-:class:`_CutFactors`, by the package's one sign-row builder
-:func:`purity._sign_rows`, and feeds them to the batched Gram numerator
-:func:`purity.gram_numerator` on one BLAS thread.
+in the universe by :func:`purity.cut_cells`, and otherwise hands each
+batch of sampled edge choices, through :class:`_CutFactors`, to the
+package's one numerator dispatcher :func:`purity._numerators` on one
+BLAS thread: the batched Gauss-sum kernel when every cross edge has at
+most three vertices (CCZ, the restricted family, 3-uniform), and sign
+rows with the batched Gram numerator otherwise.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
@@ -41,7 +42,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -54,13 +54,12 @@ from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
 from .purity import (
     _cross_parts,
+    _numerators,
     _one_blas_thread,
     _side_index,
-    _sign_rows,
     check_qubit_cap,
     cut_cells,
     edge_codes,
-    gram_numerator,
 )
 from .rng import CounterRng, bernoulli_block, child_seed
 
@@ -224,10 +223,11 @@ class _CutFactors:
 
     Works on the cheaper orientation (fewer A qubits).  It keeps the
     universe positions and the A and B parts of the cross edges; each
-    batch of edge choices becomes packed sign rows through
-    :func:`purity._sign_rows` and numerators through
-    :func:`purity.gram_numerator`.  Edges inside one side are local
-    unitaries that leave the purity unchanged and are left out.
+    batch of edge choices becomes numerators through
+    :func:`purity._numerators`, by Gauss sums or by the Gram matrices of
+    packed sign rows.  Edges inside one side are local unitaries that
+    leave the purity unchanged and are left out.  The per-sample budget
+    counts the sign rows of the Gram route, whichever route runs.
     """
 
     def __init__(self, universe: list[Edge], part: Bipartition):
@@ -257,8 +257,7 @@ class _CutFactors:
 
     def _batch(self, bits: np.ndarray) -> np.ndarray:
         n_a, n_b = self.part.n_a, self.part.n_b
-        rows = _sign_rows(bits[:, self.cross], self.a_parts, self.b_parts, n_a, n_b)
-        return gram_numerator(rows, self.part.d_b)
+        return _numerators(bits[:, self.cross], self.a_parts, self.b_parts, n_a, n_b)
 
 
 def _butterflies(arr: np.ndarray, first: int = 0):
@@ -471,6 +470,9 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
     ]
     if len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so that a process which never forks does not load it
+    import multiprocessing
+
     fork = multiprocessing.get_context("fork")
     children = []
     try:

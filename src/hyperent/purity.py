@@ -6,29 +6,31 @@ point only enters at the entropy (log) step.  Numerators are at most
 2**(2N), exact in int64 up to the one qubit limit :data:`MAX_QUBITS` =
 31, which every exact route checks.
 
-:func:`state_purity` computes a single state from its edges factored
-across the cut, with no 2**N sign table, on the smaller side as A.  It
-takes one of two routes, chosen by the cross edges:
+Every numerator of a cut's cross edges, for a single state (a batch of
+one, every cross edge chosen) and for Monte Carlo batches of edge
+choices alike, comes from :func:`_numerators`, which takes one of two
+routes, chosen by the cross edges:
 
 - Every cross edge has at most three vertices (types (1,1), (1,2) and
-  (2,1) by their vertex counts on A and B): the Gauss-sum route,
-  :func:`_gauss_numerator`.  For x = a XOR a' the inner sum over b is a
-  quadratic Gauss sum over GF(2), whose square is a power of two fixed
-  by one small elimination (``gf2.eliminate``).  The cost is
-  2**min(n_A, n_B) eliminations of at most 30 rows of 62 bits.
+  (2,1) by their vertex counts on A and B): the Gauss-sum kernel
+  :func:`_gauss_numerators`.  For x = a XOR a' the inner sum over b is
+  a quadratic Gauss sum over GF(2), whose square is a power of two
+  fixed by one small elimination.  The cost is 2**n_A eliminations of
+  n_B one-word rows per sample, run as one ``gf2.eliminate`` per block
+  of at most 2**12 (sample, x) stacks.
 - A cross edge of four or more vertices makes the phase of higher
   degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
-  BLAS matmul that stays exact.  Single states pass a batch of one and
-  keep every BLAS thread.  The ensembles' Monte Carlo passes many small
-  matrices at once, inside :func:`_one_blas_thread`: the caller and the
-  forked children of a worker split each compute a share at once, and
-  BLAS threads would oversubscribe the cores.
+  BLAS matmul that stays exact.
 
-:func:`_sign_rows` is the one builder of a cut's packed sign bits, for
-a single state (a batch of one, every cross edge chosen) and for Monte
-Carlo batches of edge choices alike: the sign bits are the GF(2)
-superset transform of the chosen edges laid out as (a, b).
+Single states (:func:`state_purity`, on the smaller side as A, with no
+2**N sign table) keep every BLAS thread.  The ensembles' Monte Carlo
+runs its batches inside :func:`_one_blas_thread`: the caller and the
+forked children of a worker split each compute a share at once, and
+BLAS threads would oversubscribe the cores.
+
+:func:`_sign_rows` is the one builder of a cut's packed sign bits: the
+GF(2) superset transform of the chosen edges laid out as (a, b).
 
 For 2-uniform graphs the purity is also 2**(-r), with r the GF(2) rank
 of the cut block of the adjacency matrix: :func:`cut_cells` names the
@@ -236,87 +238,43 @@ def _sign_rows(
     return rows
 
 
-def _vertex_table(a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """(n_a, n_b + n_a + 1) uint64 table of the cross edges at each A vertex i.
+def _single_rows(
+    choices: np.ndarray, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
+) -> np.ndarray:
+    """(batch, n_a, n_b) uint64 elimination rows of x = {t}, without identity bits, per choice row.
 
-    Every edge is of type (1,1), (1,2) or (2,1).  Row i holds B masks:
-    at column j < n_b, the k of the edges (i; j,k), so the first n_b
-    columns are the rows of the alternating matrix K_i; at column
-    n_b + i', the k of the edges (i,i'; k) (E2[i, i']); last, the k of
-    the edges (i; k) (E1_i).  Each entry gathers distinct bits, one per
-    edge, so the integer sums of the matrix products below are XORs.
+    Every edge is of type (1,1), (1,2) or (2,1).  Row j of x = {t} holds
+    K_t[j] in bits 0..n_b-1: bit k for each edge (t; j,k); bit n_b + i
+    for each edge (t,i; j), the coefficient of a_i; and bit N for the
+    edge (t; j), the constant.  An edge sets one bit in cell (lo_A, lo_B)
+    of its lowest vertices and, unless it is of type (1,1), one in cell
+    (hi_A, hi_B) of its highest; every set bit is a distinct power of two
+    below 2**(N+1), so one float64 product of the choices with the
+    per-edge table sums them exactly.
     """
-    a = a_parts[:, np.newaxis] >> np.arange(n_a) & 1
-    b = b_parts[:, np.newaxis] >> np.arange(n_b) & 1
-    two_a = np.bitwise_count(a_parts) == 2
-    two_b = np.bitwise_count(b_parts) == 2
-    # an edge (i; j,k) puts 2^k = b_part - 2^j at K_i[j], and 2^j at K_i[k]
-    pairs_b = b * (b_parts[:, np.newaxis] - (1 << np.arange(n_b))) * two_b[:, np.newaxis]
-    k_rows = a.T @ pairs_b
-    e2 = (a * (b_parts * two_a)[:, np.newaxis]).T @ a
-    np.fill_diagonal(e2, 0)
-    e1 = a.T @ (b_parts * ~(two_a | two_b))
-    return np.concatenate([k_rows, e2, e1[:, np.newaxis]], axis=1).astype(np.uint64)
+    n = n_a + n_b
+    low_a, low_b = a_parts & -a_parts, b_parts & -b_parts
+    two_a, two_b = a_parts != low_a, b_parts != low_b
+    lo_a, hi_a = np.bitwise_count(low_a - 1), np.bitwise_count((a_parts ^ low_a * two_a) - 1)
+    lo_b, hi_b = np.bitwise_count(low_b - 1), np.bitwise_count((b_parts ^ low_b * two_b) - 1)
+    first = np.where(two_b, hi_b, np.where(two_a, n_b + hi_a, n))
+    second = np.where(two_b, lo_b, n_b + lo_a)
+    edges = np.arange(a_parts.size)
+    table = np.zeros((a_parts.size, n_a * n_b))
+    table[edges, lo_a * n_b + lo_b] = np.ldexp(1.0, first)
+    pair = two_a | two_b
+    table[edges[pair], (hi_a * n_b + hi_b)[pair]] = np.ldexp(1.0, second[pair])
+    sums = choices.astype(np.float64) @ table
+    return sums.astype(np.uint64).reshape(choices.shape[0], n_a, n_b)
 
 
-def _x_rows(table: np.ndarray, lo: int, bits: int) -> np.ndarray:
-    """[K_x | M_x | L_x] for x in [lo, lo + 2**bits) by subset doubling; 2**bits divides lo.
-
-    Adding vertex t to an x without it XORs in row t of the table and,
-    for L_x, the M_x[t] of the x without it: the new pairs (t, i) of x.
-    """
-    n_a, width = table.shape
-    m_t = width - n_a - 1  # column of M_x[0]
-    rows = np.zeros((1 << bits, width), dtype=np.uint64)
-    for t in range(bits, n_a):
-        if lo >> t & 1:
-            rows[0, -1] ^= rows[0, m_t + t]
-            rows[0] ^= table[t]
-    for t in range(bits):
-        old, new = rows[: 1 << t], rows[1 << t : 2 << t]
-        np.bitwise_xor(old, table[t], out=new)
-        new[:, -1] ^= old[:, m_t + t]
-    return rows
+_GAUSS_BLOCK_BITS = 12  # at most 2^12 (sample, x) stacks per elimination: 1 MB at N = 31
 
 
-def _gauss_exponents(rows: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """Histogram of 2 n_b - r_x + n_a - rho_x over the consistent x of rows [K_x | M_x | L_x].
-
-    One elimination of the rows [K_x | M_x^T | L_x^T | I] leaves r_x
-    rows with a nonzero K part, and on each other row a kernel vector c
-    of K_x (its I part) with the row [M_x c | L_x . c] of the affine
-    system in a.  Those rows are already in echelon form over the
-    coefficients, since the pivot of a row with zero K part lies in its
-    coefficient bits, or past them.  Adding q_x(c) touches only the
-    constant bit, the last column, so n_b - r_x - rho_x is the count of
-    kernel rows with no coefficients, and x is inconsistent iff one of
-    them reads 0 = 1.
-    """
-    cols = np.arange(n_b, dtype=np.uint64)
-    k_rows = rows[:, :n_b]
-    const_bit = n_b + n_a
-    # stack row j: K_x[j], bit j of each M_x[i] at n_b + i and of L_x at const_bit, I past it
-    ml_bits = rows[:, np.newaxis, n_b:] >> cols[:, np.newaxis] & 1
-    ml_bits <<= np.arange(n_b, const_bit + 1, dtype=np.uint64)
-    stack = k_rows | np.bitwise_or.reduce(ml_bits, axis=2) | 1 << cols + (const_bit + 1)
-    reduced = gf2.eliminate(stack[:, :, np.newaxis])[:, :, 0]
-    # kernel rows with no coefficients: n_b - r_x - rho_x of them
-    free = reduced & (1 << const_bit) - 1 == 0
-    c = reduced >> const_bit + 1
-    # q_x(c) = c . w, with w the XOR of the upper-triangle rows of K_x at the bits of c
-    upper = k_rows & -(2 << cols)
-    w = np.bitwise_xor.reduce(upper[:, np.newaxis, :] * (c[:, :, np.newaxis] >> cols & 1), axis=2)
-    contradiction = free & ((reduced >> const_bit ^ np.bitwise_count(w & c)) & 1).astype(bool)
-    consistent = ~np.logical_or.reduce(contradiction, axis=1)
-    exponents = np.add.reduce(free, axis=1) + const_bit
-    return np.bincount(exponents[consistent], minlength=2 * n_b + n_a + 1)
-
-
-_GAUSS_BLOCK_BITS = 10  # at most 2^10 values of x per elimination stack: a few MB at N = 31
-
-
-def _gauss_numerator(a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int) -> int:
-    """2**(2N) * purity of a state whose cross edges are all of type (1,1), (1,2) or (2,1).
+def _gauss_numerators(
+    choices: np.ndarray, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
+) -> np.ndarray:
+    """2**(2N) * purity per row of (batch, E) 0/1 choices of (1,1), (1,2) and (2,1) cross edges.
 
     With x = a XOR a', the phase of s(a, b) s(a', b) in b is
     q_x(b) + (L_x + sum_i a_i M_x[i]) . b, so each inner sum over b is a
@@ -324,28 +282,84 @@ def _gauss_numerator(a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: in
     part agrees with q_x on the kernel of q_x's alternating matrix K_x
     (rank r_x), and 0 otherwise (Dehaene and De Moor, PRA 68, 042318).
     That agreement is an affine system in a with 0 or 2**(n_a - rho_x)
-    solutions.  The x run in blocks of at most 2**_GAUSS_BLOCK_BITS.
-    An elimination row holds 2 n_b + n_a + 1 bits, which fit one uint64
-    word when A is the smaller side and N <= MAX_QUBITS.
+    solutions.
+
+    Row j of the stack of x holds K_x[j], bit j of each M_x[i] at bit
+    n_b + i, bit j of L_x at bit N and an identity bit at N + 1 + j.  The
+    rows of x = {t} come from :func:`_single_rows`; adding t to an x
+    without it XORs those in and, for L_x, the bits of M_x[t] of the x
+    without it (the new pairs (t, i) of x).  One ``gf2.eliminate`` per
+    block of at most 2**_GAUSS_BLOCK_BITS (sample, x) stacks leaves r_x
+    rows with a nonzero K part, and on each other row a kernel vector c
+    of K_x (its identity part) with the row [M_x c | L_x . c] of the
+    affine system, already in echelon form over the coefficients.
+    Adding q_x(c) touches only the constant bit, so the kernel rows with
+    no coefficients number n_b - r_x - rho_x, and x is inconsistent iff
+    one of them reads 0 = 1.  Each consistent x adds 2**(2 n_b - r_x +
+    n_a - rho_x); a sample's sum is at most 2**(2N), exact in int64 up
+    to MAX_QUBITS.
     """
-    table = _vertex_table(a_parts, b_parts, n_a, n_b)
+    n = n_a + n_b
+    check_qubit_cap(n)
+    singles = _single_rows(choices, a_parts, b_parts, n_a, n_b)
     bits = min(n_a, _GAUSS_BLOCK_BITS)
-    blocks = range(0, 1 << n_a, 1 << bits)
-    hist = sum(_gauss_exponents(_x_rows(table, lo, bits), n_a, n_b) for lo in blocks)
-    return sum(count << e for e, count in enumerate(hist.tolist()))
+    step = 1 << _GAUSS_BLOCK_BITS - bits  # samples per block
+    cols = np.arange(n_b, dtype=np.uint64)
+    ident = 1 << cols + (n + 1)
+    upper = -(2 << cols) & (1 << n_b) - 1  # bits of K_x[j] past j
+    total = np.zeros(singles.shape[0], dtype=np.int64)
+    for lo in range(0, singles.shape[0], step):
+        single = singles[lo : lo + step]
+        for x_lo in range(0, 1 << n_a, 1 << bits):
+            rows = np.empty((single.shape[0], 1 << bits, n_b), dtype=np.uint64)
+            rows[:, 0] = ident
+            for t in range(bits, n_a):
+                if x_lo >> t & 1:
+                    rows[:, 0] ^= (rows[:, 0] >> n_b + t & 1) << n
+                    rows[:, 0] ^= single[:, t]
+            for t in range(bits):
+                old, new = rows[:, : 1 << t], rows[:, 1 << t : 2 << t]
+                np.bitwise_xor(old, single[:, t, np.newaxis], out=new)
+                new ^= (old >> n_b + t & 1) << n
+            stacks = rows.reshape(rows.shape[0] << bits, n_b)
+            reduced = gf2.eliminate(stacks[:, :, np.newaxis])[:, :, 0]
+            free = reduced & (1 << n) - 1 == 0
+            c = reduced >> n + 1
+            # q_x(c) = c . w, with w the XOR of the upper-triangle rows of K_x at the bits of c
+            uppers = stacks & upper
+            w = np.zeros_like(c)
+            for j in range(n_b):
+                w ^= uppers[:, j, np.newaxis] * (c >> j & 1)
+            parity = (reduced >> n ^ np.bitwise_count(w & c)) & 1
+            consistent = ~(free & parity.astype(bool)).any(axis=1)
+            terms = np.left_shift(consistent.astype(np.int64), np.count_nonzero(free, axis=1) + n)
+            total[lo : lo + step] += terms.reshape(single.shape[0], -1).sum(axis=1)
+    return total
+
+
+def _numerators(
+    choices: np.ndarray, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
+) -> np.ndarray:
+    """int64 2**(2N) * purity per row of (batch, E) 0/1 choices of the cut's cross edges.
+
+    When every cross edge has at most three vertices, the Gauss-sum
+    kernel :func:`_gauss_numerators`; otherwise the Gram numerator of the
+    packed sign rows, :func:`gram_numerator` of :func:`_sign_rows`.
+    """
+    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= 3).all():
+        return _gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
+    return gram_numerator(_sign_rows(choices, a_parts, b_parts, n_a, n_b), 1 << n_b)
 
 
 def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     """Exact purity of h's state on subsystem A, from its cross edges.
 
     Purity is symmetric under swapping A with its complement, so the
-    smaller side is taken as A.  When every cross edge has at most three
-    vertices, the numerator is a sum of squared quadratic Gauss sums
-    (:func:`_gauss_numerator`): 2**min(n_A, n_B) small GF(2)
-    eliminations.  A cross edge of four or more vertices makes the phase
-    of higher degree in b, and the numerator comes from the Gram matrix
-    of the cut's sign rows (:func:`_sign_rows`, :func:`gram_numerator`).
-    The integer numerator over 2**(2N) becomes a reduced Fraction, so its
+    smaller side is taken as A.  The numerator is :func:`_numerators` of
+    a batch of one with every cross edge chosen: a sum of squared
+    quadratic Gauss sums when every cross edge has at most three
+    vertices, otherwise the Gram numerator of the cut's sign rows.  The
+    integer numerator over 2**(2N) becomes a reduced Fraction, so its
     denominator is 2**e with an odd numerator, or 1 at purity 1.
     """
     if h.n_qubits != part.n_qubits:
@@ -353,13 +367,9 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     check_qubit_cap(h.n_qubits)
     oriented = part if part.n_a <= part.n_b else part.complement()
     _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), oriented)
-    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= 3).all():
-        numerator = _gauss_numerator(a_parts, b_parts, oriented.n_a, oriented.n_b)
-    else:
-        ones = np.ones((1, a_parts.size), dtype=bool)
-        rows = _sign_rows(ones, a_parts, b_parts, oriented.n_a, oriented.n_b)
-        numerator = int(gram_numerator(rows, oriented.d_b)[0])
-    return Fraction(numerator, 1 << 2 * part.n_qubits)
+    ones = np.ones((1, a_parts.size), dtype=bool)
+    numerator = _numerators(ones, a_parts, b_parts, oriented.n_a, oriented.n_b)[0]
+    return Fraction(int(numerator), 1 << 2 * part.n_qubits)
 
 
 def cut_cells(part: Bipartition) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -288,6 +289,35 @@ def test_moments_json_deterministic(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 1",
+            "196476f6120cea1871a6cbec4999eefbd6a1e6baba8c5560da3e387a388839dc",
+        ),
+        (
+            "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 2",
+            "8a01b14bce561b1819e98d38820308c25e1550e5f7ae2f08666c4c9920d72b7a",
+        ),
+        (
+            "moments --family ccz-half --n 9,11 --samples 500 --seed 3",
+            "c88a4362d3291a481244ec2e80067673c1e3ee66153060f00ef6a8df4daf44fb",
+        ),
+        (
+            "moments --family k-uniform --k 3 --n 12 --na 3 --samples 400 --seed 8 --p 3/10",
+            "98dd89d2a2c12cdfe6d9c704393042a59b2cb2f45b5d87f7bec1a928daeafbf5",
+        ),
+    ],
+)
+def test_moments_gauss_route_bytes_pinned(capsys, argv, digest):
+    # Monte Carlo rows of the 3-edge families, pinned as the Gram route
+    # printed them: the Gauss-sum numerators are the same integers
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_moments_domain_error_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "moments", "--family", "ccz-half", "--n", "4", "--na", "3", "--exhaustive"
@@ -344,6 +374,22 @@ def test_moments_worker_failure_same_at_any_worker_count(capsys, monkeypatch, fa
     if failing == "every":
         assert runs[1] == runs[2]
     assert runs[2] == (3, "", "domain error: injected share failure\n")
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only a worker split forks, so a process that never forks does not
+    # load multiprocessing; checked in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, hyperent.cli; print([m for m in sys.modules if 'multiprocessing' in m])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_moments_workers_piped_rows_printed_once(capsys):

@@ -388,12 +388,14 @@ def test_exhaustive_tally_chunking(monkeypatch):
 
 
 def test_exhaustive_statevector_needs_no_gram(monkeypatch):
-    # the exhaustive route counts; only Monte Carlo squares Gram matrices
+    # the exhaustive route counts; only Monte Carlo computes numerators
+    # of sampled states, by Gauss sums or Gram matrices
     def unreachable(*args):
-        raise AssertionError("Gram numerator called by the exhaustive route")
+        raise AssertionError("a per-state numerator called by the exhaustive route")
 
     monkeypatch.setattr(purity_mod, "gram_numerator", unreachable)
-    monkeypatch.setattr(ensembles_mod, "gram_numerator", unreachable)
+    monkeypatch.setattr(purity_mod, "_gauss_numerators", unreachable)
+    monkeypatch.setattr(ensembles_mod, "_numerators", unreachable)
     est = exact_moments(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
     assert (est.mean, est.variance) == (Fraction(1104, 4096), Fraction(349, 262144))
 
@@ -634,6 +636,42 @@ def test_cut_factors_memory_budget(monkeypatch):
         _CutFactors(universe, Bipartition.from_first(10, 5))
 
 
+def test_mc_numerator_routes(monkeypatch):
+    # Monte Carlo of the 3-edge families takes the Gauss-sum kernel and
+    # never the Gram route; a universe of 4-vertex edges still needs Gram
+    routes = []
+    gauss, gram = purity_mod._gauss_numerators, purity_mod.gram_numerator
+
+    def gauss_kernel(*args):
+        routes.append("gauss")
+        return gauss(*args)
+
+    def no_gram(*args):
+        raise AssertionError("a universe of at most 3-vertex edges took the Gram route")
+
+    monkeypatch.setattr(purity_mod, "_gauss_numerators", gauss_kernel)
+    monkeypatch.setattr(purity_mod, "gram_numerator", no_gram)
+    part = Bipartition(9, 0b100110101)
+    for spec in (
+        EnsembleSpec(9, Family.CCZ),
+        EnsembleSpec(9, Family.CCZ, scope=Scope.ALL_EDGES),
+        EnsembleSpec(9, Family.CCZ_HALF),
+        EnsembleSpec(9, Family.K_UNIFORM, k=3, edge_probability=Fraction(3, 10)),
+    ):
+        routes.clear()
+        est = mc_moments(spec, part, 40, seed=2)
+        assert routes and set(routes) == {"gauss"} and 0 < est.mean <= 1
+
+    def gram_route(*args):
+        routes.append("gram")
+        return gram(*args)
+
+    monkeypatch.setattr(purity_mod, "gram_numerator", gram_route)
+    routes.clear()
+    est = mc_moments(EnsembleSpec(9, Family.K_UNIFORM, k=4), part, 40, seed=2)
+    assert routes and set(routes) == {"gram"} and 0 < est.mean <= 1
+
+
 class _FakeBlas:
     """Stand-in thread calls that record the count the numerator runs with."""
 
@@ -652,14 +690,15 @@ class _FakeBlas:
 
 
 def _small_factors():
+    # 4-vertex cross edges, which only the Gram route takes
     part = Bipartition.from_first(6, 3)
-    universe = edge_universe(EnsembleSpec(6, Family.CCZ), part)
+    universe = edge_universe(EnsembleSpec(6, Family.K_UNIFORM, k=4), part)
     return _CutFactors(universe, part), np.ones((3, len(universe)), dtype=np.uint8)
 
 
 def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3)
-    monkeypatch.setattr(ensembles_mod, "gram_numerator", blas.numerator)
+    monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
     factors, bits = _small_factors()
     assert factors.numerators(bits).tolist() == [0, 0, 0]
     assert blas.seen == [1] and blas.threads == 3
@@ -668,7 +707,7 @@ def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
         blas.seen.append(blas.threads)
         raise RuntimeError("numerator failed")
 
-    monkeypatch.setattr(ensembles_mod, "gram_numerator", boom)
+    monkeypatch.setattr(purity_mod, "gram_numerator", boom)
     with pytest.raises(RuntimeError):
         factors.numerators(bits)
     assert blas.seen == [1, 1] and blas.threads == 3
@@ -698,7 +737,7 @@ def test_blas_pin_finds_bundled_openblas():
 
 def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3, calls=False)
-    monkeypatch.setattr(ensembles_mod, "gram_numerator", blas.numerator)
+    monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
     factors, bits = _small_factors()
     assert factors.numerators(bits).tolist() == [0, 0, 0]
     assert blas.seen == [3]

@@ -252,7 +252,7 @@ def test_blocked_paths_match_oracle(monkeypatch):
         return _sign_rows(*args)
 
     monkeypatch.setattr(purity_mod, "_GRAM_TILE_ENTRIES", 16)
-    monkeypatch.setattr(purity_mod, "_gauss_numerator", unreachable)
+    monkeypatch.setattr(purity_mod, "_gauss_numerators", unreachable)
     monkeypatch.setattr(purity_mod, "_sign_rows", sign_rows)
     rnd = random.Random(55)
     for _ in range(10):
@@ -307,7 +307,8 @@ def test_gauss_route_matches_oracles(case):
     nums = set()
     for side in (part, part.complement()):
         _, a_parts, b_parts = _cross_parts(masks, side)
-        nums.add(purity_mod._gauss_numerator(a_parts, b_parts, side.n_a, side.n_b))
+        ones = np.ones((1, a_parts.size), dtype=bool)
+        nums.add(int(purity_mod._gauss_numerators(ones, a_parts, b_parts, side.n_a, side.n_b)[0]))
     (num,) = nums
     assert state_purity(h, part) == Fraction(num, 1 << 2 * n)
     _, a_parts, b_parts = _cross_parts(masks, part)
@@ -317,6 +318,49 @@ def test_gauss_route_matches_oracles(case):
         assert Fraction(num, 1 << 2 * n) == ref_purity(n, edges, a_mask)
     if h.is_k_uniform(2):
         assert num << graph_entropy_rank(h, part) == 1 << 2 * n
+
+
+@st.composite
+def gauss_batch_cases(draw):
+    """(part, a_parts, b_parts, choices, block): a batch of choices of arity-1..3 cross edges.
+
+    The cut has a scattered mask and either orientation, so n_A runs
+    past n_B as well as below it; the cross set may be empty.  Batches
+    hold 1..50 rows of bool or uint8 choices, an all-one row among them.
+    block is a _GAUSS_BLOCK_BITS of the real size or one small enough
+    that a block spans several samples and one sample's x span several
+    blocks.
+    """
+    n = draw(st.integers(2, 11), label="n")
+    part = Bipartition(n, draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+    if draw(st.booleans(), label="complement"):
+        part = part.complement()
+    arities = draw(st.sampled_from([(1, 2, 3), (1,), (2,), (3,), (2, 3)]), label="arities")
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
+    universe = [e for k in arities if k <= n for e in all_k_edges(n, k)]
+    edges = {e for e, keep in zip(universe, rnd.random(len(universe)) < density) if keep}
+    masks = np.array(Hypergraph(n, frozenset(edges)).edge_masks, dtype=np.int64)
+    _, a_parts, b_parts = _cross_parts(masks, part)
+    batch = draw(st.integers(1, 50), label="batch")
+    dtype = draw(st.sampled_from([bool, np.uint8]), label="dtype")
+    choices = rnd.random((batch, a_parts.size)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    choices[rnd.integers(batch)] = True
+    block = draw(st.sampled_from([0, 1, 2, 3, purity_mod._GAUSS_BLOCK_BITS]), label="block")
+    return part, a_parts, b_parts, choices.astype(dtype), block
+
+
+@settings(deadline=None, max_examples=80)
+@given(gauss_batch_cases())
+def test_gauss_numerators_match_gram_route(case):
+    # every row of a batch against the Gram numerator of its sign rows
+    part, a_parts, b_parts, choices, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(purity_mod, "_GAUSS_BLOCK_BITS", block)
+        got = purity_mod._gauss_numerators(choices, a_parts, b_parts, part.n_a, part.n_b)
+    rows = _sign_rows(choices, a_parts, b_parts, part.n_a, part.n_b)
+    assert got.dtype == np.int64 and got.shape == (len(choices),)
+    assert got.tolist() == gram_numerator(rows, part.d_b).tolist()
 
 
 def _disjoint_blocks(seed, sizes):
@@ -352,7 +396,7 @@ def test_gauss_route_at_the_qubit_cap(seed, sizes):
 
 
 def test_gauss_blocks_of_x_match_one_block(monkeypatch):
-    # 2^11 blocks of 2^4 x instead of 32 blocks of 2^10 give the same numerator
+    # 2^11 blocks of 2^4 x instead of 8 blocks of 2^12 give the same numerator
     h, part, purity = _disjoint_blocks(2, (8, 10, 7, 5))
     assert (part.n_a, part.n_b) == (15, 15)
     monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BITS", 4)

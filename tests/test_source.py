@@ -154,12 +154,15 @@ def test_one_elimination_kernel():
 
 
 def test_one_sign_row_builder():
-    # a cut's sign rows come from purity._sign_rows alone, for single
-    # states and Monte Carlo batches: the per-edge superset toggle and the
-    # separate A-axis zeta pass are gone, hypergraph holds plain Python
+    # a cut's sign rows come from purity._sign_rows alone, and single
+    # states and Monte Carlo batches reach it, and the Gauss-sum kernel,
+    # only through the one numerator dispatcher purity._numerators: the
+    # per-edge superset toggle, the separate A-axis zeta pass and the
+    # single-state Gauss-sum code are gone, hypergraph holds plain Python
     # data, and ensembles scatters no rows of its own
     sources = _sources()
     gone = ["toggle_supersets", "_low_bit_pattern", "_LOW_BIT_WORDS", "_zeta_rows", "cut_rows"]
+    gone += ["_vertex_table", "_x_rows", "_gauss_exponents", "_gauss_numerator("]
     assert [(name, word) for name, text in sources.items() for word in gone if word in text] == []
     trees = {name: ast.parse(text) for name, text in sources.items()}
     hypergraph_imports = set()
@@ -176,16 +179,21 @@ def test_one_sign_row_builder():
         if isinstance(node, ast.FunctionDef) and node.name == "_sign_rows"
     ]
     assert builders == ["purity.py"]
-    from_purity = {
-        a.name
-        for node in ast.walk(trees["ensembles.py"])
-        if isinstance(node, ast.ImportFrom) and node.module == "purity"
-        for a in node.names
+    callers = {
+        (name, fn.name, node.func.id)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("_sign_rows", "_gauss_numerators", "gram_numerator", "_numerators")
     }
-    calls = {
-        node.func.id
-        for node in ast.walk(trees["ensembles.py"])
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    assert callers == {
+        ("purity.py", "_numerators", "_sign_rows"),
+        ("purity.py", "_numerators", "_gauss_numerators"),
+        ("purity.py", "_numerators", "gram_numerator"),
+        ("purity.py", "state_purity", "_numerators"),
+        ("ensembles.py", "_batch", "_numerators"),
     }
-    assert "_sign_rows" in from_purity & calls
     assert "reduceat" not in sources["ensembles.py"]
