@@ -15,6 +15,7 @@ closed form, which is known to overcount at small m (192 vs the true
 from __future__ import annotations
 
 import enum
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -366,9 +367,27 @@ FORMULAS: dict[str, callable] = {
 
 
 def evaluate(name: str, **inputs) -> FormulaReport:
-    """Evaluate a registered formula by name with keyword inputs."""
+    """Evaluate a registered formula by name with keyword inputs.
+
+    Inputs are checked against the formula's signature first: a missing
+    or unknown input, or text where a number is due, raises a ValueError
+    that names the formula's inputs and the bad one.  Only an input
+    annotated ``str`` or with a text default takes text.
+    """
     try:
         fn = FORMULAS[name]
     except KeyError:
         raise ValueError(f"unknown formula {name!r}; known: {sorted(FORMULAS)}") from None
+    signature = inspect.signature(fn)
+    takes = f"formula {name} takes inputs {', '.join(signature.parameters)}"
+    try:
+        signature.bind(**inputs)
+    except TypeError as exc:  # a missing or unknown input, named in exc
+        raise ValueError(f"{takes}; {exc}") from None
+    for key, value in inputs.items():
+        param = signature.parameters[key]
+        if isinstance(value, str) and not (
+            param.annotation in (str, "str") or isinstance(param.default, str)
+        ):
+            raise ValueError(f"{takes}; {key}={value!r} is not a number")
     return fn(**inputs)

@@ -1,11 +1,15 @@
 """Packed stacks of GF(2) matrices: one elimination kernel, batched rank and the rank-defect law.
 
-Every matrix here lives in a (batch, rows, words) stack of uint64
-words, 64 columns per word, so elimination works by word-level XOR:
-column j sits at word j >> 6, bit j & 63, and padding bits are zero.
-:func:`pack_rows` is the one packer of that format, for single graphs'
-and ensembles' cut blocks alike, and :func:`_random_words` draws
-uniform stacks in it straight from the counter stream.
+Every matrix here lives in a (batch, rows, words) stack of unsigned
+words, so elimination works by word-level XOR.  :func:`word_dtype` is
+the one word-width rule: a row of at most 32 columns is one word of the
+smallest unsigned type that holds it (uint8, uint16 or uint32), and a
+wider row is ceil(cols / 64) uint64 words, column j at word j >> 6, bit
+j & 63.  Padding bits are zero.  Narrow words move 2-8x fewer bytes per
+whole-array step than uint64 ones.  :func:`pack_rows` is the one packer
+of that format, for single graphs' and ensembles' cut blocks alike, and
+:func:`_random_words` draws uniform stacks in it straight from the
+counter stream.
 :func:`eliminate` is the one elimination loop of the package: it
 reduces a whole stack of matrices at once, row by row, with the lowest
 set bit of each row as its pivot and no row swaps, and returns the
@@ -32,33 +36,48 @@ def _n_words(cols: int) -> int:
     return (cols + 63) >> 6
 
 
-def pack_rows(bits) -> np.ndarray:
-    """Pack 0/1 entries along the last axis into uint64 words, padding bits zero.
+def word_dtype(cols: int) -> np.dtype:
+    """Word type of a row of cols columns: the smallest of uint8/16/32 that holds it, else uint64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if cols <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
 
-    Shape (..., cols) becomes (..., ceil(cols / 64)); entry j lands at
-    word j >> 6, bit j & 63, and any leading batch shape is kept.
+
+def pack_rows(bits) -> np.ndarray:
+    """Pack 0/1 entries along the last axis into words of ``word_dtype(cols)``, padding bits zero.
+
+    Shape (..., cols) becomes (..., words): one word of at most 32 bits
+    per row up to 32 columns, else ceil(cols / 64) uint64 words, entry j
+    at word j >> 6, bit j & 63.  Any leading batch shape is kept.
     """
     bits = np.asarray(bits)
     lead, cols = bits.shape[:-1], bits.shape[-1]
+    dtype = word_dtype(cols)
     if cols & 7:  # whole bytes per row, so one flat packbits keeps rows apart
         bits = np.pad(bits, [(0, 0)] * len(lead) + [(0, -cols & 7)])
     packed = np.packbits(bits, bitorder="little").reshape(*lead, (cols + 7) >> 3)
-    out = np.zeros((*lead, _n_words(cols) << 3), dtype=np.uint8)
+    n_bytes = _n_words(cols) * dtype.itemsize
+    if packed.shape[-1] == n_bytes:
+        return packed.view(dtype)
+    out = np.zeros((*lead, n_bytes), dtype=np.uint8)
     out[..., : packed.shape[-1]] = packed
-    return out.view(np.uint64)
+    return out.view(dtype)
 
 
 def eliminate(words: np.ndarray) -> np.ndarray:
     """Row-reduce a stack of packed matrices, shape (batch, rows, words); the reduced stack.
 
-    Bits past the last column must be zero.  Rows are taken in order;
-    the lowest set bit of row i is its pivot, and row i is XORed into
-    every later row that has that bit, across the whole batch at once.
-    No later row then keeps an earlier pivot bit, so the nonzero rows
-    that remain are independent, and each reduced row is its input row
-    plus a combination of earlier ones.  No rows are swapped.  Input is
-    not modified; the result is a (batch, rows, words) view of a new
-    array whose batch axis is innermost.
+    Words may be of any unsigned type (:func:`word_dtype` picks them),
+    and the result keeps it.  Bits past the last column must be zero.
+    Rows are taken in order; the lowest set bit of row i is its pivot,
+    and row i is XORed into every later row that has that bit, across
+    the whole batch at once.  No later row then keeps an earlier pivot
+    bit, so the nonzero rows that remain are independent, and each
+    reduced row is its input row plus a combination of earlier ones.
+    No rows are swapped.  Input is not modified; the result is a
+    (batch, rows, words) view of a new array whose batch axis is
+    innermost.
 
     The pivot needs no gather: ``row & -row`` keeps the lowest set bit
     of every word of row i, and every word after the row's first
@@ -67,11 +86,11 @@ def eliminate(words: np.ndarray) -> np.ndarray:
     some word of ``later & low`` is nonzero.  Matrices whose pivots lie
     in different words share the step.
     """
-    if words.ndim != 3:
-        raise ValueError("expected (batch, rows, words) uint64")
+    if words.ndim != 3 or words.dtype.kind != "u":
+        raise ValueError(f"expected (batch, rows, words) unsigned words, got {words.dtype}")
     n_words = words.shape[2]
     # (rows, words, batch): each row's words are contiguous over the batch
-    work = np.array(words.transpose(1, 2, 0), dtype=np.uint64, order="C")
+    work = np.array(words.transpose(1, 2, 0), order="C")
     for i in range(work.shape[0] - 1):
         row, later = work[i], work[i + 1 :]
         low = row & -row
@@ -85,7 +104,7 @@ def eliminate(words: np.ndarray) -> np.ndarray:
 
 
 def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
-    """Ranks of a stack of packed matrices, shape (batch, rows, words).
+    """Ranks of a stack of packed matrices, shape (batch, rows, words), of any unsigned word type.
 
     Bits past ``cols`` must be zero.  The rank is the count of nonzero
     rows that :func:`eliminate` leaves.  Input is not modified.
@@ -94,17 +113,19 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _random_words(count: int, rows: int, cols: int, rng: CounterRng) -> np.ndarray:
-    """(count, rows, words) packed stack of uniform rows x cols matrices.
+    """(count, rows, words) packed stack of uniform rows x cols matrices, in ``word_dtype(cols)``.
 
     Consumes count * rows * ceil(cols/64) draws, matrix by matrix and
     row-major; within each word the low bit is column 64w, and bits past
-    the last column are dropped.
+    the last column are dropped, so a narrow row keeps the low cols bits
+    of its draw.
     """
     n_w = _n_words(cols)
     words = rng.take(count * rows * n_w).reshape(count, rows, n_w)
+    words = words.astype(word_dtype(cols), copy=False)
     tail = cols & 63
     if tail:
-        words[..., -1] &= np.uint64((1 << tail) - 1)
+        words[..., -1] &= words.dtype.type((1 << tail) - 1)
     return words
 
 

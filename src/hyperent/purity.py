@@ -16,8 +16,9 @@ routes, chosen by the cross edges:
   :func:`_gauss_numerators`.  For x = a XOR a' the inner sum over b is
   a quadratic Gauss sum over GF(2), whose square is a power of two
   fixed by one small elimination.  The cost is 2**n_A eliminations of
-  n_B one-word rows per sample, run as one ``gf2.eliminate`` per block
-  of at most 2**12 (sample, x) stacks.
+  n_B one-word rows of N + n_B + 1 bits per sample, in the narrowest
+  word ``gf2.word_dtype`` allows, run as one ``gf2.eliminate`` per
+  block of at most 2**12 (sample, x) stacks.
 - A cross edge of four or more vertices makes the phase of higher
   degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
@@ -255,8 +256,11 @@ def _single_rows(
     n = n_a + n_b
     low_a, low_b = a_parts & -a_parts, b_parts & -b_parts
     two_a, two_b = a_parts != low_a, b_parts != low_b
-    lo_a, hi_a = np.bitwise_count(low_a - 1), np.bitwise_count((a_parts ^ low_a * two_a) - 1)
-    lo_b, hi_b = np.bitwise_count(low_b - 1), np.bitwise_count((b_parts ^ low_b * two_b) - 1)
+    # vertex indices in int64: bitwise_count gives uint8, where a cell index would wrap past 255
+    lo_a, hi_a, lo_b, hi_b = (
+        np.bitwise_count(bit - 1).astype(np.int64)
+        for bit in (low_a, a_parts ^ low_a * two_a, low_b, b_parts ^ low_b * two_b)
+    )
     first = np.where(two_b, hi_b, np.where(two_a, n_b + hi_a, n))
     second = np.where(two_b, lo_b, n_b + lo_a)
     edges = np.arange(a_parts.size)
@@ -285,14 +289,16 @@ def _gauss_numerators(
     solutions.
 
     Row j of the stack of x holds K_x[j], bit j of each M_x[i] at bit
-    n_b + i, bit j of L_x at bit N and an identity bit at N + 1 + j.  The
-    rows of x = {t} come from :func:`_single_rows`; adding t to an x
-    without it XORs those in and, for L_x, the bits of M_x[t] of the x
-    without it (the new pairs (t, i) of x).  One ``gf2.eliminate`` per
-    block of at most 2**_GAUSS_BLOCK_BITS (sample, x) stacks leaves r_x
-    rows with a nonzero K part, and on each other row a kernel vector c
-    of K_x (its identity part) with the row [M_x c | L_x . c] of the
-    affine system, already in echelon form over the coefficients.
+    n_b + i, bit j of L_x at bit N and an identity bit at N + 1 + j: one
+    word of ``gf2.word_dtype(N + n_b + 1)``, so rows of up to 32 bits
+    are eliminated as uint8, uint16 or uint32 words.  The rows of
+    x = {t} come from :func:`_single_rows`; adding t to an x without it
+    XORs those in and, for L_x, the bits of M_x[t] of the x without it
+    (the new pairs (t, i) of x).  One ``gf2.eliminate`` per block of at
+    most 2**_GAUSS_BLOCK_BITS (sample, x) stacks leaves r_x rows with a
+    nonzero K part, and on each other row a kernel vector c of K_x (its
+    identity part) with the row [M_x c | L_x . c] of the affine system,
+    already in echelon form over the coefficients.
     Adding q_x(c) touches only the constant bit, so the kernel rows with
     no coefficients number n_b - r_x - rho_x, and x is inconsistent iff
     one of them reads 0 = 1.  Each consistent x adds 2**(2 n_b - r_x +
@@ -301,17 +307,18 @@ def _gauss_numerators(
     """
     n = n_a + n_b
     check_qubit_cap(n)
-    singles = _single_rows(choices, a_parts, b_parts, n_a, n_b)
+    dtype = gf2.word_dtype(n + n_b + 1)
+    singles = _single_rows(choices, a_parts, b_parts, n_a, n_b).astype(dtype, copy=False)
     bits = min(n_a, _GAUSS_BLOCK_BITS)
     step = 1 << _GAUSS_BLOCK_BITS - bits  # samples per block
-    cols = np.arange(n_b, dtype=np.uint64)
+    cols = np.arange(n_b, dtype=dtype)
     ident = 1 << cols + (n + 1)
     upper = -(2 << cols) & (1 << n_b) - 1  # bits of K_x[j] past j
     total = np.zeros(singles.shape[0], dtype=np.int64)
     for lo in range(0, singles.shape[0], step):
         single = singles[lo : lo + step]
         for x_lo in range(0, 1 << n_a, 1 << bits):
-            rows = np.empty((single.shape[0], 1 << bits, n_b), dtype=np.uint64)
+            rows = np.empty((single.shape[0], 1 << bits, n_b), dtype=dtype)
             rows[:, 0] = ident
             for t in range(bits, n_a):
                 if x_lo >> t & 1:

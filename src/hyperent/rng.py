@@ -14,6 +14,8 @@ draws can be generated at arbitrary positions out of order.  That is
 what makes owner-computes parallel sampling deterministic: worker ``w``
 uses the child stream ``child_seed(s, w)`` (itself just draw ``w`` of
 the parent stream) and never touches another worker's positions.
+:func:`stream_block` builds a block one cache-sized tile at a time,
+each tile's counters a cached table plus one offset.
 
 Bernoulli draws with success probability ``p`` compare a raw 64-bit
 draw against ``threshold_u64(p)``; the comparison is exact whenever
@@ -26,12 +28,13 @@ the bool output, so no uint64 copy of a whole block is held.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
-_TILE = 1 << 15  # draws per tile of bernoulli_block: 256 KiB of uint64 at a time
+_TILE = 1 << 15  # draws per tile of stream_block and bernoulli_block: 256 KiB of uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
@@ -55,22 +58,39 @@ def child_seed(seed: int, worker: int) -> int:
     return stream_at(seed, worker)
 
 
+@functools.cache
+def _tile_steps() -> np.ndarray:
+    """(i + 1) * GAMMA mod 2**64 for i < _TILE: the counters of a tile, less its offset.
+
+    Read-only, since every call shares it.
+    """
+    steps = np.arange(1, _TILE + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    steps.flags.writeable = False
+    return steps
+
+
 def stream_block(seed: int, start: int, count: int) -> np.ndarray:
     """Draws [start, start+count) of the stream, as a uint64 array.
 
-    The finalizer runs in place on the one output array, with one
-    scratch array for the shifts; uint64 arithmetic wraps mod 2**64.
+    The block is built one cache-sized tile of _TILE draws at a time:
+    the counters of the tile at lo are the table (i + 1) * GAMMA plus
+    the one offset (seed + (start + lo) * GAMMA) mod 2**64, and the
+    finalizer runs in place on them, with one tile of scratch for the
+    shifts; uint64 arithmetic wraps mod 2**64.
     """
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GAMMA)
-    z += np.uint64(seed & _MASK64)
-    tmp = np.empty_like(z)
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
-        z ^= tmp
-        z *= np.uint64(mult)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
+    z = np.empty(count, dtype=np.uint64)
+    tmp = np.empty(min(count, _TILE), dtype=np.uint64)
+    for lo in range(0, count, _TILE):
+        tile = z[lo : lo + _TILE]
+        scratch = tmp[: tile.size]
+        offset = np.uint64((seed + (start + lo) * GAMMA) & _MASK64)
+        np.add(_tile_steps()[: tile.size], offset, out=tile)
+        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(tile, np.uint64(shift), out=scratch)
+            tile ^= scratch
+            tile *= np.uint64(mult)
+        np.right_shift(tile, np.uint64(31), out=scratch)
+        tile ^= scratch
     return z
 
 

@@ -545,6 +545,26 @@ def test_formula_subcommand(capsys):
     assert code == 2
 
 
+def test_formula_missing_input_names_it(capsys):
+    code, out, err = run_cli(capsys, "formula", "cz_purity_variance", "n_a=2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "domain error: formula cz_purity_variance takes inputs n_a, n_b; "
+        "missing a required argument: 'n_b'\n"
+    )
+
+
+def test_formula_text_input_names_it(capsys):
+    code, out, err = run_cli(capsys, "formula", "cz_purity_variance", "n_a=2", "n_b=x")
+    assert (code, out) == (3, "")
+    assert err == (
+        "domain error: formula cz_purity_variance takes inputs n_a, n_b; n_b='x' is not a number\n"
+    )
+    # a text input where the formula takes text still evaluates
+    code, out, _ = run_cli(capsys, "formula", "entropy_variance_bound", "n=8", "family=cz")
+    assert code == 0 and json.loads(out)["inputs"] == {"n": 8, "family": "cz"}
+
+
 def test_verify_quick_subset(capsys, monkeypatch):
     # trim the quick suite to its fastest members to keep this test snappy
     monkeypatch.setattr(verify, "QUICK_IDS", {"1", "2", "4"})

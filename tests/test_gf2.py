@@ -16,6 +16,7 @@ from hyperent.gf2 import (
     batch_rank,
     empirical_rank_distribution,
     pack_rows,
+    word_dtype,
 )
 from hyperent.rng import CounterRng
 
@@ -169,19 +170,53 @@ def test_from_dense_packing():
     assert pack_rows(np.eye(70, dtype=np.uint8)[69:]).tolist() == [[0, 1 << 5]]
 
 
-@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
+_WORD_RULE = [(8, np.uint8), (16, np.uint16), (32, np.uint32)]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 130])
 def test_pack_rows_matches_dense_unpack(width):
-    # entry j at word j >> 6, bit j & 63, zero padding, leading batch axes kept
+    # one word of the smallest unsigned type up to 32 columns, else uint64
+    # words; entry j at word j // w, bit j % w for w-bit words, zero
+    # padding, leading batch axes kept
     bits = np.random.default_rng(width).integers(0, 2, (3, 2, 5, width), dtype=np.uint8)
     words = pack_rows(bits)
-    n_w = (width + 63) // 64
-    assert words.dtype == np.uint64 and words.shape == (3, 2, 5, n_w)
-    j = np.arange(64 * n_w)
-    unpacked = words[..., j >> 6] >> (j & 63).astype(np.uint64) & np.uint64(1)
+    dtype = next((t for b, t in _WORD_RULE if width <= b), np.uint64)
+    w = np.iinfo(dtype).bits
+    n_w = (width + w - 1) // w
+    assert words.dtype == dtype == word_dtype(width) and words.shape == (3, 2, 5, n_w)
+    assert n_w == 1 or dtype == np.uint64
+    j = np.arange(w * n_w)
+    unpacked = words[..., j // w] >> (j % w).astype(dtype) & dtype(1)
     assert np.array_equal(unpacked[..., :width], bits)
     assert not unpacked[..., width:].any()
     assert np.array_equal(pack_rows(bits.astype(bool)), words)
     assert np.array_equal(pack_rows(bits[1, 0]), words[1, 0])
+
+
+@pytest.mark.parametrize("cols", [8, 9, 16, 17, 32, 33, 64, 65])
+def test_batch_rank_at_word_boundaries(cols):
+    # the widest row of each word type and one column more, packed and drawn
+    rnd = np.random.default_rng(cols)
+    mats = []
+    for rows in [cols, cols - 1, 3, 1]:
+        inner = rnd.integers(0, min(rows, cols) + 2)
+        a = rnd.integers(0, 2, size=(rows, inner))
+        mats.append(((a @ rnd.integers(0, 2, size=(inner, cols))) & 1).astype(np.uint8))
+    for dense in mats:
+        packed = pack_rows(dense)
+        assert packed.dtype == word_dtype(cols)
+        assert batch_rank(packed[np.newaxis], cols).tolist() == [ref_gf2_rank(dense)]
+    # the same uint64 draws as ever, each word cut to its row's columns
+    n_w = (cols + 63) // 64
+    rng = CounterRng(cols, cursor=3)
+    drawn = _random_words(20, cols, cols, rng)
+    raw = CounterRng(cols, cursor=3).take(20 * cols * n_w).reshape(20, cols, n_w)
+    raw[..., -1] &= np.uint64((1 << (cols - 64 * (n_w - 1))) - 1)
+    assert drawn.dtype == word_dtype(cols) and rng.cursor == 3 + raw.size
+    assert np.array_equal(drawn, raw)
+    ranks = batch_rank(drawn, cols).tolist()
+    assert ranks == [ref_gf2_rank(_dense(m, cols)) for m in drawn]
+    assert min(ranks) < cols  # some drawn matrices are singular
 
 
 def test_empirical_distribution_multiword():

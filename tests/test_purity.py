@@ -363,6 +363,73 @@ def test_gauss_numerators_match_gram_route(case):
     assert got.tolist() == gram_numerator(rows, part.d_b).tolist()
 
 
+@pytest.mark.parametrize(
+    "n_a, n_b, dtype",
+    [
+        (1, 3, np.uint8),
+        (2, 3, np.uint16),
+        (1, 7, np.uint16),
+        (2, 7, np.uint32),
+        (5, 13, np.uint32),
+        (6, 13, np.uint64),
+    ],
+)
+def test_gauss_numerators_at_word_boundaries(monkeypatch, n_a, n_b, dtype):
+    # Gauss rows of N + n_B + 1 = 8, 9, 16, 17, 32 and 33 bits: the widest
+    # row of each word type and one bit more, against the Gram route
+    n = n_a + n_b
+    part = Bipartition.from_first(n, n_a)
+    rnd = np.random.default_rng(n_a * 100 + n_b)
+    universe = [e for k in (1, 2, 3) for e in all_k_edges(n, k)]
+    edges = {e for e, keep in zip(universe, rnd.random(len(universe)) < 0.3) if keep}
+    masks = np.array(Hypergraph(n, frozenset(edges)).edge_masks, dtype=np.int64)
+    _, a_parts, b_parts = _cross_parts(masks, part)
+    choices = rnd.random((6, a_parts.size)) < 0.5
+    choices[0] = True
+    seen = []
+    eliminate = purity_mod.gf2.eliminate
+    monkeypatch.setattr(purity_mod.gf2, "eliminate", lambda w: seen.append(w.dtype) or eliminate(w))
+    got = purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
+    assert set(seen) == {np.dtype(dtype)}
+    rows = _sign_rows(choices, a_parts, b_parts, n_a, n_b)
+    assert got.tolist() == gram_numerator(rows, 1 << n_b).tolist()
+
+
+def test_single_rows_past_256_cells():
+    # N = 33 at 16|17 has 272 cells, past what a uint8 cell index holds;
+    # the rows against a per-edge build, straight from the kernel's row builder
+    n, n_a, n_b = 33, 16, 17
+    part = Bipartition.from_first(n, n_a)
+    rnd = random.Random(33)
+    edges = {(1, 9, 18), (1, 15, 18), (1, 18, 23), (15, 32), (14, 15, 32), (15, 31, 32)}
+    while len(edges) < 400:
+        k = rnd.randint(2, 3)
+        e = tuple(sorted(rnd.sample(range(n), k)))
+        if 0 < sum(v < n_a for v in e) < k:
+            edges.add(e)
+    masks = np.array([sum(1 << v for v in e) for e in sorted(edges)], dtype=np.int64)
+    cross, a_parts, b_parts = _cross_parts(masks, part)
+    assert cross.size == len(edges)
+    choices = np.array([[rnd.random() < 0.5 for _ in edges] for _ in range(3)] + [[True] * len(edges)])
+    want = np.zeros((len(choices), n_a, n_b), dtype=np.int64)
+    for s, row in enumerate(choices):
+        for chosen, e in zip(row, sorted(edges)):
+            a = [v for v in e if v < n_a]
+            b = [v - n_a for v in e if v >= n_a]
+            if not chosen:
+                continue
+            if len(a) == 1 and len(b) == 1:
+                want[s, a[0], b[0]] ^= 1 << n
+            elif len(a) == 1:
+                want[s, a[0], b[0]] ^= 1 << b[1]
+                want[s, a[0], b[1]] ^= 1 << b[0]
+            else:
+                want[s, a[0], b[0]] ^= 1 << n_b + a[1]
+                want[s, a[1], b[0]] ^= 1 << n_b + a[0]
+    got = purity_mod._single_rows(choices, a_parts, b_parts, n_a, n_b)
+    assert got.tolist() == want.tolist()
+
+
 def _disjoint_blocks(seed, sizes):
     """(graph, part, purity) of random arity-1..3 graphs on disjoint blocks of the given sizes.
 

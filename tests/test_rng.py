@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperent.rng import (
     _TILE as TILE,
+    GAMMA,
     CounterRng,
     bernoulli_block,
     child_seed,
@@ -83,6 +84,17 @@ def test_block_wraps_past_2_32_and_at_top_seed():
         block = stream_block(seed, start, 50)
         assert block.dtype == np.uint64 and block.shape == (50,)
         assert block.tolist() == [stream_at(seed, start + i) for i in range(50)]
+
+
+@pytest.mark.parametrize("count", [0, 1, TILE - 1, TILE, TILE + 1])
+@pytest.mark.parametrize("seed, start", [(7, 0), ((1 << 64) - 3, (1 << 40) + 5)])
+def test_block_tiles_equal_pointwise(count, seed, start):
+    # each tile is the (i + 1) * GAMMA table plus one offset, and the
+    # offset of every tile after the first wraps 2^64 here
+    assert seed + (start + TILE) * GAMMA >= 1 << 64
+    block = stream_block(seed, start, count)
+    assert block.dtype == np.uint64 and block.shape == (count,)
+    assert block.tolist() == [stream_at(seed, start + i) for i in range(count)]
 
 
 def _thresholded(seed, start, count, p):
