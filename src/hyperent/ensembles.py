@@ -53,6 +53,7 @@ import numpy as np
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
 from .purity import (
+    _GAUSS_MAX_VERTICES,
     _cross_parts,
     _numerators,
     _one_blas_thread,
@@ -65,7 +66,7 @@ from .rng import CounterRng, bernoulli_block, child_seed
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
-_SAMPLE_BYTES = 1 << 28  # budget for one sample's packed rows or edge columns
+_SAMPLE_BYTES = 1 << 28  # budget for one sample's packed sign rows on the Gram route
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
@@ -226,26 +227,34 @@ class _CutFactors:
     batch of edge choices becomes numerators through
     :func:`purity._numerators`, by Gauss sums or by the Gram matrices of
     packed sign rows.  Edges inside one side are local unitaries that
-    leave the purity unchanged and are left out.  The per-sample budget
-    counts the sign rows of the Gram route, whichever route runs.
+    leave the purity unchanged and are left out.  A universe of edges of
+    at most three vertices takes the Gauss-sum kernel, which builds no
+    sign rows and blocks its own work: it is refused past the qubit cap,
+    and a batch holds 2^18 cross-edge choices, whose float64 copy in the
+    kernel is 2 MiB.  Any other universe takes the Gram route: the
+    per-sample budget counts its sign rows, and a batch holds 2^18 words
+    of them or of edge columns.
     """
 
     def __init__(self, universe: list[Edge], part: Bipartition):
         self.part = part if part.n_a <= part.n_b else part.complement()
-        words = gf2._n_words(self.part.d_b)
-        row_bytes = 8 * words * self.part.d_a  # one sample's packed sign rows
-        if row_bytes > _SAMPLE_BYTES:
-            raise ValueError(
-                f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
-                f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
-            )
-        # batches stay the size they had when a column per edge was built
-        # too: larger ones measured slower on the 3-edge families
-        self._batch_words = words * max(self.part.d_a, len(universe))
+        gauss = max(map(len, universe), default=0) <= _GAUSS_MAX_VERTICES
+        if gauss:
+            check_qubit_cap(part.n_qubits)
+        else:
+            words = gf2._n_words(self.part.d_b)
+            row_bytes = 8 * words * self.part.d_a  # one sample's packed sign rows
+            if row_bytes > _SAMPLE_BYTES:
+                raise ValueError(
+                    f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
+                    f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
+                )
         self.cross, self.a_parts, self.b_parts = _cross_parts(_edge_masks(universe), self.part)
+        # a batch holds 2^18 of one sample's cross-edge choices or sign-row words
+        self._sample_units = self.cross.size if gauss else words * max(self.part.d_a, len(universe))
 
     def batch_size(self) -> int:
-        return max(1, (1 << 18) // self._batch_words)
+        return max(1, (1 << 18) // max(1, self._sample_units))
 
     def numerators(self, bits: np.ndarray) -> np.ndarray:
         """Exact 2^(2N) * purity for each row of (batch, universe) 0/1 edge choices."""

@@ -301,7 +301,11 @@ def _asymptotic_leading(n_a: int, n_b: int) -> FormulaReport:
 
 
 def _half_variance_report(n_a: int, n_b: int, source: str = "exact") -> FormulaReport:
-    src = CountSource(source)
+    try:
+        src = CountSource(source)
+    except ValueError:
+        valid = ", ".join(s.value for s in CountSource)
+        raise ValueError(f"source={source!r} is not one of {valid}") from None
     value = ccz_half_purity_variance(n_a, n_b, src)
     note = "exact" if src is CountSource.EXACT else "asymptotic (large complement)"
     return FormulaReport(
@@ -366,13 +370,17 @@ FORMULAS: dict[str, callable] = {
 }
 
 
+_COUNT_INPUTS = frozenset({"n", "n_a", "n_b", "m", "s"})  # qubit, tuple and defect counts
+
+
 def evaluate(name: str, **inputs) -> FormulaReport:
     """Evaluate a registered formula by name with keyword inputs.
 
     Inputs are checked against the formula's signature first: a missing
-    or unknown input, or text where a number is due, raises a ValueError
-    that names the formula's inputs and the bad one.  Only an input
-    annotated ``str`` or with a text default takes text.
+    or unknown input, text where a number is due, or a non-integer count,
+    raises a ValueError that names the formula's inputs and the bad one.
+    Only an input annotated ``str`` or with a text default takes text,
+    and the counts (:data:`_COUNT_INPUTS`) take integers only.
     """
     try:
         fn = FORMULAS[name]
@@ -390,4 +398,6 @@ def evaluate(name: str, **inputs) -> FormulaReport:
             param.annotation in (str, "str") or isinstance(param.default, str)
         ):
             raise ValueError(f"{takes}; {key}={value!r} is not a number")
+        if key in _COUNT_INPUTS and not isinstance(value, int):
+            raise ValueError(f"{takes}; {key}={value!r} is not an integer")
     return fn(**inputs)

@@ -16,9 +16,12 @@ routes, chosen by the cross edges:
   :func:`_gauss_numerators`.  For x = a XOR a' the inner sum over b is
   a quadratic Gauss sum over GF(2), whose square is a power of two
   fixed by one small elimination.  The cost is 2**n_A eliminations of
-  n_B one-word rows of N + n_B + 1 bits per sample, in the narrowest
-  word ``gf2.word_dtype`` allows, run as one ``gf2.eliminate`` per
-  block of at most 2**12 (sample, x) stacks.
+  n_B rows of N + 2 n_B + 1 bits per sample: one word of the narrowest
+  type ``gf2.word_dtype`` allows up to 64 bits, else two uint64 words.
+  Each row carries the upper triangle of its quadratic form, so every
+  reduced row holds that form's value on its kernel vector.  They run
+  as one ``gf2.eliminate`` per block of at most 2**12 (sample, x)
+  stacks.
 - A cross edge of four or more vertices makes the phase of higher
   degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
@@ -272,7 +275,8 @@ def _single_rows(
     return sums.astype(np.uint64).reshape(choices.shape[0], n_a, n_b)
 
 
-_GAUSS_BLOCK_BITS = 12  # at most 2^12 (sample, x) stacks per elimination: 1 MB at N = 31
+_GAUSS_MAX_VERTICES = 3  # cross edges of at most this many vertices take the Gauss-sum kernel
+_GAUSS_BLOCK_BITS = 12  # at most 2^12 (sample, x) stacks per elimination: 2 MB at N = 31
 
 
 def _gauss_numerators(
@@ -289,16 +293,24 @@ def _gauss_numerators(
     solutions.
 
     Row j of the stack of x holds K_x[j], bit j of each M_x[i] at bit
-    n_b + i, bit j of L_x at bit N and an identity bit at N + 1 + j: one
-    word of ``gf2.word_dtype(N + n_b + 1)``, so rows of up to 32 bits
-    are eliminated as uint8, uint16 or uint32 words.  The rows of
-    x = {t} come from :func:`_single_rows`; adding t to an x without it
-    XORs those in and, for L_x, the bits of M_x[t] of the x without it
-    (the new pairs (t, i) of x).  One ``gf2.eliminate`` per block of at
-    most 2**_GAUSS_BLOCK_BITS (sample, x) stacks leaves r_x rows with a
-    nonzero K part, and on each other row a kernel vector c of K_x (its
-    identity part) with the row [M_x c | L_x . c] of the affine system,
-    already in echelon form over the coefficients.
+    n_b + i, bit j of L_x at bit N, an identity bit at N + 1 + j and
+    U_x[j], the bits of K_x[j] past j, in the U block: N + 2 n_b + 1
+    bits.  A row of at most 64 bits is one word of
+    ``gf2.word_dtype(N + 2 n_b + 1)`` with the U block at bit
+    N + n_b + 1; a wider one is two uint64 words with the U block alone
+    in the second, so the identity part (at most 62 bits under the qubit
+    cap) always stays in word 0.  The rows of x = {t} come from
+    :func:`_single_rows`, with U_t = K_t & upper; adding t to an x
+    without it XORs those in and, for L_x, the bits of M_x[t] of the x
+    without it (the new pairs (t, i) of x).  U_x and every other part
+    but L_x are linear in x.  One ``gf2.eliminate`` per block of at most
+    2**_GAUSS_BLOCK_BITS (sample, x) stacks, built in its (rows, words,
+    stacks) layout, leaves r_x rows with a nonzero K part, and on each
+    other row a kernel vector c of K_x (its identity part) with the row
+    [M_x c | L_x . c] of the affine system, already in echelon form over
+    the coefficients, and w = U_x^T c in its U block, so q_x(c) =
+    parity(w & c).  The identity part is never zero, so no pivot lands
+    in the U block.
     Adding q_x(c) touches only the constant bit, so the kernel rows with
     no coefficients number n_b - r_x - rho_x, and x is inconsistent iff
     one of them reads 0 = 1.  Each consistent x adds 2**(2 n_b - r_x +
@@ -307,40 +319,44 @@ def _gauss_numerators(
     """
     n = n_a + n_b
     check_qubit_cap(n)
-    dtype = gf2.word_dtype(n + n_b + 1)
-    singles = _single_rows(choices, a_parts, b_parts, n_a, n_b).astype(dtype, copy=False)
+    width = n + 2 * n_b + 1
+    dtype = gf2.word_dtype(width)
+    u_word, u_bit = divmod(n + n_b + 1 if width <= 64 else 64, 64)  # where the U block starts
+    k_rows = _single_rows(choices, a_parts, b_parts, n_a, n_b)
+    cols = np.arange(n_b, dtype=np.uint64)
+    upper = -(2 << cols) & (1 << n_b) - 1  # bits of K_x[j] past j
+    singles = np.zeros((*k_rows.shape, u_word + 1), dtype=dtype)
+    singles[..., 0] = k_rows
+    singles[..., u_word] |= ((k_rows & upper) << u_bit).astype(dtype)
+    start = np.zeros((n_b, u_word + 1), dtype=dtype)
+    start[:, 0] = 1 << cols + (n + 1)
     bits = min(n_a, _GAUSS_BLOCK_BITS)
     step = 1 << _GAUSS_BLOCK_BITS - bits  # samples per block
-    cols = np.arange(n_b, dtype=dtype)
-    ident = 1 << cols + (n + 1)
-    upper = -(2 << cols) & (1 << n_b) - 1  # bits of K_x[j] past j
     total = np.zeros(singles.shape[0], dtype=np.int64)
     for lo in range(0, singles.shape[0], step):
-        single = singles[lo : lo + step]
+        single = singles[lo : lo + step].transpose(1, 2, 3, 0)[:, :, :, np.newaxis]
         for x_lo in range(0, 1 << n_a, 1 << bits):
-            rows = np.empty((single.shape[0], 1 << bits, n_b), dtype=dtype)
-            rows[:, 0] = ident
+            # (rows, words, x, sample): eliminate's own layout, so its copy is a flat one
+            rows = np.empty((n_b, u_word + 1, 1 << bits, single.shape[-1]), dtype=dtype)
+            rows[:, :, 0] = start[:, :, np.newaxis]
             for t in range(bits, n_a):
                 if x_lo >> t & 1:
-                    rows[:, 0] ^= (rows[:, 0] >> n_b + t & 1) << n
-                    rows[:, 0] ^= single[:, t]
+                    head = rows[:, 0, 0]
+                    head ^= (head >> n_b + t & 1) << n
+                    rows[:, :, 0] ^= single[t, :, :, 0]
             for t in range(bits):
-                old, new = rows[:, : 1 << t], rows[:, 1 << t : 2 << t]
-                np.bitwise_xor(old, single[:, t, np.newaxis], out=new)
-                new ^= (old >> n_b + t & 1) << n
-            stacks = rows.reshape(rows.shape[0] << bits, n_b)
-            reduced = gf2.eliminate(stacks[:, :, np.newaxis])[:, :, 0]
-            free = reduced & (1 << n) - 1 == 0
-            c = reduced >> n + 1
-            # q_x(c) = c . w, with w the XOR of the upper-triangle rows of K_x at the bits of c
-            uppers = stacks & upper
-            w = np.zeros_like(c)
-            for j in range(n_b):
-                w ^= uppers[:, j, np.newaxis] * (c >> j & 1)
-            parity = (reduced >> n ^ np.bitwise_count(w & c)) & 1
-            consistent = ~(free & parity.astype(bool)).any(axis=1)
-            terms = np.left_shift(consistent.astype(np.int64), np.count_nonzero(free, axis=1) + n)
-            total[lo : lo + step] += terms.reshape(single.shape[0], -1).sum(axis=1)
+                old, new = rows[:, :, : 1 << t], rows[:, :, 1 << t : 2 << t]
+                np.bitwise_xor(old, single[t], out=new)
+                new[:, 0] ^= (old[:, 0] >> n_b + t & 1) << n
+            reduced = gf2.eliminate(rows.reshape(n_b, u_word + 1, -1).transpose(2, 0, 1))
+            work = reduced.transpose(1, 2, 0)  # (rows, words, stacks), C-contiguous
+            low = work[:, 0]
+            free = low & (1 << n) - 1 == 0
+            # c is the identity part and w the U block, so c & w is q_x(c)'s terms
+            parity = (low >> n ^ np.bitwise_count(low >> n + 1 & work[:, u_word] >> u_bit)) & 1
+            consistent = ~(free & parity.astype(bool)).any(axis=0)
+            terms = np.left_shift(consistent.astype(np.int64), np.count_nonzero(free, axis=0) + n)
+            total[lo : lo + step] += terms.reshape(1 << bits, -1).sum(axis=0)
     return total
 
 
@@ -353,7 +369,7 @@ def _numerators(
     kernel :func:`_gauss_numerators`; otherwise the Gram numerator of the
     packed sign rows, :func:`gram_numerator` of :func:`_sign_rows`.
     """
-    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= 3).all():
+    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= _GAUSS_MAX_VERTICES).all():
         return _gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
     return gram_numerator(_sign_rows(choices, a_parts, b_parts, n_a, n_b), 1 << n_b)
 

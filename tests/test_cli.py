@@ -327,15 +327,20 @@ def test_moments_domain_error_exit_3(capsys):
 
 
 def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
-    # one N=40 sample needs 128 GiB of rows; the check must come before
-    # anything is built, so the edge factoring must never be reached
+    # one N=40 sample of 4-edges needs 128 GiB of sign rows, and CCZ at
+    # N=40 is past the Gauss route's qubit cap; both checks must come
+    # before anything is built, so the edge factoring must never be reached
     def unreachable(*args):
         raise AssertionError("cut factors built past the memory budget")
 
     monkeypatch.setattr(ensembles, "_cross_parts", unreachable)
-    code, out, err = run_cli(capsys, "moments", "--family", "ccz", "--n", "40", "--samples", "2")
+    code, out, err = run_cli(capsys, "moments", "--family", "k-uniform", "--k", "4", "--n", "40",
+                             "--samples", "2")
     assert code == 3 and out == ""
     assert "domain error" in err and "byte budget" in err
+    code, out, err = run_cli(capsys, "moments", "--family", "ccz", "--n", "40", "--samples", "2")
+    assert code == 3 and out == ""
+    assert err == "domain error: n=40 exceeds the qubit cap (31): numerators must fit int64\n"
 
 
 def test_moments_sample_rows_within_budget(capsys):
@@ -563,6 +568,21 @@ def test_formula_text_input_names_it(capsys):
     # a text input where the formula takes text still evaluates
     code, out, _ = run_cli(capsys, "formula", "entropy_variance_bound", "n=8", "family=cz")
     assert code == 0 and json.loads(out)["inputs"] == {"n": 8, "family": "cz"}
+
+
+def test_formula_fractional_count_names_it(capsys):
+    code, out, err = run_cli(capsys, "formula", "haar_avg_purity", "n_a=2.5", "n_b=3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "domain error: formula haar_avg_purity takes inputs n_a, n_b; n_a=2.5 is not an integer\n"
+    )
+
+
+def test_formula_unknown_source_lists_the_valid_ones(capsys):
+    code, out, err = run_cli(capsys, "formula", "ccz_half_purity_variance", "n_a=2", "n_b=3",
+                             "source=asymptotic")
+    assert (code, out) == (3, "")
+    assert err == "domain error: source='asymptotic' is not one of exact, closed_form\n"
 
 
 def test_verify_quick_subset(capsys, monkeypatch):

@@ -626,14 +626,31 @@ def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
 
 
 def test_cut_factors_memory_budget(monkeypatch):
-    # N=10, N_A=5: one sample's sign rows are 32 rows of one word, 256
-    # bytes; the 100 cross edges still set the batch size, not the budget
-    universe = edge_universe(EnsembleSpec(10, Family.CCZ), Bipartition.from_first(10, 5))
+    # the budget counts the Gram route's sign rows: a 4-edge universe at
+    # N=10, N_A=5 has 32 rows of one word, 256 bytes; its 200 edges still
+    # set the batch size, not the budget
+    part = Bipartition.from_first(10, 5)
+    universe = edge_universe(EnsembleSpec(10, Family.K_UNIFORM, k=4), part)
     monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 256)
-    assert _CutFactors(universe, Bipartition.from_first(10, 5)).batch_size() == (1 << 18) // 100
+    assert _CutFactors(universe, part).batch_size() == (1 << 18) // 200
     monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 255)
     with pytest.raises(ValueError, match="needs 256 bytes, over the 255-byte budget"):
-        _CutFactors(universe, Bipartition.from_first(10, 5))
+        _CutFactors(universe, part)
+    # the CCZ universe takes the Gauss-sum kernel, which builds no sign rows
+    ccz = edge_universe(EnsembleSpec(10, Family.CCZ), part)
+    assert _CutFactors(ccz, part).batch_size() == (1 << 18) // 100
+
+
+def test_gauss_route_batches_many_samples():
+    # N=24, N_A=1: sized by sign rows, a batch held one sample; the Gauss
+    # route's holds 2^18 choices of the 253 cross edges, and batching does
+    # not change a numerator
+    part = Bipartition.from_first(24, 1)
+    factors = _CutFactors(edge_universe(EnsembleSpec(24, Family.CCZ), part), part)
+    assert factors.cross.size == 253 and factors.batch_size() == (1 << 18) // 253
+    bits = np.random.default_rng(24).random((50, 253)) < 0.5
+    one_by_one = [factors._batch(bits[i : i + 1])[0] for i in range(len(bits))]
+    assert factors.numerators(bits).tolist() == one_by_one
 
 
 def test_mc_numerator_routes(monkeypatch):

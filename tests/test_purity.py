@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -366,18 +367,26 @@ def test_gauss_numerators_match_gram_route(case):
 @pytest.mark.parametrize(
     "n_a, n_b, dtype",
     [
-        (1, 3, np.uint8),
+        (1, 2, np.uint8),
+        (2, 2, np.uint16),
         (2, 3, np.uint16),
-        (1, 7, np.uint16),
+        (3, 4, np.uint16),
+        (1, 5, np.uint32),
         (2, 7, np.uint32),
-        (5, 13, np.uint32),
+        (1, 10, np.uint32),
+        (2, 10, np.uint64),
         (6, 13, np.uint64),
+        (3, 20, np.uint64),
+        (1, 21, np.uint64),
+        (4, 20, np.uint64),
     ],
 )
 def test_gauss_numerators_at_word_boundaries(monkeypatch, n_a, n_b, dtype):
-    # Gauss rows of N + n_B + 1 = 8, 9, 16, 17, 32 and 33 bits: the widest
-    # row of each word type and one bit more, against the Gram route
+    # Gauss rows of N + 2 n_B + 1 = 8, 9, 16, 17, 32, 33, 64 and 65 bits:
+    # the widest row of each word type and one bit more, where 65 bits are
+    # two uint64 words with the U block in the second; against the Gram route
     n = n_a + n_b
+    width = n + 2 * n_b + 1
     part = Bipartition.from_first(n, n_a)
     rnd = np.random.default_rng(n_a * 100 + n_b)
     universe = [e for k in (1, 2, 3) for e in all_k_edges(n, k)]
@@ -388,11 +397,46 @@ def test_gauss_numerators_at_word_boundaries(monkeypatch, n_a, n_b, dtype):
     choices[0] = True
     seen = []
     eliminate = purity_mod.gf2.eliminate
-    monkeypatch.setattr(purity_mod.gf2, "eliminate", lambda w: seen.append(w.dtype) or eliminate(w))
+    monkeypatch.setattr(
+        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[2])) or eliminate(w)
+    )
     got = purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
-    assert set(seen) == {np.dtype(dtype)}
+    assert set(seen) == {(np.dtype(dtype), 1 if width <= 64 else 2)}
     rows = _sign_rows(choices, a_parts, b_parts, n_a, n_b)
     assert got.tolist() == gram_numerator(rows, 1 << n_b).tolist()
+
+
+@pytest.mark.parametrize("n, n_a", [(26, 2), (31, 1)])
+def test_gauss_numerators_two_word_rows(monkeypatch, n, n_a):
+    # rows of 75 and 92 bits, the U block in a second word, at cuts whose
+    # 2^24 and 2^30 columns no Gram oracle reaches: every edge touches the
+    # same 8 qubits, the top one among them, so each purity is that of the
+    # state relabelled onto those qubits
+    rnd = random.Random(n)
+    verts = list(range(n_a)) + sorted(rnd.sample(range(n_a, n - 1), 7 - n_a)) + [n - 1]
+    local = [e for k in (2, 3) for e in all_k_edges(8, k) if 0 < sum(v < n_a for v in e) < k]
+    masks = np.array([sum(1 << verts[v] for v in e) for e in local], dtype=np.int64)
+    cross, a_parts, b_parts = _cross_parts(masks, Bipartition.from_first(n, n_a))
+    assert cross.tolist() == list(range(len(local)))
+    choices = np.random.default_rng(n).random((6, len(local))) < 0.5
+    choices[-1] = True
+    seen = []
+    eliminate = purity_mod.gf2.eliminate
+    monkeypatch.setattr(
+        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[2])) or eliminate(w)
+    )
+    want = []
+    for row in choices:
+        small = Hypergraph(8, frozenset(compress(local, row)))
+        purity = state_purity(small, Bipartition.from_first(8, n_a))
+        assert purity == ref_purity(8, small.edges, (1 << n_a) - 1)
+        want.append(purity * (1 << 2 * n))
+    seen.clear()
+    for block in (purity_mod._GAUSS_BLOCK_BITS, 1):  # 1: x's high bit on the start row
+        monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BITS", block)
+        got = purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n - n_a)
+        assert got.tolist() == want
+    assert set(seen) == {(np.dtype(np.uint64), 2)}
 
 
 def test_single_rows_past_256_cells():

@@ -197,3 +197,33 @@ def test_one_sign_row_builder():
         ("ensembles.py", "_batch", "_numerators"),
     }
     assert "reduceat" not in sources["ensembles.py"]
+
+
+def test_gauss_kernel_reads_q_off_the_reduced_rows():
+    # q_x(c) comes off each reduced row's U block: after its one
+    # elimination the kernel keeps no upper-triangle rows and runs no
+    # loop over the n_b rows to rebuild U_x^T c
+    tree = ast.parse(_sources()["purity.py"])
+    kernel = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_gauss_numerators"
+    )
+    calls = [
+        node.lineno
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "eliminate"
+    ]
+    assert len(calls) == 1
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    assert "uppers" not in names
+    loops_over_rows = [
+        node.lineno
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.For)
+        and node.lineno > calls[0]
+        and any(isinstance(arg, ast.Name) and arg.id == "n_b" for arg in ast.walk(node.iter))
+    ]
+    assert loops_over_rows == []
