@@ -7,7 +7,9 @@ from the documented counter-based stream so runs are reproducible for
 a fixed (seed, worker count) and trivially parallel: worker w owns a
 contiguous slice of the sample range and the child stream w
 (:func:`split_run`), so it does not matter which process computes a
-share: the caller computes share 0 and one forked child each other one.
+share: the caller and a pool of forked children compute them.  The
+pool holds at most one child per usable core beyond the caller's, lives
+as long as the process, and is killed whole when any share fails.
 
 Each mode has one route to the purity numerators.  Exhaustive moments
 count: :func:`_subset_numerators` returns every subset's numerator at
@@ -27,9 +29,10 @@ rows with the batched Gram numerator otherwise.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
-choices, one bool each (2 MiB), which :func:`rng.bernoulli_block` fills
-from one 2^15-draw (256 KiB) uint64 tile at a time; the rank or
-numerator route then holds only what it makes of one piece.
+choices, one bool each (2 MiB), into one buffer that every piece of a
+share reuses; :func:`rng.bernoulli_block` fills it from one 2^15-draw
+(256 KiB) uint64 tile at a time; the rank or numerator route then holds
+only what it makes of one piece.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
@@ -43,6 +46,7 @@ import enum
 import functools
 import math
 import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,9 +217,16 @@ def _edge_masks(universe: list[Edge]) -> np.ndarray:
 
 
 def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
-    """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices."""
-    # np.take keeps the gathered blocks C-ordered, which the flat packer wants
-    blocks = np.take(bits, order, axis=1).reshape(-1, part.n_a, part.n_b)
+    """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices.
+
+    order lists the universe positions of the cut cells, row-major.
+    """
+    if order.size == bits.shape[1] and (order == np.arange(order.size)).all():
+        # the universe is the cut block itself, row-major: no gather
+        blocks = bits.reshape(-1, part.n_a, part.n_b)
+    else:
+        # np.take keeps the gathered blocks C-ordered, which the flat packer wants
+        blocks = np.take(bits, order, axis=1).reshape(-1, part.n_a, part.n_b)
     return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
@@ -447,27 +458,107 @@ def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
     return MomentEstimate(mean, second, variance, std_error_mean, std_error_variance, n, False)
 
 
-def _run_share(fn, task, conn) -> None:
-    """A forked child's body: send (True, fn(task)) or (False, the exception) to the caller."""
+_pool: list = []  # (process, connection) of each pooled share worker, oldest first
+
+
+def _forget_pool() -> None:
+    """In a forked child: close the inherited caller ends of the pool's pipes, and forget it.
+
+    A child that kept them would hold its older siblings' pipes open
+    after the caller died.
+    """
+    for _, conn in _pool:
+        conn.close()
+    _pool.clear()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the machine's count."""
     try:
-        outcome = (True, fn(task))
-    except Exception as exc:
-        outcome = (False, exc)
-    conn.send(outcome)
-    # exit without the interpreter's shutdown, which would flush the
-    # caller's stdio buffers copied at the fork
-    os._exit(0)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _serve(conn, caller_end) -> None:
+    """A pooled child's body: run each (fn, tasks) request read from conn, until EOF.
+
+    Each share's outcome, (True, result) or (False, exception), is sent
+    as soon as the share is done; a request that fails to unpickle, or a
+    share that raises, ends the request there.  The caller's end of the
+    child's own pipe, inherited at the fork, is closed first (those of
+    the older children already are, by :func:`_forget_pool`), so conn
+    reads EOF once the caller closes its end or dies.  The child then
+    exits without the interpreter's shutdown, which would flush the
+    caller's stdio buffers copied at the fork.
+    """
+    code = 1
+    try:
+        caller_end.close()
+        while True:
+            try:
+                request = conn.recv_bytes()
+            except EOFError:
+                code = 0
+                break
+            try:
+                fn, tasks = pickle.loads(request)
+                for task in tasks:
+                    conn.send((True, fn(task)))
+            except Exception as exc:
+                conn.send((False, exc))
+    finally:
+        os._exit(code)
+
+
+def _pooled(count: int) -> list:
+    """The first count pooled children, forking the missing ones."""
+    # imported here, so that a process which never forks does not load it
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    while len(_pool) < count:
+        conn, child_end = fork.Pipe()
+        child = fork.Process(target=_serve, args=(child_end, conn), daemon=True)
+        child.start()
+        # only the child holds its end, so the child's exit reads as EOF
+        child_end.close()
+        _pool.append((child, conn))
+    return _pool[:count]
+
+
+def _close_pool(keep: int = 0) -> None:
+    """Kill and join every pooled child past the first keep."""
+    doomed = _pool[keep:]
+    del _pool[keep:]
+    for child, _ in doomed:
+        child.kill()
+    for child, conn in doomed:
+        child.join()
+        conn.close()
 
 
 def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
     """fn((*args, count, worker seed)) for each worker's share, in worker order.
 
     Worker w takes the w-th contiguous share of the samples and draws
-    from child_seed(seed, w).  Each share w >= 1 runs in its own forked
-    child, which pipes back its result or exception; the caller computes
-    share 0 meanwhile and reads the children in worker order.  On any
-    failure the children still running are killed; every child is joined
-    before the call returns.
+    from child_seed(seed, w), so a share's result does not depend on the
+    process that computes it.  With S non-empty shares and C usable
+    cores, P = min(S, C) - 1 pooled children and the caller compute
+    them: share w runs in process w mod (P + 1), process 0 being the
+    caller.  With P = 0 nothing forks.  The children are forked on first
+    need and kept for the life of the process, never more than C - 1;
+    each is sent fn and its shares by pickle (so fn must be importable
+    by name) and pipes back each share's result or exception as soon as
+    it is done.  The caller computes its own shares and reads the
+    others in worker order, and re-raises the first failure in that
+    order: a share's exception, or a child that exited before sending
+    its share.  On any failure, KeyboardInterrupt included, every
+    pooled child is killed and joined, and the next call forks afresh.
+    Calls share the pool, so they must not overlap in several threads.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -477,23 +568,22 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
         for w in range(workers)
         if base + (w < extra)
     ]
-    if len(tasks) <= 1:
+    cores = _usable_cores()
+    # a child lost since the last call empties the pool; a narrower affinity trims it
+    _close_pool(cores - 1 if all(child.is_alive() for child, _ in _pool) else 0)
+    procs = min(len(tasks), cores)
+    if procs <= 1:
         return [fn(t) for t in tasks]
-    # imported here, so that a process which never forks does not load it
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
-    children = []
     try:
-        for task in tasks[1:]:
-            conn, child_end = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_share, args=(fn, task, child_end), daemon=True)
-            child.start()
-            # only the child holds the sending end, so its exit reads as EOF
-            child_end.close()
-            children.append((child, conn))
-        results = [fn(tasks[0])]
-        for w, (child, conn) in enumerate(children, 1):
+        children = _pooled(procs - 1)
+        for p, (_, conn) in enumerate(children, 1):
+            conn.send((fn, tasks[p::procs]))
+        results = []
+        for w, task in enumerate(tasks):
+            if w % procs == 0:
+                results.append(fn(task))
+                continue
+            child, conn = children[w % procs - 1]
             try:
                 ok, value = conn.recv()
             except EOFError:
@@ -506,13 +596,8 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
             results.append(value)
         return results
     except BaseException:
-        for child, _ in children:
-            child.kill()
+        _close_pool()
         raise
-    finally:
-        for child, conn in children:
-            child.join()
-            conn.close()
 
 
 def _stream_worker(args) -> tuple[int, float, float, float, float]:
@@ -530,14 +615,15 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     else:
         values = _CutFactors(universe, part).numerators
     rows = max(1, _MC_PIECE_DRAWS // max(1, u))
+    buf = np.empty(min(rows, _MC_CHUNK, count) * u, dtype=bool)  # every piece's edge choices
     sums = [0, 0.0, 0.0, 0.0, 0.0]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
         pieces = []  # ranks or numerators, drawn rows at a time to bound memory
         for r in range(done, done + take, rows):
             k = min(rows, done + take - r)
-            bits = bernoulli_block(wseed, r * u, k * u, spec.edge_probability).reshape(k, u)
-            pieces.append(values(bits))
+            bits = bernoulli_block(wseed, r * u, k * u, spec.edge_probability, out=buf[: k * u])
+            pieces.append(values(bits.reshape(k, u)))
         vals = np.concatenate(pieces)
         if graph:
             p = np.ldexp(1.0, -vals)

@@ -14,16 +14,20 @@ draws can be generated at arbitrary positions out of order.  That is
 what makes owner-computes parallel sampling deterministic: worker ``w``
 uses the child stream ``child_seed(s, w)`` (itself just draw ``w`` of
 the parent stream) and never touches another worker's positions.
-:func:`stream_block` builds a block one cache-sized tile at a time,
+Draws are made one cache-sized tile at a time by :func:`_mix_tile`,
 each tile's counters a cached table plus one offset.
 
 Bernoulli draws with success probability ``p`` compare a raw 64-bit
 draw against ``threshold_u64(p)``; the comparison is exact whenever
 ``p * 2**64`` is an integer (which covers every dyadic ``p`` with
 exponent <= 64), and biased by less than 2**-64 otherwise.  The one
-route to Bernoulli bits is :func:`bernoulli_block`: it makes the same
-stream draws a cache-sized tile at a time and thresholds each tile into
-the bool output, so no uint64 copy of a whole block is held.
+route to Bernoulli bits is :func:`bernoulli_block`: it mixes every tile
+of a call into the same two uint64 tiles, allocated once per call, and
+thresholds each into the bool output (or a caller's buffer), so no
+uint64 copy of a whole block is held.  When the threshold is a multiple
+of 2**33 (p = 1/2, and every p whose denominator is a power of two up
+to 2**31) the final xor-shift cannot change the comparison and is
+skipped; see :func:`bernoulli_block`.
 """
 
 from __future__ import annotations
@@ -69,28 +73,32 @@ def _tile_steps() -> np.ndarray:
     return steps
 
 
-def stream_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws [start, start+count) of the stream, as a uint64 array.
+def _mix_tile(tile: np.ndarray, scratch: np.ndarray, offset: int, last: bool = True) -> None:
+    """Fill tile in place with the draws whose counters are the table plus offset.
 
-    The block is built one cache-sized tile of _TILE draws at a time:
-    the counters of the tile at lo are the table (i + 1) * GAMMA plus
-    the one offset (seed + (start + lo) * GAMMA) mod 2**64, and the
-    finalizer runs in place on them, with one tile of scratch for the
-    shifts; uint64 arithmetic wraps mod 2**64.
+    The counters of a tile are the table (i + 1) * GAMMA plus the one
+    offset (seed + first index * GAMMA) mod 2**64, and the finalizer runs
+    in place on them, with scratch (as long as tile) for the shifts;
+    uint64 arithmetic wraps mod 2**64.  ``last=False`` stops before the
+    final ``z ^ (z >> 31)``.
     """
-    z = np.empty(count, dtype=np.uint64)
-    tmp = np.empty(min(count, _TILE), dtype=np.uint64)
-    for lo in range(0, count, _TILE):
-        tile = z[lo : lo + _TILE]
-        scratch = tmp[: tile.size]
-        offset = np.uint64((seed + (start + lo) * GAMMA) & _MASK64)
-        np.add(_tile_steps()[: tile.size], offset, out=tile)
-        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-            np.right_shift(tile, np.uint64(shift), out=scratch)
-            tile ^= scratch
-            tile *= np.uint64(mult)
+    np.add(_tile_steps()[: tile.size], np.uint64(offset & _MASK64), out=tile)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(tile, np.uint64(shift), out=scratch)
+        tile ^= scratch
+        tile *= np.uint64(mult)
+    if last:
         np.right_shift(tile, np.uint64(31), out=scratch)
         tile ^= scratch
+
+
+def stream_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws [start, start+count) of the stream, as a uint64 array, one tile at a time."""
+    z = np.empty(count, dtype=np.uint64)
+    scratch = np.empty(min(count, _TILE), dtype=np.uint64)
+    for lo in range(0, count, _TILE):
+        tile = z[lo : lo + _TILE]
+        _mix_tile(tile, scratch[: tile.size], seed + (start + lo) * GAMMA)
     return z
 
 
@@ -101,15 +109,35 @@ def threshold_u64(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
-def bernoulli_block(seed: int, start: int, count: int, p: Fraction) -> np.ndarray:
-    """Bernoulli(p) bools of draws [start, start+count): draw < threshold_u64(p)."""
+def bernoulli_block(
+    seed: int, start: int, count: int, p: Fraction, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Bernoulli(p) bools of draws [start, start+count): draw < threshold_u64(p).
+
+    Written into ``out`` (a 1-d bool array of count entries) when given,
+    else into a new array; either is returned.  Every tile is mixed into
+    the same uint64 tile and scratch tile.
+
+    Top bits decide a threshold t with t mod 2**33 = 0.  Let pre(z) be
+    a draw before its final xor-shift, so the draw is
+    pre(z) ^ (pre(z) >> 31).  The shifted term is below 2**33, so the
+    xor leaves bits 33-63 as they are, and a 64-bit value v lies below
+    t = c * 2**33 exactly when floor(v / 2**33) < c.  Draw and pre(z)
+    share that floor, so draw < t iff pre(z) < t, and the final step is
+    skipped.  That covers p = 1/2 and every p = m / 2**k with k <= 31.
+    """
     t = threshold_u64(Fraction(p))
+    bits = np.empty(count, dtype=bool) if out is None else out
     if t in (0, 1 << 64):
-        return np.full(count, t > 0)
-    bits = np.empty(count, dtype=bool)
+        bits[:] = t > 0
+        return bits
+    tile = np.empty(min(count, _TILE), dtype=np.uint64)
+    scratch = np.empty_like(tile)
+    last = t % (1 << 33) != 0
     for lo in range(0, count, _TILE):
-        hi = min(count, lo + _TILE)
-        np.less(stream_block(seed, start + lo, hi - lo), np.uint64(t), out=bits[lo:hi])
+        n = min(_TILE, count - lo)
+        _mix_tile(tile[:n], scratch[:n], seed + (start + lo) * GAMMA, last)
+        np.less(tile[:n], np.uint64(t), out=bits[lo : lo + n])
     return bits
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, determinism, fault injection."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -362,18 +363,21 @@ def test_moments_sample_rows_within_budget(capsys):
     assert float(row["mean"]) == want / 2
 
 
+def _broken_share(failing, args):
+    """A stand-in sampling share that raises at every share, or at every share after the first."""
+    from hyperent.rng import child_seed
+
+    if failing == "every" or args[-1] != child_seed(9, 0):
+        raise ValueError("injected share failure")
+    return (args[-2], 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("failing", ["every", "last"])
 def test_moments_worker_failure_same_at_any_worker_count(capsys, monkeypatch, failing):
     # a share that raises, in the caller or in a forked child, reaches the
-    # CLI as the same domain error, with nothing on stdout
-    from hyperent.rng import child_seed
-
-    def broken(args):
-        if failing == "every" or args[-1] != child_seed(9, 0):
-            raise ValueError("injected share failure")
-        return (args[-2], 0.0, 0.0, 0.0, 0.0)
-
-    monkeypatch.setattr(ensembles, "_stream_worker", broken)
+    # CLI as the same domain error, with nothing on stdout; the stand-in
+    # travels to the child by pickle, so it is a partial of a module function
+    monkeypatch.setattr(ensembles, "_stream_worker", functools.partial(_broken_share, failing))
     argv = ["moments", "--family", "cz", "--n", "8", "--samples", "100", "--seed", "9"]
     runs = {w: run_cli(capsys, *argv, "--workers", str(w)) for w in (1, 2)}
     if failing == "every":
@@ -395,6 +399,41 @@ def test_cli_import_loads_no_multiprocessing():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_one_core_split_loads_no_multiprocessing():
+    # with one usable core a worker split forks nothing, so it does not
+    # load multiprocessing either; checked in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from hyperent import cli, ensembles\n"
+        "ensembles._usable_cores = lambda: 1\n"
+        "code = cli.main(['moments', '--family', 'cz', '--n', '8', '--samples', '100',"
+        " '--workers', '2'])\n"
+        "print(code, [m for m in sys.modules if 'multiprocessing' in m], file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "0 []\n")
+    assert done.stdout.startswith("n,n_a,")
+
+
+def test_rankdist_bytes_independent_of_core_count(capsys, monkeypatch):
+    # 7 shares on 1, 2 or 4 cores: the same shares in any process give the same bytes
+    argv = ["rankdist", "--n", "8", "--samples", "400", "--seed", "3", "--workers", "7"]
+    runs = []
+    for n_cores in (1, 2, 4):
+        monkeypatch.setattr(ensembles, "_usable_cores", lambda: n_cores)
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0][0] == 0 and runs[0][1].startswith("s,count,")
+    assert runs == [runs[0]] * 3
 
 
 def test_moments_workers_piped_rows_printed_once(capsys):

@@ -4,9 +4,14 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,16 +425,90 @@ def _whoami(task):
     return (os.getpid(), *task)
 
 
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the usable core count that split_run sees."""
+
+    def set_cores(n):
+        monkeypatch.setattr(ensembles_mod, "_usable_cores", lambda: n)
+
+    return set_cores
+
+
 @pytest.mark.parametrize("samples, workers", [(10, 3), (2, 5), (1, 4), (0, 3), (7, 1), (9, 2)])
-def test_split_run_shares_in_worker_order(samples, workers):
-    # share 0 runs in the caller; every other share in a child of its own
-    got = split_run(_whoami, samples, 7, workers, "arg")
+def test_split_run_shares_in_worker_order(cores, samples, workers):
+    # share w runs in process w mod min(shares, cores); process 0 is the
+    # caller, the others are pooled children, kept alive for the next call
     base, extra = divmod(samples, workers)
     counts = [c for c in (base + (w < extra) for w in range(workers)) if c]
-    assert [t[1:] for t in got] == [("arg", c, child_seed(7, w)) for w, c in enumerate(counts)]
-    pids = [t[0] for t in got]
-    assert [pid == os.getpid() for pid in pids] == [w == 0 for w in range(len(pids))]
-    assert len(set(pids)) == len(pids)
+    for n_cores in (1, 2, 4):
+        cores(n_cores)
+        got = split_run(_whoami, samples, 7, workers, "arg")
+        assert [t[1:] for t in got] == [("arg", c, child_seed(7, w)) for w, c in enumerate(counts)]
+        pids = [t[0] for t in got]
+        procs = max(1, min(len(pids), n_cores))
+        assert [pid == os.getpid() for pid in pids] == [w % procs == 0 for w in range(len(pids))]
+        assert [pids[w % procs] for w in range(len(pids))] == pids
+        assert len(set(pids)) == min(len(pids), procs)
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert len(alive) <= n_cores - 1 and set(pids) - {os.getpid()} <= alive
+
+
+def test_split_run_pool_bounded_by_cores(cores):
+    # 50 shares on 3 cores run in the caller and 2 children, whatever the
+    # worker count asks for
+    cores(3)
+    got = split_run(_whoami, 50, 7, 1000)
+    assert [t[1:] for t in got] == [(1, child_seed(7, w)) for w in range(50)]
+    children = {pid for pid, *_ in got} - {os.getpid()}
+    assert len(children) <= 2
+    assert len(multiprocessing.active_children()) <= 2
+
+
+def test_split_run_reuses_pooled_children(cores):
+    cores(3)
+    first = [t[0] for t in split_run(_whoami, 6, 7, 3)]
+    again = [t[0] for t in split_run(_whoami, 6, 8, 3)]
+    assert first == again and len(set(first)) == 3 and first[0] == os.getpid()
+    # fewer cores: the pool shrinks to cores - 1 and nothing forks at one core
+    cores(2)
+    assert [t[0] for t in split_run(_whoami, 6, 7, 3)] == [first[0], first[1], first[0]]
+    assert [child.pid for child in multiprocessing.active_children()] == [first[1]]
+    cores(1)
+    assert {t[0] for t in split_run(_whoami, 6, 7, 3)} == {os.getpid()}
+    assert multiprocessing.active_children() == []
+
+
+def test_split_run_replaces_a_lost_child(cores):
+    # a pooled child that died between calls is not sent a request
+    cores(2)
+    split_run(_whoami, 2, 7, 2)
+    (lost,) = multiprocessing.active_children()
+    lost.kill()
+    lost.join(timeout=10)
+    assert lost.exitcode is not None
+    pids = [t[0] for t in split_run(_whoami, 2, 7, 2)]
+    assert pids[0] == os.getpid() and pids[1] not in (os.getpid(), lost.pid)
+
+
+def test_pooled_children_exit_when_the_caller_end_closes(cores):
+    # a process forked after the pool exists holds none of its pipes, so
+    # closing the caller's ends reads as EOF in every pooled child
+    cores(3)
+    split_run(_whoami, 3, 7, 3)
+    bystander = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    bystander.start()
+    try:
+        pool = list(ensembles_mod._pool)
+        ensembles_mod._pool.clear()
+        for child, conn in pool:
+            conn.close()
+        for child, _ in pool:
+            child.join(timeout=10)
+        assert [child.exitcode for child, _ in pool] == [0, 0]
+    finally:
+        bystander.kill()
+        bystander.join(timeout=10)
     assert multiprocessing.active_children() == []
 
 
@@ -437,40 +516,115 @@ class _ShareFailed(Exception):
     pass
 
 
-def _fail_share(failing, sleeping=(), exit_code=None):
-    """A share function that raises at the shares in failing and sleeps at those in sleeping."""
+def _fail_share(task):
+    """Raise at the shares in failing, sleep at those in sleeping, exit at exit_code.
 
-    def fn(task):
-        w = next(w for w in range(8) if child_seed(3, w) == task[-1])
-        if w == exit_code:
-            os._exit(5)
-        if w in failing:
-            raise _ShareFailed(f"share {w}")
-        if w in sleeping:
-            time.sleep(60)
-        return w
-
-    return fn
+    A share that would exit in the caller (whose pid is caller) raises
+    instead, so that a mapping error cannot end the test process.
+    """
+    failing, sleeping, exit_code, caller, _, seed = task
+    w = next(w for w in range(8) if child_seed(3, w) == seed)
+    if w == exit_code:
+        if os.getpid() == caller:
+            raise AssertionError(f"share {w} ran in the caller")
+        os._exit(5)
+    if w in failing:
+        raise _ShareFailed(f"share {w}")
+    if w in sleeping:
+        time.sleep(60)
+    return w
 
 
 @pytest.mark.parametrize(
     "failing, sleeping",
     [((2,), ()), ((1, 2), ()), ((1,), (2, 3)), ((0,), (1, 2, 3)), ((3,), ())],
 )
-def test_split_run_reraises_and_kills_children(failing, sleeping):
+def test_split_run_reraises_and_kills_children(cores, failing, sleeping):
     # the first failing share in worker order is re-raised in the caller,
-    # and the children still sleeping are killed, not waited for
-    start = time.monotonic()
-    with pytest.raises(_ShareFailed, match=f"share {failing[0]}"):
-        split_run(_fail_share(failing, sleeping), 8, 3, 4)
-    assert time.monotonic() - start < 30
-    assert multiprocessing.active_children() == []
+    # and the children still sleeping are killed, not waited for; at 4
+    # cores each share has a process, at 2 the caller and a child share them
+    for n_cores in (2, 4):
+        cores(n_cores)
+        start = time.monotonic()
+        with pytest.raises(_ShareFailed, match=f"share {failing[0]}"):
+            split_run(_fail_share, 8, 3, 4, failing, sleeping, None, os.getpid())
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
 
 
-def test_split_run_child_exit_without_result_names_share():
-    with pytest.raises(RuntimeError, match="worker 2 exited with code 5"):
-        split_run(_fail_share((), (3,), exit_code=2), 8, 3, 4)
+def test_split_run_child_exit_without_result_names_share(cores):
+    # share 2 runs in a child at 3 and at 4 cores
+    for n_cores in (3, 4):
+        cores(n_cores)
+        with pytest.raises(RuntimeError, match="worker 2 exited with code 5"):
+            split_run(_fail_share, 8, 3, 4, (), (3,), 2, os.getpid())
+        assert multiprocessing.active_children() == []
+
+
+def test_split_run_child_reports_a_request_it_cannot_unpickle(cores, capfd, monkeypatch):
+    # a function importable in the caller but not in the child, which was
+    # forked before its module existed: the child sends back the import
+    # error as the share's failure, with no traceback of its own
+    cores(2)
+    ensembles_mod._close_pool()
+    split_run(_whoami, 2, 7, 2)
+    late = types.ModuleType("late_share_module")
+    exec("def share(task):\n    return task\n", late.__dict__)
+    monkeypatch.setitem(sys.modules, late.__name__, late)
+    with pytest.raises(ModuleNotFoundError, match="late_share_module"):
+        split_run(late.share, 2, 7, 2)
     assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")
+
+
+_EXIT_PROBE = """
+import os, sys, time
+from hyperent import ensembles
+
+def pid(task):
+    return os.getpid()
+
+ensembles._usable_cores = lambda: 3
+print(*sorted(set(ensembles.split_run(pid, 3, 1, 3)) - {os.getpid()}), flush=True)
+if sys.argv[1] == "hang":
+    time.sleep(60)
+"""
+
+
+def _gone(pid):
+    """True once pid has exited: no process, or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+def test_pooled_children_never_outlive_the_caller(ending):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    mode = "hang" if ending == "kill" else "exit"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _EXIT_PROBE, mode],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2
+        if ending == "kill":
+            proc.kill()
+        assert proc.wait(timeout=60) == (-signal.SIGKILL if ending == "kill" else 0)
+        deadline = time.monotonic() + 10
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _gone(pid)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def test_subset_kernel_matches_per_graph_purity():
@@ -592,6 +746,24 @@ def test_rank_route_at_scattered_cuts(data):
     order = _cell_positions(universe, part)
     assert _cut_ranks(bits, order, part).tolist() == want
     assert _cut_ranks(bits.astype(np.uint8), order, part).tolist() == want
+
+
+@pytest.mark.parametrize("n, n_a", [(10, 4), (12, 6), (9, 1)])
+def test_cut_ranks_takes_no_gather_for_an_identity_order(monkeypatch, n, n_a):
+    # the cross universe of the lowest qubits is the cut block, row-major,
+    # so its bits are reshaped, never gathered
+    part = Bipartition.from_first(n, n_a)
+    universe = edge_universe(EnsembleSpec(n, Family.CZ), part)
+    order = _cell_positions(universe, part)
+    assert order.tolist() == list(range(len(universe)))
+    bits = np.random.default_rng(n).random((40, len(universe))) < 0.5
+    want = [ref_gf2_rank(row.reshape(part.n_a, part.n_b)) for row in bits]
+
+    def no_take(*args, **kwargs):
+        raise AssertionError("identity order gathered")
+
+    monkeypatch.setattr(np, "take", no_take)
+    assert _cut_ranks(bits, order, part).tolist() == want
 
 
 @pytest.mark.parametrize(

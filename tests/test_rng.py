@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperent.rng as rng_mod
 from hyperent.rng import (
     _TILE as TILE,
     GAMMA,
@@ -20,6 +21,16 @@ from hyperent.rng import (
 )
 
 PROBABILITIES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
+# thresholds that are multiples of 2^33, whose draws skip the last xor-shift,
+# the extreme ones of either kind, and non-dyadic ones
+BLOCK_PROBABILITIES = PROBABILITIES + [
+    Fraction(1, 4),
+    Fraction(3, 8),
+    Fraction(1, 1 << 31),
+    Fraction((1 << 31) - 1, 1 << 31),
+    Fraction(1, 1 << 32),
+    Fraction(3, 10),
+]
 
 # Reference outputs of the SplitMix64 sequence seeded with 1234567
 # (first three next() calls of the published C implementation).
@@ -105,17 +116,39 @@ def _thresholded(seed, start, count, p):
     return stream_block(seed, start, count) < np.uint64(t)
 
 
-@pytest.mark.parametrize("p", PROBABILITIES)
+@pytest.mark.parametrize("p", BLOCK_PROBABILITIES)
 @pytest.mark.parametrize("count", [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
 @settings(deadline=None, max_examples=5)
 @given(
     seed=st.integers((1 << 64) - 1000, (1 << 64) - 1) | st.integers(0, (1 << 64) - 1),
     start=st.integers(0, 1 << 40),
 )
+@example(seed=(1 << 64) - 3, start=(1 << 40) + 5)
 def test_bernoulli_block_equals_thresholded_stream(count, p, seed, start):
     bits = bernoulli_block(seed, start, count, p)
     assert bits.dtype == bool and bits.shape == (count,)
     assert np.array_equal(bits, _thresholded(seed, start, count, p))
+    out = np.ones(count + 3, dtype=bool)
+    assert bernoulli_block(seed, start, count, p, out=out[:count]) is not None
+    assert np.array_equal(out[:count], bits) and out[count:].all()
+
+
+def test_top_bit_thresholds_skip_the_last_xor_shift(monkeypatch):
+    # exactly the thresholds with t mod 2^33 = 0 leave the last step out;
+    # p = 0 and p = 1 mix no draws at all
+    calls = []
+    real = rng_mod._mix_tile
+    monkeypatch.setattr(rng_mod, "_mix_tile", lambda *a: calls.append(a[3:]) or real(*a))
+    skipped = {}
+    for p in BLOCK_PROBABILITIES:
+        calls.clear()
+        bernoulli_block(5, 0, TILE + 1, p)
+        skipped[p] = [last for (last,) in calls]
+    top_bits = {Fraction(1, 2), Fraction(3, 4), Fraction(1, 4), Fraction(3, 8),
+                Fraction(1, 1 << 31), Fraction((1 << 31) - 1, 1 << 31)}
+    assert skipped == {
+        p: [] if p in (0, 1) else [p not in top_bits] * 2 for p in BLOCK_PROBABILITIES
+    }
 
 
 def test_bernoulli_cursor_and_bits_unchanged():
