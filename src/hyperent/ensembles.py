@@ -18,21 +18,17 @@ state contains gives, by Walsh-Hadamard and subset transforms, a table
 over sets of distinct parts; the subsets' products of the two sides'
 entries are gathered into one 2^u int64 array a cache-sized block at a
 time, and one subset transform over it yields the numerators, with no
-state, sign row or Gram matrix built.  Monte Carlo ranks the cut block
-over GF(2) for 2-edge families (purity = 2^-rank), its cells looked up
-in the universe by :func:`purity.cut_cells`, and otherwise hands each
-batch of sampled edge choices, through :class:`_CutFactors`, to the
-package's one numerator dispatcher :func:`purity._numerators` on one
-BLAS thread: the batched Gauss-sum kernel when every cross edge has at
-most three vertices (CCZ, the restricted family, 3-uniform), and sign
-rows with the batched Gram numerator otherwise.
+state, sign row or Gram matrix built.  Monte Carlo draws edge choices
+and purity computes each piece: :func:`purity._cut_values` returns
+every sample's purity and entropy as floats, by the route, limits,
+batches and BLAS policy it picks for the universe.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
 choices, one bool each (2 MiB), into one buffer that every piece of a
 share reuses; :func:`rng.bernoulli_block` fills it from one 2^15-draw
-(256 KiB) uint64 tile at a time; the rank or numerator route then holds
-only what it makes of one piece.
+(256 KiB) uint64 tile at a time; purity then holds only what it makes
+of one piece.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
@@ -43,34 +39,22 @@ powers of two, so those entropies stay integers.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import pickle
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 
 import numpy as np
 
-from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
-from .purity import (
-    _GAUSS_MAX_VERTICES,
-    _cross_parts,
-    _numerators,
-    _one_blas_thread,
-    _side_index,
-    check_qubit_cap,
-    cut_cells,
-    edge_codes,
-)
+from .purity import _cut_values, _edge_masks, _side_index, check_qubit_cap
 from .rng import CounterRng, bernoulli_block, child_seed
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
-_SAMPLE_BYTES = 1 << 28  # budget for one sample's packed sign rows on the Gram route
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
@@ -209,75 +193,6 @@ def sample_hypergraph(spec: EnsembleSpec, part: Bipartition | None, rng: Counter
 def subset_weight(spec: EnsembleSpec, present: int, absent: int) -> Fraction:
     p = spec.edge_probability
     return p**present * (1 - p) ** absent
-
-
-def _edge_masks(universe: list[Edge]) -> np.ndarray:
-    """int64 bit masks of the universe edges, in universe order."""
-    return np.array([sum(1 << v for v in e) for e in universe], dtype=np.int64)
-
-
-def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
-    """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices.
-
-    order lists the universe positions of the cut cells, row-major.
-    """
-    if order.size == bits.shape[1] and (order == np.arange(order.size)).all():
-        # the universe is the cut block itself, row-major: no gather
-        blocks = bits.reshape(-1, part.n_a, part.n_b)
-    else:
-        # np.take keeps the gathered blocks C-ordered, which the flat packer wants
-        blocks = np.take(bits, order, axis=1).reshape(-1, part.n_a, part.n_b)
-    return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
-
-
-class _CutFactors:
-    """Universe edges factored across the cut, for batched exact purities.
-
-    Works on the cheaper orientation (fewer A qubits).  It keeps the
-    universe positions and the A and B parts of the cross edges; each
-    batch of edge choices becomes numerators through
-    :func:`purity._numerators`, by Gauss sums or by the Gram matrices of
-    packed sign rows.  Edges inside one side are local unitaries that
-    leave the purity unchanged and are left out.  A universe of edges of
-    at most three vertices takes the Gauss-sum kernel, which builds no
-    sign rows and blocks its own work: it is refused past the qubit cap,
-    and a batch holds 2^18 cross-edge choices, whose float64 copy in the
-    kernel is 2 MiB.  Any other universe takes the Gram route: the
-    per-sample budget counts its sign rows, and a batch holds 2^18 words
-    of them or of edge columns.
-    """
-
-    def __init__(self, universe: list[Edge], part: Bipartition):
-        self.part = part if part.n_a <= part.n_b else part.complement()
-        gauss = max(map(len, universe), default=0) <= _GAUSS_MAX_VERTICES
-        if gauss:
-            check_qubit_cap(part.n_qubits)
-        else:
-            words = gf2._n_words(self.part.d_b)
-            row_bytes = 8 * words * self.part.d_a  # one sample's packed sign rows
-            if row_bytes > _SAMPLE_BYTES:
-                raise ValueError(
-                    f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
-                    f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
-                )
-        self.cross, self.a_parts, self.b_parts = _cross_parts(_edge_masks(universe), self.part)
-        # a batch holds 2^18 of one sample's cross-edge choices or sign-row words
-        self._sample_units = self.cross.size if gauss else words * max(self.part.d_a, len(universe))
-
-    def batch_size(self) -> int:
-        return max(1, (1 << 18) // max(1, self._sample_units))
-
-    def numerators(self, bits: np.ndarray) -> np.ndarray:
-        """Exact 2^(2N) * purity for each row of (batch, universe) 0/1 edge choices."""
-        step = self.batch_size()
-        with _one_blas_thread():
-            return np.concatenate(
-                [self._batch(bits[lo : lo + step]) for lo in range(0, bits.shape[0], step)]
-            )
-
-    def _batch(self, bits: np.ndarray) -> np.ndarray:
-        n_a, n_b = self.part.n_a, self.part.n_b
-        return _numerators(bits[:, self.cross], self.a_parts, self.b_parts, n_a, n_b)
 
 
 def _butterflies(arr: np.ndarray, first: int = 0):
@@ -605,32 +520,18 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     spec, part, count, wseed = args
     universe = edge_universe(spec, part)
     u = len(universe)
-    n = spec.n_qubits
-    graph = spec.edge_arity == 2
-    if graph:
-        # the universe is lexicographic, so its codes are sorted
-        edges = np.fromiter(chain.from_iterable(universe), np.int64, 2 * u).reshape(u, 2)
-        order = np.searchsorted(edge_codes(edges, n), edge_codes(cut_cells(part), n))
-        values = functools.partial(_cut_ranks, order=order, part=part)
-    else:
-        values = _CutFactors(universe, part).numerators
+    values = _cut_values(universe, part)
     rows = max(1, _MC_PIECE_DRAWS // max(1, u))
     buf = np.empty(min(rows, _MC_CHUNK, count) * u, dtype=bool)  # every piece's edge choices
     sums = [0, 0.0, 0.0, 0.0, 0.0]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
-        pieces = []  # ranks or numerators, drawn rows at a time to bound memory
+        pieces = []  # (purity, entropy) arrays, drawn rows at a time to bound memory
         for r in range(done, done + take, rows):
             k = min(rows, done + take - r)
             bits = bernoulli_block(wseed, r * u, k * u, spec.edge_probability, out=buf[: k * u])
             pieces.append(values(bits.reshape(k, u)))
-        vals = np.concatenate(pieces)
-        if graph:
-            p = np.ldexp(1.0, -vals)
-            s2 = vals.astype(np.float64)
-        else:
-            p = vals.astype(np.float64) * math.ldexp(1.0, -2 * n)
-            s2 = 2 * n - np.log2(vals)
+        p, s2 = (np.concatenate(arrays) for arrays in zip(*pieces))
         sums[0] += take
         sums[1] += float(np.sum(p))
         sums[2] += float(np.sum(p * p))

@@ -159,8 +159,9 @@ def parse_graph_file(text: str) -> Hypergraph:
     if not lines or not lines[0].startswith("n "):
         raise GraphFormatError("first line must be 'n <N>'")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, size = lines[0].split()  # exactly 'n <N>', as an edge line takes no extra token
+        n = int(size)
+    except ValueError as exc:
         raise GraphFormatError(f"bad header line {lines[0]!r}") from exc
     raw_edges = []
     for ln in lines[1:]:

@@ -27,11 +27,14 @@ routes, chosen by the cross edges:
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
   BLAS matmul that stays exact.
 
-Single states (:func:`state_purity`, on the smaller side as A, with no
-2**N sign table) keep every BLAS thread.  The ensembles' Monte Carlo
-runs its batches inside :func:`_one_blas_thread`: the caller and the
-forked children of a worker split each compute a share at once, and
-BLAS threads would oversubscribe the cores.
+The ensembles' Monte Carlo enters at :func:`_cut_values`, which picks
+a universe's route (the GF(2) rank route below for 2-edges, else
+:func:`_numerators`), refuses a cut past that route's limit, and runs
+the sampler's numerators alone inside :func:`_one_blas_thread`: the
+caller and the forked children of a worker split compute at once, and
+BLAS threads would oversubscribe the cores.  Single states
+(:func:`state_purity`, on the smaller side as A, with no 2**N sign
+table) keep every BLAS thread.
 
 :func:`_sign_rows` is the one builder of a cut's packed sign bits: the
 GF(2) superset transform of the chosen edges laid out as (a, b).
@@ -39,8 +42,8 @@ GF(2) superset transform of the chosen edges laid out as (a, b).
 For 2-uniform graphs the purity is also 2**(-r), with r the GF(2) rank
 of the cut block of the adjacency matrix: :func:`cut_cells` names the
 edge at each cell of the block for single graphs
-(:func:`graph_entropy_rank`) and ensembles alike, and
-``gf2.batch_rank`` ranks it as a packed stack.
+(:func:`graph_entropy_rank`) and Monte Carlo pieces (:func:`_cut_ranks`)
+alike, and ``gf2.batch_rank`` ranks it as a packed stack.
 
 Subsystem indices pack a side's bits low (:func:`_side_index`): row
 index a holds the A-qubit bits in ascending mask order, column index b
@@ -54,11 +57,12 @@ import ctypes
 import functools
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Hypergraph
+from .hypergraph import Bipartition, Edge, Hypergraph
 
 
 def renyi2(p) -> float:
@@ -173,6 +177,11 @@ def _side_index(masks: np.ndarray, side: int) -> np.ndarray:
     """
     pos = [p for p in range(side.bit_length()) if side >> p & 1]
     return (masks[:, np.newaxis] >> pos & 1) @ (1 << np.arange(len(pos)))
+
+
+def _edge_masks(edges: list[Edge]) -> np.ndarray:
+    """int64 bit masks of edges, in order; every vertex must be below 63."""
+    return np.array([sum(1 << v for v in e) for e in edges], dtype=np.int64)
 
 
 def _cross_parts(masks: np.ndarray, part: Bipartition):
@@ -360,18 +369,40 @@ def _gauss_numerators(
     return total
 
 
+_BATCH_UNITS = 1 << 18  # one batch's cross-edge choices, sign-row words or edge columns
+_SAMPLE_BYTES = 1 << 28  # budget for one sample's packed sign rows on the Gram route
+
+
 def _numerators(
-    choices: np.ndarray, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
+    bits: np.ndarray, cross, a_parts: np.ndarray, b_parts: np.ndarray, n_a: int, n_b: int
 ) -> np.ndarray:
-    """int64 2**(2N) * purity per row of (batch, E) 0/1 choices of the cut's cross edges.
+    """int64 2**(2N) * purity per row of (batch, u) 0/1 edge choices; columns cross are the cut's.
 
     When every cross edge has at most three vertices, the Gauss-sum
     kernel :func:`_gauss_numerators`; otherwise the Gram numerator of the
-    packed sign rows, :func:`gram_numerator` of :func:`_sign_rows`.
+    packed sign rows, :func:`gram_numerator` of :func:`_sign_rows`.  A
+    batch holds _BATCH_UNITS of the rows' cross-edge choices on the Gauss
+    route (2 MiB as float64 in :func:`_single_rows`), and of their sign-row
+    words or edge columns, whichever are more, on the Gram route.  Each
+    batch gathers its own cross columns; a slice gathers none.
     """
-    if (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= _GAUSS_MAX_VERTICES).all():
-        return _gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
-    return gram_numerator(_sign_rows(choices, a_parts, b_parts, n_a, n_b), 1 << n_b)
+    gauss = (np.bitwise_count(a_parts) + np.bitwise_count(b_parts) <= _GAUSS_MAX_VERTICES).all()
+    units = a_parts.size if gauss else gf2._n_words(1 << n_b) * max(1 << n_a, bits.shape[1])
+    step = max(1, _BATCH_UNITS // max(1, units))
+    batches = []
+    for lo in range(0, bits.shape[0], step):
+        choices = bits[lo : lo + step, cross]
+        if gauss:
+            batches.append(_gauss_numerators(choices, a_parts, b_parts, n_a, n_b))
+        else:
+            rows = _sign_rows(choices, a_parts, b_parts, n_a, n_b)
+            batches.append(gram_numerator(rows, 1 << n_b))
+    return batches[0] if len(batches) == 1 else np.concatenate(batches)  # one batch: no copy
+
+
+def _smaller_side(part: Bipartition) -> Bipartition:
+    """part, or its complement when that has fewer qubits on A: the cheaper orientation."""
+    return part if part.n_a <= part.n_b else part.complement()
 
 
 def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
@@ -388,10 +419,10 @@ def state_purity(h: Hypergraph, part: Bipartition) -> Fraction:
     if h.n_qubits != part.n_qubits:
         raise ValueError("graph and bipartition disagree on qubit count")
     check_qubit_cap(h.n_qubits)
-    oriented = part if part.n_a <= part.n_b else part.complement()
-    _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), oriented)
+    side = _smaller_side(part)
+    _, a_parts, b_parts = _cross_parts(np.array(h.edge_masks, dtype=np.int64), side)
     ones = np.ones((1, a_parts.size), dtype=bool)
-    numerator = _numerators(ones, a_parts, b_parts, oriented.n_a, oriented.n_b)[0]
+    numerator = _numerators(ones, slice(None), a_parts, b_parts, side.n_a, side.n_b)[0]
     return Fraction(int(numerator), 1 << 2 * part.n_qubits)
 
 
@@ -428,3 +459,66 @@ def graph_entropy_rank(h: Hypergraph, part: Bipartition) -> int:
     block = np.isin(edge_codes(cut_cells(part), n), edge_codes(edges, n))
     packed = gf2.pack_rows(block.reshape(part.n_a, part.n_b))
     return int(gf2.batch_rank(packed[np.newaxis], part.n_b)[0])
+
+
+def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.ndarray:
+    """GF(2) rank of the cut block of each row of (batch, universe) 0/1 edge choices.
+
+    order lists the universe positions of the cut cells, row-major.
+    """
+    if order.size == bits.shape[1] and (order == np.arange(order.size)).all():
+        # the universe is the cut block itself, row-major: no gather
+        blocks = bits.reshape(-1, part.n_a, part.n_b)
+    else:
+        # np.take keeps the gathered blocks C-ordered, which the flat packer wants
+        blocks = np.take(bits, order, axis=1).reshape(-1, part.n_a, part.n_b)
+    return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
+
+
+def _rank_values(order: np.ndarray, part: Bipartition, bits: np.ndarray):
+    """(purity 2**-rank, entropy rank) as float64 per row of 2-edge choices."""
+    ranks = _cut_ranks(bits, order, part)
+    return np.ldexp(1.0, -ranks), ranks.astype(np.float64)
+
+
+def _numerator_values(cross, a_parts, b_parts, side: Bipartition, bits: np.ndarray):
+    """(purity, Renyi-2 entropy) as float64 per row of edge choices, on one BLAS thread."""
+    with _one_blas_thread():
+        nums = _numerators(bits, cross, a_parts, b_parts, side.n_a, side.n_b)
+    n = side.n_qubits
+    return nums.astype(np.float64) * math.ldexp(1.0, -2 * n), 2 * n - np.log2(nums)
+
+
+def _cut_values(universe: list[Edge], part: Bipartition):
+    """The Monte Carlo entry: a function of (batch, universe) 0/1 edge choices of a cut.
+
+    It returns float64 (purity, Renyi-2 entropy) arrays, one entry per
+    row.  Each route's limit is checked here, before any edge is
+    factored.  A universe of 2-edges takes the GF(2) rank of the cut
+    block, purity 2**-rank: its cells are looked up by edge codes, with
+    no int64 mask, so it has no qubit limit, and the cut keeps its
+    orientation, so a cross universe with A the lowest qubits is the
+    block itself.  Any other universe is factored on the smaller side as
+    A for :func:`_numerators`, on one BLAS thread.  Edges of at most
+    three vertices take the Gauss route, refused past the qubit cap, and
+    larger ones the Gram route, refused when one sample's packed sign
+    rows pass _SAMPLE_BYTES.
+    """
+    arity = max(map(len, universe), default=0)
+    if arity == 2:
+        n, u = part.n_qubits, len(universe)
+        # the universe is lexicographic, so its codes are sorted
+        edges = np.fromiter(chain.from_iterable(universe), np.int64, 2 * u).reshape(u, 2)
+        order = np.searchsorted(edge_codes(edges, n), edge_codes(cut_cells(part), n))
+        return functools.partial(_rank_values, order, part)
+    side = _smaller_side(part)
+    if arity <= _GAUSS_MAX_VERTICES:
+        check_qubit_cap(part.n_qubits)
+    else:
+        row_bytes = 8 * gf2._n_words(side.d_b) * side.d_a  # one sample's packed sign rows
+        if row_bytes > _SAMPLE_BYTES:
+            raise ValueError(
+                f"one sample at N={part.n_qubits}, N_A={part.n_a} needs "
+                f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
+            )
+    return functools.partial(_numerator_values, *_cross_parts(_edge_masks(universe), side), side)

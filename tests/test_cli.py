@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperent import cli, ensembles, gf2, verify
+from hyperent import cli, ensembles, gf2, purity, verify
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
@@ -71,6 +71,15 @@ def test_state_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 2
     assert "parse error" in err
+
+
+def test_state_header_with_extra_token_exit_2(tmp_path, capsys):
+    # 'n 3 7' was read as n = 3; the header is exactly 'n <N>'
+    f = tmp_path / "bad.graph"
+    f.write_text("n 3 7\n0 1\n")
+    code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
+    assert code == 2 and out == ""
+    assert "parse error" in err and "bad header line 'n 3 7'" in err
 
 
 def test_state_domain_error_exit_3(tmp_path, capsys):
@@ -334,7 +343,8 @@ def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("cut factors built past the memory budget")
 
-    monkeypatch.setattr(ensembles, "_cross_parts", unreachable)
+    monkeypatch.setattr(purity, "_edge_masks", unreachable)
+    monkeypatch.setattr(purity, "_cross_parts", unreachable)
     code, out, err = run_cli(capsys, "moments", "--family", "k-uniform", "--k", "4", "--n", "40",
                              "--samples", "2")
     assert code == 3 and out == ""

@@ -28,8 +28,6 @@ from hyperent.ensembles import (
     entropy_stats,
     exact_moments,
     mc_moments,
-    _CutFactors,
-    _cut_ranks,
     _subset_numerators,
     check_universe_size,
     sample_hypergraph,
@@ -38,8 +36,19 @@ from hyperent.ensembles import (
 )
 from hyperent.formulas import cz_avg_purity
 from hyperent.hypergraph import Bipartition, Hypergraph
-from hyperent.purity import cut_cells, graph_entropy_rank, state_purity
-from hyperent.rng import CounterRng, child_seed
+from hyperent.purity import (
+    _cross_parts,
+    _cut_ranks,
+    _cut_values,
+    _edge_masks,
+    _numerators,
+    _smaller_side,
+    cut_cells,
+    graph_entropy_rank,
+    renyi2,
+    state_purity,
+)
+from hyperent.rng import CounterRng, bernoulli_block, child_seed
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
 
@@ -240,6 +249,12 @@ def test_mc_determinism():
     assert a != c
 
 
+def _universe_numerators(universe, part, bits):
+    """purity._numerators of (batch, universe) 0/1 edge choices, on the smaller side as A."""
+    side = _smaller_side(part)
+    return _numerators(bits, *_cross_parts(_edge_masks(universe), side), side.n_a, side.n_b)
+
+
 def _cell_positions(universe, part):
     """Universe position of the edge cut_cells names at each cut-block cell."""
     return np.array([universe.index(tuple(e)) for e in cut_cells(part).tolist()])
@@ -253,13 +268,13 @@ def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
         drawn.append(bits)
         return _cut_ranks(bits, order, part)
 
-    monkeypatch.setattr(ensembles_mod, "_cut_ranks", recording)
+    monkeypatch.setattr(purity_mod, "_cut_ranks", recording)
     mc_moments(spec, part, samples, seed)
     bits = np.concatenate(drawn)
     universe = edge_universe(spec, part)
     assert bits.shape == (samples, len(universe))
     ranks = _cut_ranks(bits, _cell_positions(universe, part), part)
-    nums = _CutFactors(universe, part).numerators(bits)
+    nums = _universe_numerators(universe, part, bits)
     assert nums.tolist() == [1 << (2 * spec.n_qubits - r) for r in ranks.tolist()]
 
 
@@ -400,7 +415,7 @@ def test_exhaustive_statevector_needs_no_gram(monkeypatch):
 
     monkeypatch.setattr(purity_mod, "gram_numerator", unreachable)
     monkeypatch.setattr(purity_mod, "_gauss_numerators", unreachable)
-    monkeypatch.setattr(ensembles_mod, "_numerators", unreachable)
+    monkeypatch.setattr(purity_mod, "_numerators", unreachable)
     est = exact_moments(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
     assert (est.mean, est.variance) == (Fraction(1104, 4096), Fraction(349, 262144))
 
@@ -635,7 +650,7 @@ def test_subset_kernel_matches_per_graph_purity():
     universe = edge_universe(spec, part)
     masks = np.arange(1 << len(universe))
     bits = (masks[:, np.newaxis] >> np.arange(len(universe))) & 1
-    nums = _CutFactors(universe, part).numerators(bits)
+    nums = _universe_numerators(universe, part, bits)
     for mask, edges in enumerate(ref_subsets(universe)):
         assert Fraction(int(nums[mask]), 1 << 8) == ref_purity(4, edges, part.a_mask)
 
@@ -678,10 +693,44 @@ def test_cut_factors_match_dense_oracle(data):
     subsets = data.draw(st.lists(st.integers(0, (1 << u) - 1), min_size=1, max_size=4))
     bits = np.array([[mask >> j & 1 for j in range(u)] for mask in subsets], dtype=np.uint8)
     bits = bits.reshape(len(subsets), u)
-    nums = _CutFactors(universe, part).numerators(bits)
+    nums = _universe_numerators(universe, part, bits)
     for mask, num in zip(subsets, nums):
         edges = [e for j, e in enumerate(universe) if mask >> j & 1]
         assert Fraction(int(num), 1 << (2 * n)) == ref_purity(n, edges, a_mask)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_cut_values_match_single_state_routes(data):
+    # the Monte Carlo entry on every route (rank, Gauss sums, Gram), row by
+    # row against the single-state purity of the hypergraph each row chose
+    n = data.draw(st.integers(4, 9), label="n")
+    k = data.draw(st.sampled_from([2, 3, 4]), label="k")
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    part = Bipartition(n, data.draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+    p = data.draw(st.sampled_from([Fraction(1, 2), Fraction(3, 10)]), label="p")
+    universe = edge_universe(EnsembleSpec(n, Family.K_UNIFORM, k=k, scope=scope), part)
+    rows = data.draw(st.integers(1, 6), label="rows")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    bits = bernoulli_block(seed, 0, rows * len(universe), p).reshape(rows, len(universe))
+    purity, entropy = _cut_values(universe, part)(bits)
+    assert purity.dtype == entropy.dtype == np.float64
+    for row, p_row, s_row in zip(bits, purity, entropy):
+        want = state_purity(Hypergraph(n, frozenset(itertools.compress(universe, row))), part)
+        assert p_row == float(want)
+        assert abs(s_row - renyi2(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("a_mask", [(1 << 40) - 1, int("01" * 40, 2)])
+def test_cut_values_rank_route_past_63_qubits(a_mask):
+    # 2-edges at N = 80 take the rank route, which builds no int64 edge mask
+    part = Bipartition(80, a_mask)
+    universe = edge_universe(EnsembleSpec(80, Family.CZ, scope=Scope.ALL_EDGES), part)
+    bits = bernoulli_block(80, 0, 4 * len(universe), Fraction(3, 10)).reshape(4, len(universe))
+    purity, entropy = _cut_values(universe, part)(bits)
+    for row, p_row, s_row in zip(bits, purity, entropy):
+        rank = graph_entropy_rank(Hypergraph(80, frozenset(itertools.compress(universe, row))), part)
+        assert (p_row, s_row) == (math.ldexp(1.0, -rank), float(rank))
 
 
 @pytest.mark.parametrize(
@@ -797,32 +846,58 @@ def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
     assert (est.mean, est.variance) == (mean, variance)
 
 
+def _batch_rows(monkeypatch, kernel):
+    """Rows of each batch that purity._numerators hands to one of its kernels, recorded."""
+    rows = []
+    inner = getattr(purity_mod, kernel)
+
+    def recording(choices, *args):
+        rows.append(choices.shape[0])
+        return inner(choices, *args)
+
+    monkeypatch.setattr(purity_mod, kernel, recording)
+    return rows
+
+
 def test_cut_factors_memory_budget(monkeypatch):
     # the budget counts the Gram route's sign rows: a 4-edge universe at
     # N=10, N_A=5 has 32 rows of one word, 256 bytes; its 200 edges still
     # set the batch size, not the budget
     part = Bipartition.from_first(10, 5)
     universe = edge_universe(EnsembleSpec(10, Family.K_UNIFORM, k=4), part)
-    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 256)
-    assert _CutFactors(universe, part).batch_size() == (1 << 18) // 200
-    monkeypatch.setattr(ensembles_mod, "_SAMPLE_BYTES", 255)
+    rnd = np.random.default_rng(10)
+    monkeypatch.setattr(purity_mod, "_SAMPLE_BYTES", 256)
+    values = _cut_values(universe, part)
+    rows = _batch_rows(monkeypatch, "_sign_rows")
+    step = (1 << 18) // 200
+    values(rnd.random((step + 3, 200)) < 0.5)
+    assert rows == [step, 3]
+    monkeypatch.setattr(purity_mod, "_SAMPLE_BYTES", 255)
     with pytest.raises(ValueError, match="needs 256 bytes, over the 255-byte budget"):
-        _CutFactors(universe, part)
+        _cut_values(universe, part)
     # the CCZ universe takes the Gauss-sum kernel, which builds no sign rows
     ccz = edge_universe(EnsembleSpec(10, Family.CCZ), part)
-    assert _CutFactors(ccz, part).batch_size() == (1 << 18) // 100
+    rows = _batch_rows(monkeypatch, "_gauss_numerators")
+    step = (1 << 18) // 100
+    _cut_values(ccz, part)(rnd.random((step + 3, 100)) < 0.5)
+    assert rows == [step, 3]
 
 
-def test_gauss_route_batches_many_samples():
+def test_gauss_route_batches_many_samples(monkeypatch):
     # N=24, N_A=1: sized by sign rows, a batch held one sample; the Gauss
     # route's holds 2^18 choices of the 253 cross edges, and batching does
     # not change a numerator
     part = Bipartition.from_first(24, 1)
-    factors = _CutFactors(edge_universe(EnsembleSpec(24, Family.CCZ), part), part)
-    assert factors.cross.size == 253 and factors.batch_size() == (1 << 18) // 253
-    bits = np.random.default_rng(24).random((50, 253)) < 0.5
-    one_by_one = [factors._batch(bits[i : i + 1])[0] for i in range(len(bits))]
-    assert factors.numerators(bits).tolist() == one_by_one
+    universe = edge_universe(EnsembleSpec(24, Family.CCZ), part)
+    cross, a_parts, b_parts = _cross_parts(_edge_masks(universe), part)
+    assert cross.size == 253
+    step = (1 << 18) // 253
+    bits = np.random.default_rng(24).random((step + 1, 253)) < 0.5
+    rows = _batch_rows(monkeypatch, "_gauss_numerators")
+    nums = _numerators(bits, cross, a_parts, b_parts, 1, 23)
+    assert rows == [step, 1]
+    one_by_one = [_numerators(bits[i : i + 1], cross, a_parts, b_parts, 1, 23)[0] for i in range(50)]
+    assert nums[:50].tolist() == one_by_one
 
 
 def test_mc_numerator_routes(monkeypatch):
@@ -874,22 +949,23 @@ class _FakeBlas:
         self.threads = n
 
     def numerator(self, rows, n_cols):
+        # 2^(2N), the numerator of purity 1
         self.seen.append(self.threads)
-        return np.zeros(rows.shape[0], dtype=np.int64)
+        return np.full(rows.shape[0], (rows.shape[1] * n_cols) ** 2, dtype=np.int64)
 
 
-def _small_factors():
+def _small_gram_values():
     # 4-vertex cross edges, which only the Gram route takes
     part = Bipartition.from_first(6, 3)
     universe = edge_universe(EnsembleSpec(6, Family.K_UNIFORM, k=4), part)
-    return _CutFactors(universe, part), np.ones((3, len(universe)), dtype=np.uint8)
+    return _cut_values(universe, part), np.ones((3, len(universe)), dtype=np.uint8)
 
 
 def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3)
     monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
-    factors, bits = _small_factors()
-    assert factors.numerators(bits).tolist() == [0, 0, 0]
+    values, bits = _small_gram_values()
+    assert [a.tolist() for a in values(bits)] == [[1.0] * 3, [0.0] * 3]
     assert blas.seen == [1] and blas.threads == 3
 
     def boom(rows, n_cols):
@@ -898,7 +974,7 @@ def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(purity_mod, "gram_numerator", boom)
     with pytest.raises(RuntimeError):
-        factors.numerators(bits)
+        values(bits)
     assert blas.seen == [1, 1] and blas.threads == 3
 
 
@@ -927,8 +1003,8 @@ def test_blas_pin_finds_bundled_openblas():
 def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3, calls=False)
     monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
-    factors, bits = _small_factors()
-    assert factors.numerators(bits).tolist() == [0, 0, 0]
+    values, bits = _small_gram_values()
+    assert [a.tolist() for a in values(bits)] == [[1.0] * 3, [0.0] * 3]
     assert blas.seen == [3]
 
 
@@ -964,7 +1040,7 @@ def test_subset_numerators_match_cut_factors_and_oracle(data):
         nums = _subset_numerators(universe, part)
     assert nums.dtype == np.int64 and nums.shape == (1 << u,)
     bits = _mask_bits(np.arange(1 << u), u)
-    assert nums.tolist() == _CutFactors(universe, part).numerators(bits).tolist()
+    assert nums.tolist() == _universe_numerators(universe, part, bits).tolist()
     # one side's superset counts, #{(a, a') : alpha(a, a') contains S}, by brute force
     a_parts = [sum(1 << i for i, v in enumerate(part.a_indices) if v in e) for e in universe]
     alphas = [
@@ -988,7 +1064,7 @@ def test_subset_numerators_at_full_block_width():
     nums = _subset_numerators(universe, part)
     masks = np.random.default_rng(18).integers(0, 1 << 18, size=300)
     masks[:4] = [0, (1 << 16) - 1, 1 << 16, (1 << 18) - 1]
-    want = _CutFactors(universe, part).numerators(_mask_bits(masks, 18))
+    want = _universe_numerators(universe, part, _mask_bits(masks, 18))
     assert nums[masks].tolist() == want.tolist()
     for mask in masks[:8].tolist():
         edges = [e for j, e in enumerate(universe) if mask >> j & 1]
@@ -1011,7 +1087,7 @@ def test_subset_numerators_hold_one_array():
         tracemalloc.stop()
     assert peak <= 1.25 * (8 << u)
     masks = np.random.default_rng(20).integers(0, 1 << u, size=200)
-    want = _CutFactors(universe, part).numerators(_mask_bits(masks, u))
+    want = _universe_numerators(universe, part, _mask_bits(masks, u))
     assert nums[masks].tolist() == want.tolist()
 
 

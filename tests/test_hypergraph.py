@@ -168,6 +168,8 @@ def test_graph_file_errors():
         parse_graph_file("m 3\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph_file("n x\n")
+    with pytest.raises(GraphFormatError, match="^bad header line 'n 3 7'$"):
+        parse_graph_file("n 3 7\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph_file("n 3\n0 one\n")
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Source-level rules for the package code."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperent"
@@ -194,9 +195,43 @@ def test_one_sign_row_builder():
         ("purity.py", "_numerators", "_gauss_numerators"),
         ("purity.py", "_numerators", "gram_numerator"),
         ("purity.py", "state_purity", "_numerators"),
-        ("ensembles.py", "_batch", "_numerators"),
+        ("purity.py", "_numerator_values", "_numerators"),
     }
     assert "reduceat" not in sources["ensembles.py"]
+
+
+def test_purity_owns_every_monte_carlo_route():
+    # ensembles draws the pieces and sums what purity._cut_values makes of
+    # them; the route, each route's limit, the batch size and the BLAS pin
+    # are decided in purity alone, so _stream_worker has no branch, and
+    # ensembles reaches no GF(2) or numerator kernel
+    sources = _sources()
+    tree = ast.parse(sources["ensembles.py"])
+    imported = set()  # (module, name), name "*" for the whole module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.name.split(".")[-1], "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "hyperent"):
+            imported |= {(a.name, "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module.split(".")[-1], a.name) for a in node.names}
+    assert {name for module, name in imported if module == "gf2"} == set()
+    from_purity = {name for module, name in imported if module == "purity"}
+    assert from_purity == {"_cut_values", "_side_index", "check_qubit_cap", "_edge_masks"}
+    owned = re.compile(r"\b(_numerators|_cut_ranks|_SAMPLE_BYTES|_one_blas_thread)\b")
+    named = {name: owned.findall(text) for name, text in sources.items() if name != "purity.py"}
+    assert {name: found for name, found in named.items() if found} == {}
+    worker = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_stream_worker"
+    )
+    branches = [
+        node.lineno
+        for node in ast.walk(worker)
+        if isinstance(node, (ast.If, ast.IfExp, ast.Match, ast.BoolOp))
+    ]
+    assert branches == []
 
 
 def test_gauss_kernel_reads_q_off_the_reduced_rows():
