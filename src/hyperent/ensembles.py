@@ -27,13 +27,16 @@ Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
 choices, one bool each (2 MiB), into one buffer that every piece of a
 share reuses; :func:`rng.bernoulli_block` fills it from one 2^15-draw
-(256 KiB) uint64 tile at a time; purity then holds only what it makes
-of one piece.
+(256 KiB) uint64 tile at a time, through a pair of tiles that the share
+also reuses; purity then holds only what it makes of one piece.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
 and floats appear only in entropy (log) values; 2-edge numerators are
-powers of two, so those entropies stay integers.
+powers of two, so those entropies stay integers.  The tally packs each
+subset's numerator and edge count into one uint64 key in place of the
+numerator and sorts a chunk of keys in place, so it holds no second
+2^u array.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
 from .purity import _cut_values, _edge_masks, _side_index, check_qubit_cap
-from .rng import CounterRng, bernoulli_block, child_seed
+from .rng import CounterRng, bernoulli_block, bernoulli_tiles, child_seed
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
-_TALLY_CHUNK = 1 << 16  # subsets per np.unique call of the exhaustive tally
+_TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
 _TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays' worth, so u <= 26
 
@@ -224,8 +227,7 @@ def _pair_supersets(parts: list[int], n_side: int) -> np.ndarray:
         iota = np.zeros_like(x)
         for j, m in enumerate(parts):
             iota[(x & m) == m] |= 1 << j
-        vals, hits = np.unique(iota, return_counts=True)
-        counts[vals] += hits
+        counts += np.bincount(iota, minlength=counts.size)
     for lo, hi in _butterflies(counts):
         lo += hi
         hi *= -2
@@ -304,13 +306,25 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     return nums
 
 
-def _tally(tally: Counter, lo: int, nums: np.ndarray) -> None:
-    """Count the distinct (edge count, numerator) keys of subsets lo, lo + 1, ... into tally."""
-    counts = np.bitwise_count(np.arange(lo, lo + nums.size, dtype=np.uint64))
-    vals, inv = np.unique(nums, return_inverse=True)
-    grid = np.bincount(inv * 64 + counts, minlength=64 * vals.size).reshape(vals.size, 64)
-    for i, c in zip(*np.nonzero(grid)):
-        tally[int(c), int(vals[i])] += int(grid[i, c])
+def _tally(tally: Counter, lo: int, nums: np.ndarray, u: int) -> None:
+    """Count the (edge count, numerator) keys of subsets lo, lo + 1, ... of u edges into tally.
+
+    Each numerator is overwritten in place by the uint64 key
+    num << b | c, with c the subset's edge count and b = u.bit_length(),
+    so c < 2^b; the keys are sorted in place and each run of equal keys
+    adds its length.  The numerators must be non-negative and below
+    2^(64 - b), so that every key fits uint64.
+    """
+    b = u.bit_length()
+    keys = nums.view(np.uint64)
+    keys <<= np.uint64(b)
+    keys |= np.bitwise_count(np.arange(lo, lo + keys.size, dtype=np.uint64))
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    runs = np.diff(starts, append=keys.size)
+    low = (1 << b) - 1
+    for key, run in zip(keys[starts].tolist(), runs.tolist()):
+        tally[key & low, key >> b] += run
 
 
 def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
@@ -318,8 +332,13 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
 
     Subsets with c edges share the weight p^c (1-p)^(u-c), so the
     subsets are tallied by (edge count, numerator) and each distinct key
-    is weighted once.  A 2-edge numerator is 2^(2N - rank), so those
-    entropies are integers and their moments exact rationals too.
+    is weighted once.  :func:`_tally` overwrites the numerators a chunk
+    at a time with keys num << b | c, b = u.bit_length(); a numerator is
+    at most 2^(2N), so a key fits uint64 while 2N + b < 64, which holds
+    for every ensemble universe of at most 26 edges at N <= 31 (the
+    widest, one 31-edge at N = 31, has 2N + b = 63).  A 2-edge
+    numerator is 2^(2N - rank), so those entropies are integers and
+    their moments exact rationals too.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
@@ -327,7 +346,7 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
     tally = Counter()
     nums = _subset_numerators(universe, part)
     for lo in range(0, nums.size, _TALLY_CHUNK):
-        _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK])
+        _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK], u)
     keys = sorted(tally)
     graph = spec.edge_arity == 2
     if graph:
@@ -523,13 +542,16 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     values = _cut_values(universe, part)
     rows = max(1, _MC_PIECE_DRAWS // max(1, u))
     buf = np.empty(min(rows, _MC_CHUNK, count) * u, dtype=bool)  # every piece's edge choices
+    tiles = bernoulli_tiles(buf.size)  # and the uint64 tiles they are mixed in
     sums = [0, 0.0, 0.0, 0.0, 0.0]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
         pieces = []  # (purity, entropy) arrays, drawn rows at a time to bound memory
         for r in range(done, done + take, rows):
             k = min(rows, done + take - r)
-            bits = bernoulli_block(wseed, r * u, k * u, spec.edge_probability, out=buf[: k * u])
+            bits = bernoulli_block(
+                wseed, r * u, k * u, spec.edge_probability, out=buf[: k * u], tiles=tiles
+            )
             pieces.append(values(bits.reshape(k, u)))
         p, s2 = (np.concatenate(arrays) for arrays in zip(*pieces))
         sums[0] += take

@@ -22,8 +22,9 @@ draw against ``threshold_u64(p)``; the comparison is exact whenever
 ``p * 2**64`` is an integer (which covers every dyadic ``p`` with
 exponent <= 64), and biased by less than 2**-64 otherwise.  The one
 route to Bernoulli bits is :func:`bernoulli_block`: it mixes every tile
-of a call into the same two uint64 tiles, allocated once per call, and
-thresholds each into the bool output (or a caller's buffer), so no
+of a call into the same two uint64 tiles, allocated once per call or
+handed in by a caller that draws many blocks (:func:`bernoulli_tiles`),
+and thresholds each into the bool output (or a caller's buffer), so no
 uint64 copy of a whole block is held.  When the threshold is a multiple
 of 2**33 (p = 1/2, and every p whose denominator is a power of two up
 to 2**31) the final xor-shift cannot change the comparison and is
@@ -109,14 +110,25 @@ def threshold_u64(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
+def bernoulli_tiles(count: int) -> np.ndarray:
+    """The uint64 tile and scratch tile, one (2, w) array, of calls of at most count draws."""
+    return np.empty((2, min(count, _TILE)), dtype=np.uint64)
+
+
 def bernoulli_block(
-    seed: int, start: int, count: int, p: Fraction, out: np.ndarray | None = None
+    seed: int,
+    start: int,
+    count: int,
+    p: Fraction,
+    out: np.ndarray | None = None,
+    tiles: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bernoulli(p) bools of draws [start, start+count): draw < threshold_u64(p).
 
     Written into ``out`` (a 1-d bool array of count entries) when given,
     else into a new array; either is returned.  Every tile is mixed into
-    the same uint64 tile and scratch tile.
+    the same uint64 tile and scratch tile: the rows of ``tiles``, from
+    :func:`bernoulli_tiles` of at least count, when given, else new ones.
 
     Top bits decide a threshold t with t mod 2**33 = 0.  Let pre(z) be
     a draw before its final xor-shift, so the draw is
@@ -131,8 +143,7 @@ def bernoulli_block(
     if t in (0, 1 << 64):
         bits[:] = t > 0
         return bits
-    tile = np.empty(min(count, _TILE), dtype=np.uint64)
-    scratch = np.empty_like(tile)
+    tile, scratch = bernoulli_tiles(count) if tiles is None else tiles
     last = t % (1 << 33) != 0
     for lo in range(0, count, _TILE):
         n = min(_TILE, count - lo)

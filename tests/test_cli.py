@@ -466,6 +466,20 @@ def test_moments_workers_piped_rows_printed_once(capsys):
     assert done.stdout.decode() == run_cli(capsys, *argv)[1]
 
 
+def test_moments_exhaustive_widest_tally_keys_bytes_pinned(capsys):
+    # one 31-edge at N = 31: numerators up to 2^62, so the tally's keys
+    # num << 1 | c reach bit 63
+    argv = ["moments", "--family", "k-uniform", "--k", "31", "--n", "31", "--scope", "all"]
+    code, out, _ = run_cli(capsys, *argv, "--exhaustive")
+    assert code == 0
+    assert out == (
+        "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,closed_form_mean,"
+        "closed_form_variance,z_score\n"
+        "31,15,k-uniform,all,1/2,2,1152921502459461631/1152921504606846976,"
+        "4611263819920769025/1329227995784915872903807060280344576,0.0,,,\n"
+    )
+
+
 def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
     # at N=32 a numerator can reach 2^64; refused before the edges are factored
     def unreachable(*args):

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -405,6 +406,59 @@ def test_exhaustive_tally_chunking(monkeypatch):
     for family in (Family.CCZ, Family.CZ):
         base, chunked = _chunked_stats(monkeypatch, family)
         assert chunked == base
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_tally_matches_naive_count(data):
+    # the sorted keys num << b | c, b = u.bit_length(), give the naive count
+    # of (popcount(lo + i), num) at every width, with values up to the
+    # widest a key holds, chunk starts that are not powers of two, and a
+    # last chunk shorter than the rest
+    u = data.draw(st.integers(0, 26), label="u")
+    top = min(1 << (64 - u.bit_length()), 1 << 63) - 1  # numerators are int64
+    lo = data.draw(st.integers(0, (1 << u) - 1), label="lo")
+    size = data.draw(st.integers(1, min(300, (1 << u) - lo)), label="size")
+    chunk = data.draw(st.integers(1, size + 1), label="chunk")
+    pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4), label="pool")
+    value = st.sampled_from(pool + [0, top]) | st.integers(0, top)  # runs of equal keys
+    values = data.draw(st.lists(value, min_size=size, max_size=size), label="values")
+    nums = np.array(values, dtype=np.int64)
+    tally = Counter()
+    for start in range(0, size, chunk):
+        ensembles_mod._tally(tally, lo + start, nums[start : start + chunk], u)
+    assert tally == Counter(((lo + i).bit_count(), v) for i, v in enumerate(values))
+
+
+def test_tally_keys_fit_uint64():
+    # every universe the exhaustive route accepts (at most 26 edges, by the
+    # transform budget, at N <= 31) has numerators <= 2^(2N), so its keys
+    # num << b | c fit uint64 while 2N + b < 64; the widest, one 31-edge
+    # at N = 31, reaches bit 63
+    max_u = (ensembles_mod._TRANSFORM_BYTES // 16).bit_length() - 1
+    assert max_u == 26
+    widths = {}
+    for n in range(2, purity_mod.MAX_QUBITS + 1):
+        for n_a in range(1, n):
+            n_b = n - n_a
+            sizes = {(Family.CCZ_HALF, 3, Scope.CROSS_ONLY): n_a * math.comb(n_b, 2)}
+            for k in range(1, n + 1):
+                family = {2: Family.CZ, 3: Family.CCZ}.get(k, Family.K_UNIFORM)
+                for fam in {family, Family.K_UNIFORM}:
+                    sizes[fam, k, Scope.ALL_EDGES] = math.comb(n, k)
+                    cross = math.comb(n, k) - math.comb(n_a, k) - math.comb(n_b, k)
+                    sizes[fam, k, Scope.CROSS_ONLY] = cross
+            for (family, k, scope), u in sizes.items():
+                if u > max_u or family is Family.CCZ_HALF and n_b < 2:
+                    continue
+                spec = EnsembleSpec(n, family, k=k, scope=scope)
+                assert len(edge_universe(spec, Bipartition.from_first(n, n_a))) == u
+                widths[n, family, k, scope, n_a] = 2 * n + u.bit_length()
+    assert max(widths.values()) == 63
+    assert {key[:4] for key, width in widths.items() if width == 63} == {
+        (31, Family.K_UNIFORM, 31, Scope.ALL_EDGES),
+        (31, Family.K_UNIFORM, 31, Scope.CROSS_ONLY),
+    }
 
 
 def test_exhaustive_statevector_needs_no_gram(monkeypatch):
@@ -1076,15 +1130,22 @@ def test_subset_numerators_hold_one_array():
     # 20 edges of 3 qubits at a scattered cut, local ones included: the
     # numerators are one 2^20 int64 array beside small side tables
     part = Bipartition(6, 0b010110)
-    universe = edge_universe(EnsembleSpec(6, Family.K_UNIFORM, k=3, scope=Scope.ALL_EDGES), part)
+    spec = EnsembleSpec(6, Family.K_UNIFORM, k=3, scope=Scope.ALL_EDGES)
+    universe = edge_universe(spec, part)
     u = len(universe)
     assert u == 20
     tracemalloc.start()
     try:
+        # the exhaustive route tallies by writing its keys over that array:
+        # no key copy, no unique values or inverse index beside it
+        ensembles_mod._exhaustive_stats(spec, part)
+        _, stats_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         nums = _subset_numerators(universe, part)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert stats_peak <= 1.2 * (8 << u)
     assert peak <= 1.25 * (8 << u)
     masks = np.random.default_rng(20).integers(0, 1 << u, size=200)
     want = _universe_numerators(universe, part, _mask_bits(masks, u))
@@ -1169,6 +1230,23 @@ def test_mc_sampling_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_stream_worker_reuses_its_buffers(monkeypatch):
+    # every piece of a share is drawn into the one bool buffer and mixed in
+    # the one pair of uint64 tiles, allocated once per share
+    spec, part = EnsembleSpec(16, Family.CZ), Bipartition.from_first(16, 8)
+    whole = entropy_stats(spec, part, samples=300, seed=6)
+    calls = []
+    real = ensembles_mod.bernoulli_block
+    spy = lambda *a, out, tiles: calls.append((out, tiles)) or real(*a, out=out, tiles=tiles)
+    monkeypatch.setattr(ensembles_mod, "bernoulli_block", spy)
+    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * 64)
+    assert entropy_stats(spec, part, samples=300, seed=6) == whole
+    assert len(calls) == 43
+    assert len({id(out.base) for out, _ in calls}) == 1
+    assert len({id(tiles) for _, tiles in calls}) == 1
+    assert calls[0][1].shape == (2, 7 * 64) and calls[0][1].dtype == np.uint64
 
 
 def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):

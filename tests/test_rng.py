@@ -13,6 +13,7 @@ from hyperent.rng import (
     GAMMA,
     CounterRng,
     bernoulli_block,
+    bernoulli_tiles,
     child_seed,
     mix64,
     stream_at,
@@ -131,6 +132,10 @@ def test_bernoulli_block_equals_thresholded_stream(count, p, seed, start):
     out = np.ones(count + 3, dtype=bool)
     assert bernoulli_block(seed, start, count, p, out=out[:count]) is not None
     assert np.array_equal(out[:count], bits) and out[count:].all()
+    # tiles handed in, wider than the call needs and used twice: the same bits
+    tiles = bernoulli_tiles(count + 7)
+    for _ in range(2):
+        assert np.array_equal(bernoulli_block(seed, start, count, p, tiles=tiles), bits)
 
 
 def test_top_bit_thresholds_skip_the_last_xor_shift(monkeypatch):

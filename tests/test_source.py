@@ -95,6 +95,22 @@ def test_one_bernoulli_route():
     assert found == []
 
 
+def test_exhaustive_tally_sorts_in_place():
+    # the tally sorts its keys in place and the pair histogram bins its
+    # incidence vectors: neither takes unique values or an argsort
+    tree = ast.parse(_sources()["ensembles.py"])
+
+    def names(fn):
+        return {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(fn)}
+
+    found = {
+        fn.name: sorted(names(fn) & {"unique", "argsort"})
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_tally", "_pair_supersets")
+    }
+    assert found == {"_tally": [], "_pair_supersets": []}
+
+
 def _elimination_loops(tree):
     """Line numbers of loops that take a row's lowest set bit and XOR rows with it.
 
