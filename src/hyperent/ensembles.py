@@ -4,10 +4,11 @@ An ensemble is a universe of candidate edges plus an independent
 inclusion probability p per edge (default 1/2).  Exhaustive enumeration
 visits every subset of the universe once; Monte Carlo draws subsets
 from the documented counter-based stream so runs are reproducible for
-a fixed (seed, worker count) and trivially parallel: worker w owns a
-contiguous slice of the sample range and the child stream w
-(:func:`split_run`), so it does not matter which process computes a
-share: the caller and a pool of forked children compute them.  The
+a fixed seed and trivially parallel: sample i of a universe of u edges
+reads choices [i u, (i + 1) u) of the root seed's stream, and worker w
+owns a contiguous slice of the sample range (:func:`split_run`), so the
+draws depend neither on the worker count nor on which process computes
+a share: the caller and a pool of forked children compute them.  The
 pool holds at most one child per usable core beyond the caller's, lives
 as long as the process, and is killed whole when any share fails.
 
@@ -26,9 +27,11 @@ batches and BLAS policy it picks for the universe.
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
 choices, one bool each (2 MiB), into one buffer that every piece of a
-share reuses; :func:`rng.bernoulli_block` fills it from one 2^15-draw
-(256 KiB) uint64 tile at a time, through a pair of tiles that the share
-also reuses; purity then holds only what it makes of one piece.
+share reuses.  :func:`rng.bernoulli_block` fills it one tile at a time
+through a pair of uint64 tiles that the share also reuses: at p = 1/2
+a tile of 2^12 draws, whose 2^18 bits it unpacks (256 KiB) and copies
+in, else a tile of 2^15 draws (256 KiB) that it thresholds in.  Purity
+then holds only what it makes of one piece.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
@@ -54,10 +57,10 @@ import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
 from .purity import _cut_values, _edge_masks, _side_index, check_qubit_cap
-from .rng import CounterRng, bernoulli_block, bernoulli_tiles, child_seed
+from .rng import CounterRng, bernoulli_block, bernoulli_tiles
 
 _MC_CHUNK = 4096
-_MC_PIECE_DRAWS = 1 << 21  # draws of one piece of a chunk, which bounds sampling memory
+_MC_PIECE_DRAWS = 1 << 21  # edge choices of one piece of a chunk, which bounds sampling memory
 _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
@@ -186,7 +189,10 @@ def edge_universe(spec: EnsembleSpec, part: Bipartition | None = None) -> list[E
 def sample_hypergraph(spec: EnsembleSpec, part: Bipartition | None, rng: CounterRng) -> Hypergraph:
     """One random hypergraph: each universe edge kept independently with prob p.
 
-    Consumes exactly len(edge_universe(spec, part)) draws, in universe order.
+    Reads one choice per universe edge, in universe order, through
+    :meth:`CounterRng.bernoulli`: at p = 1/2 the u = len(edge_universe(spec,
+    part)) bits from bit 64 * cursor on, consuming ceil(u / 64) draws; at
+    any other p the next u draws, consuming u.
     """
     universe = edge_universe(spec, part)
     keep = rng.bernoulli(spec.edge_probability, len(universe))
@@ -476,13 +482,14 @@ def _close_pool(keep: int = 0) -> None:
 
 
 def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
-    """fn((*args, count, worker seed)) for each worker's share, in worker order.
+    """fn((*args, seed, first, count)) for each worker's non-empty share, in worker order.
 
-    Worker w takes the w-th contiguous share of the samples and draws
-    from child_seed(seed, w), so a share's result does not depend on the
-    process that computes it.  With S non-empty shares and C usable
-    cores, P = min(S, C) - 1 pooled children and the caller compute
-    them: share w runs in process w mod (P + 1), process 0 being the
+    Worker w takes the w-th contiguous share of the samples, count of
+    them from sample first on.  Every share reads the one stream of the
+    run's seed, sample i at positions fixed by i alone, so what a share
+    draws depends neither on the worker count nor on the process that
+    computes it.  With S non-empty shares and C usable cores,
+    P = min(S, C) - 1 pooled children and the caller compute them: share w runs in process w mod (P + 1), process 0 being the
     caller.  With P = 0 nothing forks.  The children are forked on first
     need and kept for the life of the process, never more than C - 1;
     each is sent fn and its shares by pickle (so fn must be importable
@@ -498,7 +505,7 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
         raise ValueError("workers must be >= 1")
     base, extra = divmod(samples, workers)
     tasks = [
-        (*args, base + (w < extra), child_seed(seed, w))
+        (*args, seed, w * base + min(w, extra), base + (w < extra))
         for w in range(workers)
         if base + (w < extra)
     ]
@@ -535,8 +542,12 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
 
 
 def _stream_worker(args) -> tuple[int, float, float, float, float]:
-    """Per-worker sampling: returns (n, sum P, sum P^2, sum S2, sum S2^2)."""
-    spec, part, count, wseed = args
+    """Samples [first, first + count) of a run: returns (n, sum P, sum P^2, sum S2, sum S2^2).
+
+    Sample i keeps the edges of the u-edge universe whose choices
+    [i u, (i + 1) u) of the seed's stream are made.
+    """
+    spec, part, seed, first, count = args
     universe = edge_universe(spec, part)
     u = len(universe)
     values = _cut_values(universe, part)
@@ -550,7 +561,7 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
         for r in range(done, done + take, rows):
             k = min(rows, done + take - r)
             bits = bernoulli_block(
-                wseed, r * u, k * u, spec.edge_probability, out=buf[: k * u], tiles=tiles
+                seed, (first + r) * u, k * u, spec.edge_probability, out=buf[: k * u], tiles=tiles
             )
             pieces.append(values(bits.reshape(k, u)))
         p, s2 = (np.concatenate(arrays) for arrays in zip(*pieces))
@@ -577,7 +588,7 @@ def mc_moments(
     seed: int,
     workers: int = 1,
 ) -> MomentEstimate:
-    """Monte Carlo purity moments; deterministic for fixed (seed, workers)."""
+    """Monte Carlo purity moments; the draws are fixed by the seed, at any worker count."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     n, p_sum, p2_sum, _, _ = _run_sampling(spec, part, samples, seed, workers)

@@ -20,10 +20,9 @@ from .ensembles import (
     mc_moments,
     split_run,
 )
-from .gf2 import RankHistogram, empirical_rank_distribution
+from .gf2 import RankHistogram, _rank_law
 from .hypergraph import Bipartition, Hypergraph
 from .purity import renyi2, state_purity
-from .rng import CounterRng
 
 MOMENTS_COLUMNS = [
     "n",
@@ -128,15 +127,17 @@ def compute_moments_row(
 
 
 def _rank_worker(args) -> RankHistogram:
-    n, count, worker_seed = args
-    return empirical_rank_distribution(n, count, CounterRng(worker_seed))
+    n, seed, first, count = args
+    return _rank_law(n, count, seed, first * n * n)
 
 
 def rank_distribution(n: int, samples: int, seed: int, workers: int = 1) -> RankHistogram:
-    """Worker-split rank-defect histogram; worker w draws from child stream w.
+    """Worker-split rank-defect histogram of matrices 0 .. samples - 1 of the seed's rank law.
 
-    The merge is associative and the worker order fixed, so the result
-    depends only on (seed, worker count).
+    Matrix i is choices [i n^2, (i + 1) n^2) of the seed's stream,
+    whichever share holds it, and counts add in any order, so the
+    histogram depends on the seed alone: it equals
+    ``empirical_rank_distribution(n, samples, CounterRng(seed))``.
     """
     hist = RankHistogram(n)
     for part in split_run(_rank_worker, samples, seed, workers, n):

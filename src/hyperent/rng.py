@@ -11,24 +11,28 @@ and 0x94D049BB133111EB, final ``z ^ (z >> 31)``).
 
 Any language with 64-bit unsigned arithmetic reproduces the stream, and
 draws can be generated at arbitrary positions out of order.  That is
-what makes owner-computes parallel sampling deterministic: worker ``w``
-uses the child stream ``child_seed(s, w)`` (itself just draw ``w`` of
-the parent stream) and never touches another worker's positions.
+what makes parallel sampling deterministic with no child streams: a run
+reads one stream, that of its root seed, and each of its samples owns a
+fixed range of positions in it, whichever process computes the sample
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 Draws are made one cache-sized tile at a time by :func:`_mix_tile`,
 each tile's counters a cached table plus one offset.
 
-Bernoulli draws with success probability ``p`` compare a raw 64-bit
-draw against ``threshold_u64(p)``; the comparison is exact whenever
-``p * 2**64`` is an integer (which covers every dyadic ``p`` with
-exponent <= 64), and biased by less than 2**-64 otherwise.  The one
-route to Bernoulli bits is :func:`bernoulli_block`: it mixes every tile
-of a call into the same two uint64 tiles, allocated once per call or
-handed in by a caller that draws many blocks (:func:`bernoulli_tiles`),
-and thresholds each into the bool output (or a caller's buffer), so no
-uint64 copy of a whole block is held.  When the threshold is a multiple
-of 2**33 (p = 1/2, and every p whose denominator is a power of two up
-to 2**31) the final xor-shift cannot change the comparison and is
-skipped; see :func:`bernoulli_block`.
+The one route to Bernoulli choices is :func:`bernoulli_block`, and it
+has two layouts.  At p = 1/2 a choice is one stream bit: choice ``j``
+is bit ``j & 63`` (bit 0 the lowest) of draw ``j >> 6``, and the choice
+is made when that bit is 1, so 64 choices share one draw.  At any other
+p, choice ``j`` is draw ``j`` compared with ``threshold_u64(p)``; the
+comparison is exact whenever ``p * 2**64`` is an integer (which covers
+every dyadic ``p`` with exponent <= 64), and biased by less than 2**-64
+otherwise.  Either way it mixes every tile of a call into the same two
+uint64 tiles, allocated once per call or handed in by a caller that
+draws many blocks (:func:`bernoulli_tiles`), and writes each tile's
+choices into the bool output (or a caller's buffer), so no uint64 copy
+of a whole block is held.  When the threshold is a multiple of 2**33
+(every p != 1/2 whose denominator is a power of two up to 2**31) the
+final xor-shift cannot change the comparison and is skipped; see
+:func:`bernoulli_block`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
 _TILE = 1 << 15  # draws per tile of stream_block and bernoulli_block: 256 KiB of uint64
+_BIT_TILE = _TILE >> 3  # draws per tile of bernoulli_block at p = 1/2: 2^18 choices
+_HALF = Fraction(1, 2)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
@@ -56,11 +62,6 @@ def mix64(z: int) -> int:
 def stream_at(seed: int, index: int) -> int:
     """Draw ``index`` (0-based) of the stream with the given seed."""
     return mix64((seed + (index + 1) * GAMMA) & _MASK64)
-
-
-def child_seed(seed: int, worker: int) -> int:
-    """Derived seed for worker ``worker``: draw ``worker`` of the parent stream."""
-    return stream_at(seed, worker)
 
 
 @functools.cache
@@ -123,12 +124,18 @@ def bernoulli_block(
     out: np.ndarray | None = None,
     tiles: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bernoulli(p) bools of draws [start, start+count): draw < threshold_u64(p).
+    """Bernoulli(p) bools of choices [start, start+count) of the stream.
 
-    Written into ``out`` (a 1-d bool array of count entries) when given,
-    else into a new array; either is returned.  Every tile is mixed into
-    the same uint64 tile and scratch tile: the rows of ``tiles``, from
-    :func:`bernoulli_tiles` of at least count, when given, else new ones.
+    At p = 1/2 choice j is bit j & 63 of draw j >> 6, at any other p it
+    is draw j < threshold_u64(p).  Written into ``out`` (a 1-d bool
+    array of count entries) when given, else into a new array; either is
+    returned.  Every tile is mixed into the same uint64 tile and scratch
+    tile: the rows of ``tiles``, from :func:`bernoulli_tiles` of at
+    least count, when given, else new ones.
+
+    At p = 1/2 a tile holds at most ``_BIT_TILE`` draws; it is unpacked
+    low bit first, and the choices it holds are copied into the output,
+    so a call holds one tile's unpacked bits (256 KiB) beside its output.
 
     Top bits decide a threshold t with t mod 2**33 = 0.  Let pre(z) be
     a draw before its final xor-shift, so the draw is
@@ -136,14 +143,28 @@ def bernoulli_block(
     xor leaves bits 33-63 as they are, and a 64-bit value v lies below
     t = c * 2**33 exactly when floor(v / 2**33) < c.  Draw and pre(z)
     share that floor, so draw < t iff pre(z) < t, and the final step is
-    skipped.  That covers p = 1/2 and every p = m / 2**k with k <= 31.
+    skipped.  That covers every p = m / 2**k with k <= 31 but 1/2.
     """
-    t = threshold_u64(Fraction(p))
+    p = Fraction(p)
+    t = threshold_u64(p)
     bits = np.empty(count, dtype=bool) if out is None else out
-    if t in (0, 1 << 64):
+    if count == 0 or t in (0, 1 << 64):
         bits[:] = t > 0
         return bits
     tile, scratch = bernoulli_tiles(count) if tiles is None else tiles
+    if p == _HALF:
+        end = start + count
+        stop = (end + 63) >> 6  # one past the draw of the last choice
+        width = min(tile.size, _BIT_TILE)
+        dst = bits.view(np.uint8)  # 0/1 bytes are valid bools
+        for d in range(start >> 6, stop, width):
+            n = min(width, stop - d)
+            _mix_tile(tile[:n], scratch[:n], seed + d * GAMMA)
+            lo, hi = max(start, d << 6), min(end, (d + n) << 6)
+            unpacked = np.unpackbits(tile[:n].view(np.uint8), bitorder="little")
+            dst[lo - start : hi - start] = unpacked[lo - (d << 6) : hi - (d << 6)]
+            del unpacked  # so the next tile's bits are not held beside these
+        return bits
     last = t % (1 << 33) != 0
     for lo in range(0, count, _TILE):
         n = min(_TILE, count - lo)
@@ -176,7 +197,16 @@ class CounterRng:
         return block
 
     def bernoulli(self, p: Fraction, count: int) -> np.ndarray:
-        """Next ``count`` Bernoulli(p) draws as a bool array (consumes count)."""
-        bits = bernoulli_block(self.seed, self.cursor, count, p)
-        self.cursor += count
+        """Next ``count`` Bernoulli(p) choices as a bool array.
+
+        At p = 1/2 they are the choices [64 * cursor, 64 * cursor + count),
+        bits of the next draws, and the call consumes ceil(count / 64)
+        draws; at any other p it consumes count draws, one per choice.
+        """
+        if Fraction(p) == _HALF:
+            bits = bernoulli_block(self.seed, self.cursor << 6, count, p)
+            self.cursor += (count + 63) >> 6
+        else:
+            bits = bernoulli_block(self.seed, self.cursor, count, p)
+            self.cursor += count
         return bits

@@ -3,6 +3,7 @@
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -304,19 +305,19 @@ def test_moments_json_deterministic(capsys):
     [
         (
             "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 1",
-            "196476f6120cea1871a6cbec4999eefbd6a1e6baba8c5560da3e387a388839dc",
+            "c4165acae055e2ecae6db4761ca7a113cd379d5f1e87d70fa7c922448735d375",
         ),
         (
             "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 2",
-            "8a01b14bce561b1819e98d38820308c25e1550e5f7ae2f08666c4c9920d72b7a",
+            "c4165acae055e2ecae6db4761ca7a113cd379d5f1e87d70fa7c922448735d375",
         ),
         (
             "moments --family ccz-half --n 9,11 --samples 500 --seed 3",
-            "c88a4362d3291a481244ec2e80067673c1e3ee66153060f00ef6a8df4daf44fb",
+            "0540361a051bd9024826faed898d570fd49f8c8b933a7b155b51ff6da859a806",
         ),
         (
             "moments --family k-uniform --k 3 --n 12 --na 3 --samples 400 --seed 8 --p 3/10",
-            "98dd89d2a2c12cdfe6d9c704393042a59b2cb2f45b5d87f7bec1a928daeafbf5",
+            "6228699eb2b645e22e51a0d5c216f2c595e757ddf5c7f8281af616e1327cf1e6",
         ),
     ],
 )
@@ -357,10 +358,10 @@ def test_moments_sample_over_memory_budget_exit_3(capsys, monkeypatch):
 def test_moments_sample_rows_within_budget(capsys):
     # N=26, N_A=2: one sample's rows are 4 x 2^18 words (8 MiB); the 576
     # cross edges once counted toward the budget and made this exit 3
-    from hyperent.ensembles import EnsembleSpec, Family, sample_hypergraph
-    from hyperent.hypergraph import Bipartition
+    from hyperent.ensembles import EnsembleSpec, Family, edge_universe
+    from hyperent.hypergraph import Bipartition, Hypergraph
     from hyperent.purity import state_purity
-    from hyperent.rng import CounterRng, child_seed
+    from hyperent.rng import bernoulli_block
 
     code, out, err = run_cli(capsys, "moments", "--family", "ccz", "--n", "26", "--na", "2",
                              "--samples", "2")
@@ -368,18 +369,20 @@ def test_moments_sample_rows_within_budget(capsys):
     row = dict(zip(*[line.split(",") for line in out.splitlines()]))
     assert (row["n"], row["n_a"], row["samples"]) == ("26", "2", "2")
     spec, part = EnsembleSpec(26, Family.CCZ), Bipartition.from_first(26, 2)
-    rng = CounterRng(child_seed(0, 0))
-    want = sum(float(state_purity(sample_hypergraph(spec, part, rng), part)) for _ in range(2))
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    # sample i keeps the edges of choices [i u, (i + 1) u) of the root seed
+    samples = [itertools.compress(universe, bernoulli_block(0, i * u, u, spec.edge_probability))
+               for i in range(2)]
+    want = sum(float(state_purity(Hypergraph(26, frozenset(s)), part)) for s in samples)
     assert float(row["mean"]) == want / 2
 
 
 def _broken_share(failing, args):
     """A stand-in sampling share that raises at every share, or at every share after the first."""
-    from hyperent.rng import child_seed
-
-    if failing == "every" or args[-1] != child_seed(9, 0):
+    if failing == "every" or args[-2] != 0:
         raise ValueError("injected share failure")
-    return (args[-2], 0.0, 0.0, 0.0, 0.0)
+    return (args[-1], 0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("failing", ["every", "last"])
@@ -444,6 +447,26 @@ def test_rankdist_bytes_independent_of_core_count(capsys, monkeypatch):
         runs.append(run_cli(capsys, *argv))
     assert runs[0][0] == 0 and runs[0][1].startswith("s,count,")
     assert runs == [runs[0]] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --family cz --n 16,32 --samples 20000 --seed 3",
+        "rankdist --n 16 --samples 100000 --seed 99",
+    ],
+)
+def test_rank_route_bytes_independent_of_workers(capsys, monkeypatch, argv):
+    # sample i reads positions fixed by i alone, and the rank route's sums
+    # of 2^-r, 2^-2r and r are exact here in any order, so any worker count
+    # on any core count prints the same bytes
+    runs = {}
+    for n_cores in (1, 2):
+        monkeypatch.setattr(ensembles, "_usable_cores", lambda: n_cores)
+        for workers in (1, 2, 3):
+            runs[n_cores, workers] = run_cli(capsys, *argv.split(), "--workers", str(workers))
+    assert runs[1, 1][0] == 0 and runs[1, 1][2] == ""
+    assert set(runs.values()) == {runs[1, 1]}
 
 
 def test_moments_workers_piped_rows_printed_once(capsys):

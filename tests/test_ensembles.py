@@ -36,7 +36,7 @@ from hyperent.ensembles import (
     subset_weight,
 )
 from hyperent.formulas import cz_avg_purity
-from hyperent.hypergraph import Bipartition, Hypergraph
+from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
     _cross_parts,
     _cut_ranks,
@@ -49,7 +49,7 @@ from hyperent.purity import (
     renyi2,
     state_purity,
 )
-from hyperent.rng import CounterRng, bernoulli_block, child_seed
+from hyperent.rng import CounterRng, bernoulli_block, stream_at, threshold_u64
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
 
@@ -128,10 +128,28 @@ def test_sampling_mean_edge_count():
 
 
 def test_sampling_consumes_universe_draws():
-    spec = EnsembleSpec(6, Family.CCZ, scope=Scope.ALL_EDGES)
-    rng = CounterRng(5)
-    sample_hypergraph(spec, None, rng)
-    assert rng.cursor == 20  # C(6, 3)
+    # C(6, 3) = 20 choices: at p = 1/2 the low 20 bits of the draw at the
+    # cursor (bits from 64 * cursor on), consuming one draw; at p = 3/10
+    # the next 20 draws, one per choice
+    universe = all_k_edges(6, 3)
+    rng = CounterRng(5, cursor=5)
+    h = sample_hypergraph(EnsembleSpec(6, Family.CCZ, scope=Scope.ALL_EDGES), None, rng)
+    assert h.edges == {e for j, e in enumerate(universe) if stream_at(5, 5) >> j & 1}
+    assert rng.cursor == 6
+    p = Fraction(3, 10)
+    rng = CounterRng(5, cursor=5)
+    spec = EnsembleSpec(6, Family.CCZ, edge_probability=p, scope=Scope.ALL_EDGES)
+    h = sample_hypergraph(spec, None, rng)
+    assert h.edges == {e for j, e in enumerate(universe) if stream_at(5, 5 + j) < threshold_u64(p)}
+    assert rng.cursor == 25
+
+
+def _replayed(spec, part, seed, i):
+    """Sample i of a Monte Carlo run by hand: the edges of choices [i u, (i + 1) u) of the seed."""
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    keep = bernoulli_block(seed, i * u, u, spec.edge_probability)
+    return Hypergraph(spec.n_qubits, frozenset(itertools.compress(universe, keep)))
 
 
 def test_enumerate_smallest_ensembles():
@@ -286,20 +304,16 @@ def test_mc_methods_agree_exactly_per_seed(monkeypatch):
 
 
 def test_mc_sample_path_matches_manual_sampling():
-    # worker 0 draws from the child stream; replaying it by hand must
-    # reproduce the estimate
-    from hyperent.rng import child_seed
-
+    # sample i reads choices [i u, (i + 1) u) of the root seed, at any
+    # worker count; replaying it by hand must reproduce the estimate
     spec = EnsembleSpec(8, Family.CZ)
     part = Bipartition.from_first(8, 4)
-    est = mc_moments(spec, part, 50, seed=31)
-    rng = CounterRng(child_seed(31, 0))
-    values = []
-    for _ in range(50):
-        h = sample_hypergraph(spec, part, rng)
-        values.append(float(ref_purity(8, h.edges, part.a_mask)))
+    values = [float(ref_purity(8, _replayed(spec, part, 31, i).edges, part.a_mask))
+              for i in range(50)]
     mean = sum(values) / 50
-    assert math.isclose(est.mean, mean, rel_tol=0, abs_tol=1e-15)
+    for workers in (1, 3):
+        est = mc_moments(spec, part, 50, seed=31, workers=workers)
+        assert math.isclose(est.mean, mean, rel_tol=0, abs_tol=1e-15)
 
 
 def test_mc_error_shrinks_with_samples():
@@ -370,15 +384,11 @@ def test_moment_estimate_variance_nonnegative():
 
 def test_mc_orientation_flip_matches_manual():
     # n_a > n_b flips the internal orientation; replay by hand to check
-    from hyperent.rng import child_seed
-
     spec = EnsembleSpec(7, Family.CCZ)
     part = Bipartition.from_first(7, 5)
     est = mc_moments(spec, part, 40, seed=19)
-    rng = CounterRng(child_seed(19, 0))
     values = [
-        float(ref_purity(7, sample_hypergraph(spec, part, rng).edges, part.a_mask))
-        for _ in range(40)
+        float(ref_purity(7, _replayed(spec, part, 19, i).edges, part.a_mask)) for i in range(40)
     ]
     assert math.isclose(est.mean, sum(values) / 40, rel_tol=0, abs_tol=1e-15)
 
@@ -513,7 +523,8 @@ def test_split_run_shares_in_worker_order(cores, samples, workers):
     for n_cores in (1, 2, 4):
         cores(n_cores)
         got = split_run(_whoami, samples, 7, workers, "arg")
-        assert [t[1:] for t in got] == [("arg", c, child_seed(7, w)) for w, c in enumerate(counts)]
+        firsts = itertools.accumulate(counts[:-1], initial=0)
+        assert [t[1:] for t in got] == [("arg", 7, f, c) for f, c in zip(firsts, counts)]
         pids = [t[0] for t in got]
         procs = max(1, min(len(pids), n_cores))
         assert [pid == os.getpid() for pid in pids] == [w % procs == 0 for w in range(len(pids))]
@@ -528,7 +539,7 @@ def test_split_run_pool_bounded_by_cores(cores):
     # worker count asks for
     cores(3)
     got = split_run(_whoami, 50, 7, 1000)
-    assert [t[1:] for t in got] == [(1, child_seed(7, w)) for w in range(50)]
+    assert [t[1:] for t in got] == [(7, w, 1) for w in range(50)]
     children = {pid for pid, *_ in got} - {os.getpid()}
     assert len(children) <= 2
     assert len(multiprocessing.active_children()) <= 2
@@ -591,8 +602,8 @@ def _fail_share(task):
     A share that would exit in the caller (whose pid is caller) raises
     instead, so that a mapping error cannot end the test process.
     """
-    failing, sleeping, exit_code, caller, _, seed = task
-    w = next(w for w in range(8) if child_seed(3, w) == seed)
+    failing, sleeping, exit_code, caller, _, first, _ = task
+    w = first // 2
     if w == exit_code:
         if os.getpid() == caller:
             raise AssertionError(f"share {w} ran in the caller")
@@ -790,14 +801,16 @@ def test_cut_values_rank_route_past_63_qubits(a_mask):
 @pytest.mark.parametrize(
     "workers, mean, variance",
     [
-        (1, 0.12697916666666667, 5.853387158584007e-05),
-        (2, 0.12682291666666667, 5.882373754528741e-05),
-        (3, 0.1273046875, 6.29014235276424e-05),
+        (1, 0.12717447916666666, 7.267249201984388e-05),
+        (2, 0.12717447916666666, 7.267249201984388e-05),
+        (3, 0.12717447916666666, 7.267249201984388e-05),
     ],
 )
 def test_mc_statevector_bytes_pinned(workers, mean, variance):
     # the float summation grouping of Monte Carlo sums is part of the
-    # byte-stable contract; these values must not drift
+    # byte-stable contract; these values must not drift.  Sample i is
+    # the same at any worker count, and N=8 purities are multiples of
+    # 2^-16, whose sums here are exact in any grouping
     est = mc_moments(
         EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4), 300, seed=5, workers=workers
     )
@@ -807,16 +820,17 @@ def test_mc_statevector_bytes_pinned(workers, mean, variance):
 @pytest.mark.parametrize(
     "n, workers, mean, variance",
     [
-        (16, 1, 0.007783203125, 1.4861003347132557e-05),
-        (16, 2, 0.00776953125, 1.564623559338262e-05),
-        (16, 3, 0.00773828125, 1.581050229704696e-05),
-        (32, 1, 3.061676025390625e-05, 2.1371913802674453e-10),
-        (32, 2, 3.094482421875e-05, 2.267078616250569e-10),
-        (32, 3, 3.07464599609375e-05, 2.1868492996114177e-10),
+        (16, 1, 0.007912109375, 1.6134314563287512e-05),
+        (16, 2, 0.007912109375, 1.6134314563287512e-05),
+        (16, 3, 0.007912109375, 1.6134314563287512e-05),
+        (32, 1, 3.084564208984375e-05, 2.387795888964626e-10),
+        (32, 2, 3.084564208984375e-05, 2.387795888964626e-10),
+        (32, 3, 3.084564208984375e-05, 2.387795888964626e-10),
     ],
 )
 def test_mc_rank_bytes_pinned(n, workers, mean, variance):
-    # ranks are exact, so the rank route's Monte Carlo output must not drift
+    # ranks are exact, so the rank route's Monte Carlo output must not
+    # drift, and it is the same at any worker count
     part = Bipartition.from_first(n, n // 2)
     est = mc_moments(EnsembleSpec(n, Family.CZ), part, 2000, seed=11, workers=workers)
     assert (est.mean, est.variance) == (mean, variance)
@@ -873,8 +887,8 @@ def test_cut_ranks_takes_no_gather_for_an_identity_order(monkeypatch, n, n_a):
     "p, workers, mean, variance",
     [
         (Fraction(1, 2), 1, 8.470329472543003e-22, 0.0),
-        (Fraction(1, 64), 1, 5.345624868683766e-13, 3.6060247681703556e-24),
-        (Fraction(1, 64), 2, 4.566088248244189e-13, 2.936508970717267e-24),
+        (Fraction(1, 64), 1, 6.422314532035974e-13, 1.5842014902062807e-23),
+        (Fraction(1, 64), 2, 6.422314532035974e-13, 1.5842014902062807e-23),
     ],
 )
 def test_mc_rank_bytes_pinned_two_word_rows(p, workers, mean, variance):
@@ -888,10 +902,10 @@ def test_mc_rank_bytes_pinned_two_word_rows(p, workers, mean, variance):
 @pytest.mark.parametrize(
     "scope, workers, mean, variance",
     [
-        (Scope.CROSS_ONLY, 1, 0.066375, 0.00023506272924308052),
-        (Scope.CROSS_ONLY, 3, 0.0661875, 0.0002247585132544185),
-        (Scope.ALL_EDGES, 1, 0.06547916666666667, 0.00017738160984216936),
-        (Scope.ALL_EDGES, 3, 0.06564583333333333, 0.00018678057616427688),
+        (Scope.CROSS_ONLY, 1, 0.06595833333333333, 0.00022769916361009297),
+        (Scope.CROSS_ONLY, 3, 0.06595833333333333, 0.00022769916361009297),
+        (Scope.ALL_EDGES, 1, 0.066375, 0.00023506272924308052),
+        (Scope.ALL_EDGES, 3, 0.066375, 0.00023506272924308052),
     ],
 )
 def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):

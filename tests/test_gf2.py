@@ -44,7 +44,7 @@ def test_rank_trivial_cases():
 
 def test_rank_copies_input():
     # a strided view of a stack is ranked like its copy and left unchanged
-    stack = _random_words(12, 6, 70, CounterRng(1))
+    stack = _random_words(12, 6, 70, 1, 0)
     before = stack.copy()
     view = stack[::3]
     assert not view.flags.c_contiguous
@@ -68,7 +68,7 @@ def test_rank_matches_dense_reference():
 
 def test_rank_invariant_under_row_operations():
     rnd = random.Random(5)
-    stack = _random_words(20, 8, 8, CounterRng(5))
+    stack = _random_words(20, 8, 8, 5, 0)
     for dense, base in zip(_dense(stack, 8), batch_rank(stack, 8)):
         for _ in range(10):
             i, j = rnd.sample(range(8), 2)
@@ -78,41 +78,40 @@ def test_rank_invariant_under_row_operations():
 
 
 def test_rank_equals_transpose_rank():
-    rng = CounterRng(6)
     for size in [5, 17, 33, 64]:
-        dense = _dense(_random_words(1, size, size, rng)[0], size)
+        dense = _dense(_random_words(1, size, size, 6, 0)[0], size)
         assert _rank(dense) == _rank(dense.T)
 
 
 def test_random_matrix_reproducible():
-    a = _random_words(1, 5, 70, CounterRng(123))
-    b = _random_words(1, 5, 70, CounterRng(123))
+    a = _random_words(1, 5, 70, 123, 0)
+    b = _random_words(1, 5, 70, 123, 0)
     assert np.array_equal(a, b)
     assert a.shape == (1, 5, 2)
     # tail bits beyond column 70 must be masked off
     assert not np.any(a[..., -1] >> np.uint64(6))
-    # matrix by matrix and row-major: a stack of two is two draws in a row
-    rng = CounterRng(123)
-    pair = _random_words(2, 5, 70, rng)
-    assert rng.cursor == 20 and np.array_equal(pair[:1], a)
+    # matrix by matrix and row-major: a stack of two is two matrices of
+    # 350 choices in a row, the second starting inside a draw
+    pair = _random_words(2, 5, 70, 123, 0)
+    assert np.array_equal(pair[:1], a)
+    assert np.array_equal(pair[1:], _random_words(1, 5, 70, 123, 350))
 
 
 def test_random_matrix_bit_frequency():
-    words = _random_words(100_000, 1, 1, CounterRng(77))
+    words = _random_words(100_000, 1, 1, 77, 0)
     ones = int(np.count_nonzero(words))
     assert abs(ones / 100_000 - 0.5) < 0.01
 
 
 def test_random_2x2_rank0_frequency():
-    zero = int(np.count_nonzero(batch_rank(_random_words(10_000, 2, 2, CounterRng(78)), 2) == 0))
+    zero = int(np.count_nonzero(batch_rank(_random_words(10_000, 2, 2, 78, 0), 2) == 0))
     assert abs(zero / 10_000 - 1 / 16) < 0.012
 
 
 def test_batch_rank_matches_scalar():
     # each matrix ranked alone, as a stack of one, agrees with the batch
-    rng = CounterRng(9)
     for rows, cols in [(4, 4), (7, 3), (3, 7), (9, 100), (16, 16)]:
-        stack = _random_words(40, rows, cols, rng)
+        stack = _random_words(40, rows, cols, 9, rows * cols)
         got = batch_rank(stack, cols)
         for i in range(40):
             assert got[i] == batch_rank(stack[i : i + 1], cols)[0]
@@ -120,7 +119,7 @@ def test_batch_rank_matches_scalar():
 
 
 def test_batch_rank_leaves_input_alone():
-    stack = _random_words(4, 5, 5, CounterRng(3))
+    stack = _random_words(4, 5, 5, 3, 0)
     before = stack.copy()
     batch_rank(stack, 5)
     assert np.array_equal(stack, before)
@@ -206,14 +205,14 @@ def test_batch_rank_at_word_boundaries(cols):
         packed = pack_rows(dense)
         assert packed.dtype == word_dtype(cols)
         assert batch_rank(packed[np.newaxis], cols).tolist() == [ref_gf2_rank(dense)]
-    # the same uint64 draws as ever, each word cut to its row's columns
-    n_w = (cols + 63) // 64
-    rng = CounterRng(cols, cursor=3)
-    drawn = _random_words(20, cols, cols, rng)
-    raw = CounterRng(cols, cursor=3).take(20 * cols * n_w).reshape(20, cols, n_w)
-    raw[..., -1] &= np.uint64((1 << (cols - 64 * (n_w - 1))) - 1)
-    assert drawn.dtype == word_dtype(cols) and rng.cursor == 3 + raw.size
-    assert np.array_equal(drawn, raw)
+    # the stream bits from choice 64 * 3 + 5 on, cols of them per row
+    drawn = _random_words(20, cols, cols, cols, 64 * 3 + 5)
+    size = 20 * cols * cols
+    raw = CounterRng(cols, cursor=3).take((5 + size + 63) // 64)
+    bits = np.unpackbits(raw.view(np.uint8), bitorder="little")[5 : 5 + size]
+    assert drawn.dtype == word_dtype(cols)
+    assert np.array_equal(drawn, pack_rows(bits.reshape(20, cols, cols)))
+    assert np.array_equal(_dense(drawn, cols), bits.reshape(20, cols, cols))
     ranks = batch_rank(drawn, cols).tolist()
     assert ranks == [ref_gf2_rank(_dense(m, cols)) for m in drawn]
     assert min(ranks) < cols  # some drawn matrices are singular
@@ -331,3 +330,29 @@ def test_rank_batches_capped_by_matrices_and_words(monkeypatch):
     monkeypatch.setattr(gf2_mod, "_BATCH_TARGET_WORDS", 3 * 16)  # three 16 x 16 matrices
     empirical_rank_distribution(16, 7, CounterRng(3))
     assert sizes == [3, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "n, samples, cap, pieces",
+    [
+        # 2^21 // 300^2 = 23 matrices of unpacked choices per piece, one batch
+        (300, 30, 1 << 21, [23, 7]),
+        (5, 60, 3 * 25 + 24, [3] * 20),
+        (16, 45, 7 * 256, [7] * 6 + [3]),
+        (70, 9, 4900, [1] * 9),
+    ],
+)
+def test_rank_law_draws_pieces_of_choices(monkeypatch, n, samples, cap, pieces):
+    # each batch is drawn in pieces of whole matrices within the choice cap,
+    # and the pieces move neither the counts nor the batches
+    drawn = []
+    real = gf2_mod._random_words
+    spy = lambda count, *args: drawn.append(count) or real(count, *args)  # noqa: E731
+    monkeypatch.setattr(gf2_mod, "_random_words", spy)
+    sizes = _batch_sizes(monkeypatch)
+    whole = empirical_rank_distribution(n, samples, CounterRng(31, cursor=5)).counts
+    batches, drawn[:] = list(sizes), []
+    sizes.clear()
+    monkeypatch.setattr(gf2_mod, "_PIECE_CHOICES", cap)
+    assert empirical_rank_distribution(n, samples, CounterRng(31, cursor=5)).counts == whole
+    assert drawn == pieces and sizes == batches == [samples]

@@ -1,11 +1,16 @@
 """Report rows: closed-form columns, z-scores, deterministic rendering."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from hyperent import reports
-from hyperent.ensembles import EnsembleSpec, Family, MomentEstimate
+import numpy as np
+import pytest
+
+from hyperent import gf2, purity, reports
+from hyperent.ensembles import EnsembleSpec, Family, MomentEstimate, edge_universe, mc_moments
 from hyperent.hypergraph import Bipartition
+from hyperent.rng import CounterRng
 
 
 def test_closed_form_columns_by_family():
@@ -58,14 +63,35 @@ def test_rank_distribution_worker_split_deterministic():
     b = reports.rank_distribution(6, 1000, seed=5, workers=3)
     assert a.counts == b.counts and a.samples == 1000
     c = reports.rank_distribution(6, 1000, seed=5, workers=1)
-    assert c.samples == 1000  # different split may give different counts
+    assert c.counts == a.counts and c.samples == 1000  # matrix i is fixed by i alone
 
 
 def test_rank_distribution_counts_pinned():
     # ranks are exact, so these counts must not drift
     hist = reports.rank_distribution(16, 30000, seed=13, workers=3)
-    assert hist.counts == {0: 8724, 1: 17186, 2: 3907, 3: 180, 4: 3}
+    assert hist.counts == {0: 8762, 1: 17269, 2: 3812, 3: 154, 4: 3}
     assert hist.samples == 30000
+
+
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_rank_law_matrix_is_cz_cut_block(monkeypatch, n):
+    # matrix i of the rank law is the cut block of CZ sample i at N = 2n,
+    # n|n: the cross universe in lexicographic order is that block, row-major
+    seed, samples = 17, 300
+    spec, part = EnsembleSpec(2 * n, Family.CZ), Bipartition.from_first(2 * n, n)
+    assert edge_universe(spec, part) == [(a, n + b) for a in range(n) for b in range(n)]
+    drawn = []
+    real = purity._cut_ranks
+    record = lambda bits, *args: drawn.append(bits.copy()) or real(bits, *args)  # noqa: E731
+    monkeypatch.setattr(purity, "_cut_ranks", record)
+    mc_moments(spec, part, samples, seed)
+    blocks = np.concatenate(drawn).reshape(samples, n, n)
+    words = gf2._random_words(samples, n, n, seed, 0)
+    assert np.array_equal(gf2.pack_rows(blocks), words)
+    defects = Counter((n - gf2.batch_rank(words, n)).tolist())
+    assert reports.rank_distribution(n, samples, seed, workers=2).counts == defects
+    # the public law reads the same matrices from bit 64 * cursor on
+    assert gf2.empirical_rank_distribution(n, samples, CounterRng(seed)).counts == defects
 
 
 def test_rankdist_rows_have_bands():

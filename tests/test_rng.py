@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,6 @@ from hyperent.rng import (
     CounterRng,
     bernoulli_block,
     bernoulli_tiles,
-    child_seed,
     mix64,
     stream_at,
     stream_block,
@@ -46,11 +48,6 @@ def test_block_equals_pointwise():
     block = stream_block((1 << 64) - 3, 5, 40)
     assert block.dtype == np.uint64
     assert block.tolist() == [stream_at((1 << 64) - 3, 5 + i) for i in range(40)]
-
-
-def test_child_seed_is_parent_draw():
-    assert child_seed(99, 7) == stream_at(99, 7)
-    assert child_seed(99, 0) != 99
 
 
 def test_mix64_is_64_bit():
@@ -109,12 +106,50 @@ def test_block_tiles_equal_pointwise(count, seed, start):
     assert block.tolist() == [stream_at(seed, start + i) for i in range(count)]
 
 
+HALF = Fraction(1, 2)
+
+
 def _thresholded(seed, start, count, p):
-    # reference: the whole block drawn at once, then compared with the threshold
+    # reference: the whole block drawn at once, then compared with the
+    # threshold, or at p = 1/2 unpacked, choice j being bit j & 63 of draw j >> 6
+    if p == HALF:
+        first = start >> 6
+        draws = stream_block(seed, first, ((start + count + 63) >> 6) - first)
+        bits = np.unpackbits(draws.view(np.uint8), bitorder="little").astype(bool)
+        return bits[start - 64 * first :][:count]
     t = threshold_u64(p)
     if t >= 1 << 64:
         return np.ones(count, dtype=bool)
     return stream_block(seed, start, count) < np.uint64(t)
+
+
+def _scalar_bits(seed, start, count):
+    """Choices [start, start + count) at p = 1/2 from stream_at: bit j & 63 of draw j >> 6."""
+    first = start >> 6
+    draws = [stream_at(seed, d) for d in range(first, (start + count + 63) >> 6)]
+    return [draws[(j >> 6) - first] >> (j & 63) & 1 == 1 for j in range(start, start + count)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    start=st.integers(0, 1 << 40) | st.integers(0, 200),
+    count=st.integers(0, 300)
+    | st.sampled_from([63, 64, 65, 64 * rng_mod._BIT_TILE - 1, 64 * rng_mod._BIT_TILE + 70]),
+    tile_draws=st.sampled_from([1, 2, 3, 5, rng_mod._BIT_TILE]),
+)
+@example(seed=(1 << 64) - 1, start=(1 << 40) + 37, count=64 * rng_mod._BIT_TILE + 70,
+         tile_draws=rng_mod._BIT_TILE)
+def test_half_choices_are_stream_bits(seed, start, count, tile_draws):
+    # the p = 1/2 path against the scalar reference, from starts inside a
+    # draw and across tile boundaries: narrow tiles put many in a call
+    want = _scalar_bits(seed, start, count)
+    with mock.patch.object(rng_mod, "_BIT_TILE", tile_draws):
+        assert bernoulli_block(seed, start, count, HALF).tolist() == want
+        out = np.zeros(count + 2, dtype=bool)
+        tiles = bernoulli_tiles(count + 3)  # wider than the call needs
+        bernoulli_block(seed, start, count, HALF, out=out[1 : count + 1], tiles=tiles)
+    assert out[1 : count + 1].tolist() == want and not out[0] and not out[-1]
 
 
 @pytest.mark.parametrize("p", BLOCK_PROBABILITIES)
@@ -138,9 +173,26 @@ def test_bernoulli_block_equals_thresholded_stream(count, p, seed, start):
         assert np.array_equal(bernoulli_block(seed, start, count, p, tiles=tiles), bits)
 
 
+def test_half_choices_hold_one_tile_of_unpacked_bits():
+    # a 2^21-choice piece at p = 1/2 unpacks one tile at a time into the
+    # caller's buffer: no uint8 temporary as large as the piece
+    count = 1 << 21
+    out, tiles = np.empty(count, dtype=bool), bernoulli_tiles(count)
+    bernoulli_block(3, 37, 1, HALF, tiles=tiles)  # builds the cached counter table
+    tracemalloc.start()
+    try:
+        bernoulli_block(3, 37, count, HALF, out=out, tiles=tiles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * rng_mod._BIT_TILE + (16 << 10) < count // 4
+    assert out.tolist() == _thresholded(3, 37, count, HALF).tolist()
+
+
 def test_top_bit_thresholds_skip_the_last_xor_shift(monkeypatch):
     # exactly the thresholds with t mod 2^33 = 0 leave the last step out;
-    # p = 0 and p = 1 mix no draws at all
+    # p = 0 and p = 1 mix no draws at all, and p = 1/2 mixes whole draws,
+    # whose every bit is a choice: TILE + 1 of them span one tile of 513 draws
     calls = []
     real = rng_mod._mix_tile
     monkeypatch.setattr(rng_mod, "_mix_tile", lambda *a: calls.append(a[3:]) or real(*a))
@@ -148,23 +200,32 @@ def test_top_bit_thresholds_skip_the_last_xor_shift(monkeypatch):
     for p in BLOCK_PROBABILITIES:
         calls.clear()
         bernoulli_block(5, 0, TILE + 1, p)
-        skipped[p] = [last for (last,) in calls]
-    top_bits = {Fraction(1, 2), Fraction(3, 4), Fraction(1, 4), Fraction(3, 8),
+        skipped[p] = [a[0] if a else True for a in calls]
+    top_bits = {Fraction(3, 4), Fraction(1, 4), Fraction(3, 8),
                 Fraction(1, 1 << 31), Fraction((1 << 31) - 1, 1 << 31)}
     assert skipped == {
-        p: [] if p in (0, 1) else [p not in top_bits] * 2 for p in BLOCK_PROBABILITIES
+        p: [] if p in (0, 1) else [True] if p == HALF else [p not in top_bits] * 2
+        for p in BLOCK_PROBABILITIES
     }
 
 
 def test_bernoulli_cursor_and_bits_unchanged():
-    # each call consumes exactly count draws, and gives the bits of those draws
+    # each call consumes exactly count draws, and gives the choices of those
+    # draws; at p = 1/2 it reads count bits from bit 64 * cursor and
+    # consumes ceil(count / 64) draws
     top = (1 << 64) - 2
     for p in PROBABILITIES:
         rng = CounterRng(top, cursor=5)
         cursor = 5
-        for count in [0, 1, TILE + 1, 7]:
+        for count in [0, 1, TILE + 1, 7, 64, 65]:
             bits = rng.bernoulli(p, count)
-            assert np.array_equal(bits, _thresholded(top, cursor, count, p))
-            cursor += count
+            if p == HALF:
+                assert bits.tolist() == _scalar_bits(top, 64 * cursor, count)
+                cursor += -(-count // 64)
+            else:
+                assert np.array_equal(bits, _thresholded(top, cursor, count, p))
+                cursor += count
             assert rng.cursor == cursor
         assert rng.next_u64() == stream_at(top, cursor)
+    low = [stream_at(3, 2) >> j & 1 == 1 for j in range(3)]
+    assert CounterRng(3, cursor=2).bernoulli(HALF, 3).tolist() == low

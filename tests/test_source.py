@@ -83,15 +83,17 @@ def test_no_environment_knobs():
 
 
 def test_one_bernoulli_route():
-    # ensembles draws edge choices through rng.bernoulli_block alone, never
-    # a raw uint64 block compared with a threshold of its own
-    raw = {"stream_block", "threshold_u64"}
+    # ensembles draws edge choices and gf2 draws rank-law matrices through
+    # rng.bernoulli_block alone, never a raw uint64 block of their own,
+    # compared with a threshold or cut into bits
+    raw = {"stream_block", "take", "threshold_u64"}
     found = []
-    for node in ast.walk(ast.parse(_sources()["ensembles.py"])):
-        if isinstance(node, ast.ImportFrom):
-            found += [f"{node.lineno} {a.name}" for a in node.names if a.name in raw]
-        elif isinstance(node, ast.Attribute) and node.attr in raw:
-            found.append(f"{node.lineno} .{node.attr}")
+    for name in ("ensembles.py", "gf2.py"):
+        for node in ast.walk(ast.parse(_sources()[name])):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name in raw]
+            elif isinstance(node, ast.Attribute) and node.attr in raw:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
     assert found == []
 
 
