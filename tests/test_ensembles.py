@@ -49,7 +49,7 @@ from hyperent.purity import (
     renyi2,
     state_purity,
 )
-from hyperent.rng import CounterRng, bernoulli_block, stream_at, threshold_u64
+from hyperent.rng import CounterRng, bernoulli_block, stream_at, stream_block, threshold_u64
 
 from reference import ref_ensemble_moments, ref_gf2_rank, ref_purity, ref_subsets
 
@@ -798,42 +798,93 @@ def test_cut_values_rank_route_past_63_qubits(a_mask):
         assert (p_row, s_row) == (math.ldexp(1.0, -rank), float(rank))
 
 
+def _share_stream_moments(spec, part, samples, seed, workers):
+    """Monte Carlo moments of per-share streams, through today's purity values and sums.
+
+    This is the layout Monte Carlo runs had before sample positions were
+    independent of the worker count: share w of the samples (contiguous,
+    the first samples % workers shares one longer) read its own stream,
+    seeded by draw w of the root stream, and its sample r read draws
+    [r u, (r + 1) u) of that stream, choice j made when draw j <
+    threshold_u64(p), at p = 1/2 too.  The draws are replayed here; the
+    purities, the per-chunk float sums, the merge in share order and the
+    estimate are the program's own, so the moments pinned for those
+    draws pin that they did not drift.
+    """
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    values = _cut_values(universe, part)
+    t = np.uint64(threshold_u64(spec.edge_probability))
+    base, extra = divmod(samples, workers)
+    merged = [0, 0.0, 0.0]
+    for w in range(workers):
+        count = base + (w < extra)
+        sums = [0, 0.0, 0.0]
+        for done in range(0, count, ensembles_mod._MC_CHUNK):
+            take = min(ensembles_mod._MC_CHUNK, count - done)
+            bits = stream_block(stream_at(seed, w), done * u, take * u) < t
+            p = values(bits.reshape(take, u))[0]
+            sums[0] += take
+            sums[1] += float(np.sum(p))
+            sums[2] += float(np.sum(p * p))
+        merged = [m + s for m, s in zip(merged, sums)]
+    return ensembles_mod._mc_estimate(*merged)
+
+
+def _pinned_moments(draws, spec, part, samples, seed, workers):
+    """(mean, variance) of mc_moments ("root") or of _share_stream_moments ("shares")."""
+    run = mc_moments if draws == "root" else _share_stream_moments
+    est = run(spec, part, samples, seed, workers=workers)
+    return est.mean, est.variance
+
+
+def _pin(draws, *values, id=None):
+    """A pytest param of (draws, *values) whose id names the values alone, as pytest would."""
+    return pytest.param(draws, *values, id=id or "-".join(map(str, values)))
+
+
 @pytest.mark.parametrize(
-    "workers, mean, variance",
+    "draws, workers, mean, variance",
     [
-        (1, 0.12717447916666666, 7.267249201984388e-05),
-        (2, 0.12717447916666666, 7.267249201984388e-05),
-        (3, 0.12717447916666666, 7.267249201984388e-05),
+        _pin("root", 1, 0.12717447916666666, 7.267249201984388e-05),
+        _pin("root", 2, 0.12717447916666666, 7.267249201984388e-05),
+        _pin("root", 3, 0.12717447916666666, 7.267249201984388e-05),
+        _pin("shares", 1, 0.12697916666666667, 5.853387158584007e-05),
+        _pin("shares", 2, 0.12682291666666667, 5.882373754528741e-05),
+        _pin("shares", 3, 0.1273046875, 6.29014235276424e-05),
     ],
 )
-def test_mc_statevector_bytes_pinned(workers, mean, variance):
+def test_mc_statevector_bytes_pinned(draws, workers, mean, variance):
     # the float summation grouping of Monte Carlo sums is part of the
     # byte-stable contract; these values must not drift.  Sample i is
     # the same at any worker count, and N=8 purities are multiples of
     # 2^-16, whose sums here are exact in any grouping
-    est = mc_moments(
-        EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4), 300, seed=5, workers=workers
-    )
-    assert (est.mean, est.variance) == (mean, variance)
+    spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4)
+    assert _pinned_moments(draws, spec, part, 300, 5, workers) == (mean, variance)
 
 
 @pytest.mark.parametrize(
-    "n, workers, mean, variance",
+    "draws, n, workers, mean, variance",
     [
-        (16, 1, 0.007912109375, 1.6134314563287512e-05),
-        (16, 2, 0.007912109375, 1.6134314563287512e-05),
-        (16, 3, 0.007912109375, 1.6134314563287512e-05),
-        (32, 1, 3.084564208984375e-05, 2.387795888964626e-10),
-        (32, 2, 3.084564208984375e-05, 2.387795888964626e-10),
-        (32, 3, 3.084564208984375e-05, 2.387795888964626e-10),
+        _pin("root", 16, 1, 0.007912109375, 1.6134314563287512e-05),
+        _pin("root", 16, 2, 0.007912109375, 1.6134314563287512e-05),
+        _pin("root", 16, 3, 0.007912109375, 1.6134314563287512e-05),
+        _pin("root", 32, 1, 3.084564208984375e-05, 2.387795888964626e-10),
+        _pin("root", 32, 2, 3.084564208984375e-05, 2.387795888964626e-10),
+        _pin("root", 32, 3, 3.084564208984375e-05, 2.387795888964626e-10),
+        _pin("shares", 16, 1, 0.007783203125, 1.4861003347132557e-05),
+        _pin("shares", 16, 2, 0.00776953125, 1.564623559338262e-05),
+        _pin("shares", 16, 3, 0.00773828125, 1.581050229704696e-05),
+        _pin("shares", 32, 1, 3.061676025390625e-05, 2.1371913802674453e-10),
+        _pin("shares", 32, 2, 3.094482421875e-05, 2.267078616250569e-10),
+        _pin("shares", 32, 3, 3.07464599609375e-05, 2.1868492996114177e-10),
     ],
 )
-def test_mc_rank_bytes_pinned(n, workers, mean, variance):
+def test_mc_rank_bytes_pinned(draws, n, workers, mean, variance):
     # ranks are exact, so the rank route's Monte Carlo output must not
     # drift, and it is the same at any worker count
-    part = Bipartition.from_first(n, n // 2)
-    est = mc_moments(EnsembleSpec(n, Family.CZ), part, 2000, seed=11, workers=workers)
-    assert (est.mean, est.variance) == (mean, variance)
+    spec, part = EnsembleSpec(n, Family.CZ), Bipartition.from_first(n, n // 2)
+    assert _pinned_moments(draws, spec, part, 2000, 11, workers) == (mean, variance)
 
 
 @settings(deadline=None)
@@ -884,34 +935,45 @@ def test_cut_ranks_takes_no_gather_for_an_identity_order(monkeypatch, n, n_a):
 
 
 @pytest.mark.parametrize(
-    "p, workers, mean, variance",
+    "draws, p, workers, mean, variance",
     [
-        (Fraction(1, 2), 1, 8.470329472543003e-22, 0.0),
-        (Fraction(1, 64), 1, 6.422314532035974e-13, 1.5842014902062807e-23),
-        (Fraction(1, 64), 2, 6.422314532035974e-13, 1.5842014902062807e-23),
+        _pin("root", Fraction(1, 2), 1, 8.470329472543003e-22, 0.0,
+             id="p0-1-8.470329472543003e-22-0.0"),
+        _pin("root", Fraction(1, 64), 1, 6.422314532035974e-13, 1.5842014902062807e-23,
+             id="p1-1-6.422314532035974e-13-1.5842014902062807e-23"),
+        _pin("root", Fraction(1, 64), 2, 6.422314532035974e-13, 1.5842014902062807e-23,
+             id="p2-2-6.422314532035974e-13-1.5842014902062807e-23"),
+        _pin("shares", Fraction(1, 64), 1, 5.345624868683766e-13, 3.6060247681703556e-24,
+             id="p1-1-5.345624868683766e-13-3.6060247681703556e-24"),
+        _pin("shares", Fraction(1, 64), 2, 4.566088248244189e-13, 2.936508970717267e-24,
+             id="p2-2-4.566088248244189e-13-2.936508970717267e-24"),
     ],
 )
-def test_mc_rank_bytes_pinned_two_word_rows(p, workers, mean, variance):
+def test_mc_rank_bytes_pinned_two_word_rows(draws, p, workers, mean, variance):
     # N=150, N_A=70: 80 columns, so every cut row spans two words; at
     # p = 1/64 the cut blocks are sparse and rank defects are common
     spec = EnsembleSpec(150, Family.CZ, edge_probability=p)
-    est = mc_moments(spec, Bipartition.from_first(150, 70), 300, seed=2, workers=workers)
-    assert (est.mean, est.variance) == (mean, variance)
+    part = Bipartition.from_first(150, 70)
+    assert _pinned_moments(draws, spec, part, 300, 2, workers) == (mean, variance)
 
 
 @pytest.mark.parametrize(
-    "scope, workers, mean, variance",
+    "draws, scope, workers, mean, variance",
     [
-        (Scope.CROSS_ONLY, 1, 0.06595833333333333, 0.00022769916361009297),
-        (Scope.CROSS_ONLY, 3, 0.06595833333333333, 0.00022769916361009297),
-        (Scope.ALL_EDGES, 1, 0.066375, 0.00023506272924308052),
-        (Scope.ALL_EDGES, 3, 0.066375, 0.00023506272924308052),
+        _pin("root", Scope.CROSS_ONLY, 1, 0.06595833333333333, 0.00022769916361009297),
+        _pin("root", Scope.CROSS_ONLY, 3, 0.06595833333333333, 0.00022769916361009297),
+        _pin("root", Scope.ALL_EDGES, 1, 0.066375, 0.00023506272924308052),
+        _pin("root", Scope.ALL_EDGES, 3, 0.066375, 0.00023506272924308052),
+        _pin("shares", Scope.CROSS_ONLY, 1, 0.066375, 0.00023506272924308052),
+        _pin("shares", Scope.CROSS_ONLY, 3, 0.0661875, 0.0002247585132544185),
+        _pin("shares", Scope.ALL_EDGES, 1, 0.06547916666666667, 0.00017738160984216936),
+        _pin("shares", Scope.ALL_EDGES, 3, 0.06564583333333333, 0.00018678057616427688),
     ],
 )
-def test_mc_rank_bytes_pinned_scattered_cut(scope, workers, mean, variance):
+def test_mc_rank_bytes_pinned_scattered_cut(draws, scope, workers, mean, variance):
     part = Bipartition(12, 0b101101110101)  # n_a = 8, n_b = 4
-    est = mc_moments(EnsembleSpec(12, Family.CZ, scope=scope), part, 3000, seed=21, workers=workers)
-    assert (est.mean, est.variance) == (mean, variance)
+    spec = EnsembleSpec(12, Family.CZ, scope=scope)
+    assert _pinned_moments(draws, spec, part, 3000, 21, workers) == (mean, variance)
 
 
 def _batch_rows(monkeypatch, kernel):
