@@ -19,19 +19,24 @@ state contains gives, by Walsh-Hadamard and subset transforms, a table
 over sets of distinct parts; the subsets' products of the two sides'
 entries are gathered into one 2^u int64 array a cache-sized block at a
 time, and one subset transform over it yields the numerators, with no
-state, sign row or Gram matrix built.  Monte Carlo draws edge choices
-and purity computes each piece: :func:`purity._cut_values` returns
-every sample's purity and entropy as floats, by the route, limits,
-batches and BLAS policy it picks for the universe.
+state, sign row or Gram matrix built.  Monte Carlo sums what purity
+makes of each piece: :func:`purity._cut_sampler` hands it a draw and a
+values function, and ``values(draw(...))`` is every sample's purity and
+entropy as floats, by the draw, route, limits, batches and BLAS policy
+it picks for the universe.
 
 Monte Carlo memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
-choices, one bool each (2 MiB), into one buffer that every piece of a
-share reuses.  :func:`rng.bernoulli_block` fills it one tile at a time
-through a pair of uint64 tiles that the share also reuses: at p = 1/2
-a tile of 2^12 draws, whose 2^18 bits it unpacks (256 KiB) and copies
-in, else a tile of 2^15 draws (256 KiB) that it thresholds in.  Purity
-then holds only what it makes of one piece.
+choices.  A universe that is the cut block itself at p = 1/2 (the
+``moments --family cz`` default) takes the word route: each piece is
+read as packed cut blocks straight from the stream's bits, one bit per
+choice, with no bool made.  Every other universe takes the bool route:
+each piece is drawn one bool per choice (2 MiB) into one buffer that
+every piece of a share reuses, which :func:`rng.bernoulli_block` fills
+one tile at a time through a pair of uint64 tiles that the share also
+reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks
+(256 KiB) and copies in, else a tile of 2^15 draws (256 KiB) that it
+thresholds in.  Purity then holds only what it makes of one piece.
 
 Exhaustive moments are exact: purity numerators are integers, subsets
 are tallied by (edge count, numerator), weights are exact rationals,
@@ -56,8 +61,8 @@ from itertools import combinations, compress, repeat
 import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
-from .purity import _cut_values, _edge_masks, _side_index, check_qubit_cap
-from .rng import CounterRng, bernoulli_block, bernoulli_tiles
+from .purity import _cut_sampler, _edge_masks, _side_index, check_qubit_cap
+from .rng import CounterRng
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # edge choices of one piece of a chunk, which bounds sampling memory
@@ -549,21 +554,16 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     """
     spec, part, seed, first, count = args
     universe = edge_universe(spec, part)
-    u = len(universe)
-    values = _cut_values(universe, part)
-    rows = max(1, _MC_PIECE_DRAWS // max(1, u))
-    buf = np.empty(min(rows, _MC_CHUNK, count) * u, dtype=bool)  # every piece's edge choices
-    tiles = bernoulli_tiles(buf.size)  # and the uint64 tiles they are mixed in
+    rows = max(1, min(_MC_PIECE_DRAWS // max(1, len(universe)), _MC_CHUNK, count))
+    draw, values = _cut_sampler(universe, part, spec.edge_probability, rows)
     sums = [0, 0.0, 0.0, 0.0, 0.0]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
-        pieces = []  # (purity, entropy) arrays, drawn rows at a time to bound memory
-        for r in range(done, done + take, rows):
-            k = min(rows, done + take - r)
-            bits = bernoulli_block(
-                seed, (first + r) * u, k * u, spec.edge_probability, out=buf[: k * u], tiles=tiles
-            )
-            pieces.append(values(bits.reshape(k, u)))
+        # (purity, entropy) arrays, drawn rows at a time to bound memory
+        pieces = [
+            values(draw(seed, first + r, min(rows, done + take - r)))
+            for r in range(done, done + take, rows)
+        ]
         p, s2 = (np.concatenate(arrays) for arrays in zip(*pieces))
         sums[0] += take
         sums[1] += float(np.sum(p))

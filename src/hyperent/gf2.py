@@ -7,7 +7,8 @@ smallest unsigned type that holds it (uint8, uint16 or uint32), and a
 wider row is ceil(cols / 64) uint64 words, column j at word j >> 6, bit
 j & 63.  Padding bits are zero.  Narrow words move 2-8x fewer bytes per
 whole-array step than uint64 ones.  :func:`pack_rows` is the one packer
-of that format, for single graphs' and ensembles' cut blocks alike.
+of 0/1 entries into that format, for single graphs' and ensembles' cut
+blocks alike; uniform stacks are read into it straight from the stream.
 :func:`eliminate` is the one elimination loop of the package: it
 reduces a whole stack of matrices at once, row by row, with the lowest
 set bit of each row as its pivot and no row swaps, and returns the
@@ -19,28 +20,27 @@ with whole-array operations, with no per-matrix index gather, so a
 stack of one-word rows costs little more than its XORs.
 
 The rank law samples uniform n x n matrices the way ensembles sample
-edges: :func:`_random_words` takes p = 1/2 choices from
-:func:`rng.bernoulli_block` and packs them with :func:`pack_rows`, with
-no draw path of its own.  Matrix i of a law read from choice ``start``
-on is choices [start + i n^2, start + (i + 1) n^2), row-major, so it is
-bit for bit the cut block of CZ sample i at N = 2n, n|n, whose cross
-universe in lexicographic order is that block, row-major.  Matrices are
-ranked in batches of at most ``_RANK_BATCH`` (4096) matrices and
-``_BATCH_TARGET_WORDS`` (2^18) packed words, so each batch stays
-cache-sized, and a batch is drawn in pieces of at most
-``_PIECE_CHOICES`` (2^21) choices, so the bools unpacked at once stay
-within 2 MiB while a batch of wide matrices still amortises the
-elimination's per-row steps over many of them (16 at n = 1024).
+edges at p = 1/2: :func:`_random_words` reads them packed, in the
+``word_dtype`` layout, straight from the stream's bits with
+:func:`rng.half_rows`, which makes no bool.  Matrix i of a law read from
+choice ``start`` on is choices [start + i n^2, start + (i + 1) n^2),
+row-major, so it is bit for bit the cut block of CZ sample i at N = 2n,
+n|n, whose cross universe in lexicographic order is that block,
+row-major.  Matrices are drawn and ranked in batches of at most
+``_RANK_BATCH`` (4096) matrices and ``_BATCH_TARGET_WORDS`` (2^18)
+packed words, so each batch stays cache-sized while a batch of wide
+matrices still amortises the elimination's per-row steps over many of
+them (16 at n = 1024), and each batch's defects are tallied by one
+bincount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .rng import CounterRng, bernoulli_block, bernoulli_tiles
+from .rng import CounterRng, half_rows
 
 
 def _n_words(cols: int) -> int:
@@ -123,25 +123,14 @@ def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     return np.count_nonzero(eliminate(words).any(axis=2), axis=1).astype(np.int64)
 
 
-def _random_words(
-    count: int,
-    rows: int,
-    cols: int,
-    seed: int,
-    start: int,
-    out: np.ndarray | None = None,
-    tiles: np.ndarray | None = None,
-) -> np.ndarray:
+def _random_words(count: int, rows: int, cols: int, seed: int, start: int) -> np.ndarray:
     """(count, rows, words) packed stack of uniform rows x cols matrices, in ``word_dtype(cols)``.
 
     Entry (m, r, c) is p = 1/2 choice start + (m rows + r) cols + c of the
-    seed's stream: matrix by matrix and row-major.  The choices go
-    through ``out`` and ``tiles`` as :func:`rng.bernoulli_block` takes
-    them.
+    seed's stream: matrix by matrix and row-major, read by
+    :func:`rng.half_rows`.
     """
-    size = count * rows * cols
-    bits = bernoulli_block(seed, start, size, Fraction(1, 2), out=out, tiles=tiles)
-    return pack_rows(bits.reshape(count, rows, cols))
+    return half_rows(seed, start, count * rows, cols, word_dtype(cols)).reshape(count, rows, -1)
 
 
 @dataclass
@@ -172,7 +161,6 @@ class RankHistogram:
 
 
 _BATCH_TARGET_WORDS = 1 << 18  # packed words of one batch_rank call: 2 MiB of uint64
-_PIECE_CHOICES = 1 << 21  # unpacked choices of one draw, as ensembles' Monte Carlo pieces
 _RANK_BATCH = 4096  # matrices per batch_rank call: 16 x 16 stacks of 512 KiB
 
 
@@ -180,31 +168,22 @@ def _rank_law(n: int, samples: int, seed: int, start: int) -> RankHistogram:
     """Rank-defect histogram of the n x n matrices read from choice start of the seed's stream.
 
     Matrix i is choices [start + i n^2, start + (i + 1) n^2).  Each
-    batch is drawn in pieces of whole matrices, each piece from the
-    choice of its first matrix on, so the histogram depends on neither
-    the batch nor the piece size.
+    batch is read from the choice of its first matrix on, so the
+    histogram does not depend on the batch size.  Only observed defects
+    enter the histogram.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    hist = RankHistogram(n)
-    cells = n * n
     chunk = max(1, min(_RANK_BATCH, samples, _BATCH_TARGET_WORDS // (n * _n_words(n))))
-    piece = max(1, min(chunk, _PIECE_CHOICES // cells))
-    words = np.empty((chunk, n, _n_words(n)), dtype=word_dtype(n))
-    buf = np.empty(piece * cells, dtype=bool)  # every piece's choices
-    tiles = bernoulli_tiles(buf.size)
+    tally = np.zeros(n + 1, dtype=np.int64)
     for done in range(0, samples, chunk):
-        take = min(chunk, samples - done)
-        for lo in range(0, take, piece):
-            k = min(piece, take - lo)
-            first = start + (done + lo) * cells
-            words[lo : lo + k] = _random_words(k, n, n, seed, first, buf[: k * cells], tiles)
-        defects = n - batch_rank(words[:take], n)
-        values, counts = np.unique(defects, return_counts=True)
-        for s, c in zip(values.tolist(), counts.tolist()):
-            hist.add(s, c)
+        words = _random_words(min(chunk, samples - done), n, n, seed, start + done * n * n)
+        tally += np.bincount(n - batch_rank(words, n), minlength=n + 1)
+    hist = RankHistogram(n)
+    for s in np.flatnonzero(tally).tolist():
+        hist.add(s, int(tally[s]))
     return hist
 
 

@@ -27,8 +27,12 @@ routes, chosen by the cross edges:
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
   BLAS matmul that stays exact.
 
-The ensembles' Monte Carlo enters at :func:`_cut_values`, which picks
-a universe's route (the GF(2) rank route below for 2-edges, else
+The ensembles' Monte Carlo enters at :func:`_cut_sampler`, which picks
+how a universe's pieces are drawn and valued.  A universe that is the
+cut block itself, at p = 1/2, is read as packed blocks straight from the
+stream (``gf2._random_words``, the rank law's matrices) and ranked.
+Any other is drawn as bools and valued by :func:`_cut_values`, which
+picks the route (the GF(2) rank route below for 2-edges, else
 :func:`_numerators`), refuses a cut past that route's limit, and runs
 the sampler's numerators alone inside :func:`_one_blas_thread`: the
 caller and the forked children of a worker split compute at once, and
@@ -63,6 +67,7 @@ import numpy as np
 
 from . import gf2
 from .hypergraph import Bipartition, Edge, Hypergraph
+from .rng import bernoulli_block, bernoulli_tiles
 
 
 def renyi2(p) -> float:
@@ -475,10 +480,19 @@ def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.nda
     return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
-def _rank_values(order: np.ndarray, part: Bipartition, bits: np.ndarray):
-    """(purity 2**-rank, entropy rank) as float64 per row of 2-edge choices."""
-    ranks = _cut_ranks(bits, order, part)
+def _rank_floats(ranks: np.ndarray):
+    """(purity 2**-rank, entropy rank) as float64 arrays."""
     return np.ldexp(1.0, -ranks), ranks.astype(np.float64)
+
+
+def _rank_values(order: np.ndarray, part: Bipartition, bits: np.ndarray):
+    """(purity, entropy) as float64 per row of 2-edge choices, from its cut block's rank."""
+    return _rank_floats(_cut_ranks(bits, order, part))
+
+
+def _block_values(cols: int, words: np.ndarray):
+    """(purity, entropy) as float64 per cut block of a packed (batch, rows, words) stack."""
+    return _rank_floats(gf2.batch_rank(words, cols))
 
 
 def _numerator_values(cross, a_parts, b_parts, side: Bipartition, bits: np.ndarray):
@@ -490,7 +504,7 @@ def _numerator_values(cross, a_parts, b_parts, side: Bipartition, bits: np.ndarr
 
 
 def _cut_values(universe: list[Edge], part: Bipartition):
-    """The Monte Carlo entry: a function of (batch, universe) 0/1 edge choices of a cut.
+    """Values of Monte Carlo bools: a function of (batch, universe) 0/1 edge choices of a cut.
 
     It returns float64 (purity, Renyi-2 entropy) arrays, one entry per
     row.  Each route's limit is checked here, before any edge is
@@ -522,3 +536,51 @@ def _cut_values(universe: list[Edge], part: Bipartition):
                 f"{row_bytes} bytes, over the {_SAMPLE_BYTES}-byte budget"
             )
     return functools.partial(_numerator_values, *_cross_parts(_edge_masks(universe), side), side)
+
+
+def _block_draw(part: Bipartition, seed: int, first: int, count: int) -> np.ndarray:
+    """Packed cut blocks of samples [first, first + count) at p = 1/2 of the block universe.
+
+    Sample i's block is choices [i u, (i + 1) u) of the seed's stream,
+    row-major, with u = n_A n_B: ``gf2._random_words``, the rank law's
+    matrices.
+    """
+    size = part.n_a * part.n_b
+    return gf2._random_words(count, part.n_a, part.n_b, seed, first * size)
+
+
+def _choice_draw(p: Fraction, u: int, rows: int):
+    """draw(seed, first, count): (count, u) bools of samples [first, first + count).
+
+    Sample i's row is choices [i u, (i + 1) u); count is at most rows.
+    Every call draws through ``rng.bernoulli_block`` into one bool buffer
+    of rows * u choices and one pair of uint64 tiles, allocated here once.
+    """
+    buf = np.empty(rows * u, dtype=bool)
+    tiles = bernoulli_tiles(buf.size)
+
+    def draw(seed: int, first: int, count: int) -> np.ndarray:
+        bits = bernoulli_block(seed, first * u, count * u, p, out=buf[: count * u], tiles=tiles)
+        return bits.reshape(count, u)
+
+    return draw
+
+
+def _cut_sampler(universe: list[Edge], part: Bipartition, p: Fraction, rows: int):
+    """The Monte Carlo entry: (draw, values) of a cut's universe at edge probability p.
+
+    ``values(draw(seed, first, count))`` is the float64 (purity, Renyi-2
+    entropy) pair of arrays of samples [first, first + count) of the
+    seed's stream, count at most rows, sample i keeping the edges whose
+    choices [i u, (i + 1) u) are made.  A universe that is the cut block
+    itself, row-major (a cross universe of 2-edges with A the lowest
+    qubits), at p = 1/2 is drawn as packed blocks, straight from the
+    stream's bits (:func:`_block_draw`), and ranked as they come.  Every
+    other universe is drawn as bools (:func:`_choice_draw`), and
+    :func:`_cut_values` turns them into purities, by the route, limits
+    and batches it picks.  Both give the same floats for the same
+    choices.
+    """
+    if p == Fraction(1, 2) and universe == list(map(tuple, cut_cells(part).tolist())):
+        return functools.partial(_block_draw, part), functools.partial(_block_values, part.n_b)
+    return _choice_draw(p, len(universe), rows), _cut_values(universe, part)

@@ -33,11 +33,19 @@ of a whole block is held.  When the threshold is a multiple of 2**33
 (every p != 1/2 whose denominator is a power of two up to 2**31) the
 final xor-shift cannot change the comparison and is skipped; see
 :func:`bernoulli_block`.
+
+The p = 1/2 layout also has a packed form, :func:`half_rows`: the
+stream read as one little-endian bit string, choice ``j`` at bit
+``j & 7`` of byte ``j >> 3`` of the draws' bytes, cut into rows of
+``cols`` consecutive choices and padded to whole words.  It is the
+bools of :func:`bernoulli_block` at p = 1/2, packed, with no bool ever
+made.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +53,7 @@ import numpy as np
 GAMMA = 0x9E3779B97F4A7C15
 _TILE = 1 << 15  # draws per tile of stream_block and bernoulli_block: 256 KiB of uint64
 _BIT_TILE = _TILE >> 3  # draws per tile of bernoulli_block at p = 1/2: 2^18 choices
+_ROW_TILE = _TILE  # draws per tile of half_rows: 256 KiB of packed choices
 _HALF = Fraction(1, 2)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -171,6 +180,61 @@ def bernoulli_block(
         _mix_tile(tile[:n], scratch[:n], seed + (start + lo) * GAMMA, last)
         np.less(tile[:n], np.uint64(t), out=bits[lo : lo + n])
     return bits
+
+
+def half_rows(seed: int, start: int, count: int, cols: int, dtype) -> np.ndarray:
+    """(count, words) rows of cols p = 1/2 choices each, from choice start on, packed.
+
+    Row r holds choices [start + r cols, start + (r + 1) cols), choice
+    start + r cols + c at bit c of the row: bit c mod b of word c // b,
+    for the b-bit unsigned word type dtype.  A row takes the fewest
+    words that hold cols bits, and its padding bits are zero, so with
+    dtype ``gf2.word_dtype(cols)`` the rows are
+    ``gf2.pack_rows(bernoulli_block(seed, start, count * cols, 1/2)
+    .reshape(count, cols))``, made without a bool.
+
+    Row r starts at bit (start + r cols) & 7 of byte (start + r cols) >> 3
+    of the draws' bytes, and rows period = 8 / gcd(cols, 8) apart start
+    at the same bit, period * cols / 8 bytes apart.  So each of the
+    period bit phases is one strided view of the draws' bytes: a row at
+    bit 0 is its bytes as they are (every row, when start and cols are
+    multiples of 8), and a row at bit f > 0 takes byte j of the view as
+    (view[j] >> f) | (view[j + 1] << 8 - f).  Bits past cols in a row's
+    last byte are cleared.  The draws are made by :func:`stream_block`
+    one tile of at most ``_ROW_TILE`` draws at a time (or of one row, for
+    rows wider than that), and each tile's rows are copied out before
+    the next, so a call holds its output and one tile.
+    """
+    dtype = np.dtype(dtype)
+    row_bytes = -(-cols // (8 * dtype.itemsize)) * dtype.itemsize
+    full = (cols + 7) >> 3  # bytes that hold a row's bits
+    out = np.empty((count, row_bytes), dtype=np.uint8)
+    out[:, full:] = 0
+    period = 8 // math.gcd(cols, 8)
+    step = period * cols >> 3  # bytes between rows of one phase
+    rows = max(1, (_ROW_TILE - 2) * 64 // cols)  # rows per tile
+    for lo in range(0, count, rows):
+        m = min(rows, count - lo)
+        first = start + lo * cols
+        offset = first & 63  # bit of the tile's first draw where row lo starts
+        # the last row's view reads one byte past its bits
+        src = stream_block(seed, first >> 6, ((offset + (m - 1) * cols >> 3) + full + 8) >> 3)
+        src = src.view(np.uint8)
+        for k in range(min(period, m)):
+            bit = offset + k * cols
+            phase, n = bit & 7, (m - k + period - 1) // period
+            view = np.lib.stride_tricks.as_strided(
+                src[bit >> 3 :], shape=(n, full + 1), strides=(step, 1), writeable=False
+            )
+            dst = out[lo + k : lo + m : period, :full]
+            if phase:
+                np.right_shift(view[:, :full], phase, out=dst)
+                dst |= view[:, 1:] << 8 - phase
+            else:
+                dst[...] = view[:, :full]
+    if cols & 7:
+        out[:, full - 1] &= (1 << (cols & 7)) - 1
+    return out.view(dtype)
 
 
 class CounterRng:

@@ -454,6 +454,11 @@ def test_rankdist_bytes_independent_of_core_count(capsys, monkeypatch):
     [
         "moments --family cz --n 16,32 --samples 20000 --seed 3",
         "rankdist --n 16 --samples 100000 --seed 99",
+        # shares that start inside a byte, and two-word rows
+        "rankdist --n 5 --samples 20000 --seed 98",
+        "rankdist --n 70 --samples 601 --seed 97",
+        # n_B = 5 and 17: cut-block rows that are not whole bytes
+        "moments --family cz --n 10,34 --samples 20000 --seed 2",
     ],
 )
 def test_rank_route_bytes_independent_of_workers(capsys, monkeypatch, argv):

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperent.ensembles as ensembles_mod
+import hyperent.gf2 as gf2_mod
 import hyperent.purity as purity_mod
 from hyperent.ensembles import (
     EnsembleSpec,
@@ -40,6 +41,7 @@ from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
     _cross_parts,
     _cut_ranks,
+    _cut_sampler,
     _cut_values,
     _edge_masks,
     _numerators,
@@ -280,19 +282,24 @@ def _cell_positions(universe, part):
 
 
 def _assert_kernels_agree_on_drawn_bits(monkeypatch, spec, part, samples, seed):
-    """Record the edge choices a 2-edge Monte Carlo run ranks, then square them instead."""
-    drawn = []
+    """Record the cut blocks a 2-edge Monte Carlo run ranks, then square their graphs instead.
 
-    def recording(bits, order, part):
-        drawn.append(bits)
-        return _cut_ranks(bits, order, part)
-
-    monkeypatch.setattr(purity_mod, "_cut_ranks", recording)
+    Every route ranks packed cut blocks, so the blocks are recorded as
+    gf2.batch_rank gets them; in a cross universe every edge is a cut
+    cell, so they are the samples' whole edge choices.
+    """
+    ranked = []
+    real = gf2_mod.batch_rank
+    monkeypatch.setattr(gf2_mod, "batch_rank", lambda w, c: ranked.append(w) or real(w, c))
     mc_moments(spec, part, samples, seed)
-    bits = np.concatenate(drawn)
+    blocks = np.unpackbits(np.concatenate(ranked).view(np.uint8), axis=-1, bitorder="little")
+    assert blocks.shape[:2] == (samples, part.n_a)
     universe = edge_universe(spec, part)
-    assert bits.shape == (samples, len(universe))
-    ranks = _cut_ranks(bits, _cell_positions(universe, part), part)
+    order = _cell_positions(universe, part)
+    assert sorted(order.tolist()) == list(range(len(universe)))
+    bits = np.zeros((samples, len(universe)), dtype=bool)
+    bits[:, order] = blocks[..., : part.n_b].reshape(samples, -1)
+    ranks = _cut_ranks(bits, order, part)
     nums = _universe_numerators(universe, part, bits)
     assert nums.tolist() == [1 << (2 * spec.n_qubits - r) for r in ranks.tolist()]
 
@@ -1309,20 +1316,47 @@ def test_mc_sampling_memory_bound():
 
 
 def test_stream_worker_reuses_its_buffers(monkeypatch):
-    # every piece of a share is drawn into the one bool buffer and mixed in
-    # the one pair of uint64 tiles, allocated once per share
-    spec, part = EnsembleSpec(16, Family.CZ), Bipartition.from_first(16, 8)
+    # every piece of a share drawn as bools is drawn into the one bool
+    # buffer and mixed in the one pair of uint64 tiles, allocated once per share
+    spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 3)
+    u = len(edge_universe(spec, part))
     whole = entropy_stats(spec, part, samples=300, seed=6)
     calls = []
-    real = ensembles_mod.bernoulli_block
+    real = purity_mod.bernoulli_block
     spy = lambda *a, out, tiles: calls.append((out, tiles)) or real(*a, out=out, tiles=tiles)
-    monkeypatch.setattr(ensembles_mod, "bernoulli_block", spy)
-    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * 64)
+    monkeypatch.setattr(purity_mod, "bernoulli_block", spy)
+    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * u)
     assert entropy_stats(spec, part, samples=300, seed=6) == whole
     assert len(calls) == 43
     assert len({id(out.base) for out, _ in calls}) == 1
     assert len({id(tiles) for _, tiles in calls}) == 1
-    assert calls[0][1].shape == (2, 7 * 64) and calls[0][1].dtype == np.uint64
+    assert calls[0][1].shape == (2, 7 * u) and calls[0][1].dtype == np.uint64
+
+
+@pytest.mark.parametrize("n, n_a, p, scope, words", [
+    (16, 8, Fraction(1, 2), Scope.CROSS_ONLY, True),
+    (11, 5, Fraction(1, 2), Scope.CROSS_ONLY, True),
+    (16, 8, Fraction(3, 10), Scope.CROSS_ONLY, False),
+    (16, 8, Fraction(1, 2), Scope.ALL_EDGES, False),
+])
+def test_cut_sampler_reads_block_universes_as_words(monkeypatch, n, n_a, p, scope, words):
+    # a universe that is the cut block itself, at p = 1/2, is drawn packed,
+    # with no bool; any other is drawn as bools; both give the floats that
+    # _cut_values makes of the samples' bools
+    spec = EnsembleSpec(n, Family.CZ, edge_probability=p, scope=scope)
+    part = Bipartition.from_first(n, n_a)
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    drawn = []
+    real = purity_mod.bernoulli_block
+    spy = lambda *a, **k: drawn.append(a) or real(*a, **k)  # noqa: E731
+    monkeypatch.setattr(purity_mod, "bernoulli_block", spy)
+    draw, values = _cut_sampler(universe, part, p, 40)
+    got = values(draw(9, 30, 40))
+    assert bool(drawn) != words
+    bits = bernoulli_block(9, 30 * u, 40 * u, p).reshape(40, u)
+    want = _cut_values(universe, part)(bits)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hyperent.formulas import rank_defect_probability
 from hyperent.gf2 import (
     RankHistogram,
     _random_words,
+    _rank_law,
     batch_rank,
     empirical_rank_distribution,
     pack_rows,
@@ -335,7 +337,7 @@ def test_rank_batches_capped_by_matrices_and_words(monkeypatch):
 @pytest.mark.parametrize(
     "n, samples, cap, pieces",
     [
-        # 2^21 // 300^2 = 23 matrices of unpacked choices per piece, one batch
+        # 2^21 // 300^2 = 23 matrices of choices per piece
         (300, 30, 1 << 21, [23, 7]),
         (5, 60, 3 * 25 + 24, [3] * 20),
         (16, 45, 7 * 256, [7] * 6 + [3]),
@@ -343,16 +345,40 @@ def test_rank_batches_capped_by_matrices_and_words(monkeypatch):
     ],
 )
 def test_rank_law_draws_pieces_of_choices(monkeypatch, n, samples, cap, pieces):
-    # each batch is drawn in pieces of whole matrices within the choice cap,
-    # and the pieces move neither the counts nor the batches
+    # a word cap holding the packed words of cap // n^2 whole matrices draws
+    # each batch as one piece of that many matrices from the stream, and the
+    # pieces move neither the counts nor the cursor
     drawn = []
     real = gf2_mod._random_words
     spy = lambda count, *args: drawn.append(count) or real(count, *args)  # noqa: E731
     monkeypatch.setattr(gf2_mod, "_random_words", spy)
     sizes = _batch_sizes(monkeypatch)
-    whole = empirical_rank_distribution(n, samples, CounterRng(31, cursor=5)).counts
-    batches, drawn[:] = list(sizes), []
-    sizes.clear()
-    monkeypatch.setattr(gf2_mod, "_PIECE_CHOICES", cap)
-    assert empirical_rank_distribution(n, samples, CounterRng(31, cursor=5)).counts == whole
-    assert drawn == pieces and sizes == batches == [samples]
+    rng = CounterRng(31, cursor=5)
+    whole = empirical_rank_distribution(n, samples, rng).counts
+    assert drawn == sizes == [samples]
+    cursor, drawn[:], sizes[:] = rng.cursor, [], []
+    words = cap // (n * n) * n * ((n + 63) // 64)
+    monkeypatch.setattr(gf2_mod, "_BATCH_TARGET_WORDS", words)
+    rng = CounterRng(31, cursor=5)
+    assert empirical_rank_distribution(n, samples, rng).counts == whole
+    assert drawn == sizes == pieces and rng.cursor == cursor
+
+
+def test_rank_law_holds_packed_batches_only():
+    # each batch's matrices are read packed from the stream: at n = 1024 a
+    # batch is 16 matrices, 2 MiB of uint64 words, whose choices as bools
+    # would take 16 MiB; the law peaks below 4 batches' packed words (the
+    # stack, the elimination's working copy and its temporaries)
+    n, samples = 1024, 32
+    batch = gf2_mod._BATCH_TARGET_WORDS // (n * 16)
+    packed = 8 * batch * n * 16
+    assert (batch, packed) == (16, 2 << 20)
+    _rank_law(n, 1, 5, 0)  # builds the cached counter table
+    tracemalloc.start()
+    try:
+        hist = _rank_law(n, samples, 5, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.samples == samples and all(hist.counts.values())  # observed defects only
+    assert peak < 4 * packed < batch * n * n

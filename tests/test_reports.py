@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperent import gf2, purity, reports
+from hyperent import gf2, reports
 from hyperent.ensembles import EnsembleSpec, Family, MomentEstimate, edge_universe, mc_moments
 from hyperent.hypergraph import Bipartition
-from hyperent.rng import CounterRng
+from hyperent.rng import CounterRng, bernoulli_block
 
 
 def test_closed_form_columns_by_family():
@@ -80,14 +80,16 @@ def test_rank_law_matrix_is_cz_cut_block(monkeypatch, n):
     seed, samples = 17, 300
     spec, part = EnsembleSpec(2 * n, Family.CZ), Bipartition.from_first(2 * n, n)
     assert edge_universe(spec, part) == [(a, n + b) for a in range(n) for b in range(n)]
-    drawn = []
-    real = purity._cut_ranks
-    record = lambda bits, *args: drawn.append(bits.copy()) or real(bits, *args)  # noqa: E731
-    monkeypatch.setattr(purity, "_cut_ranks", record)
+    ranked = []
+    real = gf2.batch_rank
+    monkeypatch.setattr(gf2, "batch_rank", lambda w, c: ranked.append(w.copy()) or real(w, c))
     mc_moments(spec, part, samples, seed)
-    blocks = np.concatenate(drawn).reshape(samples, n, n)
+    monkeypatch.undo()
+    # the blocks the CZ Monte Carlo ranks are its samples' choices, packed
+    bits = bernoulli_block(seed, 0, samples * n * n, Fraction(1, 2)).reshape(samples, n, n)
     words = gf2._random_words(samples, n, n, seed, 0)
-    assert np.array_equal(gf2.pack_rows(blocks), words)
+    assert np.array_equal(np.concatenate(ranked), gf2.pack_rows(bits))
+    assert np.array_equal(np.concatenate(ranked), words)
     defects = Counter((n - gf2.batch_rank(words, n)).tolist())
     assert reports.rank_distribution(n, samples, seed, workers=2).counts == defects
     # the public law reads the same matrices from bit 64 * cursor on

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperent.rng as rng_mod
+from hyperent.gf2 import pack_rows, word_dtype
 from hyperent.rng import (
     _TILE as TILE,
     GAMMA,
     CounterRng,
     bernoulli_block,
     bernoulli_tiles,
+    half_rows,
     mix64,
     stream_at,
     stream_block,
@@ -150,6 +152,30 @@ def test_half_choices_are_stream_bits(seed, start, count, tile_draws):
         tiles = bernoulli_tiles(count + 3)  # wider than the call needs
         bernoulli_block(seed, start, count, HALF, out=out[1 : count + 1], tiles=tiles)
     assert out[1 : count + 1].tolist() == want and not out[0] and not out[-1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(-(1 << 70), -1)
+    | st.integers(1 << 64, 1 << 70)
+    | st.integers(0, (1 << 64) - 1),
+    start=st.integers(0, 1 << 40) | st.integers(0, 200),
+    cols=st.integers(1, 200),
+    count=st.integers(0, 300),
+    tile_draws=st.sampled_from([1, 3, 5, 8, 17, rng_mod._ROW_TILE]),
+)
+@example(seed=-1, start=(1 << 40) + 3, cols=193, count=70, tile_draws=5)
+@example(seed=1 << 64, start=5, cols=16, count=300, tile_draws=17)
+def test_half_rows_are_packed_half_choices(seed, start, cols, count, tile_draws):
+    # the packed reader against bernoulli_block's bools, packed: seeds
+    # reduced mod 2^64, starts inside a byte, every word type and 1-4
+    # uint64 words per row, and rows that cross narrow tiles
+    dtype = word_dtype(cols)
+    want = pack_rows(bernoulli_block(seed, start, count * cols, HALF).reshape(count, cols))
+    with mock.patch.object(rng_mod, "_ROW_TILE", tile_draws):
+        got = half_rows(seed, start, count, cols, dtype)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", BLOCK_PROBABILITIES)

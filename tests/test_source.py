@@ -83,17 +83,20 @@ def test_no_environment_knobs():
 
 
 def test_one_bernoulli_route():
-    # ensembles draws edge choices and gf2 draws rank-law matrices through
-    # rng.bernoulli_block alone, never a raw uint64 block of their own,
-    # compared with a threshold or cut into bits
-    raw = {"stream_block", "take", "threshold_u64"}
+    # purity draws Monte Carlo edge choices and gf2 draws rank-law matrices
+    # and packed cut blocks through rng's named routes alone
+    # (bernoulli_block, half_rows), never a raw uint64 block of their own,
+    # compared with a threshold or cut into bits; ensembles draws through
+    # CounterRng alone
+    raw = {"stream_block", "take", "threshold_u64", "_mix_tile"}
     found = []
-    for name in ("ensembles.py", "gf2.py"):
+    for name in ("ensembles.py", "gf2.py", "purity.py"):
         for node in ast.walk(ast.parse(_sources()[name])):
             if isinstance(node, ast.ImportFrom):
                 found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name in raw]
             elif isinstance(node, ast.Attribute) and node.attr in raw:
-                found.append(f"{name}:{node.lineno} .{node.attr}")
+                if getattr(node.value, "id", None) != "np":  # np.take gathers, it draws nothing
+                    found.append(f"{name}:{node.lineno} .{node.attr}")
     assert found == []
 
 
@@ -219,10 +222,11 @@ def test_one_sign_row_builder():
 
 
 def test_purity_owns_every_monte_carlo_route():
-    # ensembles draws the pieces and sums what purity._cut_values makes of
-    # them; the route, each route's limit, the batch size and the BLAS pin
-    # are decided in purity alone, so _stream_worker has no branch, and
-    # ensembles reaches no GF(2) or numerator kernel
+    # ensembles sums what purity._cut_sampler's values make of its draws;
+    # the route (bools or packed cut blocks, then ranks or numerators),
+    # each route's limit, the batch size and the BLAS pin are decided in
+    # purity alone, so _stream_worker has no branch, and ensembles
+    # reaches no GF(2) or numerator kernel and no stream
     sources = _sources()
     tree = ast.parse(sources["ensembles.py"])
     imported = set()  # (module, name), name "*" for the whole module
@@ -235,7 +239,7 @@ def test_purity_owns_every_monte_carlo_route():
             imported |= {(node.module.split(".")[-1], a.name) for a in node.names}
     assert {name for module, name in imported if module == "gf2"} == set()
     from_purity = {name for module, name in imported if module == "purity"}
-    assert from_purity == {"_cut_values", "_side_index", "check_qubit_cap", "_edge_masks"}
+    assert from_purity == {"_cut_sampler", "_side_index", "check_qubit_cap", "_edge_masks"}
     owned = re.compile(r"\b(_numerators|_cut_ranks|_SAMPLE_BYTES|_one_blas_thread)\b")
     named = {name: owned.findall(text) for name, text in sources.items() if name != "purity.py"}
     assert {name: found for name, found in named.items() if found} == {}
