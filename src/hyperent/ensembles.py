@@ -12,20 +12,26 @@ a share: the caller and a pool of forked children compute them.  The
 pool holds at most one child per usable core beyond the caller's, lives
 as long as the process, and is killed whole when any share fails.
 
-Each mode has one route to the purity numerators.  Exhaustive moments
-count: :func:`_subset_numerators` returns every subset's numerator at
-once.  Per side, a histogram of which distinct edge parts each basis
-state contains gives, by Walsh-Hadamard and subset transforms, a table
-over sets of distinct parts; the subsets' products of the two sides'
-entries are gathered into one 2^u int64 array a cache-sized block at a
-time, and one subset transform over it yields the numerators, with no
-state, sign row or Gram matrix built.  Monte Carlo sums what purity
-makes of each piece: :func:`purity._cut_sampler` hands it a draw and a
-values function, and ``values(draw(...))`` is every sample's purity and
-entropy as floats, by the draw, route, limits, batches and BLAS policy
-it picks for the universe.
+Exact moments take one of two routes, picked by p and cost.  Both
+start from one per-side histogram of which distinct edge parts each
+basis state contains, which Walsh-Hadamard and subset transforms turn
+into a table over sets of distinct parts.  At p = 1/2, when the sides
+hold D_A + D_B < u distinct parts, the purity mean and variance are
+collision counts (:func:`_collision_moments`): each pair of the two
+sides' sets is keyed by the edges it flips, and at most 2^(D_A + D_B)
+keys are sorted and summed run by run, in place of u 2^u transform
+work.  Any other p, any other cut and every exhaustive entropy
+enumerate: every subset's numerator comes at once
+(:func:`_subset_numerators`), the subsets' products of the two sides'
+entries gathered into one 2^u int64 array a cache-sized block at a
+time, and one subset transform over it yielding the numerators, with
+no state, sign row or Gram matrix built.
 
-Monte Carlo memory is bounded by the piece, not the run: each chunk of
+Monte Carlo sums what purity makes of each piece:
+:func:`purity._cut_sampler` hands it a draw and a values function, and
+``values(draw(...))`` is every sample's purity and entropy as floats,
+by the draw, route, limits, batches and BLAS policy it picks for the
+universe.  Its memory is bounded by the piece, not the run: each chunk of
 samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
 choices.  A universe that is the cut block itself at p = 1/2 (the
 ``moments --family cz`` default) takes the word route: each piece is
@@ -38,13 +44,13 @@ reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks
 (256 KiB) and copies in, else a tile of 2^15 draws (256 KiB) that it
 thresholds in.  Purity then holds only what it makes of one piece.
 
-Exhaustive moments are exact: purity numerators are integers, subsets
-are tallied by (edge count, numerator), weights are exact rationals,
-and floats appear only in entropy (log) values; 2-edge numerators are
-powers of two, so those entropies stay integers.  The tally packs each
-subset's numerator and edge count into one uint64 key in place of the
-numerator and sorts a chunk of keys in place, so it holds no second
-2^u array.
+Exhaustive moments are exact: purity numerators and collision counts
+are integers, enumerated subsets are tallied by (edge count,
+numerator), weights are exact rationals, and floats appear only in
+entropy (log) values; 2-edge numerators are powers of two, so those
+entropies stay integers.  The tally packs each subset's numerator and
+edge count into one uint64 key in place of the numerator and sorts a
+chunk of keys in place, so it holds no second 2^u array.
 """
 
 from __future__ import annotations
@@ -258,7 +264,28 @@ def _or_table(bits: np.ndarray) -> np.ndarray:
     return table
 
 
-def _side_tables(parts: np.ndarray, n_side: int, low: int):
+def _sides(universe: list[Edge], part: Bipartition) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(distinct parts, each edge's index among them, qubits) of side A, then of side B.
+
+    Refuses a cut past the qubit cap, then a universe whose 2^u subsets
+    would need two int64 arrays over the byte budget, before any edge is
+    factored: every exact route checks the same limits in that order.
+    """
+    check_qubit_cap(part.n_qubits)
+    u = len(universe)
+    if 2 * 8 << u > _TRANSFORM_BYTES:
+        raise ValueError(
+            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
+            f"over the {_TRANSFORM_BYTES}-byte budget"
+        )
+    masks = _edge_masks(universe)
+    return [
+        (*np.unique(_side_index(masks, side), return_inverse=True), n_side)
+        for side, n_side in ((part.a_mask, part.n_a), (part.b_mask, part.n_b))
+    ]
+
+
+def _side_tables(distinct: np.ndarray, which: np.ndarray, n_side: int, low: int):
     """(h, pi_low, pi_high) of one side: H(T) = h[pi_low[t] | pi_high[i]] at T = i 2^low + t.
 
     Edges with equal parts have equal iota bits, so H(T) depends only on
@@ -267,7 +294,6 @@ def _side_tables(parts: np.ndarray, n_side: int, low: int):
     into OR-tables of the low and the high edges, as narrow as the
     distinct count allows.
     """
-    distinct, which = np.unique(parts, return_inverse=True)
     bits = (1 << which).astype(np.min_scalar_type((1 << distinct.size) - 1))
     return _pair_supersets(distinct.tolist(), n_side), _or_table(bits[:low]), _or_table(bits[low:])
 
@@ -293,17 +319,10 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     array beside the side tables, 2^D int64 counts and 2^_BLOCK_EDGES
     narrow OR entries per side.
     """
-    check_qubit_cap(part.n_qubits)
+    sides = _sides(universe, part)
     u = len(universe)
-    if 2 * 8 << u > _TRANSFORM_BYTES:
-        raise ValueError(
-            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
-            f"over the {_TRANSFORM_BYTES}-byte budget"
-        )
-    masks = _edge_masks(universe)
     low = min(u, _BLOCK_EDGES)
-    h_a, low_a, high_a = _side_tables(_side_index(masks, part.a_mask), part.n_a, low)
-    h_b, low_b, high_b = _side_tables(_side_index(masks, part.b_mask), part.n_b, low)
+    (h_a, low_a, high_a), (h_b, low_b, high_b) = (_side_tables(*side, low) for side in sides)
     nums = np.empty(1 << u, dtype=np.int64)
     for i, block in enumerate(nums.reshape(-1, 1 << low)):
         block[:] = h_a[low_a | high_a[i]]
@@ -389,8 +408,74 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
     return EntropyStats(entropy, purity)
 
 
+def _pair_counts(distinct: np.ndarray, which: np.ndarray, n_side: int, u: int):
+    """(P, E) of one side at the sets alpha of distinct parts that some pair of basis states makes.
+
+    P(alpha) = #{(x, x') : iota(x) XOR iota(x') = alpha}: the superset
+    counts of :func:`_pair_supersets` inverted one level at a time,
+    lo <- lo - hi, whose every intermediate counts pairs, so it stays in
+    [0, d^2].  E(alpha) is the mask of the universe's edges whose part on
+    this side lies in alpha: the OR-table of each distinct part's edge
+    bits.
+    """
+    pairs = _pair_supersets(distinct.tolist(), n_side)
+    for lo, hi in _butterflies(pairs):
+        lo -= hi
+    edge_bits = np.zeros(distinct.size, dtype=np.int64)
+    np.bitwise_or.at(edge_bits, which, 1 << np.arange(u, dtype=np.int64))
+    made = np.flatnonzero(pairs)
+    return pairs[made], _or_table(edge_bits)[made]
+
+
+def _collision_moments(sides, n: int, u: int) -> MomentEstimate:
+    """Exact purity moments at p = 1/2 from collision counts, with no subset's numerator built.
+
+    The numerator of subset w is num(w) = sum_v cnt(v) (-1)^(w . v), with
+    cnt(v) = #{(a, a', b, b') : alpha & beta = v} (see
+    :func:`_subset_numerators`).  Over the 2^u equally likely subsets,
+    E[num] = cnt(0) and E[num^2] = sum_v cnt(v)^2.  As an edge mask,
+    alpha & beta = E_A(alpha) & E_B(beta), so cnt is the sum of
+    P_A(alpha) P_B(beta) (:func:`_pair_counts`) over the pairs with each
+    key.  Each key is packed above its pair's index and the keys are
+    sorted in place; a cumulative sum of the pairs' products, read at the
+    end of each run of equal keys, gives every cnt(v).  A product and a
+    cumulative sum are at most 2^(2N), exact in int64 for N <= 31; the
+    key (u bits) and the index (at most D_A + D_B < u bits) fit 52 bits.
+    Key 0, from alpha = 0, sorts first.
+    """
+    (p_a, e_a), (p_b, e_b) = (_pair_counts(*side, u) for side in sides)
+    shift = (p_a.size * p_b.size - 1).bit_length()
+    keys = ((e_a[:, np.newaxis] & e_b) << shift).ravel()
+    keys |= np.arange(keys.size)
+    keys.sort()
+    pair = keys & ((1 << shift) - 1)
+    sums = p_a[pair // p_b.size]
+    sums *= p_b[pair % p_b.size]
+    np.cumsum(sums, out=sums)
+    keys >>= shift
+    ends = np.flatnonzero(np.concatenate((keys[1:] != keys[:-1], [True])))
+    cnt = np.diff(sums[ends], prepend=0).tolist()
+    mean = Fraction(cnt[0], 1 << (2 * n))
+    variance = Fraction(sum(c * c for c in cnt[1:]), 1 << (4 * n))
+    return MomentEstimate(mean, mean * mean + variance, variance, 0.0, 0.0, 1 << u, True)
+
+
 def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
-    """Exact purity mean and variance by full enumeration of the ensemble."""
+    """Exact purity mean and variance over every subset of the universe.
+
+    At p = 1/2, when the two sides hold D_A + D_B < u distinct edge parts,
+    by collision counting (:func:`_collision_moments`) over at most
+    2^(D_A + D_B) keys; at any other p, or when D_A + D_B >= u, by
+    enumerating the 2^u subsets (:func:`_exhaustive_stats`).  Both
+    routes give the same exact rationals, report 2^u samples, and refuse
+    a cut past the qubit cap or a universe past the transform byte
+    budget before any edge is factored.
+    """
+    if spec.edge_probability == Fraction(1, 2):
+        universe = edge_universe(spec, part)
+        sides = _sides(universe, part)
+        if sum(distinct.size for distinct, _, _ in sides) < len(universe):
+            return _collision_moments(sides, spec.n_qubits, len(universe))
     return _exhaustive_stats(spec, part).purity
 
 

@@ -494,6 +494,69 @@ def test_moments_workers_piped_rows_printed_once(capsys):
     assert done.stdout.decode() == run_cli(capsys, *argv)[1]
 
 
+@pytest.mark.parametrize(
+    "argv, row, json_digest",
+    [
+        (
+            "moments --family cz --n 8 --na 4 --exhaustive",
+            "8,4,cz,cross,1/2,65536,31/256,225/65536,0.0,31/256,225/65536,0.0",
+            "3e84ae7be775d8c018cbef618bd1300788dcef0f961750ea29d584582793cc36",
+        ),
+        (
+            "moments --family ccz --n 6 --na 3 --exhaustive",
+            "6,3,ccz,cross,1/2,262144,69/256,349/262144,0.0,69/256,,0.0",
+            "fae2543d9f965652a0008d1bfab708aefdf4877dfe8e07a4818ceebbb17e932a",
+        ),
+        (
+            "moments --family ccz-half --n 3 --na 1 --exhaustive",
+            "3,1,ccz-half,cross,1/2,2,13/16,9/256,0.0,13/16,9/256,0.0",
+            "aff97b0eecad0ddbd674706786a37e9d679a2e3235cf07baf5950a2d1f617619",
+        ),
+        (
+            "moments --family ccz-half --n 4 --na 2 --exhaustive",
+            "4,2,ccz-half,cross,1/2,4,23/32,27/1024,0.0,23/32,27/1024,0.0",
+            "2caeb2f445cd4e0ce250656a5e4a4f410223a311e3beaf6b1202f2b154178e35",
+        ),
+        (
+            "moments --family ccz-half --n 4 --na 1 --exhaustive",
+            "4,1,ccz-half,cross,1/2,8,21/32,19/1024,0.0,21/32,19/1024,0.0",
+            "b2e7066a28cc853d228d6d6219c7cfa6657212308795404101e2e28f83a0721e",
+        ),
+        (
+            "moments --family ccz-half --n 6 --na 3 --exhaustive",
+            "6,3,ccz-half,cross,1/2,512,51/128,133/16384,0.0,51/128,133/16384,0.0",
+            "aa85415e8acce941792db8bc25d495b0a4d1f854e568f315c5f75e8fbb1b975b",
+        ),
+        (
+            "moments --family cz --n 4 --p 3/10 --exhaustive",
+            "4,2,cz,cross,3/10,16,5791/10000,6400569/100000000,0.0,,,",
+            "21da0ad79b69696e4b0bd9613d65de415e8b0f23a4924de563a3c3ca771c98cf",
+        ),
+        (
+            "moments --family cz --n 6 --scope all --exhaustive",
+            "6,3,cz,all,1/2,32768,15/64,49/4096,0.0,15/64,49/4096,0.0",
+            "c977192b41d561e8f9fb626c54f851f49b01a3fe68602f537994c889cc933905",
+        ),
+        (
+            "moments --family k-uniform --k 4 --n 6 --exhaustive",
+            "6,3,k-uniform,cross,1/2,32768,57/128,119/32768,0.0,,,",
+            "de595a89aacacb9ac0c5fe086264e47db8c87f457f87e058a7b7b534d9015380",
+        ),
+    ],
+)
+def test_moments_exhaustive_bytes_pinned(capsys, argv, row, json_digest):
+    # the benchmark's six exhaustive rows and three enumerated ones (p != 1/2,
+    # the full scope, 4-edges), CSV and JSON, as the enumeration printed them
+    header = (
+        "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,closed_form_mean,"
+        "closed_form_variance,z_score\n"
+    )
+    assert run_cli(capsys, *argv.split()) == (0, header + row + "\n", "")
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+
 def test_moments_exhaustive_widest_tally_keys_bytes_pinned(capsys):
     # one 31-edge at N = 31: numerators up to 2^62, so the tally's keys
     # num << 1 | c reach bit 63

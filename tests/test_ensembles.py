@@ -1271,6 +1271,78 @@ def test_subset_numerators_guards_come_first(monkeypatch):
         _subset_numerators(universe, part)
 
 
+def _counted(spec, part):
+    """The collision-counting route's estimate, taken whatever the distinct-part count."""
+    universe = edge_universe(spec, part)
+    sides = ensembles_mod._sides(universe, part)
+    return ensembles_mod._collision_moments(sides, spec.n_qubits, len(universe))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_collision_moments_match_enumeration_and_oracle(data):
+    # every family, both scopes, scattered cuts with either side larger and
+    # local edges in the full scope; the counted route is taken directly,
+    # also where exact_moments enumerates (D_A + D_B >= u), and must equal
+    # the enumeration at u <= 20 and the dense oracle at u <= 10
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    n = data.draw(st.integers(2 if family in (Family.CZ, Family.K_UNIFORM) else 3, 7), label="n")
+    k = data.draw(st.integers(2, min(4, n)), label="k") if family is Family.K_UNIFORM else None
+    scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+    part = Bipartition(n, data.draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+    assume(family is not Family.CCZ_HALF or part.n_b >= 2)
+    spec = EnsembleSpec(n, family, k=k, scope=scope)
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    assume(u <= 20)
+    est = _counted(spec, part)
+    want = ensembles_mod._exhaustive_stats(spec, part).purity
+    assert est == want and est.samples == 1 << u
+    assert (est.mean, est.second_moment, est.variance) == (
+        want.mean, want.second_moment, want.variance
+    )
+    assert exact_moments(spec, part) == want
+    if u <= 10:
+        assert (est.mean, est.variance) == ref_ensemble_moments(
+            n, universe, part.a_mask, Fraction(1, 2)
+        )
+
+
+def test_exact_moments_count_at_the_criteria_sizes(monkeypatch):
+    # the exhaustive rows of criteria 1-4 and 8 at p = 1/2 enumerate no subset
+    def unreachable(*args):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(ensembles_mod, "_subset_numerators", unreachable)
+    cases = [
+        (EnsembleSpec(8, Family.CZ), 4, Fraction(31, 256), Fraction(225, 65536)),
+        (EnsembleSpec(6, Family.CCZ), 3, Fraction(69, 256), Fraction(349, 262144)),
+        (EnsembleSpec(6, Family.CCZ_HALF), 3, Fraction(51, 128), Fraction(133, 16384)),
+    ]
+    for spec, n_a, mean, variance in cases:
+        part = Bipartition.from_first(spec.n_qubits, n_a)
+        est = exact_moments(spec, part)
+        u = len(edge_universe(spec, part))
+        assert (est.mean, est.variance, est.samples, est.exact) == (mean, variance, 1 << u, True)
+
+
+def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
+    # p != 1/2, cuts with D_A + D_B >= u (cz 1|5: 1 + 5 parts, 5 edges;
+    # cz 2|2: 2 + 2 parts, 4 edges) and the exhaustive entropies all build
+    # every subset's numerator
+    sizes = []
+    real = ensembles_mod._subset_numerators
+    monkeypatch.setattr(
+        ensembles_mod, "_subset_numerators", lambda *a: sizes.append(len(a[0])) or real(*a)
+    )
+    spec = EnsembleSpec(6, Family.CZ, edge_probability=Fraction(3, 10))
+    exact_moments(spec, Bipartition.from_first(6, 3))
+    exact_moments(EnsembleSpec(6, Family.CZ), Bipartition.from_first(6, 1))
+    exact_moments(EnsembleSpec(4, Family.CZ), Bipartition.from_first(4, 2))
+    entropy_stats(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
+    assert sizes == [9, 5, 4, 18]
+
+
 def test_universe_size_check_boundaries():
     # C(2048, 2) = 2096128 candidates fit the 2^21 draws of a sampling
     # piece, C(2049, 2) do not; one N-edge fits while N does

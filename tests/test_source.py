@@ -116,6 +116,45 @@ def test_exhaustive_tally_sorts_in_place():
     assert found == {"_tally": [], "_pair_supersets": []}
 
 
+def test_one_basis_state_loop_feeds_both_exact_routes():
+    # the counting route's pair histogram and the enumeration's superset
+    # counts both come from _pair_supersets, the one function that bins the
+    # basis states' incidence vectors; the counting route groups its keys
+    # by one in-place sort, with no unique values, argsort or reduceat
+    tree = ast.parse(_sources()["ensembles.py"])
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def names(fn):
+        return {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(fn)}
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            fn = fns[todo.pop()]
+            calls = {
+                node.func.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            todo += sorted((calls & fns.keys()) - seen)
+            seen |= calls & fns.keys()
+        return seen
+
+    binners = sorted(name for name, fn in fns.items() if names(fn) & {"bincount", "_HIST_CHUNK"})
+    assert binners == ["_pair_supersets"]
+    assert "_pair_supersets" in reached("_collision_moments") & reached("_subset_numerators")
+    counting = fns["_collision_moments"]
+    assert names(counting) & {"unique", "argsort", "lexsort", "reduceat"} == set()
+    sorts = [
+        node.func.value
+        for node in ast.walk(counting)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sort"
+    ]
+    assert len(sorts) == 1 and getattr(sorts[0], "id", None) != "np"
+
+
 def _elimination_loops(tree):
     """Line numbers of loops that take a row's lowest set bit and XOR rows with it.
 
