@@ -10,8 +10,9 @@ sign function is therefore
 counted mod 2.  Qubit i corresponds to bit i of the basis index
 (little-endian throughout).  The sign bits are thus the GF(2) superset
 transform of the edge indicator; the purity module builds a cut's rows
-of them from the edge masks, never the whole 2**n table.  This module
-holds plain Python data only.
+of them from the edge masks, never the whole 2**n table.  Those masks
+come from :func:`edge_pass`, the one pass that checks, cancels and masks
+each edge.  This module holds plain Python data only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,36 @@ from dataclasses import dataclass, field
 Edge = tuple[int, ...]
 
 
+def edge_pass(edges, n: int, canonical: bool = False) -> dict[int, Edge]:
+    """mask -> edge of the edges listed an odd number of times: the one edge check and mask builder.
+
+    Every edge rejection is raised here, before the edge cancels.  A gate
+    is sorted, then must be nonempty, have no repeated vertex and lie in
+    [0, n).  A canonical edge (the constructor's) must be the strictly
+    increasing tuple itself, then lie in range.
+    """
+    kept: dict[int, Edge] = {}
+    for raw in edges:
+        edge = raw if canonical else tuple(sorted(raw))
+        if canonical:
+            if tuple(sorted(set(edge))) != edge or not edge:
+                raise ValueError(f"edge {edge!r} is not a strictly increasing tuple")
+            if edge[0] < 0 or edge[-1] >= n:
+                raise ValueError(f"edge {edge!r} out of range for n={n}")
+        elif not edge:
+            raise ValueError("empty edge")
+        elif len(set(edge)) != len(edge):
+            raise ValueError(f"repeated vertex in edge {raw!r}")
+        elif edge[0] < 0 or edge[-1] >= n:
+            raise ValueError(f"vertex out of range [0, {n}) in edge {raw!r}")
+        mask = 0
+        for v in edge:
+            mask |= 1 << v
+        if kept.pop(mask, None) is None:
+            kept[mask] = edge
+    return kept
+
+
 def canonicalize_edges(raw_edges, n: int) -> frozenset[Edge]:
     """Reduce a gate list to a canonical edge set.
 
@@ -29,17 +60,7 @@ def canonicalize_edges(raw_edges, n: int) -> frozenset[Edge]:
     number of times cancels and an odd number of times counts once.
     Edges come back as strictly increasing vertex tuples.
     """
-    seen: set[Edge] = set()
-    for raw in raw_edges:
-        verts = tuple(sorted(raw))
-        if len(verts) == 0:
-            raise ValueError("empty edge")
-        if len(set(verts)) != len(verts):
-            raise ValueError(f"repeated vertex in edge {raw!r}")
-        if verts[0] < 0 or verts[-1] >= n:
-            raise ValueError(f"vertex out of range [0, {n}) in edge {raw!r}")
-        seen.symmetric_difference_update({verts})
-    return frozenset(seen)
+    return frozenset(edge_pass(raw_edges, n).values())
 
 
 def all_k_edges(n: int, k: int) -> list[Edge]:
@@ -53,9 +74,10 @@ def all_k_edges(n: int, k: int) -> list[Edge]:
 class Hypergraph:
     """Vertex count plus canonical mod-2 edge set.
 
-    ``edges`` must already be canonical (use :func:`canonicalize_edges`
-    or :meth:`from_gates` for raw input).  Edge bitmasks are cached for
-    the sign and cut-row routines.
+    ``edges`` must already be canonical (:meth:`from_gates` takes raw
+    input).  Each edge is checked and masked once, by the
+    :func:`edge_pass` of the constructor or of ``from_gates``; the masks
+    are cached for the sign and cut-row routines.
     """
 
     n_qubits: int
@@ -67,17 +89,16 @@ class Hypergraph:
             raise ValueError("n_qubits must be >= 1")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
-        for e in self.edges:
-            if tuple(sorted(set(e))) != e or len(e) == 0:
-                raise ValueError(f"edge {e!r} is not a strictly increasing tuple")
-            if e[0] < 0 or e[-1] >= self.n_qubits:
-                raise ValueError(f"edge {e!r} out of range for n={self.n_qubits}")
-        masks = tuple(sum(1 << v for v in e) for e in sorted(self.edges))
-        object.__setattr__(self, "_masks", masks)
+        edge_at = edge_pass(self.edges, self.n_qubits, canonical=True)
+        object.__setattr__(self, "_masks", tuple(sorted(edge_at, key=edge_at.__getitem__)))
 
     @classmethod
     def from_gates(cls, n: int, raw_edges) -> "Hypergraph":
-        return cls(n, canonicalize_edges(raw_edges, n))
+        edge_at = edge_pass(raw_edges, n)
+        h = cls(n, frozenset())  # checks n alone: the pass has checked every gate
+        object.__setattr__(h, "edges", frozenset(edge_at.values()))
+        object.__setattr__(h, "_masks", tuple(sorted(edge_at, key=edge_at.__getitem__)))
+        return h
 
     @property
     def edge_masks(self) -> tuple[int, ...]:
@@ -166,7 +187,7 @@ def parse_graph_file(text: str) -> Hypergraph:
     raw_edges = []
     for ln in lines[1:]:
         try:
-            raw_edges.append(tuple(int(tok) for tok in ln.split()))
+            raw_edges.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}") from exc
     return Hypergraph.from_gates(n, raw_edges)

@@ -66,7 +66,7 @@ from itertools import chain
 import numpy as np
 
 from . import gf2
-from .hypergraph import Bipartition, Edge, Hypergraph
+from .hypergraph import Bipartition, Edge, Hypergraph, edge_pass
 from .rng import bernoulli_block, bernoulli_tiles
 
 
@@ -185,8 +185,9 @@ def _side_index(masks: np.ndarray, side: int) -> np.ndarray:
 
 
 def _edge_masks(edges: list[Edge]) -> np.ndarray:
-    """int64 bit masks of edges, in order; every vertex must be below 63."""
-    return np.array([sum(1 << v for v in e) for e in edges], dtype=np.int64)
+    """int64 masks of distinct canonical edges, in order, vertices below 63: ``hypergraph.edge_pass``."""
+    # a repeated edge would cancel there, and the count refuses the short result
+    return np.fromiter(edge_pass(edges, 63, canonical=True), np.int64, len(edges))
 
 
 def _cross_parts(masks: np.ndarray, part: Bipartition):

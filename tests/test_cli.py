@@ -91,6 +91,43 @@ def test_state_domain_error_exit_3(tmp_path, capsys):
     assert "domain error" in err
 
 
+# (graph file, exit code, stderr): every rejection of a graph file.  A
+# blank or whitespace-only line is skipped, so a file has no empty edge.
+GRAPH_FILE_REJECTIONS = [
+    ("", 2, "parse error: first line must be 'n <N>'"),
+    ("# only a comment\n", 2, "parse error: first line must be 'n <N>'"),
+    ("m 3\n0 1\n", 2, "parse error: first line must be 'n <N>'"),
+    ("n\t3\n", 2, "parse error: first line must be 'n <N>'"),
+    ("n x\n", 2, "parse error: bad header line 'n x'"),
+    ("n 3 7\n0 1\n", 2, "parse error: bad header line 'n 3 7'"),
+    ("n 3\n0 one\n", 2, "parse error: bad edge line '0 one'"),
+    ("n 3\n0 1 # note\n", 2, "parse error: bad edge line '0 1 # note'"),
+    ("n 2\n0 5\n0 x\n", 2, "parse error: bad edge line '0 x'"),
+    ("n 2\n1 1\n", 3, "domain error: repeated vertex in edge (1, 1)"),
+    ("n 2\n0 5\n", 3, "domain error: vertex out of range [0, 2) in edge (0, 5)"),
+    ("n 2\n-1 0\n", 3, "domain error: vertex out of range [0, 2) in edge (-1, 0)"),
+    ("n 2\n5 5\n", 3, "domain error: repeated vertex in edge (5, 5)"),
+    ("n 2\n0 5\n0 5\n", 3, "domain error: vertex out of range [0, 2) in edge (0, 5)"),
+    ("n 0\n", 3, "domain error: n_qubits must be >= 1"),
+    ("n -2\n", 3, "domain error: n_qubits must be >= 1"),
+    ("n 0\n0\n", 3, "domain error: vertex out of range [0, 0) in edge (0,)"),
+]
+
+
+@pytest.mark.parametrize("text, code, err", GRAPH_FILE_REJECTIONS)
+def test_state_graph_file_rejections(tmp_path, capsys, text, code, err):
+    f = tmp_path / "bad.graph"
+    f.write_text(text)
+    assert run_cli(capsys, "state", "--graph-file", str(f)) == (code, "", err + "\n")
+
+
+def test_state_skips_blank_and_comment_lines(tmp_path, capsys):
+    f = tmp_path / "bell.graph"
+    f.write_text("  # a comment\n n 2 \n\n   \n# 0 0\n 1   0 \n")
+    code, out, _ = run_cli(capsys, "state", "--graph-file", str(f), "--na", "1")
+    assert (code, out) == (0, "purity = 1/2^1 = 0.5\nrenyi2 = 1.0\n")
+
+
 def _forbid_bipartitions(monkeypatch):
     class Unreachable:
         def __init__(self, *args):

@@ -1,10 +1,14 @@
 """Edge canonicalization, sign evaluation by the packed superset transform, and graph files."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperent import hypergraph
 from hyperent.hypergraph import (
     Bipartition,
     GraphFormatError,
@@ -14,7 +18,7 @@ from hyperent.hypergraph import (
     format_graph_file,
     parse_graph_file,
 )
-from hyperent.purity import MAX_QUBITS, _sign_rows, check_qubit_cap
+from hyperent.purity import MAX_QUBITS, _edge_masks, _sign_rows, check_qubit_cap
 
 from reference import ref_signs
 
@@ -178,3 +182,110 @@ def test_graph_file_errors():
 
 def test_canonicalize_accepts_any_iterable_edges():
     assert canonicalize_edges([[2, 0], {1, 0}], 3) == frozenset({(0, 2), (0, 1)})
+
+
+# (raw gates, n, message): each rejection of a gate list, in the order the
+# checks run; a gate with two faults reads as the first of them
+GATE_REJECTIONS = [
+    ([()], 2, "empty edge"),
+    ([(0, 1), ()], 2, "empty edge"),
+    ([(1, 1)], 2, "repeated vertex in edge (1, 1)"),
+    ([(2, 0, 2)], 3, "repeated vertex in edge (2, 0, 2)"),
+    ([(0, 2)], 2, "vertex out of range [0, 2) in edge (0, 2)"),
+    ([(1, -1)], 2, "vertex out of range [0, 2) in edge (1, -1)"),
+    ([(5, 5)], 2, "repeated vertex in edge (5, 5)"),
+    ([(-3, -3)], 2, "repeated vertex in edge (-3, -3)"),
+    ([(0, 5), (0, 5)], 2, "vertex out of range [0, 2) in edge (0, 5)"),
+    ([(1, 1), (1, 1)], 2, "repeated vertex in edge (1, 1)"),
+    ([(0,)], 0, "vertex out of range [0, 0) in edge (0,)"),
+    ([[1, 0, 1]], 2, "repeated vertex in edge [1, 0, 1]"),
+]
+
+
+@pytest.mark.parametrize("raw, n, message", GATE_REJECTIONS)
+def test_gate_rejections(raw, n, message):
+    # canonicalize_edges and from_gates run the one pass, so they refuse
+    # alike, and an invalid gate listed twice is refused, never cancelled
+    for build in (canonicalize_edges, lambda r, m: Hypergraph.from_gates(m, r)):
+        with pytest.raises(ValueError) as info:
+            build(raw, n)
+        assert str(info.value) == message
+
+
+def test_size_rejection_follows_the_gates():
+    # with no gate, n < 1 is the constructor's refusal; any gate is out of
+    # range there first
+    for n in (0, -1):
+        with pytest.raises(ValueError) as info:
+            Hypergraph.from_gates(n, [])
+        assert str(info.value) == "n_qubits must be >= 1"
+    assert canonicalize_edges([], 0) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (2, {(1, 0)}, "edge (1, 0) is not a strictly increasing tuple"),
+        (2, {(1, 1)}, "edge (1, 1) is not a strictly increasing tuple"),
+        (2, {()}, "edge () is not a strictly increasing tuple"),
+        (2, {frozenset({0, 1})}, "edge frozenset({0, 1}) is not a strictly increasing tuple"),
+        (2, {(5, 5)}, "edge (5, 5) is not a strictly increasing tuple"),
+        (2, {(0, 2)}, "edge (0, 2) out of range for n=2"),
+        (2, {(-1, 0)}, "edge (-1, 0) out of range for n=2"),
+        (0, {(0, 2)}, "n_qubits must be >= 1"),
+        (0, {(1, 0)}, "n_qubits must be >= 1"),
+    ],
+)
+def test_constructor_rejections(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        Hypergraph(n, frozenset(edges))
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_from_gates_matches_the_constructor(data):
+    # shuffled gate lists with repeats: one pass equals canonicalizing and
+    # then constructing, and every mask is the sum of its vertices' bits
+    n = data.draw(st.integers(1, 12), label="n")
+    gate = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    gates = data.draw(st.lists(gate, max_size=30), label="gates")
+    raw = data.draw(st.permutations(gates + gates[: data.draw(st.integers(0, len(gates)))]))
+    h = Hypergraph.from_gates(n, raw)
+    built = Hypergraph(n, canonicalize_edges(raw, n))
+    assert h == built and h.edge_masks == built.edge_masks
+    assert h.edge_masks == tuple(sum(1 << v for v in e) for e in sorted(h.edges))
+    counts = Counter(tuple(sorted(g)) for g in raw)
+    assert h.edges == {e for e, count in counts.items() if count % 2}
+
+
+def test_from_gates_checks_each_gate_once(monkeypatch):
+    # the gates go through one pass; the constructor it calls checks no edge
+    calls = []
+    real = hypergraph.edge_pass
+
+    def counting(edges, n, canonical=False):
+        edges = list(edges)
+        calls.append((len(edges), canonical))
+        return real(edges, n, canonical)
+
+    monkeypatch.setattr(hypergraph, "edge_pass", counting)
+    gates = [(2, 0), (0, 2), (1, 2, 3), (3,), (3,), (3,)]
+    h = Hypergraph.from_gates(4, gates)
+    assert h.edges == {(1, 2, 3), (3,)} and h.edge_masks == (14, 8)
+    assert calls == [(6, False), (0, True)]
+    calls.clear()
+    parse_graph_file("n 4\n0 1\n# c\n\n1 0\n2 3\n")
+    assert calls == [(3, False), (0, True)]
+
+
+def test_edge_masks_of_a_universe():
+    # the int64 masks purity factors come from the same pass, in the
+    # universe's order, and a repeated edge is refused, not cancelled
+    universe = all_k_edges(6, 3)[::-1]
+    assert _edge_masks(universe).tolist() == [sum(1 << v for v in e) for e in universe]
+    assert _edge_masks([]).dtype == np.int64
+    with pytest.raises(ValueError):
+        _edge_masks([(0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(1, 63\) out of range for n=63$"):
+        _edge_masks([(1, 63)])

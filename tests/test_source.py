@@ -323,3 +323,95 @@ def test_gauss_kernel_reads_q_off_the_reduced_rows():
         and any(isinstance(arg, ast.Name) and arg.id == "n_b" for arg in ast.walk(node.iter))
     ]
     assert loops_over_rows == []
+
+
+def _by_function(tree):
+    """(innermost enclosing function name, or "<module>", node) for every node of tree."""
+    todo = [("<module>", tree)]
+    while todo:
+        scope, node = todo.pop()
+        yield scope, node
+        inner = node.name if isinstance(node, ast.FunctionDef) else scope
+        todo += [(inner, child) for child in ast.iter_child_nodes(node)]
+
+
+def _mask_sums(tree):
+    """Functions that accumulate 1 << v over the vertices v of an edge.
+
+    That is a sum of a comprehension of 1 << v, or name |= 1 << v, with v
+    the loop variable of a loop over anything but a range of bit positions.
+    """
+    found = set()
+    for scope, node in _by_function(tree):
+        loops = []
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum" and node.args:
+            comp = node.args[0]
+            if isinstance(comp, (ast.GeneratorExp, ast.ListComp)):
+                loops = [(gen, comp.elt) for gen in comp.generators]
+        elif isinstance(node, ast.For):
+            loops = [
+                (node, stmt.value)
+                for stmt in ast.walk(node)
+                if isinstance(stmt, ast.AugAssign)
+                and isinstance(stmt.op, (ast.BitOr, ast.Add))
+                and isinstance(stmt.target, ast.Name)
+            ]
+        for loop, value in loops:
+            over_bits = isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None) == "range"
+            if (
+                not over_bits
+                and isinstance(value, ast.BinOp)
+                and isinstance(value.op, ast.LShift)
+                and getattr(value.left, "value", None) == 1
+                and isinstance(value.right, ast.Name)
+                and isinstance(loop.target, ast.Name)
+                and value.right.id == loop.target.id
+            ):
+                found.add(scope)
+    return found
+
+
+def test_one_edge_pass():
+    # every edge is checked, cancelled and masked in hypergraph.edge_pass
+    # alone: it raises every edge rejection, and no other function sums
+    # 1 << v over an edge; canonicalize_edges, from_gates, the constructor
+    # and purity's universe masks all take that pass, and from_gates
+    # constructs with no edge to check again
+    trees = {name: ast.parse(text) for name, text in _sources().items()}
+    rejection = re.compile(
+        r"empty edge|repeated vertex|vertex out of range|strictly increasing tuple|out of range for n="
+    )
+    raisers = {
+        (name, scope)
+        for name, tree in trees.items()
+        for scope, node in _by_function(tree)
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str) and rejection.search(part.value)
+            for part in ast.walk(node)
+        )
+    }
+    assert raisers == {("hypergraph.py", "edge_pass")}
+    sums = {(name, scope) for name, tree in trees.items() for scope in _mask_sums(tree)}
+    assert sums == {("hypergraph.py", "edge_pass")}
+    callers = {
+        (name, scope)
+        for name, tree in trees.items()
+        for scope, node in _by_function(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "edge_pass"
+    }
+    assert callers == {
+        ("hypergraph.py", "canonicalize_edges"),
+        ("hypergraph.py", "__post_init__"),
+        ("hypergraph.py", "from_gates"),
+        ("purity.py", "_edge_masks"),
+    }
+    from_gates = next(
+        node
+        for node in ast.walk(trees["hypergraph.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "from_gates"
+    )
+    called = [node for node in ast.walk(from_gates) if isinstance(node, ast.Call)]
+    assert "canonicalize_edges" not in {getattr(node.func, "id", None) for node in called}
+    constructs = [ast.unparse(node) for node in called if getattr(node.func, "id", None) == "cls"]
+    assert constructs == ["cls(n, frozenset())"]
