@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import formulas, verify
 from .ensembles import EnsembleSpec, Family, Scope, check_universe_size
-from .hypergraph import Bipartition, GraphFormatError, parse_graph_file
+from .hypergraph import Bipartition, GraphFormatError, Hypergraph, graph_file_gates
 from .purity import check_qubit_cap
 from .reports import (
     MOMENTS_COLUMNS,
@@ -137,8 +137,9 @@ def _cmd_state(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.graph_file}: {exc}", file=sys.stderr)
         return 2
-    h = parse_graph_file(text)
-    check_qubit_cap(h.n_qubits)  # before any bipartition mask of 2^n is built
+    n, raw_edges = graph_file_gates(text)
+    check_qubit_cap(n)  # before any edge mask or bipartition mask of 2^n is built
+    h = Hypergraph.from_gates(n, raw_edges)
     if args.a_mask is not None:
         part = Bipartition(h.n_qubits, args.a_mask)
     elif args.na is not None:

@@ -10,14 +10,17 @@ whole-array step than uint64 ones.  :func:`pack_rows` is the one packer
 of 0/1 entries into that format, for single graphs' and ensembles' cut
 blocks alike; uniform stacks are read into it straight from the stream.
 :func:`eliminate` is the one elimination loop of the package: it
-reduces a whole stack of matrices at once, row by row, with the lowest
-set bit of each row as its pivot and no row swaps, and returns the
-reduced stack.  :func:`batch_rank` counts its nonzero rows, which is
-what makes rank workloads of 10^5-10^6 random matrices cheap; the
-purity module's Gauss-sum route reads kernels and affine systems off
-the reduced rows.  Each step masks the pivot bit out of every word
-with whole-array operations, with no per-matrix index gather, so a
-stack of one-word rows costs little more than its XORs.
+reduces a whole stack of matrices at once and in place, row by row,
+with the lowest set bit of each row as its pivot and no row swaps, on
+a C-contiguous (rows, words, stacks) array, so each row's words are
+contiguous over the stacks.  :func:`batch_rank` makes that layout with
+its one transposing copy and counts the nonzero rows, which is what
+makes rank workloads of 10^5-10^6 random matrices cheap; the purity
+module's Gauss-sum route builds its blocks in that layout, hands them
+over uncopied and reads kernels and affine systems off the reduced
+rows.  Each step masks the pivot bit out of every word with
+whole-array operations, with no per-matrix index gather, so a stack of
+one-word rows costs little more than its XORs.
 
 The rank law samples uniform n x n matrices the way ensembles sample
 edges at p = 1/2: :func:`_random_words` reads them packed, in the
@@ -47,12 +50,16 @@ def _n_words(cols: int) -> int:
     return (cols + 63) >> 6
 
 
+_NARROW_WORDS = tuple((bits, np.dtype(f"uint{bits}")) for bits in (8, 16, 32))
+_WIDE_WORD = np.dtype(np.uint64)
+
+
 def word_dtype(cols: int) -> np.dtype:
     """Word type of a row of cols columns: the smallest of uint8/16/32 that holds it, else uint64."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if cols <= np.iinfo(dtype).bits:
-            return np.dtype(dtype)
-    return np.dtype(np.uint64)
+    for bits, dtype in _NARROW_WORDS:
+        if cols <= bits:
+            return dtype
+    return _WIDE_WORD
 
 
 def pack_rows(bits) -> np.ndarray:
@@ -76,32 +83,32 @@ def pack_rows(bits) -> np.ndarray:
     return out.view(dtype)
 
 
-def eliminate(words: np.ndarray) -> np.ndarray:
-    """Row-reduce a stack of packed matrices, shape (batch, rows, words); the reduced stack.
+def eliminate(work: np.ndarray) -> None:
+    """Row-reduce a stack of packed matrices in place, shape (rows, words, stacks), C-contiguous.
 
-    Words may be of any unsigned type (:func:`word_dtype` picks them),
-    and the result keeps it.  Bits past the last column must be zero.
-    Rows are taken in order; the lowest set bit of row i is its pivot,
-    and row i is XORed into every later row that has that bit, across
-    the whole batch at once.  No later row then keeps an earlier pivot
+    Each row's words are contiguous over the stacks, so every step below
+    is a whole-array pass.  Words may be of any unsigned type
+    (:func:`word_dtype` picks them).  Bits past the last column must be
+    zero.  Rows are taken in order; the lowest set bit of row i is its
+    pivot, and row i is XORed into every later row that has that bit,
+    across all stacks at once.  No later row then keeps an earlier pivot
     bit, so the nonzero rows that remain are independent, and each
-    reduced row is its input row plus a combination of earlier ones.
-    No rows are swapped.  Input is not modified; the result is a
-    (batch, rows, words) view of a new array whose batch axis is
-    innermost.
+    reduced row is its input row plus a combination of earlier ones.  No
+    rows are swapped and nothing is copied: callers that must keep their
+    input hand in a copy.
 
     The pivot needs no gather: ``row & -row`` keeps the lowest set bit
     of every word of row i, and every word after the row's first
     nonzero word is zeroed, so ``low`` holds the pivot bit alone (or
     nothing, for a zero row) and a later row has the pivot exactly when
-    some word of ``later & low`` is nonzero.  Matrices whose pivots lie
+    some word of ``later & low`` is nonzero.  Stacks whose pivots lie
     in different words share the step.
     """
-    if words.ndim != 3 or words.dtype.kind != "u":
-        raise ValueError(f"expected (batch, rows, words) unsigned words, got {words.dtype}")
-    n_words = words.shape[2]
-    # (rows, words, batch): each row's words are contiguous over the batch
-    work = np.array(words.transpose(1, 2, 0), order="C")
+    if work.ndim != 3 or work.dtype.kind != "u" or not work.flags.c_contiguous:
+        raise ValueError(
+            f"expected C-contiguous (rows, words, stacks) unsigned words, got {work.dtype}"
+        )
+    n_words = work.shape[1]
     for i in range(work.shape[0] - 1):
         row, later = work[i], work[i + 1 :]
         low = row & -row
@@ -111,16 +118,18 @@ def eliminate(words: np.ndarray) -> np.ndarray:
         else:
             has = (later & low) != 0
         later ^= row * has
-    return work.transpose(2, 0, 1)
 
 
 def batch_rank(words: np.ndarray, cols: int) -> np.ndarray:
     """Ranks of a stack of packed matrices, shape (batch, rows, words), of any unsigned word type.
 
     Bits past ``cols`` must be zero.  The rank is the count of nonzero
-    rows that :func:`eliminate` leaves.  Input is not modified.
+    rows that :func:`eliminate` leaves in a (rows, words, batch) copy of
+    the stack, so the input is not modified.
     """
-    return np.count_nonzero(eliminate(words).any(axis=2), axis=1).astype(np.int64)
+    work = np.array(words.transpose(1, 2, 0), order="C")
+    eliminate(work)
+    return np.count_nonzero(work.any(axis=1), axis=0).astype(np.int64)
 
 
 def _random_words(count: int, rows: int, cols: int, seed: int, start: int) -> np.ndarray:

@@ -170,10 +170,11 @@ class Bipartition:
         return Bipartition(self.n_qubits, self.b_mask)
 
 
-def parse_graph_file(text: str) -> Hypergraph:
-    """Parse the plain-text graph format: ``n <N>`` then one edge per line.
+def graph_file_gates(text: str) -> tuple[int, list[Edge]]:
+    """(N, raw gates) of the plain-text graph format: ``n <N>`` then one edge per line.
 
-    Repeated edge lines cancel mod 2, matching gate semantics.
+    The one line parser: only syntax is checked here, so callers can
+    check N before any gate is masked.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -190,7 +191,15 @@ def parse_graph_file(text: str) -> Hypergraph:
             raw_edges.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}") from exc
-    return Hypergraph.from_gates(n, raw_edges)
+    return n, raw_edges
+
+
+def parse_graph_file(text: str) -> Hypergraph:
+    """Parse the plain-text graph format: ``n <N>`` then one edge per line.
+
+    Repeated edge lines cancel mod 2, matching gate semantics.
+    """
+    return Hypergraph.from_gates(*graph_file_gates(text))
 
 
 def format_graph_file(h: Hypergraph) -> str:

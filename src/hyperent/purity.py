@@ -19,9 +19,12 @@ routes, chosen by the cross edges:
   n_B rows of N + 2 n_B + 1 bits per sample: one word of the narrowest
   type ``gf2.word_dtype`` allows up to 64 bits, else two uint64 words.
   Each row carries the upper triangle of its quadratic form, so every
-  reduced row holds that form's value on its kernel vector.  They run
-  as one ``gf2.eliminate`` per block of at most 2**12 (sample, x)
-  stacks.
+  reduced row holds that form's value on its kernel vector.  A block
+  holds the (sample, x) stacks whose rows fit _GAUSS_BLOCK_BYTES
+  (256 KiB), built in ``gf2.eliminate``'s (rows, words, stacks) layout
+  and reduced in place by one call, and one row sum per stack of a
+  packed per-row code gives its verdict: the count of free kernel rows
+  and whether one of them is inconsistent.
 - A cross edge of four or more vertices makes the phase of higher
   degree in b: the Gram route, sum((M M^T)**2) over the cut's sign
   matrix M = 1 - 2 * bits (:func:`gram_numerator`), by a tiled float32
@@ -291,7 +294,7 @@ def _single_rows(
 
 
 _GAUSS_MAX_VERTICES = 3  # cross edges of at most this many vertices take the Gauss-sum kernel
-_GAUSS_BLOCK_BITS = 12  # at most 2^12 (sample, x) stacks per elimination: 2 MB at N = 31
+_GAUSS_BLOCK_BYTES = 1 << 18  # rows of one elimination, stacks x n_b x words x itemsize: 256 KiB
 
 
 def _gauss_numerators(
@@ -312,65 +315,82 @@ def _gauss_numerators(
     U_x[j], the bits of K_x[j] past j, in the U block: N + 2 n_b + 1
     bits.  A row of at most 64 bits is one word of
     ``gf2.word_dtype(N + 2 n_b + 1)`` with the U block at bit
-    N + n_b + 1; a wider one is two uint64 words with the U block alone
-    in the second, so the identity part (at most 62 bits under the qubit
-    cap) always stays in word 0.  The rows of x = {t} come from
-    :func:`_single_rows`, with U_t = K_t & upper; adding t to an x
-    without it XORs those in and, for L_x, the bits of M_x[t] of the x
-    without it (the new pairs (t, i) of x).  U_x and every other part
-    but L_x are linear in x.  One ``gf2.eliminate`` per block of at most
-    2**_GAUSS_BLOCK_BITS (sample, x) stacks, built in its (rows, words,
-    stacks) layout, leaves r_x rows with a nonzero K part, and on each
-    other row a kernel vector c of K_x (its identity part) with the row
-    [M_x c | L_x . c] of the affine system, already in echelon form over
-    the coefficients, and w = U_x^T c in its U block, so q_x(c) =
-    parity(w & c).  The identity part is never zero, so no pivot lands
-    in the U block.
-    Adding q_x(c) touches only the constant bit, so the kernel rows with
-    no coefficients number n_b - r_x - rho_x, and x is inconsistent iff
-    one of them reads 0 = 1.  Each consistent x adds 2**(2 n_b - r_x +
-    n_a - rho_x); a sample's sum is at most 2**(2N), exact in int64 up
-    to MAX_QUBITS.
+    N + n_b + 1; a wider one is two uint64 words with the U block at bit
+    N + 1 of the second, so the identity part (at most 62 bits under the
+    qubit cap) always stays in word 0, and shifting the U block's word
+    right by u_shift (n_b, or 0) lays it over the identity part.  The
+    rows of x = {t} come from :func:`_single_rows`, with U_t = K_t &
+    upper; adding t to an x without it XORs those in and, for L_x, the
+    bits of M_x[t] of the x without it (the new pairs (t, i) of x).  U_x
+    and every other part but L_x are linear in x.
+
+    A block holds the (sample, x) stacks whose rows fit
+    _GAUSS_BLOCK_BYTES, a power of two of them (at least one), in
+    ``gf2.eliminate``'s (rows, words, stacks) layout, x outermost; x's
+    bits past the block's are set on the start row.  One
+    ``gf2.eliminate`` per block reduces it in place and leaves r_x rows
+    with a nonzero K part, and on each other row a kernel vector c of K_x
+    (its identity part) with the row [M_x c | L_x . c] of the affine
+    system, already in echelon form over the coefficients, and w =
+    U_x^T c in its U block, so q_x(c) = parity(w & c).  The identity part
+    is never zero, so no pivot lands in the U block.  Adding q_x(c)
+    touches only the constant bit, so the free rows, the kernel rows with
+    no coefficients, number n_b - r_x - rho_x, and x is inconsistent iff
+    one of them reads 0 = 1.  One row sum of the code free + 2**k (free
+    & odd), with 2**k > n_b, gives both: its low field counts a stack's
+    free rows and its high field is nonzero iff x is inconsistent.  Each
+    consistent x adds 2**(2 n_b - r_x + n_a - rho_x) = 2**(N + free); a
+    sample's sum is at most 2**(2N), exact in int64 up to MAX_QUBITS.
     """
     n = n_a + n_b
     check_qubit_cap(n)
     width = n + 2 * n_b + 1
     dtype = gf2.word_dtype(width)
-    u_word, u_bit = divmod(n + n_b + 1 if width <= 64 else 64, 64)  # where the U block starts
+    n_words = gf2._n_words(width)
+    u_word, u_shift = (0, n_b) if n_words == 1 else (1, 0)  # U block word, shift onto c
     k_rows = _single_rows(choices, a_parts, b_parts, n_a, n_b)
     cols = np.arange(n_b, dtype=np.uint64)
     upper = -(2 << cols) & (1 << n_b) - 1  # bits of K_x[j] past j
-    singles = np.zeros((*k_rows.shape, u_word + 1), dtype=dtype)
+    singles = np.zeros((*k_rows.shape, n_words), dtype=dtype)
     singles[..., 0] = k_rows
-    singles[..., u_word] |= ((k_rows & upper) << u_bit).astype(dtype)
-    start = np.zeros((n_b, u_word + 1), dtype=dtype)
+    singles[..., u_word] |= ((k_rows & upper) << n + 1 + u_shift).astype(dtype)
+    start = np.zeros((n_b, n_words), dtype=dtype)
     start[:, 0] = 1 << cols + (n + 1)
-    bits = min(n_a, _GAUSS_BLOCK_BITS)
-    step = 1 << _GAUSS_BLOCK_BITS - bits  # samples per block
+    stacks = max(1, _GAUSS_BLOCK_BYTES // (n_b * n_words * dtype.itemsize))
+    block = stacks.bit_length() - 1  # a block holds 2**block stacks
+    bits = min(n_a, block)  # x bits per block
+    step = 1 << block - bits  # samples per block
+    k = n_b.bit_length()  # 2**k > n_b: the low field of a row sum holds its free count
     total = np.zeros(singles.shape[0], dtype=np.int64)
     for lo in range(0, singles.shape[0], step):
         single = singles[lo : lo + step].transpose(1, 2, 3, 0)[:, :, :, np.newaxis]
         for x_lo in range(0, 1 << n_a, 1 << bits):
-            # (rows, words, x, sample): eliminate's own layout, so its copy is a flat one
-            rows = np.empty((n_b, u_word + 1, 1 << bits, single.shape[-1]), dtype=dtype)
+            rows = np.empty((n_b, n_words, 1 << bits, single.shape[-1]), dtype=dtype)
             rows[:, :, 0] = start[:, :, np.newaxis]
             for t in range(bits, n_a):
                 if x_lo >> t & 1:
                     head = rows[:, 0, 0]
-                    head ^= (head >> n_b + t & 1) << n
+                    head ^= (head & 1 << n_b + t) << n - n_b - t
                     rows[:, :, 0] ^= single[t, :, :, 0]
             for t in range(bits):
                 old, new = rows[:, :, : 1 << t], rows[:, :, 1 << t : 2 << t]
                 np.bitwise_xor(old, single[t], out=new)
-                new[:, 0] ^= (old[:, 0] >> n_b + t & 1) << n
-            reduced = gf2.eliminate(rows.reshape(n_b, u_word + 1, -1).transpose(2, 0, 1))
-            work = reduced.transpose(1, 2, 0)  # (rows, words, stacks), C-contiguous
+                new[:, 0] ^= (old[:, 0] & 1 << n_b + t) << n - n_b - t
+            work = rows.reshape(n_b, n_words, -1)  # (rows, words, stacks), a view
+            gf2.eliminate(work)
             low = work[:, 0]
-            free = low & (1 << n) - 1 == 0
-            # c is the identity part and w the U block, so c & w is q_x(c)'s terms
-            parity = (low >> n ^ np.bitwise_count(low >> n + 1 & work[:, u_word] >> u_bit)) & 1
-            consistent = ~(free & parity.astype(bool)).any(axis=0)
-            terms = np.left_shift(consistent.astype(np.int64), np.count_nonzero(free, axis=0) + n)
+            # on a free row (no K or M bits), w & c holds q_x(c)'s terms and bit N the constant
+            read = work[:, u_word] >> u_shift  # w laid over c
+            read |= 1 << n
+            read &= low
+            codes = np.bitwise_count(read)
+            codes &= 1  # odd
+            codes *= 1 << k
+            codes |= 1
+            codes *= low & (1 << n) - 1 == 0  # free + 2**k (free & odd)
+            sums = codes.sum(axis=0, dtype=np.uint16)  # at most n_b (2**k + 1) < 2**11
+            # a consistent stack's sum is its free count; the mask only bounds the others' shift
+            terms = np.left_shift(sums < 1 << k, (sums & (1 << k) - 1) + n, dtype=np.int64)
             total[lo : lo + step] += terms.reshape(1 << bits, -1).sum(axis=0)
     return total
 

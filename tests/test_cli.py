@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperent import cli, ensembles, gf2, purity, verify
+from hyperent import cli, ensembles, gf2, hypergraph, purity, verify
 
 BELL = "n 2\n0 1\n"
 CCZ3 = "n 3\n0 1 2\n"
@@ -144,6 +144,24 @@ def test_state_above_cap_exit_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "state", "--graph-file", str(f))
     assert code == 3 and out == ""
     assert "exceeds the qubit cap (31)" in err and "int64" in err
+
+
+def test_state_checks_the_cap_before_any_edge_mask(tmp_path, capsys, monkeypatch):
+    # an edge on vertex 10^10 - 1 would be a 1.25 GB mask: the header's N
+    # is refused first, and no edge is checked or masked
+    def unreachable(*args, **kwargs):
+        raise AssertionError("edge masked past the qubit cap")
+
+    monkeypatch.setattr(hypergraph, "edge_pass", unreachable)
+    f = tmp_path / "huge.graph"
+    cap = "exceeds the qubit cap (31): numerators must fit int64\n"
+    for text, code, err in [
+        ("n 10000000000\n9999999999 0\n", 3, f"domain error: n=10000000000 {cap}"),
+        ("n 40\n0 50\n", 3, f"domain error: n=40 {cap}"),  # past the cap and out of range
+        ("n 10000000000\n0 x\n", 2, "parse error: bad edge line '0 x'\n"),  # syntax first
+    ]:
+        f.write_text(text)
+        assert run_cli(capsys, "state", "--graph-file", str(f)) == (code, "", err)
 
 
 def test_state_header_past_cap_exit_3(tmp_path, capsys, monkeypatch):

@@ -300,6 +300,59 @@ def test_batch_rank_mixed_pivot_words(case):
     assert batch_rank(stack, cols).tolist() == [ref_gf2_rank(d) for d in mats]
 
 
+@st.composite
+def _eliminate_cases(draw):
+    """(cols, mats): stacks for eliminate in each word type, or multi-word stacks of mixed pivots.
+
+    Rows of at most 8, 16, 32 and 64 columns are one uint8, uint16,
+    uint32 or uint64 word, and wider ones two or more uint64 words.  The
+    matrices are low-rank products as in _gf2_stacks, or come from
+    _mixed_word_stacks.
+    """
+    if draw(st.booleans(), label="mixed pivot words"):
+        return draw(_mixed_word_stacks())
+    word = st.sampled_from([(1, 8), (9, 16), (17, 32), (33, 64), (65, 128)])
+    low, high = draw(word, label="columns of the word type")
+    cols = draw(st.integers(low, high), label="cols")
+    rows = draw(st.integers(1, 24), label="rows")
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    mats = []
+    for _ in range(draw(st.integers(1, 6), label="batch")):
+        inner = draw(st.integers(0, min(rows, cols) + 1), label="inner")
+        a = rnd.integers(0, 2, size=(rows, inner))
+        mats.append(((a @ rnd.integers(0, 2, size=(inner, cols))) & 1).astype(np.uint8))
+    return cols, mats
+
+
+@settings(deadline=None)
+@given(_eliminate_cases())
+def test_eliminate_reduces_in_place(case):
+    # a (rows, words, stacks) stack is reduced where it lies: its nonzero
+    # rows number the rank, later rows keep no earlier pivot, and every
+    # prefix of rows spans what it spanned
+    cols, mats = case
+    work = np.ascontiguousarray(np.stack([pack_rows(d) for d in mats]).transpose(1, 2, 0))
+    assert work.dtype == word_dtype(cols) and work.shape[1] == (cols + 63) // 64
+    assert gf2_mod.eliminate(work) is None
+    reduced = _dense(np.ascontiguousarray(work.transpose(2, 0, 1)), cols)
+    for dense, out in zip(mats, reduced):
+        nonzero = out.any(axis=1)
+        assert np.count_nonzero(nonzero) == ref_gf2_rank(dense)
+        for i in np.flatnonzero(nonzero):
+            assert not out[i + 1 :, np.flatnonzero(out[i])[0]].any()
+        for i in range(1, len(dense) + 1):
+            assert ref_gf2_rank(np.vstack([dense[:i], out[:i]])) == ref_gf2_rank(dense[:i])
+            assert ref_gf2_rank(out[:i]) == ref_gf2_rank(dense[:i])
+
+
+def test_eliminate_takes_its_own_layout_only():
+    # a strided view or signed words would not be reduced where they lie
+    work = np.ascontiguousarray(_random_words(4, 5, 70, 2, 0).transpose(1, 2, 0))
+    for bad in (work[:, :, ::2], work.transpose(1, 0, 2), work.astype(np.int64), work[0]):
+        with pytest.raises(ValueError):
+            gf2_mod.eliminate(bad)
+
+
 def _batch_sizes(monkeypatch) -> list:
     """Record the batch size of every batch_rank call the rank law makes."""
     sizes = []

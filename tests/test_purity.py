@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperent.gf2 as gf2_mod
 import hyperent.purity as purity_mod
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
@@ -323,14 +324,16 @@ def test_gauss_route_matches_oracles(case):
 
 @st.composite
 def gauss_batch_cases(draw):
-    """(part, a_parts, b_parts, choices, block): a batch of choices of arity-1..3 cross edges.
+    """(part, a_parts, b_parts, choices, budget): a batch of choices of arity-1..3 cross edges.
 
     The cut has a scattered mask and either orientation, so n_A runs
     past n_B as well as below it; the cross set may be empty.  Batches
     hold 1..50 rows of bool or uint8 choices, an all-one row among them.
-    block is a _GAUSS_BLOCK_BITS of the real size or one small enough
-    that a block spans several samples and one sample's x span several
-    blocks.
+    budget is the real _GAUSS_BLOCK_BYTES, or a byte budget between the
+    rows of 2**j and 2**(j + 1) (sample, x) stacks, j = 0..3, so blocks
+    hold 1, 2, 4 or 8 stacks: several samples when n_A is small, and
+    one sample's x spread over several blocks, x's high bits on the
+    start row, when it is large.
     """
     n = draw(st.integers(2, 11), label="n")
     part = Bipartition(n, draw(st.integers(1, (1 << n) - 2), label="a_mask"))
@@ -347,17 +350,27 @@ def gauss_batch_cases(draw):
     dtype = draw(st.sampled_from([bool, np.uint8]), label="dtype")
     choices = rnd.random((batch, a_parts.size)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
     choices[rnd.integers(batch)] = True
-    block = draw(st.sampled_from([0, 1, 2, 3, purity_mod._GAUSS_BLOCK_BITS]), label="block")
-    return part, a_parts, b_parts, choices.astype(dtype), block
+    budget = purity_mod._GAUSS_BLOCK_BYTES
+    j = draw(st.sampled_from([0, 1, 2, 3, None]), label="log2 stacks")
+    if j is not None:
+        stacks = _stack_bytes(part.n_a, part.n_b) << j
+        budget = stacks + draw(st.integers(0, stacks - 1), label="spare bytes")
+    return part, a_parts, b_parts, choices.astype(dtype), budget
+
+
+def _stack_bytes(n_a, n_b):
+    """Bytes of the rows of one (sample, x) stack of the Gauss-sum kernel."""
+    width = n_a + 3 * n_b + 1
+    return n_b * gf2_mod._n_words(width) * gf2_mod.word_dtype(width).itemsize
 
 
 @settings(deadline=None, max_examples=80)
 @given(gauss_batch_cases())
 def test_gauss_numerators_match_gram_route(case):
     # every row of a batch against the Gram numerator of its sign rows
-    part, a_parts, b_parts, choices, block = case
+    part, a_parts, b_parts, choices, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(purity_mod, "_GAUSS_BLOCK_BITS", block)
+        mp.setattr(purity_mod, "_GAUSS_BLOCK_BYTES", budget)
         got = purity_mod._gauss_numerators(choices, a_parts, b_parts, part.n_a, part.n_b)
     rows = _sign_rows(choices, a_parts, b_parts, part.n_a, part.n_b)
     assert got.dtype == np.int64 and got.shape == (len(choices),)
@@ -398,7 +411,7 @@ def test_gauss_numerators_at_word_boundaries(monkeypatch, n_a, n_b, dtype):
     seen = []
     eliminate = purity_mod.gf2.eliminate
     monkeypatch.setattr(
-        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[2])) or eliminate(w)
+        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[1])) or eliminate(w)
     )
     got = purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n_b)
     assert set(seen) == {(np.dtype(dtype), 1 if width <= 64 else 2)}
@@ -423,7 +436,7 @@ def test_gauss_numerators_two_word_rows(monkeypatch, n, n_a):
     seen = []
     eliminate = purity_mod.gf2.eliminate
     monkeypatch.setattr(
-        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[2])) or eliminate(w)
+        purity_mod.gf2, "eliminate", lambda w: seen.append((w.dtype, w.shape[1])) or eliminate(w)
     )
     want = []
     for row in choices:
@@ -432,8 +445,9 @@ def test_gauss_numerators_two_word_rows(monkeypatch, n, n_a):
         assert purity == ref_purity(8, small.edges, (1 << n_a) - 1)
         want.append(purity * (1 << 2 * n))
     seen.clear()
-    for block in (purity_mod._GAUSS_BLOCK_BITS, 1):  # 1: x's high bit on the start row
-        monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BITS", block)
+    # blocks of 2 and 1 stacks put x's high bits, then all of them, on the start row
+    for budget in (purity_mod._GAUSS_BLOCK_BYTES, 2 * _stack_bytes(n_a, n - n_a), 1):
+        monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BYTES", budget)
         got = purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n - n_a)
         assert got.tolist() == want
     assert set(seen) == {(np.dtype(np.uint64), 2)}
@@ -507,11 +521,40 @@ def test_gauss_route_at_the_qubit_cap(seed, sizes):
 
 
 def test_gauss_blocks_of_x_match_one_block(monkeypatch):
-    # 2^11 blocks of 2^4 x instead of 8 blocks of 2^12 give the same numerator
+    # 2^11 blocks of 2^4 x instead of 16 blocks of 2^11 give the same numerator
     h, part, purity = _disjoint_blocks(2, (8, 10, 7, 5))
     assert (part.n_a, part.n_b) == (15, 15)
-    monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BITS", 4)
+    monkeypatch.setattr(purity_mod, "_GAUSS_BLOCK_BYTES", _stack_bytes(15, 15) << 4)
     assert state_purity(h, part) == purity
+
+
+@pytest.mark.parametrize(
+    "n, n_a, samples, blocks",
+    [(14, 7, 600, 10), (31, 15, 1, 16), (31, 1, 300, 2)],
+)
+def test_gauss_blocks_fit_the_byte_budget(monkeypatch, n, n_a, samples, blocks):
+    # every block handed to eliminate, on the CCZ universe of the cut: a
+    # C-contiguous (rows, words, stacks) stack whose rows fit the budget,
+    # and more than half of it unless the block is all the work there is
+    part = Bipartition.from_first(n, n_a)
+    masks = np.array([sum(1 << v for v in e) for e in all_k_edges(n, 3)], dtype=np.int64)
+    _, a_parts, b_parts = _cross_parts(masks, part)
+    choices = np.random.default_rng(n).random((samples, a_parts.size)) < 0.5
+    seen = []
+    eliminate = purity_mod.gf2.eliminate
+    monkeypatch.setattr(
+        purity_mod.gf2,
+        "eliminate",
+        lambda w: seen.append((w.shape, w.nbytes, w.flags.c_contiguous)) or eliminate(w),
+    )
+    purity_mod._gauss_numerators(choices, a_parts, b_parts, n_a, n - n_a)
+    budget, stack = purity_mod._GAUSS_BLOCK_BYTES, _stack_bytes(n_a, n - n_a)
+    assert len(seen) == blocks
+    for shape, size, contiguous in seen:
+        assert contiguous and shape[0] == n - n_a and size == shape[2] * stack
+        assert size <= budget
+    assert sum(shape[2] for shape, _, _ in seen) == samples << n_a
+    assert seen[0][1] > budget // 2
 
 
 def test_side_index_matches_bit_loop():
