@@ -27,22 +27,22 @@ entries gathered into one 2^u int64 array a cache-sized block at a
 time, and one subset transform over it yielding the numerators, with
 no state, sign row or Gram matrix built.
 
-Monte Carlo sums what purity makes of each piece:
-:func:`purity._cut_sampler` hands it a draw and a values function, and
-``values(draw(...))`` is every sample's purity and entropy as floats,
-by the draw, route, limits, batches and BLAS policy it picks for the
-universe.  Its memory is bounded by the piece, not the run: each chunk of
-samples is drawn in pieces of at most ``_MC_PIECE_DRAWS`` = 2^21 edge
-choices.  A universe that is the cut block itself at p = 1/2 (the
-``moments --family cz`` default) takes the word route: each piece is
-read as packed cut blocks straight from the stream's bits, one bit per
-choice, with no bool made.  Every other universe takes the bool route:
-each piece is drawn one bool per choice (2 MiB) into one buffer that
-every piece of a share reuses, which :func:`rng.bernoulli_block` fills
-one tile at a time through a pair of uint64 tiles that the share also
-reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks
-(256 KiB) and copies in, else a tile of 2^15 draws (256 KiB) that it
-thresholds in.  Purity then holds only what it makes of one piece.
+Monte Carlo reduces what purity makes of each piece: ``values(draw(...))``
+of :func:`purity._cut_sampler` is every sample's exact key, by the draw,
+route, limits, batches and BLAS policy it picks for the universe.  Each
+chunk's keys become exact int sums, which :func:`_reduce`, the exhaustive
+route's reducer too, rounds once.  Its memory is bounded by the piece, not
+the run: each chunk of samples is drawn in pieces of at most
+``_MC_PIECE_DRAWS`` = 2^21 edge choices.  A universe that is the cut block
+itself at p = 1/2 (the ``moments --family cz`` default) takes the word
+route: each piece is read as packed cut blocks straight from the stream's
+bits, one bit per choice, with no bool made.  Every other universe takes
+the bool route: each piece is drawn one bool per choice (2 MiB) into one
+buffer that every piece of a share reuses, which :func:`rng.bernoulli_block`
+fills one tile at a time through a pair of uint64 tiles that the share also
+reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks (256 KiB)
+and copies in, else a tile of 2^15 draws (256 KiB) that it thresholds in.
+Purity then holds only what it makes of one piece.
 
 Exhaustive moments are exact: purity numerators and collision counts
 are integers, enumerated subsets are tallied by (edge count,
@@ -59,7 +59,6 @@ import enum
 import math
 import os
 import pickle
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, repeat
@@ -76,6 +75,7 @@ _HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
 _TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
 _TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays' worth, so u <= 26
+_ENTROPY_BITS = 52  # entropies are summed as exact ints over 2^52 (see _add_terms)
 
 
 class Family(enum.Enum):
@@ -336,14 +336,14 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     return nums
 
 
-def _tally(tally: Counter, lo: int, nums: np.ndarray, u: int) -> None:
-    """Count the (edge count, numerator) keys of subsets lo, lo + 1, ... of u edges into tally.
+def _tally(lo: int, nums: np.ndarray, u: int):
+    """(distinct keys, runs) of the (edge count, numerator) keys of subsets lo, lo + 1, ... of u edges.
 
     Each numerator is overwritten in place by the uint64 key
     num << b | c, with c the subset's edge count and b = u.bit_length(),
     so c < 2^b; the keys are sorted in place and each run of equal keys
-    adds its length.  The numerators must be non-negative and below
-    2^(64 - b), so that every key fits uint64.
+    gives its key and length.  The numerators must be non-negative and
+    below 2^(64 - b), so that every key fits uint64.
     """
     b = u.bit_length()
     keys = nums.view(np.uint64)
@@ -351,61 +351,82 @@ def _tally(tally: Counter, lo: int, nums: np.ndarray, u: int) -> None:
     keys |= np.bitwise_count(np.arange(lo, lo + keys.size, dtype=np.uint64))
     keys.sort()
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    runs = np.diff(starts, append=keys.size)
-    low = (1 << b) - 1
-    for key, run in zip(keys[starts].tolist(), runs.tolist()):
-        tally[key & low, key >> b] += run
+    return keys[starts], np.diff(starts, append=keys.size)
+
+
+def _add_terms(sums: list, classes, nums, entropies, runs) -> None:
+    """Add runs[i] values (nums[i], entropies[i]) to sums[classes[i]], each [n, sum num, num^2, S, S^2].
+
+    Each entropy, an int or a float64, is summed as the int entropy * 2^52,
+    so every sum is exact and order-free: log2 of an integer is 0 or at
+    least 1, so a float64 2N - log2(num) is a multiple of 2^-52.
+    """
+    for c, num, s2, run in zip(classes, nums, entropies, runs):
+        top, bottom = s2.as_integer_ratio()  # bottom is a power of two
+        s = top << _ENTROPY_BITS + 1 - bottom.bit_length()
+        acc = sums[c]
+        acc[0] += run
+        acc[1] += run * num
+        acc[2] += run * num * num
+        acc[3] += run * s
+        acc[4] += run * s * s
+
+
+def _reduce(n: int, classes, exact: bool, rational_entropy: bool = True) -> EntropyStats:
+    """The one reducer: (weight, sums of :func:`_add_terms`) classes to entropy and purity estimates.
+
+    A moment is sum(weight * sum) / sum(weight * count).  Exact estimates
+    stay rational (entropy only if rational_entropy), variance second -
+    mean^2; Monte Carlo ones take n / (n - 1) times it, rounded once to float.
+    """
+    count = sum(sums[0] for _, sums in classes)
+    total = sum(w * sums[0] for w, sums in classes)
+
+    def estimate(i: int, scale: int, rational: bool) -> MomentEstimate:
+        mean = Fraction(sum(w * sums[i] for w, sums in classes), total * scale)
+        second = Fraction(sum(w * sums[i + 1] for w, sums in classes), total * scale * scale)
+        variance = second - mean * mean
+        if rational:
+            return MomentEstimate(mean, second, variance, 0.0, 0.0, count, True)
+        var = float(variance if exact else variance * count / (count - 1))
+        errors = (0.0, 0.0) if exact else (math.sqrt(var / count), var * math.sqrt(2 / (count - 1)))
+        return MomentEstimate(float(mean), float(second), var, *errors, count, exact)
+
+    entropy = estimate(3, 1 << _ENTROPY_BITS, exact and rational_entropy)
+    return EntropyStats(entropy, estimate(1, 1 << 2 * n, exact))
 
 
 def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
     """Exact purity and entropy moments over every subset of the universe.
 
     Subsets with c edges share the weight p^c (1-p)^(u-c), so the
-    subsets are tallied by (edge count, numerator) and each distinct key
-    is weighted once.  :func:`_tally` overwrites the numerators a chunk
-    at a time with keys num << b | c, b = u.bit_length(); a numerator is
-    at most 2^(2N), so a key fits uint64 while 2N + b < 64, which holds
-    for every ensemble universe of at most 26 edges at N <= 31 (the
-    widest, one 31-edge at N = 31, has 2N + b = 63).  A 2-edge
-    numerator is 2^(2N - rank), so those entropies are integers and
-    their moments exact rationals too.
+    subsets are tallied by (edge count, numerator), the chunks' runs are
+    merged once, and :func:`_reduce` weighs each edge count's sums.
+    :func:`_tally` overwrites the numerators a chunk at a time with keys
+    num << b | c, b = u.bit_length(); a numerator is at most 2^(2N), so
+    a key fits uint64 while 2N + b < 64, which holds for every ensemble
+    universe of at most 26 edges at N <= 31 (the widest, one 31-edge at
+    N = 31, has 2N + b = 63).  A 2-edge numerator is 2^(2N - rank), so
+    those entropies are integers and their moments exact rationals too.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
-    n = spec.n_qubits
-    tally = Counter()
     nums = _subset_numerators(universe, part)
-    for lo in range(0, nums.size, _TALLY_CHUNK):
-        _tally(tally, lo, nums[lo : lo + _TALLY_CHUNK], u)
-    keys = sorted(tally)
+    chunks = [_tally(lo, nums[lo : lo + _TALLY_CHUNK], u) for lo in range(0, nums.size, _TALLY_CHUNK)]
+    keys, runs = (np.concatenate(arrays) for arrays in zip(*chunks))
+    keys, where = np.unique(keys, return_inverse=True)
+    mult = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(mult, where, runs)
+    b = 1 << u.bit_length()  # keys are num * b + c
+    distinct = (keys // np.uint64(b)).astype(np.int64)
     graph = spec.edge_arity == 2
-    if graph:
-        entropies = [2 * n - (num.bit_length() - 1) for _, num in keys]
-    else:
-        entropies = (2 * n - np.log2(np.array([num for _, num in keys], dtype=np.int64))).tolist()
-    sums = [[0, 0, 0, 0] for _ in range(u + 1)]  # per c: sum num, num^2, S2, S2^2
-    for (c, num), s2 in zip(keys, entropies):
-        mult = tally[c, num]
-        acc = sums[c]
-        acc[0] += mult * num
-        acc[1] += mult * num * num
-        acc[2] += mult * s2
-        acc[3] += mult * s2 * s2
-    p_mean = p_second = s_mean = s_second = 0
-    for c, (num, num_sq, s, s_sq) in enumerate(sums):
-        w = subset_weight(spec, c, u - c)
-        p_mean += w * Fraction(num, 1 << (2 * n))
-        p_second += w * Fraction(num_sq, 1 << (4 * n))
-        w_s = w if graph else float(w)
-        s_mean += w_s * s
-        s_second += w_s * s_sq
-    p_var = p_second - p_mean * p_mean
-    if p_var < 0:
-        raise ArithmeticError(f"negative exact purity variance {p_var}")
-    purity = MomentEstimate(p_mean, p_second, p_var, 0.0, 0.0, 1 << u, True)
-    s_var = s_second - s_mean * s_mean
-    entropy = MomentEstimate(s_mean, s_second, s_var, 0.0, 0.0, 1 << u, True)
-    return EntropyStats(entropy, purity)
+    logs = [x.bit_length() - 1 for x in distinct.tolist()] if graph else np.log2(distinct).tolist()
+    sums = [[0] * 5 for _ in range(u + 1)]
+    entropies = [2 * spec.n_qubits - log for log in logs]
+    _add_terms(sums, (keys % np.uint64(b)).tolist(), distinct.tolist(), entropies, mult.tolist())
+    p = spec.edge_probability  # the weights p^c (1-p)^(u-c) times denominator^u, ints
+    weights = [p.numerator**c * (p.denominator - p.numerator) ** (u - c) for c in range(u + 1)]
+    return _reduce(spec.n_qubits, list(zip(weights, sums)), exact=True, rational_entropy=graph)
 
 
 def _pair_counts(distinct: np.ndarray, which: np.ndarray, n_side: int, u: int):
@@ -455,9 +476,8 @@ def _collision_moments(sides, n: int, u: int) -> MomentEstimate:
     keys >>= shift
     ends = np.flatnonzero(np.concatenate((keys[1:] != keys[:-1], [True])))
     cnt = np.diff(sums[ends], prepend=0).tolist()
-    mean = Fraction(cnt[0], 1 << (2 * n))
-    variance = Fraction(sum(c * c for c in cnt[1:]), 1 << (4 * n))
-    return MomentEstimate(mean, mean * mean + variance, variance, 0.0, 0.0, 1 << u, True)
+    moments = [1 << u, cnt[0] << u, sum(c * c for c in cnt) << u, 0, 0]  # the 2^u subsets' sums
+    return _reduce(n, [(1, moments)], exact=True).purity
 
 
 def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
@@ -477,15 +497,6 @@ def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
         if sum(distinct.size for distinct, _, _ in sides) < len(universe):
             return _collision_moments(sides, spec.n_qubits, len(universe))
     return _exhaustive_stats(spec, part).purity
-
-
-def _mc_estimate(n: int, total: float, total_sq: float) -> MomentEstimate:
-    mean = total / n
-    second = total_sq / n
-    variance = max(0.0, (second - mean * mean) * (n / (n - 1)))
-    std_error_mean = math.sqrt(variance / n)
-    std_error_variance = variance * math.sqrt(2.0 / (n - 1))
-    return MomentEstimate(mean, second, variance, std_error_mean, std_error_variance, n, False)
 
 
 _pool: list = []  # (process, connection) of each pooled share worker, oldest first
@@ -631,8 +642,8 @@ def split_run(fn, samples: int, seed: int, workers: int, *args) -> list:
         raise
 
 
-def _stream_worker(args) -> tuple[int, float, float, float, float]:
-    """Samples [first, first + count) of a run: returns (n, sum P, sum P^2, sum S2, sum S2^2).
+def _stream_worker(args) -> list:
+    """Samples [first, first + count) of a run: their exact sums of :func:`_add_terms`.
 
     Sample i keeps the edges of the u-edge universe whose choices
     [i u, (i + 1) u) of the seed's stream are made.
@@ -640,30 +651,23 @@ def _stream_worker(args) -> tuple[int, float, float, float, float]:
     spec, part, seed, first, count = args
     universe = edge_universe(spec, part)
     rows = max(1, min(_MC_PIECE_DRAWS // max(1, len(universe)), _MC_CHUNK, count))
-    draw, values = _cut_sampler(universe, part, spec.edge_probability, rows)
-    sums = [0, 0.0, 0.0, 0.0, 0.0]
+    draw, values, terms = _cut_sampler(universe, part, spec.edge_probability, rows)
+    sums = [[0] * 5]
     for done in range(0, count, _MC_CHUNK):
         take = min(_MC_CHUNK, count - done)
-        # (purity, entropy) arrays, drawn rows at a time to bound memory
+        # drawn rows at a time to bound memory
         pieces = [
             values(draw(seed, first + r, min(rows, done + take - r)))
             for r in range(done, done + take, rows)
         ]
-        p, s2 = (np.concatenate(arrays) for arrays in zip(*pieces))
-        sums[0] += take
-        sums[1] += float(np.sum(p))
-        sums[2] += float(np.sum(p * p))
-        sums[3] += float(np.sum(s2))
-        sums[4] += float(np.sum(s2 * s2))
-    return tuple(sums)
+        keys, runs = np.unique(np.concatenate(pieces), return_counts=True)
+        _add_terms(sums, repeat(0), *terms(keys), runs.tolist())
+    return sums[0]
 
 
-def _run_sampling(spec, part, samples, seed, workers):
-    merged = [0, 0.0, 0.0, 0.0, 0.0]
-    for r in split_run(_stream_worker, samples, seed, workers, spec, part):
-        for i in range(5):
-            merged[i] += r[i]
-    return merged
+def _run_sampling(spec, part, samples, seed, workers) -> EntropyStats:
+    shares = split_run(_stream_worker, samples, seed, workers, spec, part)
+    return _reduce(spec.n_qubits, [(1, share) for share in shares], exact=False)
 
 
 def mc_moments(
@@ -676,8 +680,7 @@ def mc_moments(
     """Monte Carlo purity moments; the draws are fixed by the seed, at any worker count."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    n, p_sum, p2_sum, _, _ = _run_sampling(spec, part, samples, seed, workers)
-    return _mc_estimate(n, p_sum, p2_sum)
+    return _run_sampling(spec, part, samples, seed, workers).purity
 
 
 def entropy_stats(
@@ -696,5 +699,4 @@ def entropy_stats(
         return _exhaustive_stats(spec, part)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    n, p_sum, p2_sum, s_sum, s2_sum = _run_sampling(spec, part, samples, seed, workers)
-    return EntropyStats(_mc_estimate(n, s_sum, s2_sum), _mc_estimate(n, p_sum, p2_sum))
+    return _run_sampling(spec, part, samples, seed, workers)

@@ -31,15 +31,16 @@ routes, chosen by the cross edges:
   BLAS matmul that stays exact.
 
 The ensembles' Monte Carlo enters at :func:`_cut_sampler`, which picks
-how a universe's pieces are drawn and valued.  A universe that is the
-cut block itself, at p = 1/2, is read as packed blocks straight from the
-stream (``gf2._random_words``, the rank law's matrices) and ranked.
-Any other is drawn as bools and valued by :func:`_cut_values`, which
-picks the route (the GF(2) rank route below for 2-edges, else
-:func:`_numerators`), refuses a cut past that route's limit, and runs
-the sampler's numerators alone inside :func:`_one_blas_thread`: the
-caller and the forked children of a worker split compute at once, and
-BLAS threads would oversubscribe the cores.  Single states
+how a universe's pieces are drawn and keyed (by exact ranks or
+numerators).  A cut block universe at p = 1/2 is read as packed blocks
+straight from the stream (``gf2._random_words``, the rank law's
+matrices) and ranked.  Any other is drawn as bools and keyed by
+:func:`_cut_values`, which picks the route (the GF(2) rank route below
+for 2-edges, else :func:`_numerators`), refuses a cut past that route's
+limit, and runs the sampler's numerators alone inside
+:func:`_one_blas_thread`: the caller and the forked children of a
+worker split compute at once, and BLAS threads would oversubscribe the
+cores.  Single states
 (:func:`state_purity`, on the smaller side as A, with no 2**N sign
 table) keep every BLAS thread.
 
@@ -501,43 +502,38 @@ def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.nda
     return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
-def _rank_floats(ranks: np.ndarray):
-    """(purity 2**-rank, entropy rank) as float64 arrays."""
-    return np.ldexp(1.0, -ranks), ranks.astype(np.float64)
-
-
-def _rank_values(order: np.ndarray, part: Bipartition, bits: np.ndarray):
-    """(purity, entropy) as float64 per row of 2-edge choices, from its cut block's rank."""
-    return _rank_floats(_cut_ranks(bits, order, part))
-
-
-def _block_values(cols: int, words: np.ndarray):
-    """(purity, entropy) as float64 per cut block of a packed (batch, rows, words) stack."""
-    return _rank_floats(gf2.batch_rank(words, cols))
+def _block_values(cols: int, words: np.ndarray) -> np.ndarray:
+    """GF(2) rank of each cut block of a packed (batch, rows, words) stack."""
+    return gf2.batch_rank(words, cols)
 
 
 def _numerator_values(cross, a_parts, b_parts, side: Bipartition, bits: np.ndarray):
-    """(purity, Renyi-2 entropy) as float64 per row of edge choices, on one BLAS thread."""
+    """int64 purity numerator per row of edge choices, on one BLAS thread."""
     with _one_blas_thread():
-        nums = _numerators(bits, cross, a_parts, b_parts, side.n_a, side.n_b)
-    n = side.n_qubits
-    return nums.astype(np.float64) * math.ldexp(1.0, -2 * n), 2 * n - np.log2(nums)
+        return _numerators(bits, cross, a_parts, b_parts, side.n_a, side.n_b)
+
+
+def _key_terms(n: int, ranked: bool, keys: np.ndarray):
+    """(numerators over 2**(2n), entropies) of keys: 2**(2n - r) and r, or num and 2n - log2(num)."""
+    if ranked:
+        return [1 << 2 * n - r for r in keys.tolist()], keys.tolist()
+    return keys.tolist(), (2 * n - np.log2(keys)).tolist()
 
 
 def _cut_values(universe: list[Edge], part: Bipartition):
-    """Values of Monte Carlo bools: a function of (batch, universe) 0/1 edge choices of a cut.
+    """Keys of Monte Carlo bools: a function of (batch, universe) 0/1 edge choices of a cut.
 
-    It returns float64 (purity, Renyi-2 entropy) arrays, one entry per
-    row.  Each route's limit is checked here, before any edge is
-    factored.  A universe of 2-edges takes the GF(2) rank of the cut
-    block, purity 2**-rank: its cells are looked up by edge codes, with
-    no int64 mask, so it has no qubit limit, and the cut keeps its
-    orientation, so a cross universe with A the lowest qubits is the
-    block itself.  Any other universe is factored on the smaller side as
-    A for :func:`_numerators`, on one BLAS thread.  Edges of at most
-    three vertices take the Gauss route, refused past the qubit cap, and
-    larger ones the Gram route, refused when one sample's packed sign
-    rows pass _SAMPLE_BYTES.
+    It returns one int64 key per row (see :func:`_cut_sampler`).  Each
+    route's limit is checked here, before any edge is factored.  A
+    universe of 2-edges is keyed by the GF(2) rank of the cut block,
+    purity 2**-rank: its cells are looked up by edge codes, with no int64
+    mask, so it has no qubit limit, and the cut keeps its orientation, so
+    a cross universe with A the lowest qubits is the block itself.  Any
+    other universe is factored on the smaller side as A for
+    :func:`_numerators`, on one BLAS thread.  Edges of at most three
+    vertices take the Gauss route, refused past the qubit cap, and larger
+    ones the Gram route, refused when one sample's packed sign rows pass
+    _SAMPLE_BYTES.
     """
     arity = max(map(len, universe), default=0)
     if arity == 2:
@@ -545,7 +541,7 @@ def _cut_values(universe: list[Edge], part: Bipartition):
         # the universe is lexicographic, so its codes are sorted
         edges = np.fromiter(chain.from_iterable(universe), np.int64, 2 * u).reshape(u, 2)
         order = np.searchsorted(edge_codes(edges, n), edge_codes(cut_cells(part), n))
-        return functools.partial(_rank_values, order, part)
+        return functools.partial(_cut_ranks, order=order, part=part)
     side = _smaller_side(part)
     if arity <= _GAUSS_MAX_VERTICES:
         check_qubit_cap(part.n_qubits)
@@ -588,20 +584,22 @@ def _choice_draw(p: Fraction, u: int, rows: int):
 
 
 def _cut_sampler(universe: list[Edge], part: Bipartition, p: Fraction, rows: int):
-    """The Monte Carlo entry: (draw, values) of a cut's universe at edge probability p.
+    """The Monte Carlo entry: (draw, values, terms) of a cut's universe at edge probability p.
 
-    ``values(draw(seed, first, count))`` is the float64 (purity, Renyi-2
-    entropy) pair of arrays of samples [first, first + count) of the
-    seed's stream, count at most rows, sample i keeping the edges whose
-    choices [i u, (i + 1) u) are made.  A universe that is the cut block
-    itself, row-major (a cross universe of 2-edges with A the lowest
-    qubits), at p = 1/2 is drawn as packed blocks, straight from the
-    stream's bits (:func:`_block_draw`), and ranked as they come.  Every
-    other universe is drawn as bools (:func:`_choice_draw`), and
-    :func:`_cut_values` turns them into purities, by the route, limits
-    and batches it picks.  Both give the same floats for the same
-    choices.
+    ``values(draw(seed, first, count))`` is the int64 key of each of
+    samples [first, first + count) of the seed's stream, count at most
+    rows, sample i keeping the edges whose choices [i u, (i + 1) u) are
+    made: the cut block's GF(2) rank on the 2-edge routes, the purity
+    numerator on the others; ``terms`` (:func:`_key_terms`) values
+    distinct keys.  A universe that is the cut block itself, row-major
+    (a cross universe of 2-edges with A the lowest qubits), at p = 1/2
+    is drawn as packed blocks, straight from the stream's bits
+    (:func:`_block_draw`), and ranked as they come.  Every other
+    universe is drawn as bools (:func:`_choice_draw`), and
+    :func:`_cut_values` keys them, by the route, limits and batches it
+    picks.  Both give the same keys for the same choices.
     """
+    terms = functools.partial(_key_terms, part.n_qubits, max(map(len, universe), default=0) == 2)
     if p == Fraction(1, 2) and universe == list(map(tuple, cut_cells(part).tolist())):
-        return functools.partial(_block_draw, part), functools.partial(_block_values, part.n_b)
-    return _choice_draw(p, len(universe), rows), _cut_values(universe, part)
+        return functools.partial(_block_draw, part), functools.partial(_block_values, part.n_b), terms
+    return _choice_draw(p, len(universe), rows), _cut_values(universe, part), terms

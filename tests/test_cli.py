@@ -355,30 +355,43 @@ def test_moments_json_deterministic(capsys):
     }
 
 
+def _repinned(argv, digest, was):
+    """A param of (argv, digest) whose id keeps was, the digest of the rows the float sums printed.
+
+    The means are unchanged; the variance, std error and z-score cells
+    moved in their last digits once the sums became exact.
+    """
+    return pytest.param(argv, digest, id=f"{argv}-{was}")
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (
+        _repinned(
             "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 1",
+            "eb9019c0a15f0018a03f867e1d3a201f03ca11d63322d69c4b2a5d42204be54c",
             "c4165acae055e2ecae6db4761ca7a113cd379d5f1e87d70fa7c922448735d375",
         ),
-        (
+        _repinned(
             "moments --family ccz --n 10,12,14 --samples 600 --seed 5 --workers 2",
+            "eb9019c0a15f0018a03f867e1d3a201f03ca11d63322d69c4b2a5d42204be54c",
             "c4165acae055e2ecae6db4761ca7a113cd379d5f1e87d70fa7c922448735d375",
         ),
-        (
+        _repinned(
             "moments --family ccz-half --n 9,11 --samples 500 --seed 3",
+            "fe93ee2502cb33d283d640c79696e86392c2b2df02bab620d3f2b25359d9291d",
             "0540361a051bd9024826faed898d570fd49f8c8b933a7b155b51ff6da859a806",
         ),
-        (
+        _repinned(
             "moments --family k-uniform --k 3 --n 12 --na 3 --samples 400 --seed 8 --p 3/10",
+            "cf7bee3ffe8473c101f2444a9a872f86788cab0bac62a4b2d872f9bdc0e544fc",
             "6228699eb2b645e22e51a0d5c216f2c595e757ddf5c7f8281af616e1327cf1e6",
         ),
     ],
 )
 def test_moments_gauss_route_bytes_pinned(capsys, argv, digest):
-    # Monte Carlo rows of the 3-edge families, pinned as the Gram route
-    # printed them: the Gauss-sum numerators are the same integers
+    # Monte Carlo rows of the 3-edge families: the Gauss-sum numerators are
+    # the integers the Gram route made, reduced to exact sums and rounded once
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -527,6 +540,23 @@ def test_rank_route_bytes_independent_of_workers(capsys, monkeypatch, argv):
             runs[n_cores, workers] = run_cli(capsys, *argv.split(), "--workers", str(workers))
     assert runs[1, 1][0] == 0 and runs[1, 1][2] == ""
     assert set(runs.values()) == {runs[1, 1]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --family ccz --n 10,12,14 --samples 600 --seed 5",
+        "moments --family k-uniform --k 4 --n 10 --samples 300",
+        "moments --family cz --n 16,32 --samples 20000",
+        "moments --family cz --n 16 --p 1/3 --samples 5000",
+    ],
+)
+def test_moments_bytes_independent_of_workers(capsys, argv):
+    # every route's shares return exact sums, so the rows do not depend on
+    # how the samples are split, on the Gauss and Gram routes too
+    runs = {w: run_cli(capsys, *argv.split(), "--workers", str(w)) for w in (1, 2, 3)}
+    assert runs[1][0] == 0 and runs[1][2] == ""
+    assert runs[2] == runs[3] == runs[1]
 
 
 def test_moments_workers_piped_rows_printed_once(capsys):

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 import types
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -407,7 +408,7 @@ def _chunked_stats(monkeypatch, family):
     base = entropy_stats(spec, part)
     tallies = []
     tally = ensembles_mod._tally
-    monkeypatch.setattr(ensembles_mod, "_tally", lambda *a: tallies.append(a[1]) or tally(*a))
+    monkeypatch.setattr(ensembles_mod, "_tally", lambda *a: tallies.append(a[0]) or tally(*a))
     monkeypatch.setattr(ensembles_mod, "_HIST_CHUNK", 3)  # d = 4: blocks of 3 and 1 states
     monkeypatch.setattr(ensembles_mod, "_TALLY_CHUNK", 5)
     assert tallies == []
@@ -441,9 +442,13 @@ def test_tally_matches_naive_count(data):
     value = st.sampled_from(pool + [0, top]) | st.integers(0, top)  # runs of equal keys
     values = data.draw(st.lists(value, min_size=size, max_size=size), label="values")
     nums = np.array(values, dtype=np.int64)
+    b = u.bit_length()
     tally = Counter()
     for start in range(0, size, chunk):
-        ensembles_mod._tally(tally, lo + start, nums[start : start + chunk], u)
+        keys, runs = ensembles_mod._tally(lo + start, nums[start : start + chunk], u)
+        assert np.all(keys[1:] > keys[:-1]) and runs.sum() == min(chunk, size - start)
+        for key, run in zip(keys.tolist(), runs.tolist()):
+            tally[key & (1 << b) - 1, key >> b] += run
     assert tally == Counter(((lo + i).bit_count(), v) for i, v in enumerate(values))
 
 
@@ -785,12 +790,18 @@ def test_cut_values_match_single_state_routes(data):
     rows = data.draw(st.integers(1, 6), label="rows")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     bits = bernoulli_block(seed, 0, rows * len(universe), p).reshape(rows, len(universe))
-    purity, entropy = _cut_values(universe, part)(bits)
-    assert purity.dtype == entropy.dtype == np.float64
-    for row, p_row, s_row in zip(bits, purity, entropy):
+    keys = _cut_values(universe, part)(bits)
+    terms = _cut_sampler(universe, part, p, rows)[2]
+    assert keys.dtype == np.int64
+    distinct = np.unique(keys)
+    valued = dict(zip(distinct.tolist(), zip(*terms(distinct))))
+    for row, key in zip(bits, keys.tolist()):
         want = state_purity(Hypergraph(n, frozenset(itertools.compress(universe, row))), part)
-        assert p_row == float(want)
-        assert abs(s_row - renyi2(want)) <= 1e-12
+        num, s2 = valued[key]
+        assert Fraction(num, 1 << 2 * n) == want
+        assert abs(s2 - renyi2(want)) <= 1e-12
+        if k == 2:  # the key is the rank, and the entropy that integer
+            assert s2 == key == renyi2(want)
 
 
 @pytest.mark.parametrize("a_mask", [(1 << 40) - 1, int("01" * 40, 2)])
@@ -799,14 +810,15 @@ def test_cut_values_rank_route_past_63_qubits(a_mask):
     part = Bipartition(80, a_mask)
     universe = edge_universe(EnsembleSpec(80, Family.CZ, scope=Scope.ALL_EDGES), part)
     bits = bernoulli_block(80, 0, 4 * len(universe), Fraction(3, 10)).reshape(4, len(universe))
-    purity, entropy = _cut_values(universe, part)(bits)
-    for row, p_row, s_row in zip(bits, purity, entropy):
+    ranks = _cut_values(universe, part)(bits)
+    nums, entropies = _cut_sampler(universe, part, Fraction(3, 10), 4)[2](ranks)
+    for row, key, num, s2 in zip(bits, ranks.tolist(), nums, entropies):
         rank = graph_entropy_rank(Hypergraph(80, frozenset(itertools.compress(universe, row))), part)
-        assert (p_row, s_row) == (math.ldexp(1.0, -rank), float(rank))
+        assert (key, num, s2) == (rank, 1 << 160 - rank, rank)
 
 
 def _share_stream_moments(spec, part, samples, seed, workers):
-    """Monte Carlo moments of per-share streams, through today's purity values and sums.
+    """Monte Carlo moments of per-share streams, through today's keys and exact reducer.
 
     This is the layout Monte Carlo runs had before sample positions were
     independent of the worker count: share w of the samples (contiguous,
@@ -814,28 +826,25 @@ def _share_stream_moments(spec, part, samples, seed, workers):
     seeded by draw w of the root stream, and its sample r read draws
     [r u, (r + 1) u) of that stream, choice j made when draw j <
     threshold_u64(p), at p = 1/2 too.  The draws are replayed here; the
-    purities, the per-chunk float sums, the merge in share order and the
-    estimate are the program's own, so the moments pinned for those
-    draws pin that they did not drift.
+    keys, their terms, the per-chunk exact sums and the reducer are the
+    program's own, so the moments pinned for those draws pin that they
+    did not drift.
     """
     universe = edge_universe(spec, part)
     u = len(universe)
     values = _cut_values(universe, part)
+    terms = _cut_sampler(universe, part, spec.edge_probability, 1)[2]
     t = np.uint64(threshold_u64(spec.edge_probability))
     base, extra = divmod(samples, workers)
-    merged = [0, 0.0, 0.0]
+    sums = [[0] * 5]
     for w in range(workers):
         count = base + (w < extra)
-        sums = [0, 0.0, 0.0]
         for done in range(0, count, ensembles_mod._MC_CHUNK):
             take = min(ensembles_mod._MC_CHUNK, count - done)
             bits = stream_block(stream_at(seed, w), done * u, take * u) < t
-            p = values(bits.reshape(take, u))[0]
-            sums[0] += take
-            sums[1] += float(np.sum(p))
-            sums[2] += float(np.sum(p * p))
-        merged = [m + s for m, s in zip(merged, sums)]
-    return ensembles_mod._mc_estimate(*merged)
+            keys, runs = np.unique(values(bits.reshape(take, u)), return_counts=True)
+            ensembles_mod._add_terms(sums, itertools.repeat(0), *terms(keys), runs.tolist())
+    return ensembles_mod._reduce(spec.n_qubits, [(1, sums[0])], exact=False).purity
 
 
 def _pinned_moments(draws, spec, part, samples, seed, workers):
@@ -845,20 +854,27 @@ def _pinned_moments(draws, spec, part, samples, seed, workers):
     return est.mean, est.variance
 
 
-def _pin(draws, *values, id=None):
-    """A pytest param of (draws, *values) whose id names the values alone, as pytest would."""
-    return pytest.param(draws, *values, id=id or "-".join(map(str, values)))
+def _pin(draws, *values, was=None, id=None):
+    """A pytest param of (draws, *values) whose id names the values alone, as pytest would.
+
+    was, when given, is the variance the pin held while the moments were
+    float sums (``second - mean^2`` of inexact float sums); the id keeps
+    naming it, so the test keeps its name, and the param holds the exact
+    variance rounded once.
+    """
+    named = values if was is None else (*values[:-1], was)
+    return pytest.param(draws, *values, id=id or "-".join(map(str, named)))
 
 
 @pytest.mark.parametrize(
     "draws, workers, mean, variance",
     [
-        _pin("root", 1, 0.12717447916666666, 7.267249201984388e-05),
-        _pin("root", 2, 0.12717447916666666, 7.267249201984388e-05),
-        _pin("root", 3, 0.12717447916666666, 7.267249201984388e-05),
-        _pin("shares", 1, 0.12697916666666667, 5.853387158584007e-05),
-        _pin("shares", 2, 0.12682291666666667, 5.882373754528741e-05),
-        _pin("shares", 3, 0.1273046875, 6.29014235276424e-05),
+        _pin("root", 1, 0.12717447916666666, 7.267249201984044e-05, was=7.267249201984388e-05),
+        _pin("root", 2, 0.12717447916666666, 7.267249201984044e-05, was=7.267249201984388e-05),
+        _pin("root", 3, 0.12717447916666666, 7.267249201984044e-05, was=7.267249201984388e-05),
+        _pin("shares", 1, 0.12697916666666667, 5.85338715858417e-05, was=5.853387158584007e-05),
+        _pin("shares", 2, 0.12682291666666667, 5.882373754528985e-05, was=5.882373754528741e-05),
+        _pin("shares", 3, 0.1273046875, 6.290142352764423e-05, was=6.29014235276424e-05),
     ],
 )
 def test_mc_statevector_bytes_pinned(draws, workers, mean, variance):
@@ -873,18 +889,24 @@ def test_mc_statevector_bytes_pinned(draws, workers, mean, variance):
 @pytest.mark.parametrize(
     "draws, n, workers, mean, variance",
     [
-        _pin("root", 16, 1, 0.007912109375, 1.6134314563287512e-05),
-        _pin("root", 16, 2, 0.007912109375, 1.6134314563287512e-05),
-        _pin("root", 16, 3, 0.007912109375, 1.6134314563287512e-05),
-        _pin("root", 32, 1, 3.084564208984375e-05, 2.387795888964626e-10),
-        _pin("root", 32, 2, 3.084564208984375e-05, 2.387795888964626e-10),
-        _pin("root", 32, 3, 3.084564208984375e-05, 2.387795888964626e-10),
-        _pin("shares", 16, 1, 0.007783203125, 1.4861003347132557e-05),
-        _pin("shares", 16, 2, 0.00776953125, 1.564623559338262e-05),
+        _pin("root", 16, 1, 0.007912109375, 1.6134314563287502e-05, was=1.6134314563287512e-05),
+        _pin("root", 16, 2, 0.007912109375, 1.6134314563287502e-05, was=1.6134314563287512e-05),
+        _pin("root", 16, 3, 0.007912109375, 1.6134314563287502e-05, was=1.6134314563287512e-05),
+        _pin("root", 32, 1, 3.084564208984375e-05, 2.3877958889646254e-10,
+             was=2.387795888964626e-10),
+        _pin("root", 32, 2, 3.084564208984375e-05, 2.3877958889646254e-10,
+             was=2.387795888964626e-10),
+        _pin("root", 32, 3, 3.084564208984375e-05, 2.3877958889646254e-10,
+             was=2.387795888964626e-10),
+        _pin("shares", 16, 1, 0.007783203125, 1.486100334713255e-05, was=1.4861003347132557e-05),
+        _pin("shares", 16, 2, 0.00776953125, 1.5646235593382628e-05, was=1.564623559338262e-05),
         _pin("shares", 16, 3, 0.00773828125, 1.581050229704696e-05),
-        _pin("shares", 32, 1, 3.061676025390625e-05, 2.1371913802674453e-10),
-        _pin("shares", 32, 2, 3.094482421875e-05, 2.267078616250569e-10),
-        _pin("shares", 32, 3, 3.07464599609375e-05, 2.1868492996114177e-10),
+        _pin("shares", 32, 1, 3.061676025390625e-05, 2.1371913802674437e-10,
+             was=2.1371913802674453e-10),
+        _pin("shares", 32, 2, 3.094482421875e-05, 2.2670786162505692e-10,
+             was=2.267078616250569e-10),
+        _pin("shares", 32, 3, 3.07464599609375e-05, 2.1868492996114203e-10,
+             was=2.1868492996114177e-10),
     ],
 )
 def test_mc_rank_bytes_pinned(draws, n, workers, mean, variance):
@@ -950,9 +972,9 @@ def test_cut_ranks_takes_no_gather_for_an_identity_order(monkeypatch, n, n_a):
              id="p1-1-6.422314532035974e-13-1.5842014902062807e-23"),
         _pin("root", Fraction(1, 64), 2, 6.422314532035974e-13, 1.5842014902062807e-23,
              id="p2-2-6.422314532035974e-13-1.5842014902062807e-23"),
-        _pin("shares", Fraction(1, 64), 1, 5.345624868683766e-13, 3.6060247681703556e-24,
+        _pin("shares", Fraction(1, 64), 1, 5.345624868683766e-13, 3.606024768170356e-24,
              id="p1-1-5.345624868683766e-13-3.6060247681703556e-24"),
-        _pin("shares", Fraction(1, 64), 2, 4.566088248244189e-13, 2.936508970717267e-24,
+        _pin("shares", Fraction(1, 64), 2, 4.566088248244189e-13, 2.9365089707172666e-24,
              id="p2-2-4.566088248244189e-13-2.936508970717267e-24"),
     ],
 )
@@ -967,20 +989,118 @@ def test_mc_rank_bytes_pinned_two_word_rows(draws, p, workers, mean, variance):
 @pytest.mark.parametrize(
     "draws, scope, workers, mean, variance",
     [
-        _pin("root", Scope.CROSS_ONLY, 1, 0.06595833333333333, 0.00022769916361009297),
-        _pin("root", Scope.CROSS_ONLY, 3, 0.06595833333333333, 0.00022769916361009297),
-        _pin("root", Scope.ALL_EDGES, 1, 0.066375, 0.00023506272924308052),
-        _pin("root", Scope.ALL_EDGES, 3, 0.066375, 0.00023506272924308052),
-        _pin("shares", Scope.CROSS_ONLY, 1, 0.066375, 0.00023506272924308052),
-        _pin("shares", Scope.CROSS_ONLY, 3, 0.0661875, 0.0002247585132544185),
-        _pin("shares", Scope.ALL_EDGES, 1, 0.06547916666666667, 0.00017738160984216936),
-        _pin("shares", Scope.ALL_EDGES, 3, 0.06564583333333333, 0.00018678057616427688),
+        _pin("root", Scope.CROSS_ONLY, 1, 0.06595833333333333, 0.00022769916361009226,
+             was=0.00022769916361009297),
+        _pin("root", Scope.CROSS_ONLY, 3, 0.06595833333333333, 0.00022769916361009226,
+             was=0.00022769916361009297),
+        _pin("root", Scope.ALL_EDGES, 1, 0.066375, 0.00023506272924308104,
+             was=0.00023506272924308052),
+        _pin("root", Scope.ALL_EDGES, 3, 0.066375, 0.00023506272924308104,
+             was=0.00023506272924308052),
+        _pin("shares", Scope.CROSS_ONLY, 1, 0.066375, 0.00023506272924308104,
+             was=0.00023506272924308052),
+        _pin("shares", Scope.CROSS_ONLY, 3, 0.0661875, 0.00022475851325441814,
+             was=0.0002247585132544185),
+        _pin("shares", Scope.ALL_EDGES, 1, 0.06547916666666667, 0.0001773816098421696,
+             was=0.00017738160984216936),
+        _pin("shares", Scope.ALL_EDGES, 3, 0.06564583333333333, 0.00018678057616427698,
+             was=0.00018678057616427688),
     ],
 )
 def test_mc_rank_bytes_pinned_scattered_cut(draws, scope, workers, mean, variance):
     part = Bipartition(12, 0b101101110101)  # n_a = 8, n_b = 4
     spec = EnsembleSpec(12, Family.CZ, scope=scope)
     assert _pinned_moments(draws, spec, part, 3000, 21, workers) == (mean, variance)
+
+
+def _exact_moments_of(values):
+    """float() of the exact (mean, second moment, unbiased variance) of a list of Fractions."""
+    total = sum(values, Fraction(0))
+    total_sq = sum((v * v for v in values), Fraction(0))
+    n = len(values)
+    return float(total / n), float(total_sq / n), float((total_sq - total * total / n) / (n - 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_mc_reducer_matches_exact_sums_of_single_states(data):
+    # mc_moments and entropy_stats are float() of the exact sums over the
+    # same draws of each sample's single-state purity (its rank for
+    # 2-edges) and entropy, on the word, rank, Gauss and Gram routes, at
+    # any p, worker count and chunk size; sample i is choices
+    # [i u, (i + 1) u) of the seed's stream
+    route = data.draw(st.sampled_from(["word", "rank", "gauss", "gram"]), label="route")
+    n = data.draw(st.integers(5 if route == "gram" else 4, 12), label="n")
+    if route == "word":
+        p = Fraction(1, 2)
+        part = Bipartition.from_first(n, data.draw(st.integers(1, n - 1), label="n_a"))
+        spec = EnsembleSpec(n, Family.CZ)
+    else:
+        p = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 64)]), label="p")
+        part = Bipartition(n, data.draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+        k = {"rank": 2, "gauss": 3, "gram": 4}[route]
+        scope = data.draw(st.sampled_from(list(Scope)), label="scope")
+        spec = EnsembleSpec(n, Family.K_UNIFORM, k=k, edge_probability=p, scope=scope)
+    samples = data.draw(st.integers(2, 40), label="samples")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    workers = data.draw(st.integers(1, 3), label="workers")
+    chunk = data.draw(st.sampled_from([1, 3, ensembles_mod._MC_CHUNK]), label="chunk")
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    bits = bernoulli_block(seed, 0, samples * u, p).reshape(samples, u)
+    graphs = [Hypergraph(n, frozenset(itertools.compress(universe, row))) for row in bits]
+    if spec.edge_arity == 2:
+        ranks = [graph_entropy_rank(h, part) for h in graphs]
+        purities = [Fraction(1, 1 << r) for r in ranks]
+        entropies = list(map(Fraction, ranks))
+    else:
+        purities = [state_purity(h, part) for h in graphs]
+        nums = np.array([q * (1 << 2 * n) for q in purities], dtype=np.int64)
+        entropies = list(map(Fraction, (2 * n - np.log2(nums)).tolist()))  # float64 per sample
+    with unittest.mock.patch.object(ensembles_mod, "_MC_CHUNK", chunk):
+        stats = entropy_stats(spec, part, samples, seed, workers)
+        purity = mc_moments(spec, part, samples, seed, workers)
+    assert purity == stats.purity
+    for est, values in ((stats.purity, purities), (stats.entropy, entropies)):
+        assert (est.mean, est.second_moment, est.variance) == _exact_moments_of(values)
+        assert est.std_error_mean == math.sqrt(est.variance / samples)
+        assert (est.samples, est.exact) == (samples, False)
+
+
+def _draw_numerators(spec, part, samples, seed):
+    """Python int purity numerators of Monte Carlo samples 0 .. samples - 1, batch by batch."""
+    universe = edge_universe(spec, part)
+    u = len(universe)
+    side = _smaller_side(part)
+    cross, a_parts, b_parts = _cross_parts(_edge_masks(universe), side)
+    nums = []
+    for lo in range(0, samples, 1000):
+        count = min(1000, samples - lo)
+        bits = bernoulli_block(seed, lo * u, count * u, spec.edge_probability).reshape(count, u)
+        nums += _numerators(bits, cross, a_parts, b_parts, side.n_a, side.n_b).tolist()
+    return nums
+
+
+@pytest.mark.parametrize(
+    "family, k, n, n_a, samples, seed",
+    [
+        (Family.CCZ, None, 20, 2, 20000, 5),
+        (Family.CCZ, None, 24, 3, 20000, 5),
+        (Family.CCZ, None, 28, 4, 3001, 9),
+        (Family.K_UNIFORM, 3, 30, 3, 2001, 1),
+    ],
+)
+def test_mc_variance_exact_at_large_n(family, k, n, n_a, samples, seed):
+    # variance / mean^2 is about 1e-14 here, so second - mean^2 of float
+    # sums cancelled most digits (1.4% off at N=28, 12% at N=30); the
+    # exact sums of the same draws' numerators, rounded once, are printed
+    spec, part = EnsembleSpec(n, family, k=k), Bipartition.from_first(n, n_a)
+    nums = _draw_numerators(spec, part, samples, seed)
+    scale = 1 << 2 * n
+    mean, _, variance = _exact_moments_of([Fraction(x, scale) for x in nums])
+    est = mc_moments(spec, part, samples, seed, workers=1)
+    assert (est.mean, est.variance) == (mean, variance)
+    assert variance > 0
 
 
 def _batch_rows(monkeypatch, kernel):
@@ -1102,7 +1222,7 @@ def test_ensemble_numerators_run_on_one_blas_thread(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3)
     monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
     values, bits = _small_gram_values()
-    assert [a.tolist() for a in values(bits)] == [[1.0] * 3, [0.0] * 3]
+    assert values(bits).tolist() == [1 << 12] * 3  # purity 1 at N = 6
     assert blas.seen == [1] and blas.threads == 3
 
     def boom(rows, n_cols):
@@ -1141,7 +1261,7 @@ def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     blas = _FakeBlas(monkeypatch, threads=3, calls=False)
     monkeypatch.setattr(purity_mod, "gram_numerator", blas.numerator)
     values, bits = _small_gram_values()
-    assert [a.tolist() for a in values(bits)] == [[1.0] * 3, [0.0] * 3]
+    assert values(bits).tolist() == [1 << 12] * 3
     assert blas.seen == [3]
 
 
@@ -1413,8 +1533,8 @@ def test_stream_worker_reuses_its_buffers(monkeypatch):
 ])
 def test_cut_sampler_reads_block_universes_as_words(monkeypatch, n, n_a, p, scope, words):
     # a universe that is the cut block itself, at p = 1/2, is drawn packed,
-    # with no bool; any other is drawn as bools; both give the floats that
-    # _cut_values makes of the samples' bools
+    # with no bool; any other is drawn as bools; both give the keys that
+    # _cut_values makes of the samples' bools, and the same terms
     spec = EnsembleSpec(n, Family.CZ, edge_probability=p, scope=scope)
     part = Bipartition.from_first(n, n_a)
     universe = edge_universe(spec, part)
@@ -1423,12 +1543,12 @@ def test_cut_sampler_reads_block_universes_as_words(monkeypatch, n, n_a, p, scop
     real = purity_mod.bernoulli_block
     spy = lambda *a, **k: drawn.append(a) or real(*a, **k)  # noqa: E731
     monkeypatch.setattr(purity_mod, "bernoulli_block", spy)
-    draw, values = _cut_sampler(universe, part, p, 40)
+    draw, values, terms = _cut_sampler(universe, part, p, 40)
     got = values(draw(9, 30, 40))
     assert bool(drawn) != words
     bits = bernoulli_block(9, 30 * u, 40 * u, p).reshape(40, u)
-    want = _cut_values(universe, part)(bits)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(got, _cut_values(universe, part)(bits))
+    assert terms(got) == purity_mod._key_terms(n, True, got)
 
 
 def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):

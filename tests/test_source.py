@@ -295,6 +295,46 @@ def test_purity_owns_every_monte_carlo_route():
     assert branches == []
 
 
+def test_one_moment_reducer():
+    # every MomentEstimate the ensembles compute comes from _reduce, which
+    # exhaustive enumeration, collision counting and Monte Carlo all reach;
+    # Monte Carlo keeps exact sums, so ensembles holds no float sum of
+    # per-sample values and no float estimate beside the reducer
+    sources = _sources()
+    text = sources["ensembles.py"]
+    tree = ast.parse(text)
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert [name for name, src in sources.items() if "_mc_estimate" in src] == []
+    float_sums = re.compile(r"float\(np\.sum\(|\bp \* p\b|\bs2 \* s2\b|np\.sum\(p\b")
+    assert float_sums.findall(text) == []
+
+    def calls(fn):
+        return {
+            node.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            found = calls(fns[todo.pop()]) & fns.keys()
+            todo += sorted(found - seen)
+            seen |= found
+        return seen
+
+    def builds(node):
+        return sum(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "MomentEstimate"
+            for n in ast.walk(node)
+        )
+
+    assert builds(fns["_reduce"]) == builds(tree) > 0
+    for name in ("_exhaustive_stats", "_collision_moments", "mc_moments", "entropy_stats"):
+        assert "_reduce" in reached(name), name
+    assert "_reduce" in calls(fns["_run_sampling"]) & calls(fns["_exhaustive_stats"])
+
+
 def test_gauss_kernel_reads_q_off_the_reduced_rows():
     # q_x(c) comes off each reduced row's U block: after its one
     # elimination the kernel keeps no upper-triangle rows and runs no
