@@ -12,20 +12,14 @@ a share: the caller and a pool of forked children compute them.  The
 pool holds at most one child per usable core beyond the caller's, lives
 as long as the process, and is killed whole when any share fails.
 
-Exact moments take one of two routes, picked by p and cost.  Both
-start from one per-side histogram of which distinct edge parts each
-basis state contains, which Walsh-Hadamard and subset transforms turn
-into a table over sets of distinct parts.  At p = 1/2, when the sides
-hold D_A + D_B < u distinct parts, the purity mean and variance are
-collision counts (:func:`_collision_moments`): each pair of the two
-sides' sets is keyed by the edges it flips, and at most 2^(D_A + D_B)
-keys are sorted and summed run by run, in place of u 2^u transform
-work.  Any other p, any other cut and every exhaustive entropy
-enumerate: every subset's numerator comes at once
-(:func:`_subset_numerators`), the subsets' products of the two sides'
-entries gathered into one 2^u int64 array a cache-sized block at a
-time, and one subset transform over it yielding the numerators, with
-no state, sign row or Gram matrix built.
+Exact moments take one route per p, both fed by :func:`_incidence`,
+which edge parts each basis state holds.  At p = 1/2 the purity mean and
+variance are collision counts (:func:`_counted_moments`): each side's
+pairs of basis states are counted by the edges they flip, and each pair
+of the two sides' masks is keyed by the edges both flip, with no subset
+enumerated.  Any other p and every exhaustive entropy enumerate: one
+subset transform over a 2^u int64 array yields every subset's numerator
+(:func:`_subset_numerators`), with no state, sign row or Gram matrix.
 
 Monte Carlo reduces what purity makes of each piece: ``values(draw(...))``
 of :func:`purity._cut_sampler` is every sample's exact key, by the draw,
@@ -44,13 +38,8 @@ reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks (256 KiB)
 and copies in, else a tile of 2^15 draws (256 KiB) that it thresholds in.
 Purity then holds only what it makes of one piece.
 
-Exhaustive moments are exact: purity numerators and collision counts
-are integers, enumerated subsets are tallied by (edge count,
-numerator), weights are exact rationals, and floats appear only in
-entropy (log) values; 2-edge numerators are powers of two, so those
-entropies stay integers.  The tally packs each subset's numerator and
-edge count into one uint64 key in place of the numerator and sorts a
-chunk of keys in place, so it holds no second 2^u array.
+Exhaustive moments are exact: numerators and collision counts are integers,
+weights exact rationals, and floats appear only in non-2-edge entropies.
 """
 
 from __future__ import annotations
@@ -66,15 +55,15 @@ from itertools import combinations, compress, repeat
 import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
-from .purity import _cut_sampler, _edge_masks, _side_index, check_qubit_cap
+from .purity import _cross_parts, _cut_sampler, _edge_masks, _side_index, check_qubit_cap
 from .rng import CounterRng
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # edge choices of one piece of a chunk, which bounds sampling memory
-_HIST_CHUNK = 1 << 16  # basis states per block of incidence vectors
+_HIST_CHUNK = 1 << 16  # block size of incidence work: basis states, (state, part) tests, counts
 _TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
-_TRANSFORM_BYTES = 1 << 30  # the one exhaustive limit: two 2^u int64 arrays' worth, so u <= 26
+_TRANSFORM_BYTES = 1 << 30  # the exact routes' byte budget: two 2^u int64 arrays, so u <= 26
 _ENTROPY_BITS = 52  # entropies are summed as exact ints over 2^52 (see _add_terms)
 
 
@@ -229,8 +218,19 @@ def _butterflies(arr: np.ndarray, first: int = 0):
             yield pairs[:, 0], pairs[:, 1]
 
 
-def _pair_supersets(parts: list[int], n_side: int) -> np.ndarray:
-    """#{(x, x') : iota(x) XOR iota(x') contains S} for every S, where iota(x)_j = [parts_j in x].
+def _incidence(parts, x: np.ndarray) -> np.ndarray:
+    """iota(x), bit j set iff parts[j] lies in x, in >= 1 uint64 words: the one such test, chunked."""
+    parts = np.asarray(parts, dtype=np.int64)
+    packed = np.zeros((x.size, 8 * max(1, -(-parts.size // 64))), dtype=np.uint8)
+    step = max(1, _HIST_CHUNK // max(1, parts.size))
+    for lo in range(0, x.size, step):
+        inside = (x[lo : lo + step, np.newaxis] & parts) == parts
+        packed[lo : lo + step, : -(-parts.size // 8)] = np.packbits(inside, 1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _pair_supersets(parts: np.ndarray, n_side: int) -> np.ndarray:
+    """#{(x, x') : iota(x) XOR iota(x') contains S} for every S, iota of :func:`_incidence`.
 
     Histograms iota over the 2^n_side basis states in blocks, squares
     its Walsh-Hadamard transform (the pair histogram's transform, of
@@ -241,10 +241,7 @@ def _pair_supersets(parts: list[int], n_side: int) -> np.ndarray:
     counts = np.zeros(1 << len(parts), dtype=np.int64)
     for lo in range(0, 1 << n_side, _HIST_CHUNK):
         x = np.arange(lo, min(1 << n_side, lo + _HIST_CHUNK), dtype=np.int64)
-        iota = np.zeros_like(x)
-        for j, m in enumerate(parts):
-            iota[(x & m) == m] |= 1 << j
-        counts += np.bincount(iota, minlength=counts.size)
+        counts += np.bincount(_incidence(parts, x)[:, 0].view(np.int64), minlength=counts.size)
     for lo, hi in _butterflies(counts):
         lo += hi
         hi *= -2
@@ -264,27 +261,6 @@ def _or_table(bits: np.ndarray) -> np.ndarray:
     return table
 
 
-def _sides(universe: list[Edge], part: Bipartition) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """(distinct parts, each edge's index among them, qubits) of side A, then of side B.
-
-    Refuses a cut past the qubit cap, then a universe whose 2^u subsets
-    would need two int64 arrays over the byte budget, before any edge is
-    factored: every exact route checks the same limits in that order.
-    """
-    check_qubit_cap(part.n_qubits)
-    u = len(universe)
-    if 2 * 8 << u > _TRANSFORM_BYTES:
-        raise ValueError(
-            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
-            f"over the {_TRANSFORM_BYTES}-byte budget"
-        )
-    masks = _edge_masks(universe)
-    return [
-        (*np.unique(_side_index(masks, side), return_inverse=True), n_side)
-        for side, n_side in ((part.a_mask, part.n_a), (part.b_mask, part.n_b))
-    ]
-
-
 def _side_tables(distinct: np.ndarray, which: np.ndarray, n_side: int, low: int):
     """(h, pi_low, pi_high) of one side: H(T) = h[pi_low[t] | pi_high[i]] at T = i 2^low + t.
 
@@ -295,7 +271,7 @@ def _side_tables(distinct: np.ndarray, which: np.ndarray, n_side: int, low: int)
     distinct count allows.
     """
     bits = (1 << which).astype(np.min_scalar_type((1 << distinct.size) - 1))
-    return _pair_supersets(distinct.tolist(), n_side), _or_table(bits[:low]), _or_table(bits[low:])
+    return _pair_supersets(distinct, n_side), _or_table(bits[:low]), _or_table(bits[low:])
 
 
 def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
@@ -317,12 +293,22 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     high levels stream the whole array.  O(u 2^u + D (d + 2^D)) time per
     side of D distinct parts over d basis states; memory is one 2^u int64
     array beside the side tables, 2^D int64 counts and 2^_BLOCK_EDGES
-    narrow OR entries per side.
+    narrow OR entries per side.  A cut past the qubit cap, then two 2^u
+    int64 arrays past the byte budget, are refused before any edge is factored.
     """
-    sides = _sides(universe, part)
+    check_qubit_cap(part.n_qubits)
     u = len(universe)
+    if 2 * 8 << u > _TRANSFORM_BYTES:
+        raise ValueError(
+            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
+            f"over the {_TRANSFORM_BYTES}-byte budget"
+        )
     low = min(u, _BLOCK_EDGES)
-    (h_a, low_a, high_a), (h_b, low_b, high_b) = (_side_tables(*side, low) for side in sides)
+    masks = _edge_masks(universe)
+    (h_a, low_a, high_a), (h_b, low_b, high_b) = (
+        _side_tables(*np.unique(_side_index(masks, side), return_inverse=True), n_side, low)
+        for side, n_side in ((part.a_mask, part.n_a), (part.b_mask, part.n_b))
+    )
     nums = np.empty(1 << u, dtype=np.int64)
     for i, block in enumerate(nums.reshape(-1, 1 << low)):
         block[:] = h_a[low_a | high_a[i]]
@@ -429,73 +415,87 @@ def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
     return _reduce(spec.n_qubits, list(zip(weights, sums)), exact=True, rational_entropy=graph)
 
 
-def _pair_counts(distinct: np.ndarray, which: np.ndarray, n_side: int, u: int):
-    """(P, E) of one side at the sets alpha of distinct parts that some pair of basis states makes.
+def _runs(rows: np.ndarray):
+    """(order, ends) of (n, W) uint64 rows: rows[order] is sorted, all-zero first, run i ends at ends[i]."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    return order, np.flatnonzero(np.append((ordered[1:] != ordered[:-1]).any(axis=1), True))
 
-    P(alpha) = #{(x, x') : iota(x) XOR iota(x') = alpha}: the superset
-    counts of :func:`_pair_supersets` inverted one level at a time,
-    lo <- lo - hi, whose every intermediate counts pairs, so it stays in
-    [0, d^2].  E(alpha) is the mask of the universe's edges whose part on
-    this side lies in alpha: the OR-table of each distinct part's edge
-    bits.
+
+def _check_rows(rows: int, words: int, what: str) -> None:
+    """Refuse rows of W words past the byte budget: 8 (2W + 3) bytes each, as :func:`_runs` holds them."""
+    if (need := 8 * (2 * words + 3) * rows) > _TRANSFORM_BYTES:
+        raise ValueError(f"{what}: {rows} rows of {8 * words} bytes need {need} bytes, "
+                         f"over the {_TRANSFORM_BYTES}-byte budget")
+
+
+def _side_pairs(distinct: np.ndarray, which: np.ndarray, n_side: int):
+    """(distinct alpha, pair count) of one side: alpha = iota(x) XOR iota(x') over its 4^n_side pairs.
+
+    iota(x) marks the edges whose part here, distinct[which[j]] for edge j,
+    lies in x: alpha is a set of the D distinct parts, held as its edges'
+    mask.  At D < 2 n_side it is counted over the 2^D sets (superset counts
+    of :func:`_pair_supersets` inverted by lo <- lo - hi), else over the pairs.
     """
-    pairs = _pair_supersets(distinct.tolist(), n_side)
-    for lo, hi in _butterflies(pairs):
-        lo -= hi
-    edge_bits = np.zeros(distinct.size, dtype=np.int64)
-    np.bitwise_or.at(edge_bits, which, 1 << np.arange(u, dtype=np.int64))
-    made = np.flatnonzero(pairs)
-    return pairs[made], _or_table(edge_bits)[made]
+    if distinct.size < 2 * n_side:
+        counts = _pair_supersets(distinct, n_side)
+        for lo, hi in _butterflies(counts):
+            lo -= hi
+        made = np.flatnonzero(counts)
+        return _incidence(1 << which, made), counts[made]
+    iota = _incidence(distinct[which], np.arange(1 << n_side, dtype=np.int64))
+    alpha = (iota[:, np.newaxis] ^ iota).reshape(-1, iota.shape[1])
+    order, ends = _runs(alpha)
+    return alpha[order[ends]], np.diff(ends, prepend=-1)
 
 
-def _collision_moments(sides, n: int, u: int) -> MomentEstimate:
-    """Exact purity moments at p = 1/2 from collision counts, with no subset's numerator built.
+def _counted_moments(universe: list[Edge], part: Bipartition) -> MomentEstimate:
+    """Exact purity moments at p = 1/2 by counting basis-state pairs, with no subset enumerated.
 
     The numerator of subset w is num(w) = sum_v cnt(v) (-1)^(w . v), with
-    cnt(v) = #{(a, a', b, b') : alpha & beta = v} (see
-    :func:`_subset_numerators`).  Over the 2^u equally likely subsets,
-    E[num] = cnt(0) and E[num^2] = sum_v cnt(v)^2.  As an edge mask,
-    alpha & beta = E_A(alpha) & E_B(beta), so cnt is the sum of
-    P_A(alpha) P_B(beta) (:func:`_pair_counts`) over the pairs with each
-    key.  Each key is packed above its pair's index and the keys are
-    sorted in place; a cumulative sum of the pairs' products, read at the
-    end of each run of equal keys, gives every cnt(v).  A product and a
-    cumulative sum are at most 2^(2N), exact in int64 for N <= 31; the
-    key (u bits) and the index (at most D_A + D_B < u bits) fit 52 bits.
-    Key 0, from alpha = 0, sorts first.
+    cnt(v) = #{(a, a', b, b') : alpha & beta = v} as masks of the cross
+    edges (:func:`_subset_numerators`), so over the 2^u equally likely
+    subsets E[num] = cnt(0) and E[num^2] = sum_v cnt(v)^2.  Each of the
+    K_A K_B pairs of the sides' masks (:func:`_side_pairs`) is keyed by
+    alpha & beta in W = ceil(u_cross / 64) words; a cumulative sum of their
+    count products in key order, read at each run's end, gives cnt, key 0
+    first, exact in int64 (at most 4^N) under the qubit cap; the 2^u
+    subsets' sums go to :func:`_reduce`.  Refused before any pair is
+    formed, each with its own message: a cut past the qubit cap, then a
+    side's min(2^D, 4^n_side) sets or pairs, then the K_A K_B keys at
+    their bound, past the byte budget.
     """
-    (p_a, e_a), (p_b, e_b) = (_pair_counts(*side, u) for side in sides)
-    shift = (p_a.size * p_b.size - 1).bit_length()
-    keys = ((e_a[:, np.newaxis] & e_b) << shift).ravel()
-    keys |= np.arange(keys.size)
-    keys.sort()
-    pair = keys & ((1 << shift) - 1)
-    sums = p_a[pair // p_b.size]
-    sums *= p_b[pair % p_b.size]
-    np.cumsum(sums, out=sums)
-    keys >>= shift
-    ends = np.flatnonzero(np.concatenate((keys[1:] != keys[:-1], [True])))
-    cnt = np.diff(sums[ends], prepend=0).tolist()
-    moments = [1 << u, cnt[0] << u, sum(c * c for c in cnt) << u, 0, 0]  # the 2^u subsets' sums
-    return _reduce(n, [(1, moments)], exact=True).purity
+    n, u = part.n_qubits, len(universe)
+    check_qubit_cap(n)
+    _, *cross = _cross_parts(_edge_masks(universe), part)
+    words = max(1, -(-cross[0].size // 64))
+    sides = [(*np.unique(p, return_inverse=True), k) for p, k in zip(cross, (part.n_a, part.n_b))]
+    for d, _, k in sides:
+        _check_rows(1 << min(d.size, 2 * k), words, f"basis-state pairs of a {k}-qubit side")
+    # alpha is one of 2^D sets, and swapping x and x' keeps it
+    made = [min(1 << d.size, 1 + (1 << 2 * k - 1) - (1 << k - 1)) for d, _, k in sides]
+    _check_rows(made[0] * made[1], words, "collision keys")
+    (e_a, p_a), (e_b, p_b) = (_side_pairs(*side) for side in sides)
+    order, ends = _runs((e_a[:, np.newaxis] & e_b).reshape(-1, words))
+    sums = np.outer(p_a, p_b).ravel()[order]
+    cnt = np.diff(np.cumsum(sums, out=sums)[ends], prepend=0)
+    # squared as Python ints a block at a time: a list of every count would pass the budget
+    second = sum(
+        c * c for lo in range(0, cnt.size, _HIST_CHUNK) for c in cnt[lo : lo + _HIST_CHUNK].tolist()
+    )
+    return _reduce(n, [(1, [1 << u, int(cnt[0]) << u, second << u, 0, 0])], exact=True).purity
 
 
 def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
     """Exact purity mean and variance over every subset of the universe.
 
-    At p = 1/2, when the two sides hold D_A + D_B < u distinct edge parts,
-    by collision counting (:func:`_collision_moments`) over at most
-    2^(D_A + D_B) keys; at any other p, or when D_A + D_B >= u, by
-    enumerating the 2^u subsets (:func:`_exhaustive_stats`).  Both
-    routes give the same exact rationals, report 2^u samples, and refuse
-    a cut past the qubit cap or a universe past the transform byte
-    budget before any edge is factored.
+    At p = 1/2, for every family, scope and cut, by counting basis-state
+    pairs (:func:`_counted_moments`) up to its pair and key limits; at any
+    other p by enumerating the 2^u subsets (:func:`_exhaustive_stats`) up to
+    the byte budget.  Both report 2^u samples and check the qubit cap first.
     """
     if spec.edge_probability == Fraction(1, 2):
-        universe = edge_universe(spec, part)
-        sides = _sides(universe, part)
-        if sum(distinct.size for distinct, _, _ in sides) < len(universe):
-            return _collision_moments(sides, spec.n_qubits, len(universe))
+        return _counted_moments(edge_universe(spec, part), part)
     return _exhaustive_stats(spec, part).purity
 
 

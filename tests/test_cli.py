@@ -251,6 +251,30 @@ def test_readme_cli_examples_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # every example in the README's CLI block runs in a fresh directory,
+    # after the files its heredocs write, and exits 0; each "#   " comment
+    # under an example is a line it prints
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines = iter(block.splitlines())
+    ran, printed = [], []
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["cat"]:  # cat > FILE <<EOF, then the file's lines up to EOF
+            assert argv[1] == ">" and argv[3] == "<<EOF"
+            body = itertools.takewhile(lambda ln: ln != "EOF", lines)
+            (tmp_path / argv[2]).write_text("".join(ln + "\n" for ln in body))
+        elif argv[:1] == ["hyperent"]:
+            code, out, _ = run_cli(capsys, *argv[1:])
+            assert code == 0, line
+            ran.append(argv[1])
+            printed = out.splitlines()
+        elif line.startswith("#   "):
+            assert line[4:] in printed, line
+    assert len(ran) >= 5 and {"state", "moments", "rankdist", "formula", "verify"} <= set(ran)
+
+
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     # three calls build at most one argparse tree, and a parse leaves it
     # as it was: the third call gets the default format back
@@ -642,6 +666,39 @@ def test_moments_exhaustive_bytes_pinned(capsys, argv, row, json_digest):
     assert hashlib.sha256(out.encode()).hexdigest() == json_digest
 
 
+def test_moments_counted_past_the_enumeration_cap_bytes_pinned(capsys):
+    # 45 edges, which the 2^26-subset cap refused; counted at p = 1/2
+    argv = ["moments", "--family", "ccz", "--n", "8", "--na", "3", "--exhaustive"]
+    assert run_cli(capsys, *argv) == (
+        0,
+        "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,closed_form_mean,"
+        "closed_form_variance,z_score\n"
+        "8,3,ccz,cross,1/2,35184372088832,1293/8192,4957/67108864,0.0,1293/8192,,0.0\n",
+        "",
+    )
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86718653048aaedd1518722b7802971c565e732378d3aeee2a25dcba823b030d"
+    )
+
+
+def test_moments_exhaustive_past_pair_limit_exit_3(capsys, monkeypatch):
+    # ccz 1|13 at p = 1/2: the 4^13 basis-state pairs of B are refused, with
+    # their own message, before any pair is formed
+    def unreachable(*args):
+        raise AssertionError("pairs formed past the byte budget")
+
+    monkeypatch.setattr(ensembles, "_incidence", unreachable)
+    argv = ["moments", "--family", "ccz", "--n", "14", "--na", "1", "--exhaustive"]
+    assert run_cli(capsys, *argv) == (
+        3,
+        "",
+        "domain error: basis-state pairs of a 13-qubit side: 67108864 rows of 16 bytes need "
+        "3758096384 bytes, over the 1073741824-byte budget\n",
+    )
+
+
 def test_moments_exhaustive_widest_tally_keys_bytes_pinned(capsys):
     # one 31-edge at N = 31: numerators up to 2^62, so the tally's keys
     # num << 1 | c reach bit 63
@@ -669,12 +726,13 @@ def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
 
 
 def test_moments_exhaustive_past_byte_budget_exit_3(capsys, monkeypatch):
-    # 45 edges: the two 2^45 transform arrays are refused before anything is built
+    # 45 edges at p = 1/3, which enumerates: the two 2^45 transform arrays
+    # are refused before anything is built
     def unreachable(*args):
         raise AssertionError("edges factored past the byte budget")
 
     monkeypatch.setattr(ensembles, "_side_index", unreachable)
-    argv = ["moments", "--family", "cz", "--n", "10", "--scope", "all", "--exhaustive"]
+    argv = ["moments", "--family", "cz", "--n", "10", "--scope", "all", "--p", "1/3", "--exhaustive"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "domain error" in err and "byte budget" in err

@@ -37,7 +37,14 @@ from hyperent.ensembles import (
     split_run,
     subset_weight,
 )
-from hyperent.formulas import cz_avg_purity
+from hyperent.formulas import (
+    ccz_avg_purity,
+    ccz_half_avg_purity,
+    ccz_half_purity_variance,
+    ccz_purity_variance_leading,
+    cz_avg_purity,
+    cz_purity_variance,
+)
 from hyperent.hypergraph import Bipartition, Hypergraph, all_k_edges
 from hyperent.purity import (
     _cross_parts,
@@ -179,7 +186,8 @@ def test_enumeration_weights_sum_to_one():
 
 
 def test_enumeration_cap(monkeypatch):
-    # 45 edges: refused by the transform's byte budget before any edge is factored
+    # 45 edges: refused by the transform's byte budget before any edge is
+    # factored, by the moments at p = 1/3 and the entropies, which enumerate
     def unreachable(*args):
         raise AssertionError("edges factored past the byte budget")
 
@@ -187,7 +195,9 @@ def test_enumeration_cap(monkeypatch):
     spec = EnsembleSpec(10, Family.CZ, scope=Scope.ALL_EDGES)
     part = Bipartition.from_first(10, 5)
     with pytest.raises(ValueError, match="byte budget"):
-        exact_moments(spec, part)
+        exact_moments(
+            EnsembleSpec(10, Family.CZ, edge_probability=Fraction(1, 3), scope=Scope.ALL_EDGES), part
+        )
     with pytest.raises(ValueError, match="byte budget"):
         entropy_stats(spec, part)
 
@@ -1378,7 +1388,7 @@ def test_subset_numerators_guards_come_first(monkeypatch):
     with pytest.raises(ValueError, match="int64"):
         _subset_numerators([tuple(range(32))], Bipartition.from_first(32, 1))
     # 27 cross edges need 2 * 8 * 2^27 bytes, over the 2^30 budget
-    spec = EnsembleSpec(12, Family.CZ)
+    spec = EnsembleSpec(12, Family.CZ, edge_probability=Fraction(1, 3))
     with pytest.raises(ValueError, match="byte budget"):
         exact_moments(spec, Bipartition.from_first(12, 3))
     monkeypatch.undo()
@@ -1392,19 +1402,17 @@ def test_subset_numerators_guards_come_first(monkeypatch):
 
 
 def _counted(spec, part):
-    """The collision-counting route's estimate, taken whatever the distinct-part count."""
-    universe = edge_universe(spec, part)
-    sides = ensembles_mod._sides(universe, part)
-    return ensembles_mod._collision_moments(sides, spec.n_qubits, len(universe))
+    """The pair-counting route's estimate, taken at the spec's universe whatever its p."""
+    return ensembles_mod._counted_moments(edge_universe(spec, part), part)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_collision_moments_match_enumeration_and_oracle(data):
     # every family, both scopes, scattered cuts with either side larger and
-    # local edges in the full scope; the counted route is taken directly,
-    # also where exact_moments enumerates (D_A + D_B >= u), and must equal
-    # the enumeration at u <= 20 and the dense oracle at u <= 10
+    # local edges in the full scope; the counted route is taken directly
+    # and must equal the enumeration at u <= 20 and the dense oracle at
+    # u <= 10
     family = data.draw(st.sampled_from(list(Family)), label="family")
     n = data.draw(st.integers(2 if family in (Family.CZ, Family.K_UNIFORM) else 3, 7), label="n")
     k = data.draw(st.integers(2, min(4, n)), label="k") if family is Family.K_UNIFORM else None
@@ -1447,9 +1455,10 @@ def test_exact_moments_count_at_the_criteria_sizes(monkeypatch):
 
 
 def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
-    # p != 1/2, cuts with D_A + D_B >= u (cz 1|5: 1 + 5 parts, 5 edges;
-    # cz 2|2: 2 + 2 parts, 4 edges) and the exhaustive entropies all build
-    # every subset's numerator
+    # p != 1/2 and the exhaustive entropies build every subset's numerator;
+    # p = 1/2 never does, also at the cuts that enumerated while counting
+    # needed D_A + D_B < u distinct parts (cz 1|5, cz 2|2), the full scope
+    # and 4-edges
     sizes = []
     real = ensembles_mod._subset_numerators
     monkeypatch.setattr(
@@ -1459,8 +1468,127 @@ def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
     exact_moments(spec, Bipartition.from_first(6, 3))
     exact_moments(EnsembleSpec(6, Family.CZ), Bipartition.from_first(6, 1))
     exact_moments(EnsembleSpec(4, Family.CZ), Bipartition.from_first(4, 2))
+    exact_moments(EnsembleSpec(6, Family.CZ, scope=Scope.ALL_EDGES), Bipartition.from_first(6, 3))
+    exact_moments(EnsembleSpec(6, Family.K_UNIFORM, k=4), Bipartition.from_first(6, 3))
     entropy_stats(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
-    assert sizes == [9, 5, 4, 18]
+    assert sizes == [9, 18]
+
+
+def test_counted_moments_past_the_enumeration_cap():
+    # p = 1/2 cuts past the 2^26 subsets that bound the enumeration, against
+    # independent closed forms: one key word up to 64 edges (cz 6|6: 36,
+    # ccz-half 3|5: 30, ccz 2|7: 49), two words past it (cz 8|9: 72,
+    # ccz-half 4|7: 84)
+    cases = [
+        (Family.CZ, 6, 6, cz_avg_purity(6, 6), cz_purity_variance(6, 6)),
+        (Family.CCZ_HALF, 3, 5, ccz_half_avg_purity(3, 5), ccz_half_purity_variance(3, 5)),
+        (Family.CCZ, 2, 7, ccz_avg_purity(2, 7), Fraction(549, 1 << 25)),
+        (Family.CZ, 8, 9, cz_avg_purity(8, 9), cz_purity_variance(8, 9)),
+        (Family.CCZ_HALF, 4, 7, ccz_half_avg_purity(4, 7), ccz_half_purity_variance(4, 7)),
+    ]
+    for family, n_a, n_b, mean, variance in cases:
+        spec, part = EnsembleSpec(n_a + n_b, family), Bipartition.from_first(n_a + n_b, n_a)
+        u = len(edge_universe(spec, part))
+        est = exact_moments(spec, part)
+        assert u > 26 and (est.mean, est.variance, est.samples, est.exact) == (
+            mean, variance, 1 << u, True
+        )
+
+
+def test_counted_ccz_variance_at_balanced_cuts_pinned():
+    # the README's table of exact CCZ variances at N = 6-11, each mean equal
+    # to the closed form, and the ratio to the leading order falling to 1
+    variances = [349 / 2**18, 1335 / 2**22, 4825 / 2**26, 17955 / 2**30, 271891 / 2**36,
+                 1056951 / 2**40]
+    ratios = []
+    for n, variance in zip(range(6, 12), variances):
+        est = exact_moments(EnsembleSpec(n, Family.CCZ), Bipartition.from_first(n, n // 2))
+        assert est.mean == ccz_avg_purity(n // 2, n - n // 2)
+        assert est.variance == Fraction(variance)
+        ratios.append(float(est.variance) / ccz_purity_variance_leading(n // 2, n - n // 2)[0])
+    assert ratios == sorted(ratios, reverse=True) and 1 < ratios[-1] < 1.04
+
+
+def test_counted_limits_come_before_what_they_bound(monkeypatch):
+    # each limit is checked from the edge parts alone, before any pair is
+    # formed, at 8 (2W + 3) bytes a row: a side's min(2^D, 4^n) sets or
+    # pairs, then the K_A K_B keys at min(2^D, 1 + 2^(n-1) (2^n - 1)) a side
+    def unreachable(*args):
+        raise AssertionError("pairs formed past the byte budget")
+
+    monkeypatch.setattr(ensembles_mod, "_incidence", unreachable)
+    # ccz 1|13: 13 + 78 parts of B, so its 4^13 pairs, of 78 edges in 2 words
+    with pytest.raises(ValueError, match=(
+        r"^basis-state pairs of a 13-qubit side: 67108864 rows of 16 bytes need 3758096384 "
+        r"bytes, over the 1073741824-byte budget$"
+    )):
+        exact_moments(EnsembleSpec(14, Family.CCZ), Bipartition.from_first(14, 1))
+    # cz 14|14: 2^14 sets a side, then 2^28 keys of 196 edges in 4 words
+    with pytest.raises(ValueError, match=(
+        r"^collision keys: 268435456 rows of 32 bytes need 23622320128 bytes, over the "
+    )):
+        exact_moments(EnsembleSpec(28, Family.CZ), Bipartition.from_first(28, 14))
+    monkeypatch.undo()
+    # ccz 4|4: 10 parts a side, so 256 pairs (10240 bytes); at most 121
+    # alphas a side, so 14641 keys (585640 bytes)
+    spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 4)
+    runs = []
+    real = ensembles_mod._runs
+    monkeypatch.setattr(ensembles_mod, "_runs", lambda rows: runs.append(len(rows)) or real(rows))
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 40 * 14641)
+    assert exact_moments(spec, part).variance == Fraction(4825, 1 << 26)
+    assert runs == [256, 256, 14641]
+    runs.clear()
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 40 * 14641 - 1)
+    with pytest.raises(ValueError, match=r"^collision keys: 14641 rows of 8 bytes need 585640 "):
+        exact_moments(spec, part)
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 40 * 256 - 1)
+    with pytest.raises(
+        ValueError, match=r"^basis-state pairs of a 4-qubit side: 256 rows of 8 bytes need 10240 "
+    ):
+        exact_moments(spec, part)
+    assert runs == []
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_runs_group_equal_rows(data):
+    # rows of 1-3 words, with repeats and the all-zero row: one run per
+    # distinct row, every row of a run equal, the all-zero row first
+    words = data.draw(st.integers(1, 3), label="words")
+    word = st.integers(0, (1 << 64) - 1)
+    pool = data.draw(st.lists(st.tuples(*[word] * words), min_size=1, max_size=6), label="pool")
+    row = st.sampled_from(pool + [(0,) * words]) | st.tuples(*[word] * words)
+    values = data.draw(st.lists(row, min_size=1, max_size=60), label="rows")
+    rows = np.array(values, dtype=np.uint64)
+    order, ends = ensembles_mod._runs(rows)
+    ordered = [tuple(r) for r in rows[order].tolist()]
+    assert sorted(order.tolist()) == list(range(len(values)))
+    starts = [0, *(ends[:-1] + 1).tolist()]
+    assert Counter({ordered[e]: e + 1 - s for s, e in zip(starts, ends.tolist())}) == Counter(values)
+    assert all(len(set(ordered[s : e + 1])) == 1 for s, e in zip(starts, ends.tolist()))
+    if (0,) * words in values:
+        assert ordered[0] == (0,) * words
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_counted_moments_match_subset_numerators_on_any_universe(data):
+    # any universe of up to 10 edges of mixed arity in any order, scattered
+    # cuts, local edges included, and the empty universe: the counted
+    # moments equal the exact sums of every subset's numerator
+    n = data.draw(st.integers(2, 7), label="n")
+    a_mask = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
+    part = Bipartition(n, a_mask)
+    full = [e for k in range(1, min(4, n) + 1) for e in all_k_edges(n, k)]
+    picks = data.draw(st.lists(st.sampled_from(full), unique=True, max_size=10), label="picks")
+    u = len(picks)
+    nums = _subset_numerators(picks, part).tolist()
+    est = ensembles_mod._counted_moments(picks, part)
+    mean = Fraction(sum(nums), 1 << u + 2 * n)
+    second = Fraction(sum(x * x for x in nums), 1 << u + 4 * n)
+    assert (est.mean, est.second_moment, est.variance) == (mean, second, second - mean * mean)
+    assert est.samples == 1 << u and est.exact
 
 
 def test_universe_size_check_boundaries():

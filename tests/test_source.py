@@ -117,10 +117,11 @@ def test_exhaustive_tally_sorts_in_place():
 
 
 def test_one_basis_state_loop_feeds_both_exact_routes():
-    # the counting route's pair histogram and the enumeration's superset
-    # counts both come from _pair_supersets, the one function that bins the
-    # basis states' incidence vectors; the counting route groups its keys
-    # by one in-place sort, with no unique values, argsort or reduceat
+    # _incidence is the one function that tests edge parts against basis
+    # states, and both the counting route and the enumeration reach it;
+    # _pair_supersets alone bins the incidence vectors; the counting route
+    # groups its pairs and keys by one lexicographic sort (_runs), with no
+    # other sort, argsort or reduceat
     tree = ast.parse(_sources()["ensembles.py"])
     fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
 
@@ -140,19 +141,24 @@ def test_one_basis_state_loop_feeds_both_exact_routes():
             seen |= calls & fns.keys()
         return seen
 
-    binners = sorted(name for name, fn in fns.items() if names(fn) & {"bincount", "_HIST_CHUNK"})
+    def tests_parts(fn):
+        # a comparison (x & parts) == parts
+        return any(
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.BitAnd)
+            and isinstance(node.ops[0], ast.Eq)
+            for node in ast.walk(fn)
+        )
+
+    assert sorted(name for name, fn in fns.items() if tests_parts(fn)) == ["_incidence"]
+    assert "_incidence" in reached("_counted_moments") & reached("_subset_numerators")
+    binners = sorted(name for name, fn in fns.items() if names(fn) & {"bincount"})
     assert binners == ["_pair_supersets"]
-    assert "_pair_supersets" in reached("_collision_moments") & reached("_subset_numerators")
-    counting = fns["_collision_moments"]
-    assert names(counting) & {"unique", "argsort", "lexsort", "reduceat"} == set()
-    sorts = [
-        node.func.value
-        for node in ast.walk(counting)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "sort"
-    ]
-    assert len(sorts) == 1 and getattr(sorts[0], "id", None) != "np"
+    counting = set().union(*(names(fns[name]) for name in reached("_counted_moments")))
+    assert counting & {"argsort", "reduceat", "sort"} == set()
+    sorters = sorted(name for name, fn in fns.items() if names(fn) & {"lexsort"})
+    assert sorters == ["_runs"] and "_runs" in reached("_counted_moments")
 
 
 def _elimination_loops(tree):
@@ -278,7 +284,9 @@ def test_purity_owns_every_monte_carlo_route():
             imported |= {(node.module.split(".")[-1], a.name) for a in node.names}
     assert {name for module, name in imported if module == "gf2"} == set()
     from_purity = {name for module, name in imported if module == "purity"}
-    assert from_purity == {"_cut_sampler", "_side_index", "check_qubit_cap", "_edge_masks"}
+    assert from_purity == {
+        "_cut_sampler", "_side_index", "check_qubit_cap", "_edge_masks", "_cross_parts"
+    }
     owned = re.compile(r"\b(_numerators|_cut_ranks|_SAMPLE_BYTES|_one_blas_thread)\b")
     named = {name: owned.findall(text) for name, text in sources.items() if name != "purity.py"}
     assert {name: found for name, found in named.items() if found} == {}
@@ -330,7 +338,7 @@ def test_one_moment_reducer():
         )
 
     assert builds(fns["_reduce"]) == builds(tree) > 0
-    for name in ("_exhaustive_stats", "_collision_moments", "mc_moments", "entropy_stats"):
+    for name in ("_exhaustive_stats", "_counted_moments", "mc_moments", "entropy_stats"):
         assert "_reduce" in reached(name), name
     assert "_reduce" in calls(fns["_run_sampling"]) & calls(fns["_exhaustive_stats"])
 
