@@ -34,13 +34,8 @@ from .reports import (
     to_json_doc,
 )
 
-_FAMILIES = {
-    "cz": Family.CZ,
-    "ccz": Family.CCZ,
-    "ccz-half": Family.CCZ_HALF,
-    "k-uniform": Family.K_UNIFORM,
-}
-_SCOPES = {"cross": Scope.CROSS_ONLY, "all": Scope.ALL_EDGES}
+_FAMILIES = {family.value: family for family in Family}
+_SCOPES = {scope.value: scope for scope in Scope}
 
 
 def _int_list(text: str) -> list[int]:

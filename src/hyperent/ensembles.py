@@ -17,9 +17,11 @@ which edge parts each basis state holds.  At p = 1/2 the purity mean and
 variance are collision counts (:func:`_counted_moments`): each side's
 pairs of basis states are counted by the edges they flip, and each pair
 of the two sides' masks is keyed by the edges both flip, with no subset
-enumerated.  Any other p and every exhaustive entropy enumerate: one
-subset transform over a 2^u int64 array yields every subset's numerator
-(:func:`_subset_numerators`), with no state, sign row or Gram matrix.
+enumerated.  Any other p, every exhaustive entropy, and a p = 1/2 universe
+whose counting rows pass the byte budget but whose subsets fit it
+enumerate: one subset transform over a 2^u int64 array yields every
+subset's numerator (:func:`_subset_numerators`), with no state, sign row
+or Gram matrix.
 
 Monte Carlo reduces what purity makes of each piece: ``values(draw(...))``
 of :func:`purity._cut_sampler` is every sample's exact key, by the draw,
@@ -60,7 +62,8 @@ from .rng import CounterRng
 
 _MC_CHUNK = 4096
 _MC_PIECE_DRAWS = 1 << 21  # edge choices of one piece of a chunk, which bounds sampling memory
-_HIST_CHUNK = 1 << 16  # block size of incidence work: basis states, (state, part) tests, counts
+_HIST_CHUNK = 1 << 16  # basis states per block of a side's incidence histogram
+_SQUARE_CHUNK = 1 << 16  # counts squared as Python ints per block: a list of all would pass the budget
 _TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
 _BLOCK_EDGES = 16  # low edges of one cache-sized block of subsets: 2^16 int64 numerators
 _TRANSFORM_BYTES = 1 << 30  # the exact routes' byte budget: two 2^u int64 arrays, so u <= 26
@@ -219,14 +222,12 @@ def _butterflies(arr: np.ndarray, first: int = 0):
 
 
 def _incidence(parts, x: np.ndarray) -> np.ndarray:
-    """iota(x), bit j set iff parts[j] lies in x, in >= 1 uint64 words: the one such test, chunked."""
-    parts = np.asarray(parts, dtype=np.int64)
-    packed = np.zeros((x.size, 8 * max(1, -(-parts.size // 64))), dtype=np.uint8)
-    step = max(1, _HIST_CHUNK // max(1, parts.size))
-    for lo in range(0, x.size, step):
-        inside = (x[lo : lo + step, np.newaxis] & parts) == parts
-        packed[lo : lo + step, : -(-parts.size // 8)] = np.packbits(inside, 1, bitorder="little")
-    return packed.view("<u8")
+    """iota(x), bit j set iff parts[j] lies in x, in >= 1 uint64 words: the one such test, part by part."""
+    words = np.zeros((x.size, max(1, -(-len(parts) // 64))), dtype=np.uint64)
+    for j, m in enumerate(np.asarray(parts, dtype=np.int64).tolist()):
+        word = words[:, j // 64]  # a view: a mixed bool and int index here costs 2-3 times as much
+        word[(x & m) == m] |= np.uint64(1 << j % 64)
+    return words
 
 
 def _pair_supersets(parts: np.ndarray, n_side: int) -> np.ndarray:
@@ -241,7 +242,7 @@ def _pair_supersets(parts: np.ndarray, n_side: int) -> np.ndarray:
     counts = np.zeros(1 << len(parts), dtype=np.int64)
     for lo in range(0, 1 << n_side, _HIST_CHUNK):
         x = np.arange(lo, min(1 << n_side, lo + _HIST_CHUNK), dtype=np.int64)
-        counts += np.bincount(_incidence(parts, x)[:, 0].view(np.int64), minlength=counts.size)
+        np.add.at(counts, _incidence(parts, x)[:, 0].view(np.int64), 1)
     for lo, hi in _butterflies(counts):
         lo += hi
         hi *= -2
@@ -422,11 +423,15 @@ def _runs(rows: np.ndarray):
     return order, np.flatnonzero(np.append((ordered[1:] != ordered[:-1]).any(axis=1), True))
 
 
+class _PastBudget(ValueError):
+    """Rows of the counting route past the byte budget, refused before any is formed."""
+
+
 def _check_rows(rows: int, words: int, what: str) -> None:
     """Refuse rows of W words past the byte budget: 8 (2W + 3) bytes each, as :func:`_runs` holds them."""
     if (need := 8 * (2 * words + 3) * rows) > _TRANSFORM_BYTES:
-        raise ValueError(f"{what}: {rows} rows of {8 * words} bytes need {need} bytes, "
-                         f"over the {_TRANSFORM_BYTES}-byte budget")
+        raise _PastBudget(f"{what}: {rows} rows of {8 * words} bytes need {need} bytes, "
+                          f"over the {_TRANSFORM_BYTES}-byte budget")
 
 
 def _side_pairs(distinct: np.ndarray, which: np.ndarray, n_side: int):
@@ -471,7 +476,8 @@ def _counted_moments(universe: list[Edge], part: Bipartition) -> MomentEstimate:
     words = max(1, -(-cross[0].size // 64))
     sides = [(*np.unique(p, return_inverse=True), k) for p, k in zip(cross, (part.n_a, part.n_b))]
     for d, _, k in sides:
-        _check_rows(1 << min(d.size, 2 * k), words, f"basis-state pairs of a {k}-qubit side")
+        what = "sets of parts" if d.size < 2 * k else "basis-state pairs"  # as _side_pairs counts
+        _check_rows(1 << min(d.size, 2 * k), words, f"{what} of a {k}-qubit side")
     # alpha is one of 2^D sets, and swapping x and x' keeps it
     made = [min(1 << d.size, 1 + (1 << 2 * k - 1) - (1 << k - 1)) for d, _, k in sides]
     _check_rows(made[0] * made[1], words, "collision keys")
@@ -479,10 +485,8 @@ def _counted_moments(universe: list[Edge], part: Bipartition) -> MomentEstimate:
     order, ends = _runs((e_a[:, np.newaxis] & e_b).reshape(-1, words))
     sums = np.outer(p_a, p_b).ravel()[order]
     cnt = np.diff(np.cumsum(sums, out=sums)[ends], prepend=0)
-    # squared as Python ints a block at a time: a list of every count would pass the budget
-    second = sum(
-        c * c for lo in range(0, cnt.size, _HIST_CHUNK) for c in cnt[lo : lo + _HIST_CHUNK].tolist()
-    )
+    blocks = (cnt[lo : lo + _SQUARE_CHUNK].tolist() for lo in range(0, cnt.size, _SQUARE_CHUNK))
+    second = sum(c * c for block in blocks for c in block)
     return _reduce(n, [(1, [1 << u, int(cnt[0]) << u, second << u, 0, 0])], exact=True).purity
 
 
@@ -491,11 +495,18 @@ def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
 
     At p = 1/2, for every family, scope and cut, by counting basis-state
     pairs (:func:`_counted_moments`) up to its pair and key limits; at any
-    other p by enumerating the 2^u subsets (:func:`_exhaustive_stats`) up to
-    the byte budget.  Both report 2^u samples and check the qubit cap first.
+    other p, and at p = 1/2 where those limits refuse a universe whose
+    subsets fit the byte budget (a 1|N-1 CZ cut at N = 25-27 needs 2^N
+    keys), by enumerating the 2^u subsets (:func:`_exhaustive_stats`).
+    Both report 2^u samples and check the qubit cap first.
     """
     if spec.edge_probability == Fraction(1, 2):
-        return _counted_moments(edge_universe(spec, part), part)
+        universe = edge_universe(spec, part)
+        try:
+            return _counted_moments(universe, part)
+        except _PastBudget:
+            if 2 * 8 << len(universe) > _TRANSFORM_BYTES:
+                raise
     return _exhaustive_stats(spec, part).purity
 
 

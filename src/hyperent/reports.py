@@ -24,20 +24,10 @@ from .gf2 import RankHistogram, _rank_law
 from .hypergraph import Bipartition, Hypergraph
 from .purity import renyi2, state_purity
 
-MOMENTS_COLUMNS = [
-    "n",
-    "n_a",
-    "family",
-    "scope",
-    "p",
-    "samples",
-    "mean",
-    "variance",
-    "std_err_mean",
-    "closed_form_mean",
-    "closed_form_variance",
-    "z_score",
-]
+MOMENTS_COLUMNS = (
+    "n n_a family scope p samples mean variance std_err_mean closed_form_mean "
+    "closed_form_variance z_score"
+).split()
 
 RANKDIST_COLUMNS = ["s", "count", "frequency", "closed_form_Qs", "std_error"]
 

@@ -683,6 +683,21 @@ def test_moments_counted_past_the_enumeration_cap_bytes_pinned(capsys):
     )
 
 
+def test_moments_counting_refused_enumerates_bytes_pinned(capsys):
+    # cz 1|24 at p = 1/2: counting needs 2^25 keys, past the byte budget,
+    # but the 2^24 subsets fit it, so they are enumerated, with the bytes
+    # printed before counting reached these cuts (about 4 s)
+    argv = ["moments", "--family", "cz", "--n", "25", "--na", "1", "--exhaustive"]
+    assert run_cli(capsys, *argv) == (
+        0,
+        "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,closed_form_mean,"
+        "closed_form_variance,z_score\n"
+        "25,1,cz,cross,1/2,16777216,16777217/33554432,16777215/1125899906842624,0.0,"
+        "16777217/33554432,16777215/1125899906842624,0.0\n",
+        "",
+    )
+
+
 def test_moments_exhaustive_past_pair_limit_exit_3(capsys, monkeypatch):
     # ccz 1|13 at p = 1/2: the 4^13 basis-state pairs of B are refused, with
     # their own message, before any pair is formed

@@ -1456,9 +1456,10 @@ def test_exact_moments_count_at_the_criteria_sizes(monkeypatch):
 
 def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
     # p != 1/2 and the exhaustive entropies build every subset's numerator;
-    # p = 1/2 never does, also at the cuts that enumerated while counting
+    # p = 1/2 does only where counting is refused and the 2^u subsets fit
+    # the byte budget, not at the cuts that enumerated while counting
     # needed D_A + D_B < u distinct parts (cz 1|5, cz 2|2), the full scope
-    # and 4-edges
+    # or 4-edges
     sizes = []
     real = ensembles_mod._subset_numerators
     monkeypatch.setattr(
@@ -1472,6 +1473,12 @@ def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
     exact_moments(EnsembleSpec(6, Family.K_UNIFORM, k=4), Bipartition.from_first(6, 3))
     entropy_stats(EnsembleSpec(6, Family.CCZ), Bipartition.from_first(6, 3))
     assert sizes == [9, 18]
+    # cz 1|11: the 2^11 sets of B take 81920 bytes, and the 2^11 subsets 32768
+    spec, part = EnsembleSpec(12, Family.CZ), Bipartition.from_first(12, 1)
+    counted = exact_moments(spec, part)
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 16 << 11)
+    assert exact_moments(spec, part) == counted and sizes == [9, 18, 11]
+    assert (counted.mean, counted.variance) == (cz_avg_purity(1, 11), cz_purity_variance(1, 11))
 
 
 def test_counted_moments_past_the_enumeration_cap():
@@ -1512,7 +1519,9 @@ def test_counted_ccz_variance_at_balanced_cuts_pinned():
 def test_counted_limits_come_before_what_they_bound(monkeypatch):
     # each limit is checked from the edge parts alone, before any pair is
     # formed, at 8 (2W + 3) bytes a row: a side's min(2^D, 4^n) sets or
-    # pairs, then the K_A K_B keys at min(2^D, 1 + 2^(n-1) (2^n - 1)) a side
+    # pairs, then the K_A K_B keys at min(2^D, 1 + 2^(n-1) (2^n - 1)) a side;
+    # exact_moments enumerates none of these universes, whose subsets do not
+    # fit the budget either
     def unreachable(*args):
         raise AssertionError("pairs formed past the byte budget")
 
@@ -1548,6 +1557,15 @@ def test_counted_limits_come_before_what_they_bound(monkeypatch):
     ):
         exact_moments(spec, part)
     assert runs == []
+    # cz 1|11: 11 parts of B, so its 2^11 sets, refused where the 2^11
+    # subsets do not fit either
+    monkeypatch.setattr(ensembles_mod, "_incidence", unreachable)
+    monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", (16 << 11) - 1)
+    with pytest.raises(ValueError, match=(
+        r"^sets of parts of a 11-qubit side: 2048 rows of 8 bytes need 81920 bytes, over the "
+        r"32767-byte budget$"
+    )):
+        exact_moments(EnsembleSpec(12, Family.CZ), Bipartition.from_first(12, 1))
 
 
 @settings(deadline=None, max_examples=80)

@@ -118,10 +118,10 @@ def test_exhaustive_tally_sorts_in_place():
 
 def test_one_basis_state_loop_feeds_both_exact_routes():
     # _incidence is the one function that tests edge parts against basis
-    # states, and both the counting route and the enumeration reach it;
-    # _pair_supersets alone bins the incidence vectors; the counting route
-    # groups its pairs and keys by one lexicographic sort (_runs), with no
-    # other sort, argsort or reduceat
+    # states, and both the counting route and the enumeration reach it; of
+    # its callers, _pair_supersets alone bins the incidence vectors; the
+    # counting route groups its pairs and keys by one lexicographic sort
+    # (_runs), with no other sort, argsort or reduceat
     tree = ast.parse(_sources()["ensembles.py"])
     fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
 
@@ -153,8 +153,11 @@ def test_one_basis_state_loop_feeds_both_exact_routes():
 
     assert sorted(name for name, fn in fns.items() if tests_parts(fn)) == ["_incidence"]
     assert "_incidence" in reached("_counted_moments") & reached("_subset_numerators")
-    binners = sorted(name for name, fn in fns.items() if names(fn) & {"bincount"})
-    assert binners == ["_pair_supersets"]
+    callers = sorted(name for name, fn in fns.items() if "_incidence" in names(fn) - {fn.name})
+    assert callers == ["_pair_supersets", "_side_pairs"]
+    # one bins the incidence vectors, the other merges the exhaustive tally's runs
+    binners = sorted(name for name, fn in fns.items() if names(fn) & {"bincount", "at"})
+    assert binners == ["_exhaustive_stats", "_pair_supersets"]
     counting = set().union(*(names(fns[name]) for name in reached("_counted_moments")))
     assert counting & {"argsort", "reduceat", "sort"} == set()
     sorters = sorted(name for name, fn in fns.items() if names(fn) & {"lexsort"})
