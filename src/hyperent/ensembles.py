@@ -12,16 +12,16 @@ a share: the caller and a pool of forked children compute them.  The
 pool holds at most one child per usable core beyond the caller's, lives
 as long as the process, and is killed whole when any share fails.
 
-Exact moments take one route per p, both fed by :func:`_incidence`,
+Exact moments read the cut once (:func:`_cut_sides`), its u_cross cross
+edges alone, and take one route per p, both fed by :func:`_incidence`,
 which edge parts each basis state holds.  At p = 1/2 the purity mean and
 variance are collision counts (:func:`_counted_moments`): each side's
 pairs of basis states are counted by the edges they flip, and each pair
-of the two sides' masks is keyed by the edges both flip, with no subset
-enumerated.  Any other p, every exhaustive entropy, and a p = 1/2 universe
-whose counting rows pass the byte budget but whose subsets fit it
-enumerate: one subset transform over a 2^u int64 array yields every
-subset's numerator (:func:`_subset_numerators`), with no state, sign row
-or Gram matrix.
+of the two sides' masks is keyed by the edges both flip.  Any other p,
+every exhaustive entropy, and a p = 1/2 cut whose counting bounds pass the
+byte budget but whose subsets fit it enumerate: one subset transform over
+a 2^u_cross int64 array yields every subset's numerator
+(:func:`_subset_numerators`), with no state, sign row or Gram matrix.
 
 Monte Carlo reduces what purity makes of each piece: ``values(draw(...))``
 of :func:`purity._cut_sampler` is every sample's exact key, by the draw,
@@ -50,14 +50,14 @@ import enum
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 
 import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
-from .purity import _cross_parts, _cut_sampler, _edge_masks, _side_index, check_qubit_cap
+from .purity import _cross_parts, _cut_sampler, _edge_masks, _key_terms, check_qubit_cap
 from .rng import CounterRng
 
 _MC_CHUNK = 4096
@@ -202,11 +202,6 @@ def sample_hypergraph(spec: EnsembleSpec, part: Bipartition | None, rng: Counter
     return Hypergraph(spec.n_qubits, frozenset(e for e, b in zip(universe, keep) if b))
 
 
-def subset_weight(spec: EnsembleSpec, present: int, absent: int) -> Fraction:
-    p = spec.edge_probability
-    return p**present * (1 - p) ** absent
-
-
 def _butterflies(arr: np.ndarray, first: int = 0):
     """(lo, hi) views of arr for each of its log2(len) bits from first: entries without and with it.
 
@@ -275,9 +270,10 @@ def _side_tables(distinct: np.ndarray, which: np.ndarray, n_side: int, low: int)
     return _pair_supersets(distinct, n_side), _or_table(bits[:low]), _or_table(bits[low:])
 
 
-def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
-    """Exact 2^(2N) * purity of every subset of the universe, int64, indexed by subset mask.
+def _subset_numerators(sides) -> np.ndarray:
+    """Exact 2^(2N) * purity of every subset of a cut's u cross edges, int64, indexed by subset mask.
 
+    sides are the cut's (distinct parts, which, n_side) of :func:`_cut_sides`.
     With signs (-1)^(sum_j w_j [m_A,j in a][m_B,j in b]), the numerator
     of subset w is sum over (a, a', b, b') of (-1)^(w . (alpha & beta)),
     alpha_j = [m_A,j in a] XOR [m_A,j in a'] and beta likewise on B.
@@ -286,7 +282,6 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     superset counts of :func:`_pair_supersets`, so one subset transform
     (lo, lo - 2 hi) of H_A * H_B yields every numerator.  Every
     intermediate has magnitude <= 2^(2N), exact in int64 for N <= 31.
-    Edges inside one side give alpha_j = 0 or beta_j = 0 and drop out.
 
     H_A * H_B is gathered from the small tables of :func:`_side_tables`
     one block of 2^_BLOCK_EDGES subsets at a time, and the block's low
@@ -294,22 +289,12 @@ def _subset_numerators(universe: list[Edge], part: Bipartition) -> np.ndarray:
     high levels stream the whole array.  O(u 2^u + D (d + 2^D)) time per
     side of D distinct parts over d basis states; memory is one 2^u int64
     array beside the side tables, 2^D int64 counts and 2^_BLOCK_EDGES
-    narrow OR entries per side.  A cut past the qubit cap, then two 2^u
-    int64 arrays past the byte budget, are refused before any edge is factored.
+    narrow OR entries per side.  :func:`_cut_sides` has checked the qubit
+    cap and the byte budget.
     """
-    check_qubit_cap(part.n_qubits)
-    u = len(universe)
-    if 2 * 8 << u > _TRANSFORM_BYTES:
-        raise ValueError(
-            f"a universe of {u} edges needs {2 * 8 << u} bytes of transforms, "
-            f"over the {_TRANSFORM_BYTES}-byte budget"
-        )
+    u = sides[0][1].size
     low = min(u, _BLOCK_EDGES)
-    masks = _edge_masks(universe)
-    (h_a, low_a, high_a), (h_b, low_b, high_b) = (
-        _side_tables(*np.unique(_side_index(masks, side), return_inverse=True), n_side, low)
-        for side, n_side in ((part.a_mask, part.n_a), (part.b_mask, part.n_b))
-    )
+    (h_a, low_a, high_a), (h_b, low_b, high_b) = (_side_tables(*side, low) for side in sides)
     nums = np.empty(1 << u, dtype=np.int64)
     for i, block in enumerate(nums.reshape(-1, 1 << low)):
         block[:] = h_a[low_a | high_a[i]]
@@ -383,37 +368,33 @@ def _reduce(n: int, classes, exact: bool, rational_entropy: bool = True) -> Entr
     return EntropyStats(entropy, estimate(1, 1 << 2 * n, exact))
 
 
-def _exhaustive_stats(spec: EnsembleSpec, part: Bipartition) -> EntropyStats:
-    """Exact purity and entropy moments over every subset of the universe.
+def _exhaustive_stats(spec: EnsembleSpec, u: int, sides) -> EntropyStats:
+    """Exact purity and entropy moments over the 2^u subsets of a universe, from the 2^u_cross of its cut.
 
-    Subsets with c edges share the weight p^c (1-p)^(u-c), so the
-    subsets are tallied by (edge count, numerator), the chunks' runs are
-    merged once, and :func:`_reduce` weighs each edge count's sums.
-    :func:`_tally` overwrites the numerators a chunk at a time with keys
-    num << b | c, b = u.bit_length(); a numerator is at most 2^(2N), so
-    a key fits uint64 while 2N + b < 64, which holds for every ensemble
-    universe of at most 26 edges at N <= 31 (the widest, one 31-edge at
-    N = 31, has 2N + b = 63).  A 2-edge numerator is 2^(2N - rank), so
-    those entropies are integers and their moments exact rationals too.
+    The local edges leave every purity unchanged and their weights sum to
+    1, so each run of cross subsets counts 2^(u - u_cross) times.  Subsets
+    with c cross edges share the weight p^c (1-p)^(u_cross-c), so they are
+    tallied by (edge count, numerator) and :func:`_reduce` weighs each
+    count's sums.  :func:`_tally` overwrites the numerators a chunk at a
+    time with keys num << b | c, b = u_cross.bit_length(), which fit uint64
+    while 2N + b < 64 (num <= 2^(2N)): so for every cut of at most 26
+    cross edges at N <= 31, as at N = 30 and 31 a cut has 0, 1 or over 26.
+    2-edge numerators are powers of two, so their entropy moments are exact.
     """
-    universe = edge_universe(spec, part)
-    u = len(universe)
-    nums = _subset_numerators(universe, part)
-    chunks = [_tally(lo, nums[lo : lo + _TALLY_CHUNK], u) for lo in range(0, nums.size, _TALLY_CHUNK)]
+    u_cross = sides[0][1].size
+    nums = _subset_numerators(sides)
+    chunks = [_tally(lo, nums[lo : lo + _TALLY_CHUNK], u_cross) for lo in range(0, nums.size, _TALLY_CHUNK)]
     keys, runs = (np.concatenate(arrays) for arrays in zip(*chunks))
     keys, where = np.unique(keys, return_inverse=True)
     mult = np.zeros(keys.size, dtype=np.int64)
     np.add.at(mult, where, runs)
-    b = 1 << u.bit_length()  # keys are num * b + c
-    distinct = (keys // np.uint64(b)).astype(np.int64)
-    graph = spec.edge_arity == 2
-    logs = [x.bit_length() - 1 for x in distinct.tolist()] if graph else np.log2(distinct).tolist()
-    sums = [[0] * 5 for _ in range(u + 1)]
-    entropies = [2 * spec.n_qubits - log for log in logs]
-    _add_terms(sums, (keys % np.uint64(b)).tolist(), distinct.tolist(), entropies, mult.tolist())
-    p = spec.edge_probability  # the weights p^c (1-p)^(u-c) times denominator^u, ints
-    weights = [p.numerator**c * (p.denominator - p.numerator) ** (u - c) for c in range(u + 1)]
-    return _reduce(spec.n_qubits, list(zip(weights, sums)), exact=True, rational_entropy=graph)
+    b = np.uint64(1 << u_cross.bit_length())  # keys are num * b + c
+    sums = [[0] * 5 for _ in range(u_cross + 1)]
+    terms = _key_terms(spec.n_qubits, False, keys // b)
+    _add_terms(sums, (keys % b).tolist(), *terms, [m << u - u_cross for m in mult.tolist()])
+    p = spec.edge_probability  # the weights p^c (1-p)^(u_cross-c) times denominator^u_cross, ints
+    weights = [p.numerator**c * (p.denominator - p.numerator) ** (u_cross - c) for c in range(u_cross + 1)]
+    return _reduce(spec.n_qubits, list(zip(weights, sums)), exact=True, rational_entropy=spec.edge_arity == 2)
 
 
 def _runs(rows: np.ndarray):
@@ -423,15 +404,27 @@ def _runs(rows: np.ndarray):
     return order, np.flatnonzero(np.append((ordered[1:] != ordered[:-1]).any(axis=1), True))
 
 
-class _PastBudget(ValueError):
-    """Rows of the counting route past the byte budget, refused before any is formed."""
+def _count_refusal(sides) -> str | None:
+    """The refusal of the first counting bound past the byte budget, or None when all fit.
 
-
-def _check_rows(rows: int, words: int, what: str) -> None:
-    """Refuse rows of W words past the byte budget: 8 (2W + 3) bytes each, as :func:`_runs` holds them."""
-    if (need := 8 * (2 * words + 3) * rows) > _TRANSFORM_BYTES:
-        raise _PastBudget(f"{what}: {rows} rows of {8 * words} bytes need {need} bytes, "
-                          f"over the {_TRANSFORM_BYTES}-byte budget")
+    A row that :func:`_runs` sorts, of W = ceil(u_cross / 64) words, takes
+    8 (2W + 3) bytes.  The bounds: a side's min(2^D, 4^n_side) sets or
+    pairs (as :func:`_side_pairs` counts), then the keys at min(2^D,
+    1 + 2^(n-1) (2^n - 1)) masks a side (alpha is one of 2^D sets, and
+    swapping x and x' keeps it).
+    """
+    words = max(1, -(-sides[0][1].size // 64))
+    made = [min(1 << d.size, 1 + (1 << 2 * k - 1) - (1 << k - 1)) for d, _, k in sides]
+    bounds = [
+        (1 << min(d.size, 2 * k), f"{'sets of parts' if d.size < 2 * k else 'basis-state pairs'} "
+         f"of a {k}-qubit side")
+        for d, _, k in sides
+    ]
+    for rows, what in [*bounds, (made[0] * made[1], "collision keys")]:
+        if (need := 8 * (2 * words + 3) * rows) > _TRANSFORM_BYTES:
+            return (f"{what}: {rows} rows of {8 * words} bytes need {need} bytes, "
+                    f"over the {_TRANSFORM_BYTES}-byte budget")
+    return None
 
 
 def _side_pairs(distinct: np.ndarray, which: np.ndarray, n_side: int):
@@ -454,35 +447,46 @@ def _side_pairs(distinct: np.ndarray, which: np.ndarray, n_side: int):
     return alpha[order[ends]], np.diff(ends, prepend=-1)
 
 
-def _counted_moments(universe: list[Edge], part: Bipartition) -> MomentEstimate:
-    """Exact purity moments at p = 1/2 by counting basis-state pairs, with no subset enumerated.
+def _check_subsets(u: int, refusal: str | None = None) -> None:
+    """Refuse, by refusal if given, the subsets of u cross edges: two 2^u int64 arrays past the budget."""
+    if 2 * 8 << u > _TRANSFORM_BYTES:  # 2^u is named, not printed: it can pass str()'s digit limit
+        raise ValueError(refusal or f"{u} cross edges need two int64 arrays of 2^{u} entries, "
+                         f"over the {_TRANSFORM_BYTES}-byte budget")
 
-    The numerator of subset w is num(w) = sum_v cnt(v) (-1)^(w . v), with
-    cnt(v) = #{(a, a', b, b') : alpha & beta = v} as masks of the cross
-    edges (:func:`_subset_numerators`), so over the 2^u equally likely
-    subsets E[num] = cnt(0) and E[num^2] = sum_v cnt(v)^2.  Each of the
-    K_A K_B pairs of the sides' masks (:func:`_side_pairs`) is keyed by
-    alpha & beta in W = ceil(u_cross / 64) words; a cumulative sum of their
-    count products in key order, read at each run's end, gives cnt, key 0
-    first, exact in int64 (at most 4^N) under the qubit cap; the 2^u
-    subsets' sums go to :func:`_reduce`.  Refused before any pair is
-    formed, each with its own message: a cut past the qubit cap, then a
-    side's min(2^D, 4^n_side) sets or pairs, then the K_A K_B keys at
-    their bound, past the byte budget.
+
+def _cut_sides(spec: EnsembleSpec, part: Bipartition, counting: bool = False):
+    """(u, sides) for the exact routes: the universe's size, and (distinct parts, which, n_side) of A and B.
+
+    Edge j's part on a side is distinct[which[j]], over the cross scope's
+    universe: for every family exactly the full one's cross edges.  A cut
+    past the qubit cap, then, unless counting, 2^u_cross subsets past the
+    byte budget, are refused before any edge is factored.
     """
-    n, u = part.n_qubits, len(universe)
-    check_qubit_cap(n)
-    _, *cross = _cross_parts(_edge_masks(universe), part)
-    words = max(1, -(-cross[0].size // 64))
-    sides = [(*np.unique(p, return_inverse=True), k) for p, k in zip(cross, (part.n_a, part.n_b))]
-    for d, _, k in sides:
-        what = "sets of parts" if d.size < 2 * k else "basis-state pairs"  # as _side_pairs counts
-        _check_rows(1 << min(d.size, 2 * k), words, f"{what} of a {k}-qubit side")
-    # alpha is one of 2^D sets, and swapping x and x' keeps it
-    made = [min(1 << d.size, 1 + (1 << 2 * k - 1) - (1 << k - 1)) for d, _, k in sides]
-    _check_rows(made[0] * made[1], words, "collision keys")
+    u = len(edge_universe(spec, part))
+    cross = edge_universe(replace(spec, scope=Scope.CROSS_ONLY), part)
+    check_qubit_cap(part.n_qubits)
+    if not counting:
+        _check_subsets(len(cross))
+    _, *parts = _cross_parts(_edge_masks(cross), part)
+    return u, [(*np.unique(m, return_inverse=True), k) for m, k in zip(parts, (part.n_a, part.n_b))]
+
+
+def _counted_moments(n: int, u: int, sides) -> MomentEstimate:
+    """Exact purity moments at p = 1/2 of a u-edge universe by counting basis-state pairs of its cut.
+
+    The numerator of subset w of the cross edges is num(w) = sum_v cnt(v)
+    (-1)^(w . v), with cnt(v) = #{(a, a', b, b') : alpha & beta = v} as
+    masks of the cross edges (:func:`_subset_numerators`), so over the
+    equally likely subsets E[num] = cnt(0) and E[num^2] = sum_v cnt(v)^2.
+    Each of the K_A K_B pairs of the sides' masks (:func:`_side_pairs`) is
+    keyed by alpha & beta in W = ceil(u_cross / 64) words; a cumulative
+    sum of their count products in key order, read at each run's end,
+    gives cnt, key 0 first, exact in int64 (at most 4^N) under the qubit
+    cap; the 2^u subsets' sums go to :func:`_reduce`.
+    :func:`_count_refusal` bounds the rows before any is formed.
+    """
     (e_a, p_a), (e_b, p_b) = (_side_pairs(*side) for side in sides)
-    order, ends = _runs((e_a[:, np.newaxis] & e_b).reshape(-1, words))
+    order, ends = _runs((e_a[:, np.newaxis] & e_b).reshape(-1, e_a.shape[1]))
     sums = np.outer(p_a, p_b).ravel()[order]
     cnt = np.diff(np.cumsum(sums, out=sums)[ends], prepend=0)
     blocks = (cnt[lo : lo + _SQUARE_CHUNK].tolist() for lo in range(0, cnt.size, _SQUARE_CHUNK))
@@ -491,23 +495,22 @@ def _counted_moments(universe: list[Edge], part: Bipartition) -> MomentEstimate:
 
 
 def exact_moments(spec: EnsembleSpec, part: Bipartition) -> MomentEstimate:
-    """Exact purity mean and variance over every subset of the universe.
+    """Exact purity mean and variance over every subset of the universe, from its cut.
 
-    At p = 1/2, for every family, scope and cut, by counting basis-state
-    pairs (:func:`_counted_moments`) up to its pair and key limits; at any
-    other p, and at p = 1/2 where those limits refuse a universe whose
-    subsets fit the byte budget (a 1|N-1 CZ cut at N = 25-27 needs 2^N
-    keys), by enumerating the 2^u subsets (:func:`_exhaustive_stats`).
-    Both report 2^u samples and check the qubit cap first.
+    The route is chosen before anything is formed.  At p = 1/2 the pairs
+    are counted (:func:`_counted_moments`) when every counting bound fits
+    the byte budget, else the 2^u_cross subsets enumerated
+    (:func:`_exhaustive_stats`) when they fit it (a 1|N-1 CZ cut at
+    N = 25-27 needs 2^N keys), else the counting refusal raised.  Any
+    other p enumerates.  Both report 2^u samples.
     """
-    if spec.edge_probability == Fraction(1, 2):
-        universe = edge_universe(spec, part)
-        try:
-            return _counted_moments(universe, part)
-        except _PastBudget:
-            if 2 * 8 << len(universe) > _TRANSFORM_BYTES:
-                raise
-    return _exhaustive_stats(spec, part).purity
+    counting = spec.edge_probability == Fraction(1, 2)
+    u, sides = _cut_sides(spec, part, counting)
+    if counting:
+        if (refusal := _count_refusal(sides)) is None:
+            return _counted_moments(part.n_qubits, u, sides)
+        _check_subsets(sides[0][1].size, refusal)
+    return _exhaustive_stats(spec, u, sides).purity
 
 
 _pool: list = []  # (process, connection) of each pooled share worker, oldest first
@@ -707,7 +710,7 @@ def entropy_stats(
     integers, so their exhaustive mean and variance are exact rationals.
     """
     if samples is None:
-        return _exhaustive_stats(spec, part)
+        return _exhaustive_stats(spec, *_cut_sides(spec, part))
     if samples < 2:
         raise ValueError("need at least 2 samples")
     return _run_sampling(spec, part, samples, seed, workers)

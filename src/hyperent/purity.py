@@ -502,11 +502,6 @@ def _cut_ranks(bits: np.ndarray, order: np.ndarray, part: Bipartition) -> np.nda
     return gf2.batch_rank(gf2.pack_rows(blocks), part.n_b)
 
 
-def _block_values(cols: int, words: np.ndarray) -> np.ndarray:
-    """GF(2) rank of each cut block of a packed (batch, rows, words) stack."""
-    return gf2.batch_rank(words, cols)
-
-
 def _numerator_values(cross, a_parts, b_parts, side: Bipartition, bits: np.ndarray):
     """int64 purity numerator per row of edge choices, on one BLAS thread."""
     with _one_blas_thread():
@@ -601,5 +596,6 @@ def _cut_sampler(universe: list[Edge], part: Bipartition, p: Fraction, rows: int
     """
     terms = functools.partial(_key_terms, part.n_qubits, max(map(len, universe), default=0) == 2)
     if p == Fraction(1, 2) and universe == list(map(tuple, cut_cells(part).tolist())):
-        return functools.partial(_block_draw, part), functools.partial(_block_values, part.n_b), terms
+        # batch_rank looked up per call, cols positional: perfbench's tracer rebinds it and reads both
+        return functools.partial(_block_draw, part), lambda words: gf2.batch_rank(words, part.n_b), terms
     return _choice_draw(p, len(universe), rows), _cut_values(universe, part), terms

@@ -733,7 +733,7 @@ def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("edges factored past the int64 guard")
 
-    monkeypatch.setattr(ensembles, "_side_index", unreachable)
+    monkeypatch.setattr(ensembles, "_edge_masks", unreachable)
     argv = ["moments", "--family", "k-uniform", "--k", "32", "--n", "32", "--exhaustive"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
@@ -741,16 +741,39 @@ def test_moments_exhaustive_past_int64_exit_3(capsys, monkeypatch):
 
 
 def test_moments_exhaustive_past_byte_budget_exit_3(capsys, monkeypatch):
-    # 45 edges at p = 1/3, which enumerates: the two 2^45 transform arrays
-    # are refused before anything is built
+    # 66 edges, 36 across the cut, at p = 1/3, which enumerates the cross
+    # edges: the two 2^36 transform arrays are refused before anything is
+    # built
     def unreachable(*args):
         raise AssertionError("edges factored past the byte budget")
 
-    monkeypatch.setattr(ensembles, "_side_index", unreachable)
-    argv = ["moments", "--family", "cz", "--n", "10", "--scope", "all", "--p", "1/3", "--exhaustive"]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3 and out == ""
-    assert "domain error" in err and "byte budget" in err
+    monkeypatch.setattr(ensembles, "_edge_masks", unreachable)
+    argv = ["moments", "--family", "cz", "--n", "12", "--scope", "all", "--p", "1/3", "--exhaustive"]
+    assert run_cli(capsys, *argv) == (
+        3,
+        "",
+        "domain error: 36 cross edges need two int64 arrays of 2^36 entries, over the "
+        "1073741824-byte budget\n",
+    )
+
+
+def test_moments_all_scope_enumerates_the_cross_edges_bytes_pinned(capsys):
+    # 28 edges, 16 across the 4|4 cut, at p = 1/3: the 2^28 subsets passed
+    # the byte budget, the 2^16 cross subsets do not; every subset is
+    # still counted, 2^28 samples
+    argv = ["moments", "--family", "cz", "--n", "8", "--scope", "all", "--p", "1/3", "--exhaustive"]
+    assert run_cli(capsys, *argv) == (
+        0,
+        "n,n_a,family,scope,p,samples,mean,variance,std_err_mean,closed_form_mean,"
+        "closed_form_variance,z_score\n"
+        "8,4,cz,all,1/3,268435456,14616905/86093442,18888192829013/1853020188851841,0.0,,,\n",
+        "",
+    )
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d6892172aa77d0cbc98138b62ffe409bd41e17652555af05ae66c1e541082f08"
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import tracemalloc
 import types
 import unittest.mock
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from hyperent.ensembles import (
     check_universe_size,
     sample_hypergraph,
     split_run,
-    subset_weight,
 )
 from hyperent.formulas import (
     ccz_avg_purity,
@@ -162,12 +162,31 @@ def _replayed(spec, part, seed, i):
     return Hypergraph(spec.n_qubits, frozenset(itertools.compress(universe, keep)))
 
 
-def test_enumerate_smallest_ensembles():
-    # exhaustive moments visit 2^u subsets, each weighted p^c (1-p)^(u-c)
+def _class_weights(monkeypatch, stats):
+    """The (weight, subset count) classes that one stats() call hands to _reduce."""
+    seen = []
+    real = ensembles_mod._reduce
+
+    def spy(n, classes, *args, **kwargs):
+        seen.append([(w, sums[0]) for w, sums in classes])
+        return real(n, classes, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ensembles_mod, "_reduce", spy)
+        stats()
+    (classes,) = seen
+    return classes
+
+
+def test_enumerate_smallest_ensembles(monkeypatch):
+    # exhaustive moments visit 2^u subsets, each weighted p^c (1-p)^(u-c),
+    # held as the ints p^c (1-p)^(u-c) denominator^u
     spec = EnsembleSpec(2, Family.CZ, scope=Scope.ALL_EDGES)
     assert edge_universe(spec) == [(0, 1)]
-    assert exact_moments(spec, Bipartition(2, 0b01)).samples == 2
-    assert [subset_weight(spec, c, 1 - c) for c in (0, 1)] == [Fraction(1, 2), Fraction(1, 2)]
+    part = Bipartition(2, 0b01)
+    assert exact_moments(spec, part).samples == 2
+    classes = _class_weights(monkeypatch, lambda: entropy_stats(spec, part))
+    assert [w for w, _ in classes] == [1, 1]
 
     spec = EnsembleSpec(3, Family.CCZ, scope=Scope.ALL_EDGES)
     assert exact_moments(spec, Bipartition(3, 0b001)).samples == 2
@@ -176,30 +195,41 @@ def test_enumerate_smallest_ensembles():
     assert exact_moments(spec, Bipartition.from_first(6, 3)).samples == 512
 
 
-def test_enumeration_weights_sum_to_one():
-    u = 6  # the 2-edges on 4 qubits
+def test_enumeration_weights_sum_to_one(monkeypatch):
+    # the 2-edges on 4 qubits, 4 of them across the 2|2 cut, which alone are
+    # enumerated: the integer class weights times C(4, c) sum to denominator^4,
+    # each the exact weight p^c (1-p)^(4-c) times denominator^4
+    u, part = 4, Bipartition.from_first(4, 2)
     for p in [Fraction(1, 2), Fraction(1, 4), Fraction(3, 10), Fraction(1)]:
         spec = EnsembleSpec(4, Family.CZ, edge_probability=p, scope=Scope.ALL_EDGES)
-        assert len(edge_universe(spec)) == u
-        total = sum(math.comb(u, c) * subset_weight(spec, c, u - c) for c in range(u + 1))
-        assert total == 1
+        assert len(edge_universe(spec)) == 6
+        classes = _class_weights(monkeypatch, lambda: entropy_stats(spec, part))
+        assert [count for _, count in classes] == [math.comb(u, c) << 2 for c in range(u + 1)]
+        weights = [w for w, _ in classes]
+        assert weights == [p**c * (1 - p) ** (u - c) * p.denominator**u for c in range(u + 1)]
+        assert sum(math.comb(u, c) * w for c, w in enumerate(weights)) == p.denominator**u
 
 
 def test_enumeration_cap(monkeypatch):
-    # 45 edges: refused by the transform's byte budget before any edge is
-    # factored, by the moments at p = 1/3 and the entropies, which enumerate
+    # 66 edges, 36 across the cut: refused by the transform's byte budget
+    # before any edge is factored, by the moments at p = 1/3 and the
+    # entropies, which enumerate
     def unreachable(*args):
         raise AssertionError("edges factored past the byte budget")
 
-    monkeypatch.setattr(ensembles_mod, "_side_index", unreachable)
-    spec = EnsembleSpec(10, Family.CZ, scope=Scope.ALL_EDGES)
-    part = Bipartition.from_first(10, 5)
-    with pytest.raises(ValueError, match="byte budget"):
+    monkeypatch.setattr(ensembles_mod, "_edge_masks", unreachable)
+    spec = EnsembleSpec(12, Family.CZ, scope=Scope.ALL_EDGES)
+    part = Bipartition.from_first(12, 6)
+    with pytest.raises(ValueError, match="^36 cross edges need .*-byte budget$"):
         exact_moments(
-            EnsembleSpec(10, Family.CZ, edge_probability=Fraction(1, 3), scope=Scope.ALL_EDGES), part
+            EnsembleSpec(12, Family.CZ, edge_probability=Fraction(1, 3), scope=Scope.ALL_EDGES), part
         )
     with pytest.raises(ValueError, match="byte budget"):
         entropy_stats(spec, part)
+    # C(30, 4) cross edges: 2^27409 bytes would pass str()'s 4300-digit limit
+    spec = EnsembleSpec(31, Family.K_UNIFORM, k=5, edge_probability=Fraction(1, 3), scope=Scope.ALL_EDGES)
+    with pytest.raises(ValueError, match=r"^27405 cross edges need two int64 arrays of 2\^27405 entries, "):
+        exact_moments(spec, Bipartition.from_first(31, 1))
 
 
 def test_exact_moments_pinned_values():
@@ -423,7 +453,8 @@ def _chunked_stats(monkeypatch, family):
     monkeypatch.setattr(ensembles_mod, "_TALLY_CHUNK", 5)
     assert tallies == []
     chunked = entropy_stats(spec, part)
-    assert tallies == list(range(0, 1 << len(edge_universe(spec, part)), 5))
+    cross = edge_universe(EnsembleSpec(4, family, edge_probability=Fraction(3, 10)), part)
+    assert tallies == list(range(0, 1 << len(cross), 5))  # the cross edges' subsets alone
     monkeypatch.undo()
     return base, chunked
 
@@ -463,10 +494,11 @@ def test_tally_matches_naive_count(data):
 
 
 def test_tally_keys_fit_uint64():
-    # every universe the exhaustive route accepts (at most 26 edges, by the
-    # transform budget, at N <= 31) has numerators <= 2^(2N), so its keys
-    # num << b | c fit uint64 while 2N + b < 64; the widest, one 31-edge
-    # at N = 31, reaches bit 63
+    # the exhaustive route enumerates a cut's cross universe, of either
+    # scope, and accepts at most 26 cross edges, by the transform budget,
+    # at N <= 31; numerators are <= 2^(2N), so its keys num << b | c fit
+    # uint64 while 2N + b < 64; the widest, one 31-edge at N = 31, reaches
+    # bit 63
     max_u = (ensembles_mod._TRANSFORM_BYTES // 16).bit_length() - 1
     assert max_u == 26
     widths = {}
@@ -477,7 +509,6 @@ def test_tally_keys_fit_uint64():
             for k in range(1, n + 1):
                 family = {2: Family.CZ, 3: Family.CCZ}.get(k, Family.K_UNIFORM)
                 for fam in {family, Family.K_UNIFORM}:
-                    sizes[fam, k, Scope.ALL_EDGES] = math.comb(n, k)
                     cross = math.comb(n, k) - math.comb(n_a, k) - math.comb(n_b, k)
                     sizes[fam, k, Scope.CROSS_ONLY] = cross
             for (family, k, scope), u in sizes.items():
@@ -488,7 +519,6 @@ def test_tally_keys_fit_uint64():
                 widths[n, family, k, scope, n_a] = 2 * n + u.bit_length()
     assert max(widths.values()) == 63
     assert {key[:4] for key, width in widths.items() if width == 63} == {
-        (31, Family.K_UNIFORM, 31, Scope.ALL_EDGES),
         (31, Family.K_UNIFORM, 31, Scope.CROSS_ONLY),
     }
 
@@ -1275,6 +1305,12 @@ def test_blas_pin_without_thread_calls_does_nothing(monkeypatch):
     assert blas.seen == [3]
 
 
+def _sides(universe, part):
+    """(cross positions, sides) of a universe's cut, factored as _cut_sides factors its cross edges."""
+    cross, *parts = _cross_parts(_edge_masks(universe), part)
+    return cross, [(*np.unique(m, return_inverse=True), k) for m, k in zip(parts, (part.n_a, part.n_b))]
+
+
 def _mask_bits(masks, u):
     """(len(masks), u) 0/1 edge choices of subset masks."""
     masks = np.asarray(masks, dtype=np.int64)
@@ -1285,9 +1321,11 @@ def _mask_bits(masks, u):
 @given(st.data())
 def test_subset_numerators_match_cut_factors_and_oracle(data):
     # any universe of up to 10 edges in any order, scattered cuts with
-    # either side larger, local edges included, and the empty universe;
-    # blocks of 2-4 edges run the cross-block transform levels and the
-    # high OR-tables at small u
+    # either side larger, local edges included, and the empty universe:
+    # the numerators over its cross edges' subsets, each equal to the
+    # oracle's purity of that subset with any local edges added; blocks of
+    # 2-4 edges run the cross-block transform levels and the high
+    # OR-tables at small u
     n = data.draw(st.integers(2, 7), label="n")
     k = data.draw(st.integers(1, min(4, n)), label="k")
     scope = data.draw(st.sampled_from(list(Scope)), label="scope")
@@ -1299,12 +1337,14 @@ def test_subset_numerators_match_cut_factors_and_oracle(data):
         if full else st.just([]),
         label="picks",
     )
-    universe = [full[i] for i in picks]
+    everything = [full[i] for i in picks]
+    cross, sides = _sides(everything, part)
+    universe = [everything[j] for j in cross.tolist()]
     u = len(universe)
     block = data.draw(st.sampled_from([2, 3, 4, ensembles_mod._BLOCK_EDGES]), label="block")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensembles_mod, "_BLOCK_EDGES", block)
-        nums = _subset_numerators(universe, part)
+        nums = _subset_numerators(sides)
     assert nums.dtype == np.int64 and nums.shape == (1 << u,)
     bits = _mask_bits(np.arange(1 << u), u)
     assert nums.tolist() == _universe_numerators(universe, part, bits).tolist()
@@ -1317,18 +1357,20 @@ def test_subset_numerators_match_cut_factors_and_oracle(data):
     ]
     supersets = [sum(alpha & s == s for alpha in alphas) for s in range(1 << u)]
     assert ensembles_mod._pair_supersets(a_parts, part.n_a).tolist() == supersets
+    local = [e for j, e in enumerate(everything) if j not in cross]
     for mask in data.draw(st.lists(st.integers(0, (1 << u) - 1), min_size=1, max_size=3)):
         edges = [e for j, e in enumerate(universe) if mask >> j & 1]
-        assert Fraction(int(nums[mask]), 1 << (2 * n)) == ref_purity(n, edges, a_mask)
+        assert Fraction(int(nums[mask]), 1 << (2 * n)) == ref_purity(n, edges + local, a_mask)
 
 
 def test_subset_numerators_at_full_block_width():
     # CCZ at 3 | 3: 18 edges over 6 distinct parts per side, four blocks
     # of 2^16 subsets; checked on sampled masks and the empty universe
     part = Bipartition.from_first(6, 3)
-    universe = edge_universe(EnsembleSpec(6, Family.CCZ), part)
+    spec = EnsembleSpec(6, Family.CCZ)
+    universe = edge_universe(spec, part)
     assert len(universe) == 18 and ensembles_mod._BLOCK_EDGES == 16
-    nums = _subset_numerators(universe, part)
+    nums = _subset_numerators(ensembles_mod._cut_sides(spec, part)[1])
     masks = np.random.default_rng(18).integers(0, 1 << 18, size=300)
     masks[:4] = [0, (1 << 16) - 1, 1 << 16, (1 << 18) - 1]
     want = _universe_numerators(universe, part, _mask_bits(masks, 18))
@@ -1336,25 +1378,27 @@ def test_subset_numerators_at_full_block_width():
     for mask in masks[:8].tolist():
         edges = [e for j, e in enumerate(universe) if mask >> j & 1]
         assert Fraction(int(nums[mask]), 1 << 12) == ref_purity(6, edges, part.a_mask)
-    assert _subset_numerators([], part).tolist() == [1 << 12]
+    assert _subset_numerators(_sides([], part)[1]).tolist() == [1 << 12]
 
 
 def test_subset_numerators_hold_one_array():
-    # 20 edges of 3 qubits at a scattered cut, local ones included: the
-    # numerators are one 2^20 int64 array beside small side tables
-    part = Bipartition(6, 0b010110)
-    spec = EnsembleSpec(6, Family.K_UNIFORM, k=3, scope=Scope.ALL_EDGES)
-    universe = edge_universe(spec, part)
+    # 21 edges of 5 qubits at a scattered cut, 20 of them across it: the
+    # numerators are one 2^20 int64 array beside small side tables, and
+    # the local edge adds nothing
+    part = Bipartition(7, 0b0100100)
+    spec = EnsembleSpec(7, Family.K_UNIFORM, k=5, scope=Scope.ALL_EDGES)
+    assert len(edge_universe(spec, part)) == 21
+    universe = edge_universe(EnsembleSpec(7, Family.K_UNIFORM, k=5), part)
     u = len(universe)
     assert u == 20
     tracemalloc.start()
     try:
         # the exhaustive route tallies by writing its keys over that array:
         # no key copy, no unique values or inverse index beside it
-        ensembles_mod._exhaustive_stats(spec, part)
+        ensembles_mod._exhaustive_stats(spec, *ensembles_mod._cut_sides(spec, part))
         _, stats_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        nums = _subset_numerators(universe, part)
+        nums = _subset_numerators(_sides(universe, part)[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1380,30 +1424,63 @@ def test_exact_moments_match_reference_at_every_p(data):
         assert (est.mean, est.variance) == ref_ensemble_moments(n, universe, part.a_mask, p)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_all_scope_exact_routes_equal_the_cross_scope(data):
+    # the full scope's local edges leave every purity unchanged and their
+    # weights sum to 1: its exact moments and exhaustive entropies are the
+    # cross scope's, over 2^u samples, and its moments the dense oracle's
+    # over all 2^u subsets at u <= 10; counted at p = 1/2, else enumerated
+    family, k = data.draw(
+        st.sampled_from([(Family.CZ, None), (Family.CCZ, None), (Family.K_UNIFORM, 4)]), label="family"
+    )
+    n = data.draw(st.integers(k or {Family.CZ: 2, Family.CCZ: 3}[family], 7), label="n")
+    p = data.draw(
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 10), Fraction(1, 64)]), label="p"
+    )
+    part = Bipartition(n, data.draw(st.integers(1, (1 << n) - 2), label="a_mask"))
+    full = EnsembleSpec(n, family, k=k, edge_probability=p, scope=Scope.ALL_EDGES)
+    cross = replace(full, scope=Scope.CROSS_ONLY)
+    universe = edge_universe(full, part)
+    u = len(universe)
+    assume(len(edge_universe(cross, part)) <= 16)
+    got, want = exact_moments(full, part), exact_moments(cross, part)
+    assert got == replace(want, samples=1 << u)
+    stats, base = entropy_stats(full, part), entropy_stats(cross, part)
+    assert stats.purity == got and base.purity == want
+    assert stats.entropy == replace(base.entropy, samples=1 << u)
+    if u <= 10:
+        assert (got.mean, got.variance) == ref_ensemble_moments(n, universe, part.a_mask, p)
+
+
 def test_subset_numerators_guards_come_first(monkeypatch):
+    # the cut that _subset_numerators enumerates is refused before any edge
+    # is factored: past the qubit cap, then past the byte budget
     def unreachable(*args):
         raise AssertionError("edges factored past a guard")
 
-    monkeypatch.setattr(ensembles_mod, "_side_index", unreachable)
+    monkeypatch.setattr(ensembles_mod, "_edge_masks", unreachable)
     with pytest.raises(ValueError, match="int64"):
-        _subset_numerators([tuple(range(32))], Bipartition.from_first(32, 1))
+        ensembles_mod._cut_sides(EnsembleSpec(32, Family.K_UNIFORM, k=32), Bipartition.from_first(32, 1))
     # 27 cross edges need 2 * 8 * 2^27 bytes, over the 2^30 budget
     spec = EnsembleSpec(12, Family.CZ, edge_probability=Fraction(1, 3))
     with pytest.raises(ValueError, match="byte budget"):
         exact_moments(spec, Bipartition.from_first(12, 3))
     monkeypatch.undo()
     part = Bipartition.from_first(4, 2)
-    universe = edge_universe(EnsembleSpec(4, Family.CZ), part)  # 4 edges: 256 bytes
+    spec = EnsembleSpec(4, Family.CZ, scope=Scope.ALL_EDGES)  # 4 cross edges: 256 bytes
     monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 256)
-    assert _subset_numerators(universe, part).size == 16
+    assert _subset_numerators(ensembles_mod._cut_sides(spec, part)[1]).size == 16
     monkeypatch.setattr(ensembles_mod, "_TRANSFORM_BYTES", 255)
-    with pytest.raises(ValueError, match="byte budget"):
-        _subset_numerators(universe, part)
+    with pytest.raises(ValueError, match=r"^4 cross edges need two int64 arrays of 2\^4 entries, over the 255-"):
+        ensembles_mod._cut_sides(spec, part)
 
 
 def _counted(spec, part):
-    """The pair-counting route's estimate, taken at the spec's universe whatever its p."""
-    return ensembles_mod._counted_moments(edge_universe(spec, part), part)
+    """The pair-counting route's estimate, taken at the spec's cut whatever its p."""
+    return ensembles_mod._counted_moments(
+        spec.n_qubits, *ensembles_mod._cut_sides(spec, part, counting=True)
+    )
 
 
 @settings(deadline=None, max_examples=60)
@@ -1424,7 +1501,7 @@ def test_collision_moments_match_enumeration_and_oracle(data):
     u = len(universe)
     assume(u <= 20)
     est = _counted(spec, part)
-    want = ensembles_mod._exhaustive_stats(spec, part).purity
+    want = entropy_stats(spec, part).purity
     assert est == want and est.samples == 1 << u
     assert (est.mean, est.second_moment, est.variance) == (
         want.mean, want.second_moment, want.variance
@@ -1463,7 +1540,7 @@ def test_exact_moments_enumerate_where_counting_does_not_apply(monkeypatch):
     sizes = []
     real = ensembles_mod._subset_numerators
     monkeypatch.setattr(
-        ensembles_mod, "_subset_numerators", lambda *a: sizes.append(len(a[0])) or real(*a)
+        ensembles_mod, "_subset_numerators", lambda sides: sizes.append(sides[0][1].size) or real(sides)
     )
     spec = EnsembleSpec(6, Family.CZ, edge_probability=Fraction(3, 10))
     exact_moments(spec, Bipartition.from_first(6, 3))
@@ -1594,17 +1671,19 @@ def test_runs_group_equal_rows(data):
 def test_counted_moments_match_subset_numerators_on_any_universe(data):
     # any universe of up to 10 edges of mixed arity in any order, scattered
     # cuts, local edges included, and the empty universe: the counted
-    # moments equal the exact sums of every subset's numerator
+    # moments equal the exact sums of every cross subset's numerator, and
+    # count the 2^u subsets of the universe
     n = data.draw(st.integers(2, 7), label="n")
     a_mask = data.draw(st.integers(1, (1 << n) - 2), label="a_mask")
     part = Bipartition(n, a_mask)
     full = [e for k in range(1, min(4, n) + 1) for e in all_k_edges(n, k)]
     picks = data.draw(st.lists(st.sampled_from(full), unique=True, max_size=10), label="picks")
     u = len(picks)
-    nums = _subset_numerators(picks, part).tolist()
-    est = ensembles_mod._counted_moments(picks, part)
-    mean = Fraction(sum(nums), 1 << u + 2 * n)
-    second = Fraction(sum(x * x for x in nums), 1 << u + 4 * n)
+    cross, sides = _sides(picks, part)
+    nums = _subset_numerators(sides).tolist()
+    est = ensembles_mod._counted_moments(n, u, sides)
+    mean = Fraction(sum(nums), 1 << cross.size + 2 * n)
+    second = Fraction(sum(x * x for x in nums), 1 << cross.size + 4 * n)
     assert (est.mean, est.second_moment, est.variance) == (mean, second, second - mean * mean)
     assert est.samples == 1 << u and est.exact
 

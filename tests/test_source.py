@@ -164,6 +164,36 @@ def test_one_basis_state_loop_feeds_both_exact_routes():
     assert sorters == ["_runs"] and "_runs" in reached("_counted_moments")
 
 
+def test_exact_routes_read_the_cut_once():
+    # exact_moments and the exhaustive entropies read the cut through one
+    # helper, the one function that factors edges; the p = 1/2 route is a
+    # plain condition, so no exception class is caught and no function
+    # that the exact routes reach holds a try
+    text = _sources()["ensembles.py"]
+    tree = ast.parse(text)
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert "_PastBudget" not in text
+
+    def calls(fn):
+        return {
+            node.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+
+    factoring = sorted(name for name, fn in fns.items() if calls(fn) & {"_edge_masks", "_cross_parts"})
+    assert factoring == ["_cut_sides"]
+    assert "_cut_sides" in calls(fns["exact_moments"]) & calls(fns["entropy_stats"])
+    seen, todo = set(), ["exact_moments", "_exhaustive_stats"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo += sorted((calls(fns[name]) & fns.keys()) - seen)
+    assert {"_cut_sides", "_counted_moments", "_subset_numerators", "_tally"} <= seen
+    tries = sorted(name for name in seen if any(isinstance(n, ast.Try) for n in ast.walk(fns[name])))
+    assert tries == []
+
+
 def _elimination_loops(tree):
     """Line numbers of loops that take a row's lowest set bit and XOR rows with it.
 
@@ -288,7 +318,7 @@ def test_purity_owns_every_monte_carlo_route():
     assert {name for module, name in imported if module == "gf2"} == set()
     from_purity = {name for module, name in imported if module == "purity"}
     assert from_purity == {
-        "_cut_sampler", "_side_index", "check_qubit_cap", "_edge_masks", "_cross_parts"
+        "_cut_sampler", "_key_terms", "check_qubit_cap", "_edge_masks", "_cross_parts"
     }
     owned = re.compile(r"\b(_numerators|_cut_ranks|_SAMPLE_BYTES|_one_blas_thread)\b")
     named = {name: owned.findall(text) for name, text in sources.items() if name != "purity.py"}
