@@ -23,22 +23,21 @@ byte budget but whose subsets fit it enumerate: one subset transform over
 a 2^u_cross int64 array yields every subset's numerator
 (:func:`_subset_numerators`), with no state, sign row or Gram matrix.
 
-Monte Carlo reduces what purity makes of each piece: ``values(draw(...))``
-of :func:`purity._cut_sampler` is every sample's exact key, by the draw,
-route, limits, batches and BLAS policy it picks for the universe.  Each
-chunk's keys become exact int sums, which :func:`_reduce`, the exhaustive
-route's reducer too, rounds once.  Its memory is bounded by the piece, not
-the run: each chunk of samples is drawn in pieces of at most
-``_MC_PIECE_DRAWS`` = 2^21 edge choices.  A universe that is the cut block
-itself at p = 1/2 (the ``moments --family cz`` default) takes the word
-route: each piece is read as packed cut blocks straight from the stream's
-bits, one bit per choice, with no bool made.  Every other universe takes
-the bool route: each piece is drawn one bool per choice (2 MiB) into one
-buffer that every piece of a share reuses, which :func:`rng.bernoulli_block`
-fills one tile at a time through a pair of uint64 tiles that the share also
-reuses: at p = 1/2 a tile of 2^12 draws, whose 2^18 bits it unpacks (256 KiB)
-and copies in, else a tile of 2^15 draws (256 KiB) that it thresholds in.
-Purity then holds only what it makes of one piece.
+Monte Carlo reduces what purity tallies of each chunk of at most
+``_MC_CHUNK`` samples: ``tally(seed, first, count)`` of
+:func:`purity._cut_sampler` is the chunk's distinct exact keys and their
+runs, by the draw, route, limits, batches and BLAS policy it picks for
+the universe.  Each tally becomes exact int sums, which :func:`_reduce`,
+the exhaustive route's reducer too, rounds once.  A universe that is the
+cut block itself at p = 1/2 (the ``moments --family cz`` default) takes
+the word route: the rank law's loop (``gf2._rank_counts``) reads the
+chunk as packed cut blocks straight from the stream's bits, with no
+bool made, and counts their ranks in its batches.  Every other universe
+takes the bool route: the chunk is drawn in pieces of at most
+``purity._MC_PIECE_DRAWS`` = 2^21 choices, one bool per choice, into
+one buffer and one pair of uint64 tiles that every piece of a share
+reuses (:func:`rng.bernoulli_block`), and the pieces' keys are tallied
+by ``np.unique``.  Sampling memory is bounded by a batch or a piece.
 
 Exhaustive moments are exact: numerators and collision counts are integers,
 weights exact rationals, and floats appear only in non-2-edge entropies.
@@ -57,11 +56,10 @@ from itertools import combinations, compress, repeat
 import numpy as np
 
 from .hypergraph import Bipartition, Edge, Hypergraph, all_k_edges
-from .purity import _cross_parts, _cut_sampler, _edge_masks, _key_terms, check_qubit_cap
+from .purity import _MC_PIECE_DRAWS, _cross_parts, _cut_sampler, _edge_masks, _key_terms, check_qubit_cap
 from .rng import CounterRng
 
 _MC_CHUNK = 4096
-_MC_PIECE_DRAWS = 1 << 21  # edge choices of one piece of a chunk, which bounds sampling memory
 _HIST_CHUNK = 1 << 16  # basis states per block of a side's incidence histogram
 _SQUARE_CHUNK = 1 << 16  # counts squared as Python ints per block: a list of all would pass the budget
 _TALLY_CHUNK = 1 << 16  # subsets per in-place key sort of the exhaustive tally
@@ -458,12 +456,14 @@ def _cut_sides(spec: EnsembleSpec, part: Bipartition, counting: bool = False):
     """(u, sides) for the exact routes: the universe's size, and (distinct parts, which, n_side) of A and B.
 
     Edge j's part on a side is distinct[which[j]], over the cross scope's
-    universe: for every family exactly the full one's cross edges.  A cut
-    past the qubit cap, then, unless counting, 2^u_cross subsets past the
-    byte budget, are refused before any edge is factored.
+    universe, the one edge list built: for every family exactly the full
+    one's cross edges; u is C(N, k) on a full all scope, else its length.
+    A cut past the qubit cap, then, unless counting, 2^u_cross subsets
+    past the byte budget, are refused before any edge is factored.
     """
-    u = len(edge_universe(spec, part))
     cross = edge_universe(replace(spec, scope=Scope.CROSS_ONLY), part)
+    full = spec.scope is Scope.ALL_EDGES and spec.family is not Family.CCZ_HALF
+    u = math.comb(spec.n_qubits, spec.edge_arity) if full else len(cross)
     check_qubit_cap(part.n_qubits)
     if not counting:
         _check_subsets(len(cross))
@@ -663,18 +663,11 @@ def _stream_worker(args) -> list:
     [i u, (i + 1) u) of the seed's stream are made.
     """
     spec, part, seed, first, count = args
-    universe = edge_universe(spec, part)
-    rows = max(1, min(_MC_PIECE_DRAWS // max(1, len(universe)), _MC_CHUNK, count))
-    draw, values, terms = _cut_sampler(universe, part, spec.edge_probability, rows)
+    chunk = min(_MC_CHUNK, count)
+    tally, terms = _cut_sampler(edge_universe(spec, part), part, spec.edge_probability, chunk)
     sums = [[0] * 5]
-    for done in range(0, count, _MC_CHUNK):
-        take = min(_MC_CHUNK, count - done)
-        # drawn rows at a time to bound memory
-        pieces = [
-            values(draw(seed, first + r, min(rows, done + take - r)))
-            for r in range(done, done + take, rows)
-        ]
-        keys, runs = np.unique(np.concatenate(pieces), return_counts=True)
+    for done in range(0, count, chunk):
+        keys, runs = tally(seed, first + done, min(chunk, count - done))
         _add_terms(sums, repeat(0), *terms(keys), runs.tolist())
     return sums[0]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import inspect
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -138,12 +139,7 @@ def count_orthogonal_tuples_naive(m: int) -> int:
 
 def falling_factorial(m: int, k: int) -> int:
     """m (m-1) ... (m-k+1); zero when k > m."""
-    if k > m:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= m - i
-    return out
+    return math.perm(m, k)
 
 
 def orthogonal_tuple_count_closed_form(m: int) -> int:

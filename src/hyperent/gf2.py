@@ -22,19 +22,18 @@ rows.  Each step masks the pivot bit out of every word with
 whole-array operations, with no per-matrix index gather, so a stack of
 one-word rows costs little more than its XORs.
 
-The rank law samples uniform n x n matrices the way ensembles sample
-edges at p = 1/2: :func:`_random_words` reads them packed, in the
-``word_dtype`` layout, straight from the stream's bits with
-:func:`rng.half_rows`, which makes no bool.  Matrix i of a law read from
-choice ``start`` on is choices [start + i n^2, start + (i + 1) n^2),
-row-major, so it is bit for bit the cut block of CZ sample i at N = 2n,
-n|n, whose cross universe in lexicographic order is that block,
-row-major.  Matrices are drawn and ranked in batches of at most
-``_RANK_BATCH`` (4096) matrices and ``_BATCH_TARGET_WORDS`` (2^18)
-packed words, so each batch stays cache-sized while a batch of wide
-matrices still amortises the elimination's per-row steps over many of
-them (16 at n = 1024), and each batch's defects are tallied by one
-bincount.
+Uniform matrices are sampled the way ensembles sample edges at
+p = 1/2: :func:`_random_words` reads them packed straight from the
+stream's bits with :func:`rng.half_rows`, which makes no bool.
+:func:`_rank_counts` is the one loop that draws and ranks them, in
+batches of at most ``_RANK_BATCH`` (4096) matrices and
+``_BATCH_TARGET_WORDS`` (2^18) packed words, so each batch stays
+cache-sized while a batch of wide matrices still amortises the
+elimination's per-row steps over many of them (16 at n = 1024).  The
+rank law (:func:`_rank_law`) and the ensembles' cut-block Monte Carlo
+both run it: rank-law matrix i is bit for bit the cut block of CZ sample
+i at N = 2n, n|n, whose cross universe in lexicographic order is that
+block, row-major.
 """
 
 from __future__ import annotations
@@ -173,23 +172,34 @@ _BATCH_TARGET_WORDS = 1 << 18  # packed words of one batch_rank call: 2 MiB of u
 _RANK_BATCH = 4096  # matrices per batch_rank call: 16 x 16 stacks of 512 KiB
 
 
+def _rank_counts(count: int, rows: int, cols: int, seed: int, start: int) -> np.ndarray:
+    """Counts by rank of count rows x cols matrices: matrix i is choices [start + i rows cols, ...) of the seed.
+
+    Matrix i is row-major.  Each batch is read from the choice of its
+    first matrix on, so the counts do not depend on the batch size.
+    """
+    size = rows * cols
+    batch = max(1, min(_RANK_BATCH, count, _BATCH_TARGET_WORDS // (rows * _n_words(cols))))
+    counts = np.zeros(min(rows, cols) + 1, dtype=np.int64)
+    for done in range(0, count, batch):
+        words = _random_words(min(batch, count - done), rows, cols, seed, start + done * size)
+        # cols positional: perfbench's tracer reads it as the second argument
+        counts += np.bincount(batch_rank(words, cols), minlength=counts.size)
+    return counts
+
+
 def _rank_law(n: int, samples: int, seed: int, start: int) -> RankHistogram:
     """Rank-defect histogram of the n x n matrices read from choice start of the seed's stream.
 
-    Matrix i is choices [start + i n^2, start + (i + 1) n^2).  Each
-    batch is read from the choice of its first matrix on, so the
-    histogram does not depend on the batch size.  Only observed defects
-    enter the histogram.
+    Matrix i is choices [start + i n^2, start + (i + 1) n^2), ranked by
+    :func:`_rank_counts`.  Only observed defects enter the histogram, in
+    ascending order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    chunk = max(1, min(_RANK_BATCH, samples, _BATCH_TARGET_WORDS // (n * _n_words(n))))
-    tally = np.zeros(n + 1, dtype=np.int64)
-    for done in range(0, samples, chunk):
-        words = _random_words(min(chunk, samples - done), n, n, seed, start + done * n * n)
-        tally += np.bincount(n - batch_rank(words, n), minlength=n + 1)
+    tally = _rank_counts(samples, n, n, seed, start)[::-1]  # index n - rank, the defect
     hist = RankHistogram(n)
     for s in np.flatnonzero(tally).tolist():
         hist.add(s, int(tally[s]))

@@ -31,18 +31,18 @@ routes, chosen by the cross edges:
   BLAS matmul that stays exact.
 
 The ensembles' Monte Carlo enters at :func:`_cut_sampler`, which picks
-how a universe's pieces are drawn and keyed (by exact ranks or
-numerators).  A cut block universe at p = 1/2 is read as packed blocks
-straight from the stream (``gf2._random_words``, the rank law's
-matrices) and ranked.  Any other is drawn as bools and keyed by
-:func:`_cut_values`, which picks the route (the GF(2) rank route below
-for 2-edges, else :func:`_numerators`), refuses a cut past that route's
-limit, and runs the sampler's numerators alone inside
+how a universe's samples are drawn, keyed (by exact ranks or
+numerators) and tallied.  A cut block universe at p = 1/2 is drawn and
+ranked by the rank law's loop (``gf2._rank_counts``), which reads packed
+blocks straight from the stream and returns counts by rank.  Any other
+is drawn as bools, in pieces of at most ``_MC_PIECE_DRAWS`` choices,
+and keyed by :func:`_cut_values`, which picks the route (the GF(2) rank
+route below for 2-edges, else :func:`_numerators`), refuses a cut past
+that route's limit, and runs the sampler's numerators alone inside
 :func:`_one_blas_thread`: the caller and the forked children of a
 worker split compute at once, and BLAS threads would oversubscribe the
-cores.  Single states
-(:func:`state_purity`, on the smaller side as A, with no 2**N sign
-table) keep every BLAS thread.
+cores.  Single states (:func:`state_purity`, on the smaller side as A,
+with no 2**N sign table) keep every BLAS thread.
 
 :func:`_sign_rows` is the one builder of a cut's packed sign bits: the
 GF(2) superset transform of the chosen edges laid out as (a, b).
@@ -550,52 +550,52 @@ def _cut_values(universe: list[Edge], part: Bipartition):
     return functools.partial(_numerator_values, *_cross_parts(_edge_masks(universe), side), side)
 
 
-def _block_draw(part: Bipartition, seed: int, first: int, count: int) -> np.ndarray:
-    """Packed cut blocks of samples [first, first + count) at p = 1/2 of the block universe.
+_MC_PIECE_DRAWS = 1 << 21  # edge choices of one bool piece, which bounds sampling memory
 
-    Sample i's block is choices [i u, (i + 1) u) of the seed's stream,
-    row-major, with u = n_A n_B: ``gf2._random_words``, the rank law's
-    matrices.
+
+def _bool_tally(p: Fraction, u: int, chunk: int, values):
+    """tally(seed, first, count): (distinct keys, runs) of the values of samples [first, first + count).
+
+    Sample i's row is choices [i u, (i + 1) u); count is at most chunk.
+    Pieces of at most _MC_PIECE_DRAWS choices are drawn into one bool
+    buffer and one pair of uint64 tiles, allocated here once.
     """
-    size = part.n_a * part.n_b
-    return gf2._random_words(count, part.n_a, part.n_b, seed, first * size)
-
-
-def _choice_draw(p: Fraction, u: int, rows: int):
-    """draw(seed, first, count): (count, u) bools of samples [first, first + count).
-
-    Sample i's row is choices [i u, (i + 1) u); count is at most rows.
-    Every call draws through ``rng.bernoulli_block`` into one bool buffer
-    of rows * u choices and one pair of uint64 tiles, allocated here once.
-    """
+    rows = max(1, min(_MC_PIECE_DRAWS // max(1, u), chunk))
     buf = np.empty(rows * u, dtype=bool)
     tiles = bernoulli_tiles(buf.size)
 
-    def draw(seed: int, first: int, count: int) -> np.ndarray:
-        bits = bernoulli_block(seed, first * u, count * u, p, out=buf[: count * u], tiles=tiles)
-        return bits.reshape(count, u)
+    def tally(seed: int, first: int, count: int):
+        pieces = []
+        for r in range(0, count, rows):
+            take = min(rows, count - r)
+            bits = bernoulli_block(seed, (first + r) * u, take * u, p, out=buf[: take * u], tiles=tiles)
+            pieces.append(values(bits.reshape(take, u)))
+        return np.unique(np.concatenate(pieces), return_counts=True)
 
-    return draw
+    return tally
 
 
-def _cut_sampler(universe: list[Edge], part: Bipartition, p: Fraction, rows: int):
-    """The Monte Carlo entry: (draw, values, terms) of a cut's universe at edge probability p.
+def _cut_sampler(universe: list[Edge], part: Bipartition, p: Fraction, chunk: int):
+    """The Monte Carlo entry: (tally, terms) of a cut's universe at edge probability p.
 
-    ``values(draw(seed, first, count))`` is the int64 key of each of
-    samples [first, first + count) of the seed's stream, count at most
-    rows, sample i keeping the edges whose choices [i u, (i + 1) u) are
-    made: the cut block's GF(2) rank on the 2-edge routes, the purity
-    numerator on the others; ``terms`` (:func:`_key_terms`) values
-    distinct keys.  A universe that is the cut block itself, row-major
-    (a cross universe of 2-edges with A the lowest qubits), at p = 1/2
-    is drawn as packed blocks, straight from the stream's bits
-    (:func:`_block_draw`), and ranked as they come.  Every other
-    universe is drawn as bools (:func:`_choice_draw`), and
-    :func:`_cut_values` keys them, by the route, limits and batches it
-    picks.  Both give the same keys for the same choices.
+    ``tally(seed, first, count)``, count at most chunk, gives the distinct
+    int64 keys of samples [first, first + count) and their runs, sample i
+    keeping the edges whose choices [i u, (i + 1) u) of the seed's stream
+    are made: the cut block's GF(2) rank on the 2-edge routes, the purity
+    numerator on the others; ``terms`` (:func:`_key_terms`) values keys.
+    A universe that is the cut block itself, row-major (a cross universe
+    of 2-edges with A the lowest qubits), at p = 1/2 has its ranks counted
+    by the rank law's loop, ``gf2._rank_counts``, with no per-sample key.
+    Any other is drawn as bools (:func:`_bool_tally`) and keyed by
+    :func:`_cut_values`, by the route, limits and batches it picks.  Both
+    give the same keys for the same choices.
     """
     terms = functools.partial(_key_terms, part.n_qubits, max(map(len, universe), default=0) == 2)
     if p == Fraction(1, 2) and universe == list(map(tuple, cut_cells(part).tolist())):
-        # batch_rank looked up per call, cols positional: perfbench's tracer rebinds it and reads both
-        return functools.partial(_block_draw, part), lambda words: gf2.batch_rank(words, part.n_b), terms
-    return _choice_draw(p, len(universe), rows), _cut_values(universe, part), terms
+
+        def tally(seed: int, first: int, count: int):
+            counts = gf2._rank_counts(count, part.n_a, part.n_b, seed, first * len(universe))
+            return np.flatnonzero(counts), counts[counts > 0]
+
+        return tally, terms
+    return _bool_tally(p, len(universe), chunk, _cut_values(universe, part)), terms

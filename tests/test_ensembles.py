@@ -831,7 +831,7 @@ def test_cut_values_match_single_state_routes(data):
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     bits = bernoulli_block(seed, 0, rows * len(universe), p).reshape(rows, len(universe))
     keys = _cut_values(universe, part)(bits)
-    terms = _cut_sampler(universe, part, p, rows)[2]
+    terms = _cut_sampler(universe, part, p, rows)[1]
     assert keys.dtype == np.int64
     distinct = np.unique(keys)
     valued = dict(zip(distinct.tolist(), zip(*terms(distinct))))
@@ -851,7 +851,7 @@ def test_cut_values_rank_route_past_63_qubits(a_mask):
     universe = edge_universe(EnsembleSpec(80, Family.CZ, scope=Scope.ALL_EDGES), part)
     bits = bernoulli_block(80, 0, 4 * len(universe), Fraction(3, 10)).reshape(4, len(universe))
     ranks = _cut_values(universe, part)(bits)
-    nums, entropies = _cut_sampler(universe, part, Fraction(3, 10), 4)[2](ranks)
+    nums, entropies = _cut_sampler(universe, part, Fraction(3, 10), 4)[1](ranks)
     for row, key, num, s2 in zip(bits, ranks.tolist(), nums, entropies):
         rank = graph_entropy_rank(Hypergraph(80, frozenset(itertools.compress(universe, row))), part)
         assert (key, num, s2) == (rank, 1 << 160 - rank, rank)
@@ -873,7 +873,7 @@ def _share_stream_moments(spec, part, samples, seed, workers):
     universe = edge_universe(spec, part)
     u = len(universe)
     values = _cut_values(universe, part)
-    terms = _cut_sampler(universe, part, spec.edge_probability, 1)[2]
+    terms = _cut_sampler(universe, part, spec.edge_probability, 1)[1]
     t = np.uint64(threshold_u64(spec.edge_probability))
     base, extra = divmod(samples, workers)
     sums = [[0] * 5]
@@ -1476,6 +1476,38 @@ def test_subset_numerators_guards_come_first(monkeypatch):
         ensembles_mod._cut_sides(spec, part)
 
 
+@pytest.mark.parametrize("spec, a_mask", [
+    (EnsembleSpec(7, Family.CZ), 0b0010110),
+    (EnsembleSpec(7, Family.CZ, scope=Scope.ALL_EDGES), 0b0010110),
+    (EnsembleSpec(6, Family.CCZ, scope=Scope.ALL_EDGES), 0b000111),
+    (EnsembleSpec(6, Family.CCZ_HALF), 0b000011),
+    (EnsembleSpec(6, Family.CCZ_HALF, scope=Scope.ALL_EDGES), 0b000011),
+    (EnsembleSpec(7, Family.K_UNIFORM, k=5, scope=Scope.ALL_EDGES), 0b0100100),
+])
+def test_cut_sides_builds_one_edge_list(monkeypatch, spec, a_mask):
+    # the cross universe is the one list built; u is its length, or C(N, k)
+    # on a full all scope (ccz-half has cross edges only)
+    part = Bipartition(spec.n_qubits, a_mask)
+    u = len(edge_universe(spec, part))
+    cross = edge_universe(replace(spec, scope=Scope.CROSS_ONLY), part)
+    calls = []
+    real = ensembles_mod.edge_universe
+    monkeypatch.setattr(ensembles_mod, "edge_universe", lambda *a: calls.append(a) or real(*a))
+    got, sides = ensembles_mod._cut_sides(spec, part)
+    assert (got, sides[0][1].size, len(calls)) == (u, len(cross), 1)
+
+
+def test_cut_sides_refuses_after_one_edge_list(monkeypatch):
+    # 736,281 edges whose cross ones pass the byte budget: one list, then the refusal
+    calls = []
+    real = ensembles_mod.edge_universe
+    monkeypatch.setattr(ensembles_mod, "edge_universe", lambda *a: calls.append(a) or real(*a))
+    spec = EnsembleSpec(31, Family.K_UNIFORM, k=6, edge_probability=Fraction(1, 3), scope=Scope.ALL_EDGES)
+    with pytest.raises(ValueError, match="cross edges need two int64 arrays"):
+        exact_moments(spec, Bipartition.from_first(31, 15))
+    assert len(calls) == 1
+
+
 def _counted(spec, part):
     """The pair-counting route's estimate, taken at the spec's cut whatever its p."""
     return ensembles_mod._counted_moments(
@@ -1742,7 +1774,7 @@ def test_stream_worker_reuses_its_buffers(monkeypatch):
     real = purity_mod.bernoulli_block
     spy = lambda *a, out, tiles: calls.append((out, tiles)) or real(*a, out=out, tiles=tiles)
     monkeypatch.setattr(purity_mod, "bernoulli_block", spy)
-    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * u)
+    monkeypatch.setattr(purity_mod, "_MC_PIECE_DRAWS", 7 * u)
     assert entropy_stats(spec, part, samples=300, seed=6) == whole
     assert len(calls) == 43
     assert len({id(out.base) for out, _ in calls}) == 1
@@ -1758,8 +1790,8 @@ def test_stream_worker_reuses_its_buffers(monkeypatch):
 ])
 def test_cut_sampler_reads_block_universes_as_words(monkeypatch, n, n_a, p, scope, words):
     # a universe that is the cut block itself, at p = 1/2, is drawn packed,
-    # with no bool; any other is drawn as bools; both give the keys that
-    # _cut_values makes of the samples' bools, and the same terms
+    # with no bool; any other is drawn as bools; both tally the keys that
+    # _cut_values makes of the samples' bools, and give the same terms
     spec = EnsembleSpec(n, Family.CZ, edge_probability=p, scope=scope)
     part = Bipartition.from_first(n, n_a)
     universe = edge_universe(spec, part)
@@ -1768,16 +1800,45 @@ def test_cut_sampler_reads_block_universes_as_words(monkeypatch, n, n_a, p, scop
     real = purity_mod.bernoulli_block
     spy = lambda *a, **k: drawn.append(a) or real(*a, **k)  # noqa: E731
     monkeypatch.setattr(purity_mod, "bernoulli_block", spy)
-    draw, values, terms = _cut_sampler(universe, part, p, 40)
-    got = values(draw(9, 30, 40))
+    tally, terms = _cut_sampler(universe, part, p, 40)
+    keys, runs = tally(9, 30, 40)
     assert bool(drawn) != words
     bits = bernoulli_block(9, 30 * u, 40 * u, p).reshape(40, u)
-    assert np.array_equal(got, _cut_values(universe, part)(bits))
-    assert terms(got) == purity_mod._key_terms(n, True, got)
+    want = np.unique(_cut_values(universe, part)(bits), return_counts=True)
+    assert np.array_equal(keys, want[0]) and np.array_equal(runs, want[1])
+    assert terms(keys) == purity_mod._key_terms(n, True, keys)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 5), (3, 7), (8, 8), (16, 16), (5, 70), (70, 70)])
+def test_block_tally_is_the_rank_law_loop(monkeypatch, n_a, n_b):
+    # the word route tallies a chunk's packed cut blocks by rank, in the rank
+    # law's batches, at any batch size; at square blocks it is the rank law
+    # read from the same choice
+    n, seed, first, count = n_a + n_b, 11, 37, 300
+    part = Bipartition.from_first(n, n_a)
+    tally = _cut_sampler(edge_universe(EnsembleSpec(n, Family.CZ), part), part, Fraction(1, 2), count)[0]
+    start = first * n_a * n_b
+    ranks = gf2_mod.batch_rank(gf2_mod._random_words(count, n_a, n_b, seed, start), n_b)
+    want = np.unique(ranks, return_counts=True)
+    keys, runs = tally(seed, first, count)
+    assert np.array_equal(keys, want[0]) and np.array_equal(runs, want[1])
+    assert [a.tolist() for a in tally(seed, first, 1)] == [[ranks[0]], [1]]
+    sizes = []
+    real = gf2_mod.batch_rank
+    monkeypatch.setattr(gf2_mod, "batch_rank", lambda w, c: sizes.append(w.shape[0]) or real(w, c))
+    monkeypatch.setattr(gf2_mod, "_BATCH_TARGET_WORDS", 7 * n_a * ((n_b + 63) // 64))
+    keys, runs = tally(seed, first, count)
+    assert np.array_equal(keys, want[0]) and np.array_equal(runs, want[1])
+    assert sizes == [min(7, count - d) for d in range(0, count, 7)]
+    if n_a == n_b:
+        law = gf2_mod._rank_law(n_a, count, seed, start)
+        # ascending defect, so descending rank
+        assert list(law.counts.items()) == [(n_a - r, c) for r, c in zip(keys[::-1], runs[::-1])]
 
 
 def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
-    # a chunk drawn in pieces of rows gives the same floats, in less memory
+    # a chunk drawn in batches of 7 cut blocks (20 one-word rows each)
+    # gives the same floats, in less memory
     spec, part = EnsembleSpec(40, Family.CZ), Bipartition.from_first(40, 20)
     u = len(edge_universe(spec, part))
     tracemalloc.start()
@@ -1785,7 +1846,7 @@ def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
         whole = entropy_stats(spec, part, samples=300, seed=6)
         _, whole_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 7 * u + 3)
+        monkeypatch.setattr(gf2_mod, "_BATCH_TARGET_WORDS", 7 * 20 + 3)
         pieces = entropy_stats(spec, part, samples=300, seed=6)
         _, piece_peak = tracemalloc.get_traced_memory()
     finally:
@@ -1793,9 +1854,9 @@ def test_mc_pieces_keep_bytes_and_bound_memory(monkeypatch):
     assert pieces == whole
     # draws are thresholded a tile at a time: no piece holds 8 bytes per draw
     assert piece_peak < whole_peak < 8 * 300 * u and piece_peak < 8 * 300 * u // 4
-    # the state-vector route over two chunks, the last one short
+    # the bool route over two chunks, in pieces, the last one short
     spec, part = EnsembleSpec(8, Family.CCZ), Bipartition.from_first(8, 3)
     monkeypatch.undo()
     whole = entropy_stats(spec, part, samples=5000, seed=2)
-    monkeypatch.setattr(ensembles_mod, "_MC_PIECE_DRAWS", 1000)
+    monkeypatch.setattr(purity_mod, "_MC_PIECE_DRAWS", 1000)
     assert entropy_stats(spec, part, samples=5000, seed=2) == whole

@@ -300,11 +300,12 @@ def test_one_sign_row_builder():
 
 
 def test_purity_owns_every_monte_carlo_route():
-    # ensembles sums what purity._cut_sampler's values make of its draws;
+    # ensembles sums the tally that purity._cut_sampler makes of each chunk;
     # the route (bools or packed cut blocks, then ranks or numerators),
-    # each route's limit, the batch size and the BLAS pin are decided in
-    # purity alone, so _stream_worker has no branch, and ensembles
-    # reaches no GF(2) or numerator kernel and no stream
+    # each route's limit, the bool pieces and the BLAS pin are decided in
+    # purity (the packed blocks' batches in gf2), so _stream_worker has no
+    # branch and one loop, over chunks, and ensembles reaches no GF(2) or
+    # numerator kernel and no stream
     sources = _sources()
     tree = ast.parse(sources["ensembles.py"])
     imported = set()  # (module, name), name "*" for the whole module
@@ -318,7 +319,7 @@ def test_purity_owns_every_monte_carlo_route():
     assert {name for module, name in imported if module == "gf2"} == set()
     from_purity = {name for module, name in imported if module == "purity"}
     assert from_purity == {
-        "_cut_sampler", "_key_terms", "check_qubit_cap", "_edge_masks", "_cross_parts"
+        "_cut_sampler", "_key_terms", "check_qubit_cap", "_edge_masks", "_cross_parts", "_MC_PIECE_DRAWS"
     }
     owned = re.compile(r"\b(_numerators|_cut_ranks|_SAMPLE_BYTES|_one_blas_thread)\b")
     named = {name: owned.findall(text) for name, text in sources.items() if name != "purity.py"}
@@ -334,6 +335,26 @@ def test_purity_owns_every_monte_carlo_route():
         if isinstance(node, (ast.If, ast.IfExp, ast.Match, ast.BoolOp))
     ]
     assert branches == []
+    loops = [node for node in ast.walk(worker) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1
+
+
+def test_one_draw_and_rank_loop():
+    # packed cut blocks and rank-law matrices are drawn and ranked by one
+    # loop, gf2._rank_counts, whose batch rule is the only one for them
+    sources = _sources()
+    callers = sorted(
+        (name, fn.name)
+        for name, text in sources.items()
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and "_random_words" in ast.unparse(node.func)
+    )
+    assert callers == [("gf2.py", "_rank_counts")]
+    assert [name for name, text in sources.items() if "_block_draw" in text] == []
+    batch_rules = [name for name, text in sources.items() if re.search(r"\b_RANK_BATCH\b", text)]
+    assert batch_rules == ["gf2.py"]
 
 
 def test_one_moment_reducer():
